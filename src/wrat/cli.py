@@ -323,8 +323,29 @@ def _cmd_report(args) -> int:
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to the bad-input exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wrat", description="exact rationality checks and series solving"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -350,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-v", help="lattice search for a working v")
     add_record_flags(p)
-    p.add_argument("--denominator-bound", type=int, default=2)
-    p.add_argument("--coefficient-bound", type=int, default=4)
+    p.add_argument("--denominator-bound", type=_int_at_least(1), default=2)
+    p.add_argument("--coefficient-bound", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_search_v)
 
     p = sub.add_parser(
@@ -367,8 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", help="solve a series system from JSON")
     p.add_argument("system")
-    p.add_argument("--order", type=int, default=16, help="series truncation order")
-    p.add_argument("--iterate", type=int, default=25, help="contraction iterations")
+    p.add_argument(
+        "--order", type=_int_at_least(1), default=16, help="series truncation order"
+    )
+    p.add_argument(
+        "--iterate", type=_int_at_least(0), default=25, help="contraction iterations"
+    )
     p.add_argument(
         "--route",
         choices=["auto", "recursion", "contraction", "log"],

@@ -422,7 +422,9 @@ def contraction_solve(
 ) -> ContractionResult:
     """Picard iteration of the clamped operator, with an a-priori tail bound.
 
-    The first len(seeds) coefficients stay clamped to the seeds; the bound
+    The first N coefficients (N the truncation) stay clamped: to the seeds,
+    and past the seeds to the exact recursion (which raises Resonance or
+    SeedInconsistent as `recursion_solve` does).  The bound
     (1 - C/N)^-1 (C/N)^iterations ||T 0|| certifies the distance from the
     final iterate to the true fixed point in the weighted majorant norm.
     """
@@ -433,18 +435,18 @@ def contraction_solve(
     ratio = Fraction(c) / n_cap if isinstance(c, Fraction) else c / n_cap
     if ratio >= 1:
         raise ContractionFails(f"C/N = {ratio} >= 1")
+    n_clamped = min(n_cap, n_max)
+    if len(seeds) < n_clamped:
+        seeds = recursion_solve(a, f_terms, seeds, n_clamped).coeffs
 
-    # ||T 0||: the seed block plus the divided inhomogeneity tail
+    # ||T 0||: the clamped block plus the divided inhomogeneity tail
     f_norm = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
     dp = Fraction(1)
     for n in range(n_max):
         if n < n_cap:
-            if n < len(seeds):
-                block = sum(
-                    p_majorant(p_trim(e), domain.epsilon, domain.z0) for e in seeds[n]
-                )
-            else:
-                block = 0
+            block = sum(
+                p_majorant(p_trim(e), domain.epsilon, domain.z0) for e in seeds[n]
+            )
         else:
             fv = f_terms.get(n)
             block = (
@@ -464,9 +466,7 @@ def contraction_solve(
         out = []
         for n in range(n_max):
             if n < n_cap:
-                out.append(
-                    [p_trim(e) for e in seeds[n]] if n < len(seeds) else _zero_vec(ell)
-                )
+                out.append([p_trim(e) for e in seeds[n]])
                 continue
             acc = [p_trim(f_terms.get(n, _zero_vec(ell))[i]) for i in range(ell)]
             for m_idx in range(n + 1):

@@ -5,9 +5,13 @@ For a nilpotent f of degree -1 and a degree-0 Cartan element v with
 the piece of the centralizer of f in degree -j lies in -j - 1 + {0, 1, 2, ...}.
 Two independent routes are provided:
 
-* `exact_condition` computes the centralizer kernel degree-by-degree and
-  eigenvalue-by-eigenvalue (exact rank computations over Fraction) and
-  reports one evidence row per occupied (j, eigenvalue) slot.
+* `exact_condition` reads the evidence off the kernel slot table.  Every
+  v that centralizes f lies in h^f, the part of the Cartan subalgebra that
+  kills every root in the support of f, and ad(f) maps the (degree d,
+  h^f-weight mu) span into the (d - 1, mu) span.  So ker ad(f) splits into
+  slots (d, mu) whose multiplicities do not depend on v (one exact rank per
+  slot), and v acts on slot (d, mu) by mu(v).  Summing the slots by
+  (j, mu(v)) gives one evidence row per occupied (j, eigenvalue) pair.
 
 * `fast_condition` looks only at the spectrum of ad(v) on the degree-0 and
   degree -1/2 blocks, which controls the spectrum everywhere else.  The only
@@ -17,14 +21,16 @@ Two independent routes are provided:
   the tractable range falls back to the exact route wholesale.
 
 The classical types get the same treatment on matrix realizations, and
-`search_v` hunts for a passing v over a small rational lattice inside the
-Cartan centralizer of f.
+`search_v` hunts for a passing v over a small rational lattice inside h^f:
+it builds the slot table once and checks each candidate against the
+occupied slots in integer arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Iterable
 
 from . import _linalg
@@ -144,25 +150,60 @@ def _eigenblocks(
     return blocks
 
 
+def _kernel_slots(
+    table: ChevalleyTable,
+    grading: DynkinGrading,
+    f: LieElement,
+    hf_basis: list[tuple[int, ...]],
+) -> list[tuple[Fraction, tuple[int, ...], int, int]]:
+    """ker ad(f) split into (degree, h^f-weight) slots.
+
+    The weight of a basis vector is its root paired with each primitive
+    integer vector of `hf_basis` (zero on the Cartan part).  Returns one
+    (degree, weight, representative basis index, multiplicity) tuple per
+    occupied slot; the representative's ad(v)-eigenvalue is the slot's
+    eigenvalue for every v in h^f.
+    """
+    fi = table.to_indexed(f)
+    groups: dict[tuple[Fraction, tuple[int, ...]], list[int]] = {}
+    zero = (0,) * len(hf_basis)
+    for i, b in enumerate(table.basis):
+        if b.kind == "h":
+            mu = zero
+        else:
+            sign = 1 if b.kind == "e" else -1
+            mu = tuple(sign * sum(c * x for c, x in zip(b.key, w)) for w in hf_basis)
+        groups.setdefault((grading.degrees[i], mu), []).append(i)
+    slots = []
+    for (d, mu), src in groups.items():
+        dst = groups.get((d - 1, mu), [])
+        m = ad_block(table, fi, tuple(src), tuple(dst))
+        mult = len(src) - _linalg.rank(m)
+        if mult:
+            slots.append((d, mu, src[0], mult))
+    return slots
+
+
 def exact_condition(
     table: ChevalleyTable,
     grading: DynkinGrading,
     f: LieElement,
     v: CartanElement,
 ) -> ConditionVerdict:
-    """Full blockwise kernel computation; one evidence row per occupied slot."""
+    """Exact kernel computation; one evidence row per occupied (j, eigenvalue).
+
+    The kernel slot table is built for f, and the multiplicities of the
+    slots on which v acts by the same eigenvalue are summed per degree.
+    """
     _require_centralizing(table, f, v)
-    fi = table.to_indexed(f)
-    blocks = _eigenblocks(table, grading, v)
-    rows = []
-    for (d, lam), src in blocks.items():
-        dst = blocks.get((d - 1, lam), [])
-        m = ad_block(table, fi, tuple(src), tuple(dst))
-        mult = len(src) - _linalg.rank(m)
-        if mult:
-            j = -d
-            rows.append(EvidenceEntry(j, lam, mult, _admissible(j, lam)))
-    rows.sort(key=lambda r: (r.j, r.eigenvalue))
+    mults: dict[tuple[Fraction, Fraction], int] = {}
+    for d, _, rep, mult in _kernel_slots(table, grading, f, _hf_basis(table, f)):
+        key = (-d, _eigenvalue(table, rep, v))
+        mults[key] = mults.get(key, 0) + mult
+    rows = [
+        EvidenceEntry(j, lam, mult, _admissible(j, lam))
+        for (j, lam), mult in sorted(mults.items())
+    ]
     status = "pass" if all(r.admissible for r in rows) else "fail"
     return ConditionVerdict(status, tuple(rows), (), "exact")
 
@@ -253,8 +294,6 @@ def h0f_space(table: ChevalleyTable, f: LieElement) -> list[CartanElement]:
 
 
 def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
-    from math import gcd, lcm
-
     den = lcm(*(x.denominator for x in vec)) if vec else 1
     ints = [int(x * den) for x in vec]
     g = 0
@@ -270,48 +309,64 @@ def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _hf_basis(table: ChevalleyTable, f: LieElement) -> list[tuple[int, ...]]:
+    """`h0f_space` as primitive integer pairing vectors."""
+    basis = [_primitive(w.pairings) for w in h0f_space(table, f)]
+    return [b for b in basis if any(b)]
+
+
 def search_v(
     table: ChevalleyTable,
     grading: DynkinGrading,
     f: LieElement,
     config: SearchConfig = SearchConfig(),
 ):
-    """First v in a small rational lattice of the Cartan centralizer that
-    passes `exact_condition`, or NOT_FOUND.
+    """First v in a small rational lattice of h^f that passes
+    `exact_condition`, or NOT_FOUND.
+
+    Candidates are v = sum k_i b_i / den over the primitive basis b of h^f,
+    with |k_i| <= coefficient_bound and den <= denominator_bound, taken in
+    order of the least common denominator of v, then lexicographically.
+    The kernel slot table is built once; on slot (d, mu) v acts by
+    sum k_i mu_i / den, so each candidate is checked against the occupied
+    slots with integer sums, stopping at the first inadmissible slot.
 
     Even gradings need no search: v = 0 always works there.
     """
     rank = table.rs.rank
     if is_even_grading(grading):
         return CartanElement.zero(rank)
-    basis = [_primitive(w.pairings) for w in h0f_space(table, f)]
-    basis = [b for b in basis if any(b)]
+    basis = _hf_basis(table, f)
     if not basis:
         return NOT_FOUND
+    # slot (d, mu) is admissible at v iff t = mu(v) + 1 - d is a
+    # nonnegative integer; with 1 - d = p/q and mu(v) = s/den that is
+    # s*q + den*p being a nonnegative multiple of den*q
+    checks = [
+        (mu, (1 - d).numerator, (1 - d).denominator)
+        for d, mu, _, _ in _kernel_slots(table, grading, f, basis)
+    ]
+
     B = config.coefficient_bound
-    seen = set()
-    candidates = []
+    candidates: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
     for den in range(1, config.denominator_bound + 1):
         for ks in product(range(-B, B + 1), repeat=len(basis)):
             if not any(ks):
                 continue
-            vec = tuple(
-                sum(Fraction(k, den) * b[i] for k, b in zip(ks, basis))
-                for i in range(rank)
-            )
-            if vec in seen:
-                continue
-            seen.add(vec)
-            candidates.append(vec)
+            ints = [sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank)]
+            g = gcd(den, *ints)
+            candidates.setdefault((den // g, tuple(x // g for x in ints)), (den, ks))
 
-    from math import lcm
-
-    candidates.sort(key=lambda vec: (lcm(*(x.denominator for x in vec)), vec))
-    for vec in candidates:
-        v = CartanElement(vec)
-        verdict = exact_condition(table, grading, f, v)
-        if verdict.status == "pass":
-            return v
+    # (reduced denominator, numerators) orders exactly as (lcm, v) does
+    for key in sorted(candidates):
+        den, ks = candidates[key]
+        for mu, p, q in checks:
+            n = sum(k * m for k, m in zip(ks, mu)) * q + den * p
+            if n < 0 or n % (den * q):
+                break
+        else:
+            lcd, ints = key
+            return CartanElement(tuple(Fraction(x, lcd) for x in ints))
     return NOT_FOUND
 
 

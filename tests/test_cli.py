@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -174,6 +175,23 @@ def test_search_v_not_found(capsys):
     assert d["status"] == "not-found"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search-v", "--algebra", "G2", "--q", "3", "--denominator-bound", "0"),
+        ("search-v", "--algebra", "G2", "--q", "3", "--coefficient-bound", "-1"),
+        ("frobenius", "system.json", "--order", "0"),
+        ("frobenius", "system.json", "--iterate", "-1"),
+    ],
+    ids=["denominator-bound", "coefficient-bound", "order", "iterate"],
+)
+def test_out_of_range_flag_is_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 3
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_verify_contragredient_both_spellings(capsys):
     rc, d, _ = run_json(capsys, "verify-contragredient", "--algebra", "G2", "--q", "3")
     assert rc == 0 and d["self_contragredient"] is True
@@ -239,6 +257,43 @@ def test_frobenius_contraction_route(capsys, tmp_path):
     assert d["route"] == "contraction"
     assert d["truncation"] == 2 and d["ratio"] == "1/4"
     assert d["bound"] == "1/301989888"
+
+
+def test_frobenius_contraction_fills_past_the_seeds(capsys, tmp_path):
+    # one seed but truncation N = 2: u_1 comes from the recursion, not a clamp to 0
+    path = write_system(
+        tmp_path,
+        "fill.json",
+        {
+            "ell": 1,
+            "A": [[0, [[["1/2"]]]]],
+            "f": [[1, [[1]]]],
+            "seeds": [[[]]],
+            "domain": {"z0": 0, "epsilon": "1/2", "delta": "1/2"},
+        },
+    )
+    rc, d, _ = run_json(capsys, "frobenius", path)
+    assert rc == 0
+    assert d["truncation"] == 2
+    assert d["coefficients"][1] == [[2]]
+    # ||T 0|| = 2 delta = 1, so the bound is (4/3) (1/4)^25
+    assert d["bound"] == str(Fraction(4, 3) * Fraction(1, 4) ** 25)
+
+
+def test_frobenius_contraction_resonant_fill_exits_3(capsys, tmp_path):
+    path = write_system(
+        tmp_path,
+        "res.json",
+        {
+            "ell": 1,
+            "A": [[0, [[1]]]],
+            "f": [[1, [[1]]]],
+            "seeds": [[[]]],
+            "domain": {"z0": 0, "epsilon": "1/2", "delta": "1/2"},
+        },
+    )
+    rc, _, err = run(capsys, "frobenius", path)
+    assert rc == 3 and "n = 1" in err
 
 
 def test_frobenius_log_route(capsys, tmp_path):

@@ -149,6 +149,25 @@ def test_search_needs_half_integers_on_e8_a4a3():
     assert out is NOT_FOUND
 
 
+# search-v outputs pinned at the four benchmark records and at E8 4A1
+SEARCH_GOLDENS = [
+    ("E6", 2, ("-1", "-1", "0", "1/2", "0", "1")),
+    ("F4", 2, ("-3/2", "1", "0", "0")),
+    ("E8", 4, ("-1/2", "-1", "1", "0", "-1/2", "1", "0", "-1")),
+    ("E7", 3, ("-1", "-1", "-1/2", "1", "1", "-3/2", "1")),
+    ("E8", 2, ("-1", "-1/2", "0", "0", "1", "0", "0", "-1")),
+]
+
+
+@pytest.mark.parametrize("alg,q,want", SEARCH_GOLDENS, ids=lambda x: str(x))
+def test_search_v_goldens(alg, q, want):
+    rec = lookup_exceptional(alg, q)
+    table, grading, f, _ = realize_record(rec)
+    v = search_v(table, grading, f)
+    assert tuple(str(p) for p in v.pairings) == want
+    assert exact_condition(table, grading, f, v).status == "pass"
+
+
 def test_search_even_grading_returns_zero():
     # principal grading of A2 is even: v = 0 is immediate
     t = table_for("A2")
