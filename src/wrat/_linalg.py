@@ -1,7 +1,12 @@
-"""Dense exact linear algebra over Fraction (small matrices only)."""
+"""Exact linear algebra over Fraction, on lists of rows.
+
+`rank` is the kernel primitive: fraction-free elimination on sparse integer
+rows.  `rref`, `nullspace` and `solve` are dense Gauss-Jordan, for small systems.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 
@@ -67,9 +72,36 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    """Exact rank of a list of equal-length Fraction or int rows.
+
+    Each row is scaled by the lcm of its denominators to a sparse {column: int}
+    dict, reduced against the pivot rows (keyed by leading column c) with
+    p[c] * r - r[c] * p, and divided by its gcd content after each step.
+    The rank is the number of pivot rows; no entry is ever divided.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in a:
+        nz = [(c, x) for c, x in enumerate(row) if x]
+        den = lcm(*(x.denominator for _, x in nz))
+        r = {c: x.numerator * (den // x.denominator) for c, x in nz}
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            pc, rc = p[c], r[c]
+            r = {k: pc * x for k, x in r.items()}
+            for k, x in p.items():
+                y = r.get(k, 0) - rc * x
+                if y:
+                    r[k] = y
+                else:
+                    del r[k]
+            g = gcd(*r.values())
+            if g > 1:
+                r = {k: x // g for k, x in r.items()}
+    return len(pivots)
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[list[Fraction]]:

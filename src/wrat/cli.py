@@ -421,6 +421,7 @@ def main(argv=None) -> int:
         InvalidPartition,
         InvalidRecord,
         UnknownRoot,
+        fr.InvalidSystem,
     ) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except (ValueError, KeyError) as exc:

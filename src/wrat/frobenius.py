@@ -68,6 +68,10 @@ class BranchMismatch(ValueError):
     """The supplied log branch L does not satisfy exp(L) = q."""
 
 
+class InvalidSystem(ValueError):
+    """A series-system file does not describe a system (bad shape or value)."""
+
+
 class OutOfRadius(ValueError):
     """Evaluation point outside 0 < |q| < radius."""
 
@@ -571,46 +575,59 @@ def system_from_json(obj: dict) -> dict:
     Returns a dict with keys: a (AnalyticMatrixSeries), f (dict n -> vector),
     seeds (list for the plain recursion, or dict (j, k) -> seed list when the
     system carries exponents), exponents, log_order, domain, radius.
+    Raises InvalidSystem on a non-object, ell < 1, an A_n that is not
+    ell x ell, an f or seed vector not of length ell, or a bad rational.
     """
     from ._serde import rat_from_json
 
-    ell = int(obj["ell"])
-    terms = {}
-    for n, m in obj.get("A", []):
-        terms[int(n)] = [[poly_from_json(e) for e in row] for row in m]
-    a = AnalyticMatrixSeries(ell, terms)
-    f_terms = {
-        int(n): [poly_from_json(e) for e in vec] for n, vec in obj.get("f", [])
-    }
-    exponents = [rat_from_json(h) for h in obj.get("exponents", [])]
-    log_order = int(obj.get("K", 0))
-    raw_seeds = obj.get("seeds", [])
-    if isinstance(raw_seeds, dict):
-        seeds: dict[tuple[int, int], list[list[Poly]]] = {}
-        for key, vecs in raw_seeds.items():
-            j_s, k_s = key.split(":")
-            seeds[(int(j_s), int(k_s))] = [
-                [poly_from_json(e) for e in vec] for vec in vecs
-            ]
-    else:
-        seeds = [[poly_from_json(e) for e in vec] for vec in raw_seeds]
-    domain = None
-    if "domain" in obj:
-        d = obj["domain"]
-        z0_raw = d["z0"]
-        if isinstance(z0_raw, list):
-            z0 = complex(float(rat_from_json(z0_raw[0])), float(rat_from_json(z0_raw[1])))
+    if not isinstance(obj, dict):
+        raise InvalidSystem("a system must be a JSON object")
+    try:
+        ell = int(obj["ell"])
+        terms = {
+            int(n): [[poly_from_json(e) for e in row] for row in m] for n, m in obj.get("A", [])
+        }
+        f_terms = {int(n): [poly_from_json(e) for e in vec] for n, vec in obj.get("f", [])}
+        exponents = [rat_from_json(h) for h in obj.get("exponents", [])]
+        log_order = int(obj.get("K", 0))
+        raw_seeds = obj.get("seeds", [])
+        if isinstance(raw_seeds, dict):
+            seeds: dict[tuple[int, int], list[list[Poly]]] = {}
+            for key, vecs in raw_seeds.items():
+                j_s, k_s = key.split(":")
+                seeds[(int(j_s), int(k_s))] = [
+                    [poly_from_json(e) for e in vec] for vec in vecs
+                ]
+            seed_vecs = [vec for vecs in seeds.values() for vec in vecs]
         else:
-            z0 = rat_from_json(z0_raw)
-        domain = DomainParams(
-            z0=z0,
-            epsilon=rat_from_json(d["epsilon"]),
-            delta=rat_from_json(d["delta"]),
-        )
-    radius = rat_from_json(obj.get("radius", 1))
+            seeds = [[poly_from_json(e) for e in vec] for vec in raw_seeds]
+            seed_vecs = seeds
+        domain = None
+        if "domain" in obj:
+            d = obj["domain"]
+            z0_raw = d["z0"]
+            if isinstance(z0_raw, list):
+                z0 = complex(float(rat_from_json(z0_raw[0])), float(rat_from_json(z0_raw[1])))
+            else:
+                z0 = rat_from_json(z0_raw)
+            domain = DomainParams(
+                z0=z0,
+                epsilon=rat_from_json(d["epsilon"]),
+                delta=rat_from_json(d["delta"]),
+            )
+        radius = rat_from_json(obj.get("radius", 1))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        raise InvalidSystem(f"malformed system: {type(exc).__name__}: {exc}") from exc
+    if ell < 1:
+        raise InvalidSystem(f"ell must be at least 1, got {ell}")
+    for n, m in terms.items():
+        if len(m) != ell or any(len(row) != ell for row in m):
+            raise InvalidSystem(f"A_{n} is not {ell} x {ell}")
+    if any(len(vec) != ell for vec in list(f_terms.values()) + seed_vecs):
+        raise InvalidSystem(f"a vector of f or of the seeds is not of length {ell}")
     return {
         "ell": ell,
-        "a": a,
+        "a": AnalyticMatrixSeries(ell, terms),
         "f": f_terms,
         "seeds": seeds,
         "exponents": exponents,

@@ -355,14 +355,22 @@ def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
 
 
 def _verify_membership(real: ClassicalRealization) -> None:
-    """S f = -f^T S, and the diagonals h, v satisfy d(sigma(i)) = -d(i)."""
+    """S f = -f^T S, and the diagonals h, v satisfy d(sigma(i)) = -d(i).
+
+    S must be monomial: row i holds only c(i), in column sigma(i), and sigma
+    is a permutation.  Then (S f)[i][j] = c(i) f[sigma(i)][j] and
+    (f^T S)[i][j] = f[k][i] c(k) with sigma(k) = j, so the check is entrywise.
+    """
     n = real.size
-    s, f = real.form, real.f
+    s, f, sigma, c = real.form, real.f, real.sigma, real.form_coeff
+    if sorted(sigma) != list(range(n)) or any(
+        s[i][j] != (c[i] if j == sigma[i] else 0) for i in range(n) for j in range(n)
+    ):
+        raise InvalidPartition("the form is not monomial")
+    inv = sorted(range(n), key=sigma.__getitem__)
     for i in range(n):
         for j in range(n):
-            lhs = sum(s[i][k] * f[k][j] for k in range(n) if s[i][k])
-            rhs = -sum(f[k][i] * s[k][j] for k in range(n) if s[k][j])
-            if lhs != rhs:
+            if c[i] * f[sigma[i]][j] != -f[inv[j]][i] * c[inv[j]]:
                 raise InvalidPartition("nilpotent fell outside the algebra")
     for diag in (real.h_diag, real.v_diag):
         for i in range(n):

@@ -412,45 +412,39 @@ def verify_self_contragredient(
     table: ChevalleyTable, grading: DynkinGrading, f: LieElement
 ) -> bool:
     """Each centralizer vector in degree 0 pairs to zero with h/2 and has
-    traceless adjoint action on both the positive and the negative part."""
+    traceless adjoint action on both the positive and the negative part.
+
+    Each condition is a linear functional L on g_0, and L vanishes on the
+    kernel of M = ad(f): g_0 -> g_-1 exactly when L lies in the row space of
+    M, that is, when rank(M + [L]) == rank(M).  The three functionals are
+    appended together, which tests all three at once.
+    """
     fi = table.to_indexed(f)
     g0 = grading.block(0)
-    gm1 = grading.block(-1)
-    m = ad_block(table, fi, g0, gm1)
-    kernel = _linalg.nullspace(m, len(g0))
+    m = ad_block(table, fi, g0, grading.block(-1))
 
     rs = table.rs
     n = rs.rank
     h_coords = cartan_solve(rs, grading.characteristic)
     d = rs.half_norms
-    # <h_i, h_j> = a_ij / d_i
-    metric = [[Fraction(rs.cartan_matrix[i][j]) / d[i] for j in range(n)] for i in range(n)]
-
+    # <h/2, h_b> with <h_a, h_b> = a_ab / d_a
+    pair = [
+        sum(h_coords[a] * rs.cartan_matrix[a][b] / (2 * d[a]) for a in range(n))
+        for b in range(n)
+    ]
     pos_idx = [i for i, deg in enumerate(grading.degrees) if deg > 0]
     neg_idx = [i for i, deg in enumerate(grading.degrees) if deg < 0]
 
-    for w in kernel:
-        wh = [Fraction(0)] * n
-        for k, i in enumerate(g0):
-            b = table.basis[i]
-            if b.kind == "h" and w[k]:
-                wh[b.key] += w[k]
-        pair = sum(
-            Fraction(1, 2) * h_coords[a] * wh[b] * metric[a][b]
-            for a in range(n)
-            for b in range(n)
-        )
-        if pair != 0:
-            return False
-        for side in (pos_idx, neg_idx):
-            tr = Fraction(0)
-            for j in side:
-                for k, i in enumerate(g0):
-                    if w[k]:
-                        tr += w[k] * table.basis_bracket(i, j).get(j, Fraction(0))
-            if tr != 0:
-                return False
-    return True
+    # only Cartan basis vectors enter the traces: a root vector e_a moves
+    # every weight by a, so [e_a, b_j] has no b_j component
+    rows = [[Fraction(0)] * len(g0) for _ in range(3)]
+    for k, i in enumerate(g0):
+        b = table.basis[i]
+        if b.kind == "h":
+            rows[0][k] = pair[b.key]
+            for row, side in zip(rows[1:], (pos_idx, neg_idx)):
+                row[k] = sum(table.basis_bracket(i, j).get(j, 0) for j in side)
+    return _linalg.rank(m + rows) == _linalg.rank(m)
 
 
 # ---------------------------------------------------------------------------
@@ -470,52 +464,68 @@ def _classical_blocks(real: ClassicalRealization):
     return blocks
 
 
-def _classical_ad_f(real: ClassicalRealization, elt) -> dict[tuple[int, int], Fraction]:
-    """[f, B] as a sparse matrix for a symmetrized unit B."""
+def _units(elt) -> list[tuple[int, int, Fraction]]:
+    """A symmetrized unit E_ij + c * E_i'j' as (row, column, coefficient) terms."""
+    (i, j), partner, c = elt
+    return [(i, j, Fraction(1))] + ([(*partner, c)] if partner else [])
+
+
+def _f_nonzeros(real: ClassicalRealization):
+    """f's nonzero entries as (by column: [(row, value)], by row: [(column, value)])."""
+    n = real.size
+    by_col: list[list] = [[] for _ in range(n)]
+    by_row: list[list] = [[] for _ in range(n)]
+    for r, row in enumerate(real.f):
+        for s, x in enumerate(row):
+            if x:
+                by_col[s].append((r, x))
+                by_row[r].append((s, x))
+    return by_col, by_row
+
+
+def _classical_ad_f(f_nonzeros, elt) -> dict[tuple[int, int], Fraction]:
+    """[f, B] as a sparse matrix for a symmetrized unit B, from `_f_nonzeros`."""
+    by_col, by_row = f_nonzeros
     out: dict[tuple[int, int], Fraction] = {}
 
     def add(i, j, c):
-        if not c:
-            return
-        key = (i, j)
-        v = out.get(key, Fraction(0)) + c
+        v = out.get((i, j), 0) + c
         if v:
-            out[key] = v
+            out[(i, j)] = v
         else:
-            out.pop(key, None)
+            out.pop((i, j), None)
 
-    (i, j), partner, c = elt
-    units = [(i, j, Fraction(1))]
-    if partner is not None:
-        units.append((partner[0], partner[1], c))
-    n = real.size
-    f = real.f
-    for (a, b, coeff) in units:
+    for a, b, coeff in _units(elt):
         # f E_ab: column b gets f's column a
-        for r in range(n):
-            if f[r][a]:
-                add(r, b, coeff * f[r][a])
+        for r, x in by_col[a]:
+            add(r, b, coeff * x)
         # E_ab f: row a gets f's row b
-        for s in range(n):
-            if f[b][s]:
-                add(a, s, -coeff * f[b][s])
+        for s, x in by_row[b]:
+            add(a, s, -coeff * x)
     return out
+
+
+def _classical_ad_block(f_nonzeros, src, dst):
+    """Matrix of ad(f) from the span of src to the span of dst.
+
+    Its zeros are int, which `_linalg.rank` skips faster than Fraction(0)."""
+    reps = {elt[0]: r for r, elt in enumerate(dst)}
+    m = [[0] * len(src) for _ in dst]
+    for col, elt in enumerate(src):
+        for pos, val in _classical_ad_f(f_nonzeros, elt).items():
+            r = reps.get(pos)
+            if r is not None:
+                m[r][col] = val
+    return m
 
 
 def check_classical(real: ClassicalRealization) -> ConditionVerdict:
     """Blockwise kernel computation on the matrix realization."""
     blocks = _classical_blocks(real)
+    fnz = _f_nonzeros(real)
     rows = []
     for (d, lam), src in blocks.items():
-        dst = blocks.get((d - 1, lam), [])
-        reps = {elt[0]: r for r, elt in enumerate(dst)}
-        m = _linalg.zeros(len(dst), len(src))
-        for col, elt in enumerate(src):
-            img = _classical_ad_f(real, elt)
-            for pos, val in img.items():
-                r = reps.get(pos)
-                if r is not None:
-                    m[r][col] = val
+        m = _classical_ad_block(fnz, src, blocks.get((d - 1, lam), []))
         mult = len(src) - _linalg.rank(m)
         if mult:
             j = -d
@@ -527,66 +537,36 @@ def check_classical(real: ClassicalRealization) -> ConditionVerdict:
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
     """Classical analogue: kernel vectors w in degree 0 satisfy tr(h w) = 0
-    and have traceless adjoint action on the positive and negative parts."""
+    and have traceless adjoint action on the positive and negative parts.
+
+    As in `verify_self_contragredient`, each condition is a functional on
+    g_0 that must lie in the row space of ad(f): g_0 -> g_-1, so the check
+    is one rank comparison.
+    """
     basis = classical_basis(real)
-    g0 = [elt for elt in basis if real.h_diag[elt[0][0]] == real.h_diag[elt[0][1]]]
-    gm1 = [
-        elt
-        for elt in basis
-        if real.h_diag[elt[0][0]] - real.h_diag[elt[0][1]] == -2
+    hd = real.h_diag
+    g0 = [elt for elt in basis if hd[elt[0][0]] == hd[elt[0][1]]]
+    gm1 = [elt for elt in basis if hd[elt[0][0]] - hd[elt[0][1]] == -2]
+    m = _classical_ad_block(_f_nonzeros(real), g0, gm1)
+
+    # the functionals as coefficients on the entries W[r][s] of w: tr(h W),
+    # then per side the coefficient of each B at its representative (i, j)
+    # in [W, B] = W B - B W, summed over the side
+    funcs: list[dict] = [{(i, i): hd[i] for i in range(real.size)}, {}, {}]
+    for elt in basis:
+        (i, j), _, _ = elt
+        if hd[i] != hd[j]:
+            t = funcs[1] if hd[i] > hd[j] else funcs[2]
+            for a, b, coeff in _units(elt):
+                if b == j:
+                    t[(i, a)] = t.get((i, a), 0) + coeff
+                if a == i:
+                    t[(b, j)] = t.get((b, j), 0) - coeff
+    rows = [
+        [t.get(pos, 0) + (c * t.get(partner, 0) if partner else 0) for pos, partner, c in g0]
+        for t in funcs
     ]
-    reps = {elt[0]: r for r, elt in enumerate(gm1)}
-    m = _linalg.zeros(len(gm1), len(g0))
-    for col, elt in enumerate(g0):
-        img = _classical_ad_f(real, elt)
-        for pos, val in img.items():
-            r = reps.get(pos)
-            if r is not None:
-                m[r][col] = val
-    kernel = _linalg.nullspace(m, len(g0))
-
-    n = real.size
-    pos_elts = [elt for elt in basis if real.h_diag[elt[0][0]] > real.h_diag[elt[0][1]]]
-    neg_elts = [elt for elt in basis if real.h_diag[elt[0][0]] < real.h_diag[elt[0][1]]]
-
-    def as_matrix(w) -> dict[tuple[int, int], Fraction]:
-        out: dict[tuple[int, int], Fraction] = {}
-        for k, elt in enumerate(g0):
-            if not w[k]:
-                continue
-            (i, j), partner, c = elt
-            out[(i, j)] = out.get((i, j), Fraction(0)) + w[k]
-            if partner is not None:
-                out[partner] = out.get(partner, Fraction(0)) + w[k] * c
-        return out
-
-    for w in kernel:
-        wm = as_matrix(w)
-        # tr(h W): h is diagonal
-        t = sum(real.h_diag[i] * val for (i, j), val in wm.items() if i == j)
-        if t != 0:
-            return False
-        for side in (pos_elts, neg_elts):
-            tr = Fraction(0)
-            for elt in side:
-                (i, j), partner, c = elt
-                # coefficient of elt in [W, elt] is ([W, B])[i][j]
-                # [W, B][i][j] = sum_k W[i][k] B[k][j] - B[i][k] W[k][j]
-                units = [(i, j, Fraction(1))]
-                if partner is not None:
-                    units.append((partner[0], partner[1], c))
-                val = Fraction(0)
-                for (a, b, coeff) in units:
-                    # contribution of W E_ab - E_ab W at entry (i, j)
-                    # W E_ab has entry (r, b) = W[r][a]; at (i,j): need b == j
-                    if b == j:
-                        val += coeff * wm.get((i, a), Fraction(0))
-                    if a == i:
-                        val -= coeff * wm.get((b, j), Fraction(0))
-                tr += val
-            if tr != 0:
-                return False
-    return True
+    return _linalg.rank(m + rows) == _linalg.rank(m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,118 @@
+"""Kernel-walk self-contragredience checks, kept as oracles for the rank test.
+
+These compute a basis of ker ad(f) on g_0 with the Gauss-Jordan
+`_linalg.nullspace` and test every kernel vector against the three
+conditions one by one: pairing with h/2 (tr(h w) on the matrix side) and
+the trace of ad(w) on the positive and on the negative part.  The classical
+version builds [f, B] by scanning the dense f, so neither oracle shares the
+sparse assembly or the integer rank of the package code.
+"""
+from fractions import Fraction
+
+from wrat import _linalg
+from wrat.grading import ad_block
+from wrat.orbits import classical_basis
+from wrat.rootsys import cartan_solve
+
+
+def self_contragredient(table, grading, f) -> bool:
+    fi = table.to_indexed(f)
+    g0 = grading.block(0)
+    m = ad_block(table, fi, g0, grading.block(-1))
+    kernel = _linalg.nullspace(m, len(g0))
+
+    rs = table.rs
+    n = rs.rank
+    h_coords = cartan_solve(rs, grading.characteristic)
+    d = rs.half_norms
+    # <h_i, h_j> = a_ij / d_i
+    metric = [[Fraction(rs.cartan_matrix[i][j]) / d[i] for j in range(n)] for i in range(n)]
+
+    pos_idx = [i for i, deg in enumerate(grading.degrees) if deg > 0]
+    neg_idx = [i for i, deg in enumerate(grading.degrees) if deg < 0]
+
+    for w in kernel:
+        wh = [Fraction(0)] * n
+        for k, i in enumerate(g0):
+            b = table.basis[i]
+            if b.kind == "h" and w[k]:
+                wh[b.key] += w[k]
+        pair = sum(
+            Fraction(1, 2) * h_coords[a] * wh[b] * metric[a][b]
+            for a in range(n)
+            for b in range(n)
+        )
+        if pair != 0:
+            return False
+        for side in (pos_idx, neg_idx):
+            tr = Fraction(0)
+            for j in side:
+                for k, i in enumerate(g0):
+                    if w[k]:
+                        tr += w[k] * table.basis_bracket(i, j).get(j, Fraction(0))
+            if tr != 0:
+                return False
+    return True
+
+
+def _units(elt):
+    (i, j), partner, c = elt
+    units = [(i, j, Fraction(1))]
+    if partner is not None:
+        units.append((partner[0], partner[1], c))
+    return units
+
+
+def _ad_f(real, elt) -> dict:
+    """[f, B] for a symmetrized unit B, scanning every row and column of f."""
+    out: dict = {}
+    n = real.size
+    f = real.f
+    for a, b, coeff in _units(elt):
+        for r in range(n):
+            if f[r][a]:
+                out[(r, b)] = out.get((r, b), 0) + coeff * f[r][a]
+        for s in range(n):
+            if f[b][s]:
+                out[(a, s)] = out.get((a, s), 0) - coeff * f[b][s]
+    return {k: v for k, v in out.items() if v}
+
+
+def self_contragredient_classical(real) -> bool:
+    basis = classical_basis(real)
+    g0 = [elt for elt in basis if real.h_diag[elt[0][0]] == real.h_diag[elt[0][1]]]
+    gm1 = [elt for elt in basis if real.h_diag[elt[0][0]] - real.h_diag[elt[0][1]] == -2]
+    reps = {elt[0]: r for r, elt in enumerate(gm1)}
+    m = _linalg.zeros(len(gm1), len(g0))
+    for col, elt in enumerate(g0):
+        for pos, val in _ad_f(real, elt).items():
+            r = reps.get(pos)
+            if r is not None:
+                m[r][col] = val
+    kernel = _linalg.nullspace(m, len(g0))
+
+    pos_elts = [elt for elt in basis if real.h_diag[elt[0][0]] > real.h_diag[elt[0][1]]]
+    neg_elts = [elt for elt in basis if real.h_diag[elt[0][0]] < real.h_diag[elt[0][1]]]
+
+    for w in kernel:
+        wm: dict = {}
+        for k, elt in enumerate(g0):
+            if w[k]:
+                for a, b, coeff in _units(elt):
+                    wm[(a, b)] = wm.get((a, b), 0) + w[k] * coeff
+        # tr(h W): h is diagonal
+        if sum(real.h_diag[i] * val for (i, j), val in wm.items() if i == j) != 0:
+            return False
+        for side in (pos_elts, neg_elts):
+            tr = Fraction(0)
+            for elt in side:
+                (i, j), _, _ = elt
+                # coefficient of elt in [W, elt] is [W, B][i][j]
+                for a, b, coeff in _units(elt):
+                    if b == j:
+                        tr += coeff * wm.get((i, a), 0)
+                    if a == i:
+                        tr -= coeff * wm.get((b, j), 0)
+            if tr != 0:
+                return False
+    return True

@@ -17,7 +17,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-from wrat._linalg import rank as mat_rank
+from wrat._linalg import rref
 from wrat.cli import main as cli_main
 from wrat.grading import verify_good_grading
 from wrat.liealg import centralizer, build_chevalley
@@ -266,7 +266,7 @@ def _dense_oracle(real):
             ]
             cols.append([img[r][c2] for r in range(n) for c2 in range(n)])
         a = [[col[r] for col in cols] for r in range(n * n)]
-        k_dim = len(elts) - mat_rank(a)
+        k_dim = len(elts) - len(rref(a)[1])
         if k_dim:
             mult[(-d, lam)] = k_dim
     return mult

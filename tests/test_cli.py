@@ -335,6 +335,24 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"ell": 1, "A": [[0, [["1/2", "1"]]]], "seeds": [[[1]]]}, "A_0 is not 1 x 1"),
+        ({"ell": 2, "A": [[0, [[1, 0]]]], "seeds": []}, "A_0 is not 2 x 2"),
+        ({"ell": 1, "A": [[0, [["1/0"]]]], "seeds": [[[1]]]}, "ZeroDivisionError"),
+        ([{"ell": 1}], "JSON object"),
+        ({"ell": -1, "A": [], "seeds": []}, "ell must be at least 1"),
+        ({"ell": 1, "A": [[0, [[1]]]], "seeds": [[[1], [2]]]}, "not of length 1"),
+    ],
+    ids=["wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed"],
+)
+def test_frobenius_malformed_system_exits_3(capsys, tmp_path, obj, message):
+    rc, out, err = run(capsys, "frobenius", write_system(tmp_path, "s.json", obj))
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
 def test_report_tsv_golden(capsys):
     rc, out, _ = run(capsys, "report", "--format", "tsv")
     assert rc == 0

@@ -2,7 +2,8 @@
 
 The oracle is the direct algorithm: group the Chevalley basis by
 (degree, ad(v)-eigenvalue) for the given v and take one exact rank per
-block.  The slot table groups by (degree, h^f-weight) instead, once per f;
+block, counted as the pivots of the Gauss-Jordan `_linalg.rref` rather than
+by the integer `_linalg.rank` the package uses.  The slot table groups by (degree, h^f-weight) instead, once per f;
 both must give identical evidence rows and status for every v in h^f.
 """
 import functools
@@ -39,7 +40,7 @@ def blockwise_condition(table, grading, f, v):
     for (d, lam), src in blocks.items():
         dst = blocks.get((d - 1, lam), [])
         m = ad_block(table, fi, tuple(src), tuple(dst))
-        mult = len(src) - _linalg.rank(m)
+        mult = len(src) - len(_linalg.rref(m)[1])
         if mult:
             rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
     rows.sort(key=lambda r: (r.j, r.eigenvalue))
