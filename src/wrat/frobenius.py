@@ -7,6 +7,12 @@ routes compute the solution:
 * `recursion_solve` peels coefficients off the defining relation
   [n I - A_0(z)] u_n = f_n + sum_{m<n} A_{n-m} u_m, validating the supplied
   seed coefficients at the resonant indices n < N and solving exactly above.
+  chi(lam) = det(lam I - A_0) and adj(lam I - A_0) are expanded once per call
+  (Faddeev-LeVerrier), and u_n = adj(nI - A_0) b_n / chi(n) by exact division
+  in Q[z].  This agrees with solving for u_n as a linear system over its
+  coefficients: if chi(n) != 0, nI - A_0 is invertible over Q(z), so
+  adj b_n / chi(n) is the only candidate; if chi(n) = 0, a kernel vector of
+  minors makes no solution unique.  Either failure raises Resonance.
 
 * `contraction_solve` runs the Picard iteration of the clamped operator
   [T u]_n = seed_n (n < N) and (1/n)(f_n + sum_{m<=n} A_{n-m} u_m) (n >= N),
@@ -112,6 +118,17 @@ def p_mul(a: Poly, b: Poly) -> Poly:
                 if cb:
                     out[i + j] += ca * cb
     return p_trim(out)
+
+
+def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by a nonzero b, exactly."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for t in range(len(quot) - 1, -1, -1):
+        quot[t] = rem[t + len(b) - 1] / b[-1]
+        for i, cb in enumerate(b):
+            rem[t + i] -= quot[t] * cb
+    return p_trim(quot), p_trim(rem)
 
 
 def p_eval(p: Poly, x):
@@ -263,33 +280,15 @@ def _sum_polys(ps: list[Poly]) -> Poly:
     return out
 
 
-def _poly_solve(m: list[list[Poly]], b: list[Poly], ell: int):
-    """Polynomial solutions x of M(z) x(z) = b(z).
-
-    Returns (solution | None, unique flag).  The degree bound
-    (ell - 1) * deg M + deg b covers every polynomial solution that can
-    exist; a constant M takes the per-coefficient fast path.
-    """
+def _poly_solvable(m: list[list[Poly]], b: list[Poly]) -> bool:
+    """Whether M(z) x(z) = b(z) has a polynomial solution x, linearized over the
+    coefficients of x up to the degree bound (ell - 1) * deg M + deg b, which
+    covers every polynomial solution that can exist."""
+    ell = len(m)
     deg_m = max((len(e) - 1 for row in m for e in row if e), default=0)
     deg_b = max((len(e) - 1 for e in b if e), default=0)
-
-    if deg_m == 0:
-        m0 = [[e[0] if e else Fraction(0) for e in row] for row in m]
-        r = _linalg.rank([row[:] for row in m0])
-        width = deg_b + 1
-        cols: list[list[Fraction]] = []
-        for t in range(width):
-            rhs = [e[t] if t < len(e) else Fraction(0) for e in b]
-            sol = _linalg.solve([row[:] for row in m0], rhs)
-            if sol is None:
-                return None, r == ell
-            cols.append(sol)
-        x = [p_trim([cols[t][i] for t in range(width)]) for i in range(ell)]
-        return x, r == ell
-
-    d_bound = (ell - 1) * deg_m + deg_b
-    width = d_bound + 1
-    rows_per_eq = d_bound + deg_m + 1
+    width = (ell - 1) * deg_m + deg_b + 1
+    rows_per_eq = width + deg_m
     big = _linalg.zeros(ell * rows_per_eq, ell * width)
     rhs = [Fraction(0)] * (ell * rows_per_eq)
     for r_i in range(ell):
@@ -297,20 +296,26 @@ def _poly_solve(m: list[list[Poly]], b: list[Poly], ell: int):
             row = big[r_i * rows_per_eq + s]
             for c_j in range(ell):
                 e = m[r_i][c_j]
-                if not e:
-                    continue
                 for t in range(width):
-                    k = s - t
-                    if 0 <= k < len(e) and e[k]:
-                        row[c_j * width + t] += e[k]
+                    if 0 <= s - t < len(e):
+                        row[c_j * width + t] += e[s - t]
             bb = b[r_i]
             rhs[r_i * rows_per_eq + s] = bb[s] if s < len(bb) else Fraction(0)
-    sol = _linalg.solve([row[:] for row in big], rhs)
-    if sol is None:
-        return None, False
-    unique = not _linalg.nullspace(big, ell * width)
-    x = [p_trim(sol[i * width : (i + 1) * width]) for i in range(ell)]
-    return x, unique
+    return _linalg.solve(big, rhs) is not None
+
+
+def _char_expansion(a0: list[list[Poly]]):
+    """Faddeev-LeVerrier over Q[z]: c_0..c_ell and B_0..B_{ell-1} with
+    det(lam I - A_0) = sum_k c_k lam^(ell-k), adj(lam I - A_0) = sum_k B_k lam^(ell-1-k)."""
+    ell = len(a0)
+    cs: list[Poly] = [(Fraction(1),)]
+    bs = [[[(Fraction(1),) if i == j else () for j in range(ell)] for i in range(ell)]]
+    for k in range(1, ell + 1):
+        ab = [_mat_vec(a0, col) for col in zip(*bs[-1])]  # columns of A_0 B_{k-1}
+        cs.append(p_scale(Fraction(-1, k), _sum_polys([ab[i][i] for i in range(ell)])))
+        bs.append([[p_add(ab[j][i], cs[k] if i == j else ()) for j in range(ell)]
+                   for i in range(ell)])
+    return cs, bs[:ell]
 
 
 def recursion_solve(
@@ -325,12 +330,14 @@ def recursion_solve(
     The first len(seeds) coefficients are dictated by the seeds and verified
     against the recursion: a violated relation raises SeedInconsistent when
     some polynomial solution exists and Resonance when none does.  Beyond the
-    seeds, a singular [n I - A_0] raises Resonance outright (whether the
-    failure is nonexistence or non-uniqueness).
+    seeds, u_n = adj(nI - A_0) b_n / chi(n) with chi(n) = det(nI - A_0), by
+    exact division; chi(n) = 0 in Q[z] or a nonzero remainder raises
+    Resonance (the module docstring says why this matches a linear solve).
     """
     ell = a.ell
     n_seeds = len(seeds)
     a0 = a.a0()
+    cs, bs = _char_expansion(a0)
     u: list[list[Poly]] = []
     for n in range(n_max):
         rhs = [p_trim(f_terms.get(n, _zero_vec(ell))[i]) for i in range(ell)]
@@ -339,27 +346,23 @@ def recursion_solve(
             if an is not None and any(u[m_idx][j] for j in range(ell)):
                 prod = _mat_vec(an, u[m_idx])
                 rhs = [p_add(rhs[i], prod[i]) for i in range(ell)]
-        mm = [
-            [
-                p_add((Fraction(n),) if i == j else (), p_scale(-1, a0[i][j]))
-                for j in range(ell)
-            ]
-            for i in range(ell)
-        ]
         if n < n_seeds:
+            mm = [[p_add((Fraction(n),) if i == j else (), p_scale(-1, e))
+                   for j, e in enumerate(row)] for i, row in enumerate(a0)]
             cand = [p_trim(c) for c in seeds[n]]
-            lhs = _mat_vec(mm, cand)
-            if lhs == [p_trim(r) for r in rhs]:
+            if _mat_vec(mm, cand) == rhs:
                 u.append(cand)
                 continue
-            sol, _unique = _poly_solve(mm, rhs, ell)
-            if sol is None:
-                raise Resonance(n, layer)
-            raise SeedInconsistent(n, layer)
-        sol, unique = _poly_solve(mm, rhs, ell)
-        if sol is None or not unique:
+            raise (SeedInconsistent if _poly_solvable(mm, rhs) else Resonance)(n, layer)
+        chi = _sum_polys([p_scale(n ** (ell - k), c) for k, c in enumerate(cs)])
+        if not chi:
             raise Resonance(n, layer)
-        u.append(sol)
+        adj = [[_sum_polys([p_scale(n ** (ell - 1 - k), b[i][j]) for k, b in enumerate(bs)])
+                for j in range(ell)] for i in range(ell)]
+        divided = [p_divmod(y, chi) for y in _mat_vec(adj, rhs)]
+        if any(rem for _, rem in divided):
+            raise Resonance(n, layer)
+        u.append([quot for quot, _ in divided])
     return VectorSeries(ell, u)
 
 
@@ -527,7 +530,7 @@ def log_system_solve(
     for i in range(len(exps)):
         for j in range(i + 1, len(exps)):
             if (exps[i] - exps[j]).denominator == 1:
-                raise ValueError(
+                raise InvalidSystem(
                     f"exponents {exps[i]} and {exps[j]} are congruent mod 1"
                 )
     layers: dict[tuple[int, int], VectorSeries] = {}
@@ -569,13 +572,21 @@ def poly_to_json(p: Poly) -> list:
     return [rat_to_json(c) for c in p]
 
 
+def _int_at_least(v, name: str, low: int) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        raise InvalidSystem(f"{name} must be at least {low} (a JSON integer), got {v!r}")
+    return v
+
+
 def system_from_json(obj: dict) -> dict:
     """Decode a series-system description into solver-ready pieces.
 
     Returns a dict with keys: a (AnalyticMatrixSeries), f (dict n -> vector),
     seeds (list for the plain recursion, or dict (j, k) -> seed list when the
     system carries exponents), exponents, log_order, domain, radius.
-    Raises InvalidSystem on a non-object, ell < 1, an A_n that is not
+    Raises InvalidSystem on a non-object; an ell, K or A/f index that is not
+    a JSON integer, or ell < 1, K < 0 or an index < 0; a seed key "j:k"
+    outside 0 <= j < len(exponents), 0 <= k <= K; an A_n that is not
     ell x ell, an f or seed vector not of length ell, or a bad rational.
     """
     from ._serde import rat_from_json
@@ -583,19 +594,25 @@ def system_from_json(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise InvalidSystem("a system must be a JSON object")
     try:
-        ell = int(obj["ell"])
+        ell = _int_at_least(obj["ell"], "ell", 1)
         terms = {
-            int(n): [[poly_from_json(e) for e in row] for row in m] for n, m in obj.get("A", [])
+            _int_at_least(n, "an A index", 0): [[poly_from_json(e) for e in row] for row in m]
+            for n, m in obj.get("A", [])
         }
-        f_terms = {int(n): [poly_from_json(e) for e in vec] for n, vec in obj.get("f", [])}
+        f_terms = {
+            _int_at_least(n, "an f index", 0): [poly_from_json(e) for e in vec]
+            for n, vec in obj.get("f", [])
+        }
         exponents = [rat_from_json(h) for h in obj.get("exponents", [])]
-        log_order = int(obj.get("K", 0))
+        log_order = _int_at_least(obj.get("K", 0), "K", 0)
         raw_seeds = obj.get("seeds", [])
         if isinstance(raw_seeds, dict):
             seeds: dict[tuple[int, int], list[list[Poly]]] = {}
             for key, vecs in raw_seeds.items():
-                j_s, k_s = key.split(":")
-                seeds[(int(j_s), int(k_s))] = [
+                j, k = (int(x) for x in key.split(":"))
+                if not (0 <= j < len(exponents) and 0 <= k <= log_order):
+                    raise InvalidSystem(f"seed key {key!r} names no layer (j, k)")
+                seeds[(j, k)] = [
                     [poly_from_json(e) for e in vec] for vec in vecs
                 ]
             seed_vecs = [vec for vecs in seeds.values() for vec in vecs]
@@ -616,10 +633,10 @@ def system_from_json(obj: dict) -> dict:
                 delta=rat_from_json(d["delta"]),
             )
         radius = rat_from_json(obj.get("radius", 1))
+    except InvalidSystem:
+        raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
         raise InvalidSystem(f"malformed system: {type(exc).__name__}: {exc}") from exc
-    if ell < 1:
-        raise InvalidSystem(f"ell must be at least 1, got {ell}")
     for n, m in terms.items():
         if len(m) != ell or any(len(row) != ell for row in m):
             raise InvalidSystem(f"A_{n} is not {ell} x {ell}")

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import series_oracle
 from wrat.cli import main
 
 
@@ -344,13 +352,105 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
         ([{"ell": 1}], "JSON object"),
         ({"ell": -1, "A": [], "seeds": []}, "ell must be at least 1"),
         ({"ell": 1, "A": [[0, [[1]]]], "seeds": [[[1], [2]]]}, "not of length 1"),
+        ({"ell": 1.9, "A": [[0, [["1/2"]]]], "seeds": []}, "ell must be at least 1"),
+        ({"ell": True, "A": [[0, [["1/2"]]]], "seeds": []}, "ell must be at least 1"),
+        ({"ell": 1, "K": 1.5, "exponents": ["1/2"], "seeds": {}}, "K must be at least 0"),
+        ({"ell": 1, "A": [[0, [["1/2"]]], [1.5, [[1]]]]}, "an A index must be at least 0"),
+        ({"ell": 1, "A": [[0, [["1/2"]]], [-1, [[1]]]]}, "an A index must be at least 0"),
+        ({"ell": 1, "A": [[0, [["1/2"]]]], "f": [[-2, [[1]]]]}, "an f index must be at least 0"),
+        (
+            {"ell": 1, "exponents": ["1/2"], "seeds": {"5:0": [[[1]]]}},
+            "seed key '5:0' names no layer",
+        ),
+        (
+            {"ell": 1, "exponents": ["1/2"], "K": 1, "seeds": {"0:2": [[[1]]]}},
+            "seed key '0:2' names no layer",
+        ),
+        ({"ell": 1, "exponents": ["1/2", "3/2"], "seeds": {}}, "congruent mod 1"),
     ],
-    ids=["wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed"],
+    ids=[
+        "wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed",
+        "float-ell", "bool-ell", "float-K", "float-A-index", "negative-A-index",
+        "negative-f-index", "seed-exponent-out-of-range", "seed-k-above-K",
+        "congruent-exponents",
+    ],
 )
 def test_frobenius_malformed_system_exits_3(capsys, tmp_path, obj, message):
     rc, out, err = run(capsys, "frobenius", write_system(tmp_path, "s.json", obj))
     assert rc == 3 and out == ""
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as a key path."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _retype(v):
+    return st.sampled_from(
+        [float(v) if isinstance(v, int) else 0.5, str(v), True, False, None, [], {}, "1/0", -1]
+    )
+
+
+@st.composite
+def mutated_systems(draw):
+    """A bench-shaped recursion or log system with one to three mutations:
+    a key dropped, a value retyped, a list resized, or ell, K or an A/f
+    index set to a small integer."""
+    obj = draw(st.sampled_from([series_oracle.recursion_system(), series_oracle.log_system()]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(obj) if p]
+        kind = draw(st.sampled_from(["drop", "retype", "resize", "integer"]))
+        if kind == "integer":
+            paths = [
+                p for p in paths if p in (("ell",), ("K",)) or p[0] in ("A", "f") and p[2:] == (0,)
+            ]
+        elif kind == "resize":
+            paths = [p for p in paths if isinstance(_at(obj, p), list)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(obj, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(_retype(parent[key]))
+        elif kind == "integer":
+            parent[key] = draw(st.integers(-2, 4))
+        elif parent[key] and draw(st.booleans()):
+            parent[key].pop()
+        else:
+            parent[key].append(copy.deepcopy(parent[key][-1]) if parent[key] else 0)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutated_systems(),
+    st.sampled_from(["auto", "recursion", "contraction", "log"]),
+    st.integers(1, 5),
+)
+def test_frobenius_exit_contract_under_mutation(obj, route, order):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["frobenius", path, "--route", route, "--order", str(order)])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
 
 
 def test_report_tsv_golden(capsys):

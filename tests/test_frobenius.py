@@ -209,7 +209,7 @@ def test_log_layer_seed_must_match_structure():
 
 def test_log_exponent_congruence_rejected():
     a = fr.AnalyticMatrixSeries(1, {})
-    with pytest.raises(ValueError):
+    with pytest.raises(fr.InvalidSystem):
         fr.log_system_solve(a, [Q(1, 2), Q(3, 2)], 0, {}, n_max=2, radius=Q(1))
 
 
