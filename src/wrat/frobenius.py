@@ -578,6 +578,16 @@ def _int_at_least(v, name: str, low: int) -> int:
     return v
 
 
+def _list(v, name: str) -> list:
+    if not isinstance(v, list):
+        raise InvalidSystem(f"{name} must be a JSON list, got {v!r}")
+    return v
+
+
+def _vector(v, name: str) -> list[Poly]:
+    return [poly_from_json(e) for e in _list(v, name)]
+
+
 def system_from_json(obj: dict) -> dict:
     """Decode a series-system description into solver-ready pieces.
 
@@ -586,8 +596,10 @@ def system_from_json(obj: dict) -> dict:
     system carries exponents), exponents, log_order, domain, radius.
     Raises InvalidSystem on a non-object; an ell, K or A/f index that is not
     a JSON integer, or ell < 1, K < 0 or an index < 0; a seed key "j:k"
-    outside 0 <= j < len(exponents), 0 <= k <= K; an A_n that is not
-    ell x ell, an f or seed vector not of length ell, or a bad rational.
+    outside 0 <= j < len(exponents), 0 <= k <= K; an A_n, a row of it, an f
+    vector, a seed vector or the exponents not given as a JSON list; an A_n
+    that is not ell x ell, an f or seed vector not of length ell, or a bad
+    rational.
     """
     from ._serde import rat_from_json
 
@@ -596,14 +608,14 @@ def system_from_json(obj: dict) -> dict:
     try:
         ell = _int_at_least(obj["ell"], "ell", 1)
         terms = {
-            _int_at_least(n, "an A index", 0): [[poly_from_json(e) for e in row] for row in m]
+            _int_at_least(n, "an A index", 0): [_vector(r, "a row of A") for r in _list(m, "A_n")]
             for n, m in obj.get("A", [])
         }
         f_terms = {
-            _int_at_least(n, "an f index", 0): [poly_from_json(e) for e in vec]
+            _int_at_least(n, "an f index", 0): _vector(vec, "an f vector")
             for n, vec in obj.get("f", [])
         }
-        exponents = [rat_from_json(h) for h in obj.get("exponents", [])]
+        exponents = [rat_from_json(h) for h in _list(obj.get("exponents", []), "exponents")]
         log_order = _int_at_least(obj.get("K", 0), "K", 0)
         raw_seeds = obj.get("seeds", [])
         if isinstance(raw_seeds, dict):
@@ -612,12 +624,10 @@ def system_from_json(obj: dict) -> dict:
                 j, k = (int(x) for x in key.split(":"))
                 if not (0 <= j < len(exponents) and 0 <= k <= log_order):
                     raise InvalidSystem(f"seed key {key!r} names no layer (j, k)")
-                seeds[(j, k)] = [
-                    [poly_from_json(e) for e in vec] for vec in vecs
-                ]
+                seeds[(j, k)] = [_vector(vec, "a seed vector") for vec in vecs]
             seed_vecs = [vec for vecs in seeds.values() for vec in vecs]
         else:
-            seeds = [[poly_from_json(e) for e in vec] for vec in raw_seeds]
+            seeds = [_vector(vec, "a seed vector") for vec in raw_seeds]
             seed_vecs = seeds
         domain = None
         if "domain" in obj:

@@ -34,9 +34,6 @@ class DynkinGrading:
     degrees: tuple[Fraction, ...]
     by_degree: dict[Fraction, tuple[int, ...]] = field(compare=False)
 
-    def degree_of(self, i: int) -> Fraction:
-        return self.degrees[i]
-
     def block(self, j) -> tuple[int, ...]:
         return self.by_degree.get(Fraction(j), ())
 
@@ -76,29 +73,11 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
 def grade_by_weights(table: ChevalleyTable, x0: CartanElement) -> DynkinGrading:
     """Grade by a derivation element directly: e_a sits in degree a(x0).
 
-    Unlike `grade`, no halving happens here — x0 is the element whose ad
-    eigenvalues ARE the degrees, as for a general (not necessarily Dynkin)
-    grading.
+    x0 is the element whose ad eigenvalues ARE the degrees, as for a general
+    (not necessarily Dynkin) grading, so this is `grade` at 2 * x0, and the
+    stored characteristic is 2 * x0.
     """
-    from .rootsys import pairing
-
-    rs = table.rs
-    degrees: list[Fraction] = []
-    for b in table.basis:
-        if b.kind == "h":
-            degrees.append(Fraction(0))
-        else:
-            d = pairing(rs, b.key, x0)
-            degrees.append(d if b.kind == "e" else -d)
-    by_degree: dict[Fraction, list[int]] = {}
-    for i, d in enumerate(degrees):
-        by_degree.setdefault(d, []).append(i)
-    return DynkinGrading(
-        table=table,
-        characteristic=x0,
-        degrees=tuple(degrees),
-        by_degree={j: tuple(ix) for j, ix in by_degree.items()},
-    )
+    return grade(table, 2 * x0)
 
 
 def is_even_grading(grading: DynkinGrading) -> bool:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import _linalg
-from .rootsys import CartanElement, DimensionMismatch, RootSystem, Root
+from .rootsys import CartanElement, RootSystem
 
 
 class BasisElement(NamedTuple):
@@ -54,13 +54,6 @@ class LieElement:
 
     def __init__(self, coords: dict[BasisElement, Fraction] | None = None):
         self.coords = {b: Fraction(c) for b, c in (coords or {}).items() if c}
-
-    @classmethod
-    def of(cls, *terms: tuple[BasisElement, object]) -> "LieElement":
-        out: dict[BasisElement, Fraction] = {}
-        for b, c in terms:
-            out[b] = out.get(b, Fraction(0)) + Fraction(c)
-        return cls(out)
 
     def __add__(self, other: "LieElement") -> "LieElement":
         out = dict(self.coords)
@@ -257,10 +250,6 @@ class ChevalleyTable:
         target = E(diff) if diff in self._pos_set else F(tuple(-c for c in diff))
         return {idx[target]: n}
 
-    def basis_bracket_element(self, x: BasisElement, y: BasisElement) -> LieElement:
-        out = self.basis_bracket(self.index[x], self.index[y])
-        return self.from_indexed(out)
-
     # -- sparse element plumbing --------------------------------------------
 
     def to_indexed(self, x: LieElement) -> dict[int, Fraction]:
@@ -328,13 +317,3 @@ def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> LieElem
 
     coords = cartan_solve(table.rs, diagram)
     return LieElement({H(i): c for i, c in enumerate(coords) if c})
-
-
-def root_pairing_of_basis(table: ChevalleyTable, b: BasisElement, v: CartanElement) -> Fraction:
-    """ad(v)-eigenvalue of a basis element for v in the Cartan subalgebra."""
-    if b.kind == "h":
-        return Fraction(0)
-    if len(v.pairings) != table.rs.rank:
-        raise DimensionMismatch("Cartan element has wrong rank")
-    val = sum((c * p for c, p in zip(b.key, v.pairings)), Fraction(0))
-    return val if b.kind == "e" else -val

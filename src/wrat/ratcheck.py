@@ -3,27 +3,32 @@
 For a nilpotent f of degree -1 and a degree-0 Cartan element v with
 [v, f] = 0, the question answered here is whether every ad(v)-eigenvalue on
 the piece of the centralizer of f in degree -j lies in -j - 1 + {0, 1, 2, ...}.
-Two independent routes are provided:
 
-* `exact_condition` reads the evidence off the kernel slot table.  Every
-  v that centralizes f lies in h^f, the part of the Cartan subalgebra that
-  kills every root in the support of f, and ad(f) maps the (degree d,
-  h^f-weight mu) span into the (d - 1, mu) span.  So ker ad(f) splits into
-  slots (d, mu) whose multiplicities do not depend on v (one exact rank per
-  slot), and v acts on slot (d, mu) by mu(v).  Summing the slots by
-  (j, mu(v)) gives one evidence row per occupied (j, eigenvalue) pair.
+Both realizations (the Chevalley basis of an exceptional record, the
+symmetrized matrix units of a classical partition) are read through one
+graded operator, `_GradedOperator`: per basis vector a degree and an integer
+torus weight (signed root coefficients, resp. e_i - e_j), on which a torus
+element given by its coordinate values acts by the dot product; the columns
+[f, b_j] of ad(f), built on demand; and the Cartan basis vectors with their
+torus coordinates and their pairing with h/2.  On it:
+
+* `exact_condition` and `check_classical` read the evidence off the kernel
+  slot table.  ad(f) maps the (degree d, torus weight mu) span into the
+  (d - 1, mu) span, so ker ad(f) splits into slots (d, mu), one exact rank
+  each.  A record's torus is h^f, which kills every root in the support of
+  f and holds every v centralizing f, so its slots do not depend on v; a
+  partition's torus is v itself.  Summing the slots by (j, eigenvalue of v)
+  gives one evidence row per occupied pair.
 
 * `fast_condition` looks only at the spectrum of ad(v) on the degree-0 and
   degree -1/2 blocks, which controls the spectrum everywhere else.  The only
   eigenvalues needing work are +-2 (resp. +-5/2), where a single injectivity
   computation either certifies the slot as empty (recording the computed
   images as witnesses) or exhibits a genuine violation.  Anything outside
-  the tractable range falls back to the exact route wholesale.
+  the tractable range hands off to the slot table wholesale.
 
-The classical types get the same treatment on matrix realizations, and
-`search_v` hunts for a passing v over a small rational lattice inside h^f:
-it builds the slot table once and checks each candidate against the
-occupied slots in integer arithmetic.
+`search_v` builds a record's slot table once and checks each v of a small
+rational lattice inside h^f against it in integer arithmetic.
 """
 from __future__ import annotations
 
@@ -31,13 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import _linalg
 from .grading import (
     DynkinGrading,
     NotDegreeMinusOne,
-    ad_block,
     grade,
     grade_by_weights,
     is_even_grading,
@@ -47,11 +51,12 @@ from .liealg import (
     BasisElement,
     ChevalleyTable,
     F,
+    H,
     LieElement,
     build_chevalley,
 )
 from .orbits import ClassicalRealization, OrbitRecord, classical_basis
-from .rootsys import CartanElement, cartan_solve, pairing
+from .rootsys import CartanElement, pairing
 
 
 class VNotInCentralizer(ValueError):
@@ -117,6 +122,182 @@ def _admissible(j: Fraction, lam: Fraction) -> bool:
     return t.denominator == 1 and t >= 0
 
 
+def _verdict(rows, witnesses, method: str) -> ConditionVerdict:
+    rows = sorted(rows, key=lambda r: (r.j, r.eigenvalue))
+    status = "pass" if all(r.admissible for r in rows) else "fail"
+    return ConditionVerdict(status, tuple(rows), tuple(witnesses), method)
+
+
+def _integral(x):
+    """x as an int when it is integral; `_linalg.rank` is faster on ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _dot(weight, t):
+    """A torus element t, given by its coordinate values, on a weight given
+    as sparse (coordinate, coefficient) pairs."""
+    return sum(c * t[k] for k, c in weight)
+
+
+@dataclass(frozen=True)
+class _GradedOperator:
+    """ad(f) on a graded basis b_0, b_1, ... on which a torus acts diagonally.
+
+    weights[i] is the torus weight of b_i as sparse (coordinate, integer)
+    pairs; column(j) is [f, b_j] as {i: coefficient}, built on each call;
+    cartan holds (i, torus coordinates of b_i, <h/2, b_i> up to a positive
+    scale) per Cartan basis vector b_i.
+    """
+
+    degrees: tuple[Fraction, ...]
+    weights: tuple[tuple[tuple[int, int], ...], ...]
+    column: Callable[[int], dict[int, int | Fraction]]
+    cartan: tuple[tuple[int, tuple, Fraction], ...]
+
+
+def _chevalley_operator(
+    table: ChevalleyTable, grading: DynkinGrading, f: LieElement
+) -> _GradedOperator:
+    """The operator on the Chevalley basis.  The torus coordinates are the
+    simple-root pairings a_i(.), so e_a has weight a and f_a weight -a."""
+    rs = table.rs
+    n = rs.rank
+    fi = table.to_indexed(f)
+
+    def column(j: int) -> dict[int, int | Fraction]:
+        acc: dict[int, Fraction] = {}
+        for i, ci in fi.items():
+            for k, c in table.basis_bracket(i, j).items():
+                acc[k] = acc.get(k, 0) + ci * c
+        return {k: _integral(x) for k, x in acc.items() if x}
+
+    sign = {"e": 1, "f": -1}
+    weights = tuple(
+        tuple((k, sign[b.kind] * c) for k, c in enumerate(b.key) if c) if b.kind in sign else ()
+        for b in table.basis
+    )
+    a, d, h = rs.cartan_matrix, rs.half_norms, grading.characteristic.pairings
+    # a_i(h_k) = a_ik, and <h_i, h_k> = a_ik / d_i is symmetric: <h/2, h_k> = a_k(h) / 2d_k
+    cartan = tuple((table.index[H(k)], tuple(r[k] for r in a), h[k] / 2 / d[k]) for k in range(n))
+    return _GradedOperator(grading.degrees, weights, column, cartan)
+
+
+def _units(elt) -> list[tuple[int, int, int | Fraction]]:
+    """A symmetrized unit E_ij + c * E_i'j' as (row, column, coefficient) terms."""
+    (i, j), partner, c = elt
+    return [(i, j, 1)] + ([(*partner, _integral(c))] if partner else [])
+
+
+def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
+    """The operator on the symmetrized matrix units of `classical_basis`.
+    The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j, and
+    <h/2, w> is taken as tr(h w)."""
+    basis = classical_basis(real)
+    index = {pos: k for k, (pos, _, _) in enumerate(basis)}
+    by_col: list[list] = [[] for _ in range(real.size)]
+    by_row: list[list] = [[] for _ in range(real.size)]
+    for r, row in enumerate(real.f):
+        for s, x in enumerate(row):
+            if x:
+                by_col[s].append((r, _integral(x)))
+                by_row[r].append((s, _integral(x)))
+
+    def column(j: int) -> dict[int, int | Fraction]:
+        # f E_ab has f's column a in column b, and E_ab f has f's row b in
+        # row a; the coordinates of [f, B] are its entries at representatives
+        out: dict[int, int | Fraction] = {}
+        for a, b, coeff in _units(basis[j]):
+            terms = [((r, b), x) for r, x in by_col[a]] + [((a, s), -x) for s, x in by_row[b]]
+            for pos, x in terms:
+                k = index.get(pos)
+                if k is not None:
+                    out[k] = out.get(k, 0) + coeff * x
+        return {k: x for k, x in out.items() if x}
+
+    hd = real.h_diag
+    degrees, weights, cartan = [], [], []
+    for k, elt in enumerate(basis):
+        (i, j), _, _ = elt
+        degrees.append((hd[i] - hd[j]) / 2)
+        weights.append(((i, 1), (j, -1)) if i != j else ())
+        if i == j:
+            coords = [0] * real.size
+            for a, _, c in _units(elt):
+                coords[a] = c
+            cartan.append((k, tuple(coords), sum(x * y for x, y in zip(coords, hd))))
+    return _GradedOperator(tuple(degrees), tuple(weights), column, tuple(cartan))
+
+
+def _block(op: _GradedOperator, src, dst) -> list[list]:
+    """Matrix of ad(f) from the span of src to the span of dst, which must
+    contain the image.  Its zeros are int, which `_linalg.rank` skips faster."""
+    row_of = {k: r for r, k in enumerate(dst)}
+    m = [[0] * len(src) for _ in dst]
+    for c, j in enumerate(src):
+        for k, x in op.column(j).items():
+            r = row_of.get(k)
+            if r is not None:
+                m[r][c] = x
+    return m
+
+
+def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tuple, int, int]]:
+    """ker ad(f) split into (degree, torus weight) slots, for a torus given
+    as a list of elements, each by its coordinate values.
+
+    Returns one (degree, weight, representative basis index, multiplicity)
+    tuple per occupied slot; for every v in the span of the torus, the
+    representative's ad(v)-eigenvalue is the slot's eigenvalue.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
+        groups.setdefault((d, tuple(_dot(w, t) for t in torus)), []).append(i)
+    slots = []
+    for (d, mu), src in groups.items():
+        mult = len(src) - _linalg.rank(_block(op, src, groups.get((d - 1, mu), [])))
+        if mult:
+            slots.append((d, mu, src[0], mult))
+    return slots
+
+
+def _slot_verdict(op: _GradedOperator, slots, v) -> ConditionVerdict:
+    """Slot multiplicities summed by (j, eigenvalue of v), one evidence row
+    per occupied pair; v is given by its torus coordinates."""
+    mults: dict[tuple[Fraction, Fraction], int] = {}
+    for d, _, rep, mult in slots:
+        key = (-d, _dot(op.weights[rep], v))
+        mults[key] = mults.get(key, 0) + mult
+    rows = [EvidenceEntry(j, lam, m, _admissible(j, lam)) for (j, lam), m in mults.items()]
+    return _verdict(rows, (), "exact")
+
+
+def _self_contragredient(op: _GradedOperator) -> bool:
+    """Each centralizer vector w in degree 0 pairs to zero with h/2 and has
+    traceless adjoint action on the positive and the negative part.
+
+    Each condition is a linear functional L on g_0, and L vanishes on the
+    kernel of M = ad(f): g_0 -> g_-1 exactly when rank(M + [L]) == rank(M).
+    The functionals are appended together, which tests them all at once.
+    """
+    g0 = [i for i, d in enumerate(op.degrees) if d == 0]
+    m = _block(op, g0, [i for i, d in enumerate(op.degrees) if d == -1])
+    # ad(w) is traceless on g and on g_0 for w in g_0, so its trace on the
+    # negative part is minus its trace on the positive part and needs no row
+    # of its own.  A basis vector of nonzero weight shifts every weight, so
+    # only Cartan vectors enter the trace, acting on b_j by weight_j.
+    positive: dict[int, int] = {}
+    for d, w in zip(op.degrees, op.weights):
+        if d > 0:
+            for k, c in w:
+                positive[k] = positive.get(k, 0) + c
+    col = {i: c for c, i in enumerate(g0)}
+    rows = [[0] * len(g0) for _ in range(2)]
+    for i, coords, pair in op.cartan:
+        rows[0][col[i]] = pair
+        rows[1][col[i]] = _dot(positive.items(), coords)
+    return _linalg.rank(m + rows) == _linalg.rank(m)
+
+
 def _support_roots(f: LieElement) -> list[tuple[int, ...]]:
     roots = []
     for b in f.coords:
@@ -132,58 +313,6 @@ def _require_centralizing(table: ChevalleyTable, f: LieElement, v: CartanElement
             raise VNotInCentralizer(f"a(v) = {pairing(table.rs, c, v)} != 0 at root {c}")
 
 
-def _eigenvalue(table: ChevalleyTable, i: int, v: CartanElement) -> Fraction:
-    b = table.basis[i]
-    if b.kind == "h":
-        return Fraction(0)
-    val = pairing(table.rs, b.key, v)
-    return val if b.kind == "e" else -val
-
-
-def _eigenblocks(
-    table: ChevalleyTable, grading: DynkinGrading, v: CartanElement
-) -> dict[tuple[Fraction, Fraction], list[int]]:
-    blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i in range(table.dimension):
-        key = (grading.degrees[i], _eigenvalue(table, i, v))
-        blocks.setdefault(key, []).append(i)
-    return blocks
-
-
-def _kernel_slots(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
-    f: LieElement,
-    hf_basis: list[tuple[int, ...]],
-) -> list[tuple[Fraction, tuple[int, ...], int, int]]:
-    """ker ad(f) split into (degree, h^f-weight) slots.
-
-    The weight of a basis vector is its root paired with each primitive
-    integer vector of `hf_basis` (zero on the Cartan part).  Returns one
-    (degree, weight, representative basis index, multiplicity) tuple per
-    occupied slot; the representative's ad(v)-eigenvalue is the slot's
-    eigenvalue for every v in h^f.
-    """
-    fi = table.to_indexed(f)
-    groups: dict[tuple[Fraction, tuple[int, ...]], list[int]] = {}
-    zero = (0,) * len(hf_basis)
-    for i, b in enumerate(table.basis):
-        if b.kind == "h":
-            mu = zero
-        else:
-            sign = 1 if b.kind == "e" else -1
-            mu = tuple(sign * sum(c * x for c, x in zip(b.key, w)) for w in hf_basis)
-        groups.setdefault((grading.degrees[i], mu), []).append(i)
-    slots = []
-    for (d, mu), src in groups.items():
-        dst = groups.get((d - 1, mu), [])
-        m = ad_block(table, fi, tuple(src), tuple(dst))
-        mult = len(src) - _linalg.rank(m)
-        if mult:
-            slots.append((d, mu, src[0], mult))
-    return slots
-
-
 def exact_condition(
     table: ChevalleyTable,
     grading: DynkinGrading,
@@ -192,49 +321,12 @@ def exact_condition(
 ) -> ConditionVerdict:
     """Exact kernel computation; one evidence row per occupied (j, eigenvalue).
 
-    The kernel slot table is built for f, and the multiplicities of the
-    slots on which v acts by the same eigenvalue are summed per degree.
+    The kernel slot table is built for f over h^f, and the multiplicities of
+    the slots on which v acts by the same eigenvalue are summed per degree.
     """
     _require_centralizing(table, f, v)
-    mults: dict[tuple[Fraction, Fraction], int] = {}
-    for d, _, rep, mult in _kernel_slots(table, grading, f, _hf_basis(table, f)):
-        key = (-d, _eigenvalue(table, rep, v))
-        mults[key] = mults.get(key, 0) + mult
-    rows = [
-        EvidenceEntry(j, lam, mult, _admissible(j, lam))
-        for (j, lam), mult in sorted(mults.items())
-    ]
-    status = "pass" if all(r.admissible for r in rows) else "fail"
-    return ConditionVerdict(status, tuple(rows), (), "exact")
-
-
-def _injectivity_step(
-    table: ChevalleyTable,
-    blocks,
-    fi,
-    d: Fraction,
-    lam: Fraction,
-) -> tuple[int, list[FallbackWitness]]:
-    """Rank defect of ad(f) on the (d, lam) eigenspace; witnesses when injective."""
-    src = blocks.get((d, lam), [])
-    dst = blocks.get((d - 1, lam), [])
-    m = ad_block(table, fi, tuple(src), tuple(dst))
-    defect = len(src) - _linalg.rank(m)
-    witnesses = []
-    if defect == 0:
-        for i in src:
-            acc: dict[int, Fraction] = {}
-            for k, ci in fi.items():
-                for t, c in table.basis_bracket(k, i).items():
-                    acc[t] = acc.get(t, Fraction(0)) + ci * c
-            support = tuple(
-                sorted(
-                    (table.basis[t] for t, val in acc.items() if val),
-                    key=lambda b: (b.kind, b.key),
-                )
-            )
-            witnesses.append(FallbackWitness(lam, table.basis[i], support))
-    return defect, witnesses
+    op = _chevalley_operator(table, grading, f)
+    return _slot_verdict(op, _kernel_slots(op, _hf_basis(table, f)), v.pairings)
 
 
 def fast_condition(
@@ -243,17 +335,19 @@ def fast_condition(
     f: LieElement,
     v: CartanElement,
 ) -> ConditionVerdict:
-    """Spectrum-on-two-blocks route; delegates wholesale on hard eigenvalues."""
+    """Spectrum-on-two-blocks route; hands off wholesale on hard eigenvalues."""
     _require_centralizing(table, f, v)
-    fi = table.to_indexed(f)
-    blocks = _eigenblocks(table, grading, v)
+    op = _chevalley_operator(table, grading, f)
+    blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
+        blocks.setdefault((d, _dot(w, v.pairings)), []).append(i)
     half = Fraction(1, 2)
 
     rows: list[EvidenceEntry] = []
     witnesses: list[FallbackWitness] = []
 
     def analyze(d: Fraction, boundary: Fraction) -> bool:
-        """One graded block; returns False when exact delegation is needed."""
+        """One graded block; returns False when the hand-off is needed."""
         special = boundary - 1  # -2 on the integer block, -5/2 on the half block
         lams = sorted({lam for (dd, lam) in blocks if dd == d})
         for lam in lams:
@@ -263,12 +357,19 @@ def fast_condition(
             if lam >= boundary and lam != -special:
                 continue
             if lam == special or lam == -special:
-                defect, wit = _injectivity_step(table, blocks, fi, d, lam)
-                if defect == 0:
-                    witnesses.extend(wit)
-                else:
-                    j = -d
-                    rows.append(EvidenceEntry(j, lam, defect, _admissible(j, lam)))
+                # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
+                # (each image's support) when it is injective
+                src = blocks.get((d, lam), [])
+                m = _block(op, src, blocks.get((d - 1, lam), []))
+                defect = len(src) - _linalg.rank(m)
+                if defect:
+                    rows.append(EvidenceEntry(-d, lam, defect, _admissible(-d, lam)))
+                    continue
+                for i in src:
+                    support = sorted(
+                        (table.basis[k] for k in op.column(i)), key=lambda b: (b.kind, b.key)
+                    )
+                    witnesses.append(FallbackWitness(lam, table.basis[i], tuple(support)))
                 continue
             return False
         return True
@@ -277,12 +378,10 @@ def fast_condition(
     # injectivity-resolvable value is -2 (and +2 gets the same treatment);
     # degree -1/2: shift everything down by a half.
     if not (analyze(Fraction(0), Fraction(-1)) and analyze(-half, Fraction(-3, 2))):
-        return exact_condition(table, grading, f, v)
+        return _slot_verdict(op, _kernel_slots(op, _hf_basis(table, f)), v.pairings)
 
-    rows.sort(key=lambda r: (r.j, r.eigenvalue))
     witnesses.sort(key=lambda w: (w.eigenvalue, w.element.kind, w.element.key))
-    status = "pass" if all(r.admissible for r in rows) else "fail"
-    return ConditionVerdict(status, tuple(rows), tuple(witnesses), "fast")
+    return _verdict(rows, witnesses, "fast")
 
 
 def h0f_space(table: ChevalleyTable, f: LieElement) -> list[CartanElement]:
@@ -344,7 +443,7 @@ def search_v(
     # s*q + den*p being a nonnegative multiple of den*q
     checks = [
         (mu, (1 - d).numerator, (1 - d).denominator)
-        for d, mu, _, _ in _kernel_slots(table, grading, f, basis)
+        for d, mu, _, _ in _kernel_slots(_chevalley_operator(table, grading, f), basis)
     ]
 
     B = config.coefficient_bound
@@ -411,40 +510,8 @@ def verify_good_even_shortcut(
 def verify_self_contragredient(
     table: ChevalleyTable, grading: DynkinGrading, f: LieElement
 ) -> bool:
-    """Each centralizer vector in degree 0 pairs to zero with h/2 and has
-    traceless adjoint action on both the positive and the negative part.
-
-    Each condition is a linear functional L on g_0, and L vanishes on the
-    kernel of M = ad(f): g_0 -> g_-1 exactly when L lies in the row space of
-    M, that is, when rank(M + [L]) == rank(M).  The three functionals are
-    appended together, which tests all three at once.
-    """
-    fi = table.to_indexed(f)
-    g0 = grading.block(0)
-    m = ad_block(table, fi, g0, grading.block(-1))
-
-    rs = table.rs
-    n = rs.rank
-    h_coords = cartan_solve(rs, grading.characteristic)
-    d = rs.half_norms
-    # <h/2, h_b> with <h_a, h_b> = a_ab / d_a
-    pair = [
-        sum(h_coords[a] * rs.cartan_matrix[a][b] / (2 * d[a]) for a in range(n))
-        for b in range(n)
-    ]
-    pos_idx = [i for i, deg in enumerate(grading.degrees) if deg > 0]
-    neg_idx = [i for i, deg in enumerate(grading.degrees) if deg < 0]
-
-    # only Cartan basis vectors enter the traces: a root vector e_a moves
-    # every weight by a, so [e_a, b_j] has no b_j component
-    rows = [[Fraction(0)] * len(g0) for _ in range(3)]
-    for k, i in enumerate(g0):
-        b = table.basis[i]
-        if b.kind == "h":
-            rows[0][k] = pair[b.key]
-            for row, side in zip(rows[1:], (pos_idx, neg_idx)):
-                row[k] = sum(table.basis_bracket(i, j).get(j, 0) for j in side)
-    return _linalg.rank(m + rows) == _linalg.rank(m)
+    """`_self_contragredient` on the Chevalley basis."""
+    return _self_contragredient(_chevalley_operator(table, grading, f))
 
 
 # ---------------------------------------------------------------------------
@@ -452,121 +519,15 @@ def verify_self_contragredient(
 # ---------------------------------------------------------------------------
 
 
-def _classical_blocks(real: ClassicalRealization):
-    """Basis elements grouped by (degree, v-eigenvalue)."""
-    basis = classical_basis(real)
-    blocks: dict[tuple[Fraction, Fraction], list] = {}
-    for elt in basis:
-        (i, j), _, _ = elt
-        d = (real.h_diag[i] - real.h_diag[j]) / 2
-        lam = real.v_diag[i] - real.v_diag[j]
-        blocks.setdefault((d, lam), []).append(elt)
-    return blocks
-
-
-def _units(elt) -> list[tuple[int, int, Fraction]]:
-    """A symmetrized unit E_ij + c * E_i'j' as (row, column, coefficient) terms."""
-    (i, j), partner, c = elt
-    return [(i, j, Fraction(1))] + ([(*partner, c)] if partner else [])
-
-
-def _f_nonzeros(real: ClassicalRealization):
-    """f's nonzero entries as (by column: [(row, value)], by row: [(column, value)])."""
-    n = real.size
-    by_col: list[list] = [[] for _ in range(n)]
-    by_row: list[list] = [[] for _ in range(n)]
-    for r, row in enumerate(real.f):
-        for s, x in enumerate(row):
-            if x:
-                by_col[s].append((r, x))
-                by_row[r].append((s, x))
-    return by_col, by_row
-
-
-def _classical_ad_f(f_nonzeros, elt) -> dict[tuple[int, int], Fraction]:
-    """[f, B] as a sparse matrix for a symmetrized unit B, from `_f_nonzeros`."""
-    by_col, by_row = f_nonzeros
-    out: dict[tuple[int, int], Fraction] = {}
-
-    def add(i, j, c):
-        v = out.get((i, j), 0) + c
-        if v:
-            out[(i, j)] = v
-        else:
-            out.pop((i, j), None)
-
-    for a, b, coeff in _units(elt):
-        # f E_ab: column b gets f's column a
-        for r, x in by_col[a]:
-            add(r, b, coeff * x)
-        # E_ab f: row a gets f's row b
-        for s, x in by_row[b]:
-            add(a, s, -coeff * x)
-    return out
-
-
-def _classical_ad_block(f_nonzeros, src, dst):
-    """Matrix of ad(f) from the span of src to the span of dst.
-
-    Its zeros are int, which `_linalg.rank` skips faster than Fraction(0)."""
-    reps = {elt[0]: r for r, elt in enumerate(dst)}
-    m = [[0] * len(src) for _ in dst]
-    for col, elt in enumerate(src):
-        for pos, val in _classical_ad_f(f_nonzeros, elt).items():
-            r = reps.get(pos)
-            if r is not None:
-                m[r][col] = val
-    return m
-
-
 def check_classical(real: ClassicalRealization) -> ConditionVerdict:
-    """Blockwise kernel computation on the matrix realization."""
-    blocks = _classical_blocks(real)
-    fnz = _f_nonzeros(real)
-    rows = []
-    for (d, lam), src in blocks.items():
-        m = _classical_ad_block(fnz, src, blocks.get((d - 1, lam), []))
-        mult = len(src) - _linalg.rank(m)
-        if mult:
-            j = -d
-            rows.append(EvidenceEntry(j, lam, mult, _admissible(j, lam)))
-    rows.sort(key=lambda r: (r.j, r.eigenvalue))
-    status = "pass" if all(r.admissible for r in rows) else "fail"
-    return ConditionVerdict(status, tuple(rows), (), "exact")
+    """Kernel slot table on the matrix realization, with v as the torus."""
+    op = _classical_operator(real)
+    return _slot_verdict(op, _kernel_slots(op, [real.v_diag]), real.v_diag)
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
-    """Classical analogue: kernel vectors w in degree 0 satisfy tr(h w) = 0
-    and have traceless adjoint action on the positive and negative parts.
-
-    As in `verify_self_contragredient`, each condition is a functional on
-    g_0 that must lie in the row space of ad(f): g_0 -> g_-1, so the check
-    is one rank comparison.
-    """
-    basis = classical_basis(real)
-    hd = real.h_diag
-    g0 = [elt for elt in basis if hd[elt[0][0]] == hd[elt[0][1]]]
-    gm1 = [elt for elt in basis if hd[elt[0][0]] - hd[elt[0][1]] == -2]
-    m = _classical_ad_block(_f_nonzeros(real), g0, gm1)
-
-    # the functionals as coefficients on the entries W[r][s] of w: tr(h W),
-    # then per side the coefficient of each B at its representative (i, j)
-    # in [W, B] = W B - B W, summed over the side
-    funcs: list[dict] = [{(i, i): hd[i] for i in range(real.size)}, {}, {}]
-    for elt in basis:
-        (i, j), _, _ = elt
-        if hd[i] != hd[j]:
-            t = funcs[1] if hd[i] > hd[j] else funcs[2]
-            for a, b, coeff in _units(elt):
-                if b == j:
-                    t[(i, a)] = t.get((i, a), 0) + coeff
-                if a == i:
-                    t[(b, j)] = t.get((b, j), 0) - coeff
-    rows = [
-        [t.get(pos, 0) + (c * t.get(partner, 0) if partner else 0) for pos, partner, c in g0]
-        for t in funcs
-    ]
-    return _linalg.rank(m + rows) == _linalg.rank(m)
+    """`_self_contragredient` on the matrix realization, pairing by tr(h w)."""
+    return _self_contragredient(_classical_operator(real))
 
 
 # ---------------------------------------------------------------------------
@@ -585,28 +546,42 @@ def realize_record(record: OrbitRecord):
     return table, grading, triple.f, triple
 
 
-def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
-    """Run the requested route(s) on a bundled record.
-
-    With method="both" the two routes run independently and must agree on
-    the status; the merged verdict carries the exact route's evidence and
-    the fast route's witnesses.
-    """
-    table, grading, f, _ = realize_record(record)
+def check_realized(
+    table: ChevalleyTable,
+    grading: DynkinGrading,
+    f: LieElement,
+    v: CartanElement,
+    method: str,
+) -> ConditionVerdict:
+    """`check_record` on the parts `realize_record` returns."""
     if method == "exact":
-        return exact_condition(table, grading, f, record.v)
+        return exact_condition(table, grading, f, v)
     if method == "fast":
-        return fast_condition(table, grading, f, record.v)
+        return fast_condition(table, grading, f, v)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    fast = fast_condition(table, grading, f, record.v)
-    exact = exact_condition(table, grading, f, record.v)
+    fast = fast_condition(table, grading, f, v)
+    exact = exact_condition(table, grading, f, v)
     if fast.status != exact.status:
         raise RuntimeError(
-            f"routes disagree on {record.algebra} {record.label}: "
+            f"routes disagree on {table.rs.simple_type} at v = {[str(x) for x in v.pairings]}: "
             f"fast={fast.status} exact={exact.status}"
         )
     return ConditionVerdict(exact.status, exact.evidence, fast.fallbacks, "both")
+
+
+def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
+    """Run the requested route(s) on a bundled record.
+
+    With method="both" both routes run and must agree on the status; the
+    merged verdict carries the exact route's evidence and the fast route's
+    witnesses.  The two routes group the basis differently (by
+    ad(v)-eigenvalue on two degrees, by slot over h^f), but they share the
+    operator's ad(f) columns and `_linalg.rank`, so a fault in either of
+    those is not caught by their agreement.
+    """
+    table, grading, f, _ = realize_record(record)
+    return check_realized(table, grading, f, record.v, method)
 
 
 def verdict_to_json(algebra: str, label: str, verdict: ConditionVerdict) -> dict:

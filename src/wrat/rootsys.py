@@ -176,10 +176,6 @@ class RootSystem:
     def positive_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(r.coeffs for r in self.positive_roots)
 
-    @cached_property
-    def root_by_coeffs(self) -> dict[tuple[int, ...], Root]:
-        return {r.coeffs: r for r in self.positive_roots}
-
     def is_root(self, coeffs: tuple[int, ...]) -> bool:
         """Membership for signed coefficient vectors."""
         if coeffs in self.positive_set:

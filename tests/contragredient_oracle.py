@@ -116,3 +116,72 @@ def self_contragredient_classical(real) -> bool:
             if tr != 0:
                 return False
     return True
+
+
+def pairing_row(table, grading):
+    """<h/2, w> as a row over the g_0 basis, from the coroot coordinates of h
+    and the form <h_i, h_j> = a_ij / d_i."""
+    rs = table.rs
+    h_coords = cartan_solve(rs, grading.characteristic)
+    row = []
+    for i in grading.block(0):
+        b = table.basis[i]
+        row.append(
+            sum(
+                h_coords[a] * Fraction(rs.cartan_matrix[a][b.key]) / rs.half_norms[a] / 2
+                for a in range(rs.rank)
+            )
+            if b.kind == "h"
+            else Fraction(0)
+        )
+    return row
+
+
+def pairing_row_classical(real):
+    """tr(h w) as a row over the g_0 basis of the matrix realization."""
+    hd = real.h_diag
+    return [
+        sum((c * hd[a] for a, b, c in _units(elt) if a == b), Fraction(0))
+        for elt in classical_basis(real)
+        if hd[elt[0][0]] == hd[elt[0][1]]
+    ]
+
+
+def trace_rows(table, grading):
+    """(g_0 basis indices, [trace of ad(w) on g_>0, on g_<0] as rows over g_0),
+    read off the basis brackets one diagonal coefficient at a time."""
+    g0 = grading.block(0)
+    rows = []
+    for sign in (1, -1):
+        side = [j for j, deg in enumerate(grading.degrees) if sign * deg > 0]
+        rows.append(
+            [sum(table.basis_bracket(i, j).get(j, Fraction(0)) for j in side) for i in g0]
+        )
+    return list(g0), rows
+
+
+def trace_rows_classical(real):
+    """`trace_rows` on the matrix side: the coefficient of B in [W, B] is the
+    entry of W B - B W at B's representative, from the matrix entries of W
+    and B as {(row, column): value}."""
+    basis = classical_basis(real)
+    hd = real.h_diag
+    entries = [{(a, b): c for a, b, c in _units(elt)} for elt in basis]
+    g0 = [k for k, elt in enumerate(basis) if hd[elt[0][0]] == hd[elt[0][1]]]
+    rows = []
+    for sign in (1, -1):
+        side = [k for k, elt in enumerate(basis) if sign * (hd[elt[0][0]] - hd[elt[0][1]]) > 0]
+        row = []
+        for w in g0:
+            tr = Fraction(0)
+            for k in side:
+                (i, j), _, _ = basis[k]
+                bm = entries[k]
+                for (a, b), c in entries[w].items():
+                    if a == i:
+                        tr += c * bm.get((b, j), 0)
+                    if b == j:
+                        tr -= bm.get((i, a), 0) * c
+            row.append(tr)
+        rows.append(row)
+    return g0, rows

@@ -367,12 +367,25 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
             "seed key '0:2' names no layer",
         ),
         ({"ell": 1, "exponents": ["1/2", "3/2"], "seeds": {}}, "congruent mod 1"),
+        (
+            {"ell": 2, "A": [[0, [["1/2", 0], [0, "1/3"]]]], "seeds": ["00", "12"]},
+            "a seed vector must be a JSON list",
+        ),
+        ({"ell": 2, "A": [[0, ["10", [0, "1/3"]]]]}, "a row of A must be a JSON list"),
+        ({"ell": 1, "A": [[0, "1"]]}, "A_n must be a JSON list"),
+        ({"ell": 1, "A": [[0, [[0]]]], "f": [[0, "1"]]}, "an f vector must be a JSON list"),
+        (
+            {"ell": 1, "exponents": ["1/2"], "seeds": {"0:0": ["1"]}},
+            "a seed vector must be a JSON list",
+        ),
+        ({"ell": 1, "exponents": "1", "seeds": {}}, "exponents must be a JSON list"),
     ],
     ids=[
         "wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed",
         "float-ell", "bool-ell", "float-K", "float-A-index", "negative-A-index",
         "negative-f-index", "seed-exponent-out-of-range", "seed-k-above-K",
-        "congruent-exponents",
+        "congruent-exponents", "string-seed", "string-A-row", "string-A", "string-f",
+        "string-layer-seed", "string-exponents",
     ],
 )
 def test_frobenius_malformed_system_exits_3(capsys, tmp_path, obj, message):

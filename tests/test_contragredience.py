@@ -1,11 +1,14 @@
 """Self-contragredience as a rank test, against the kernel-walk oracles.
 
 `verify_self_contragredient` and `verify_self_contragredient_classical` ask
-whether three functionals lie in the row space of ad(f): g_0 -> g_-1.  The
-oracles in `contragredient_oracle.py` walk a nullspace basis instead.  Both
+whether the h/2 pairing and the trace lie in the row space of
+ad(f): g_0 -> g_-1.  The oracles in `contragredient_oracle.py` walk a
+nullspace basis instead.  Both
 must agree on every bundled record and on every legal so/sp partition, and
 both must return False on the negative controls: f = 0, and f with one root
-vector dropped.
+vector dropped.  The functionals the package builds (one trace row, read off
+Cartan vectors only, and the h/2 pairing) are checked against the oracles'
+rows over all of g_0.
 """
 import dataclasses
 import functools
@@ -19,6 +22,9 @@ import contragredient_oracle as oracle
 from wrat.liealg import F, LieElement
 from wrat.orbits import ClassicalPartition, InvalidPartition, build_classical, load_records
 from wrat.ratcheck import (
+    _chevalley_operator,
+    _classical_operator,
+    _dot,
     realize_record,
     verify_self_contragredient,
     verify_self_contragredient_classical,
@@ -63,6 +69,38 @@ def test_record_matches_oracle(k):
     table, grading, f, _ = realized(k)
     assert verify_self_contragredient(table, grading, f)
     assert oracle.self_contragredient(table, grading, f)
+
+
+def assert_functionals_match(op, g0, pair, pos, neg):
+    """The checks carry one trace row and read both rows off Cartan vectors
+    only: the g<0 row is minus the g>0 row, both rows vanish off the Cartan
+    part, the trace at a Cartan vector is the sum of the positive weights
+    there, and the operator's pairing is the oracle's up to a positive scale."""
+    assert neg == [-x for x in pos]
+    positive = [w for w, d in zip(op.weights, op.degrees) if d > 0]
+    cartan = {i: sum(_dot(w, coords) for w in positive) for i, coords, _ in op.cartan}
+    assert {i: x for i, x in zip(g0, pos) if x or i in cartan} == cartan
+    got = {i: p for i, _, p in op.cartan}
+    assert all(not x for i, x in zip(g0, pair) if i not in got)
+    nonzero = [(got[i], x) for i, x in zip(g0, pair) if i in got and x]
+    scale = nonzero[0][0] / nonzero[0][1] if nonzero else 1
+    assert scale > 0 and all(got[i] == scale * x for i, x in zip(g0, pair) if i in got)
+
+
+@pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
+def test_record_functionals_match_oracle(k):
+    table, grading, f, _ = realized(k)
+    g0, (pos, neg) = oracle.trace_rows(table, grading)
+    pair = oracle.pairing_row(table, grading)
+    assert_functionals_match(_chevalley_operator(table, grading, f), g0, pair, pos, neg)
+
+
+def test_partition_functionals_match_oracle():
+    for p in legal_partitions(range(1, 13)):
+        real = build_classical(p)
+        g0, (pos, neg) = oracle.trace_rows_classical(real)
+        pair = oracle.pairing_row_classical(real)
+        assert_functionals_match(_classical_operator(real), g0, pair, pos, neg)
 
 
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)

@@ -39,6 +39,8 @@ def test_grade_by_weights_does_not_halve():
     g = grade_by_weights(t, CartanElement.of((1, 1)))
     degs = {str(b): d for b, d in zip(t.basis, g.degrees)}
     assert degs["e(1,0)"] == 1 and degs["e(1,1)"] == 2
+    # the grading is `grade` at 2 * x0, so that is the characteristic it keeps
+    assert g.characteristic == CartanElement.of((2, 2))
     gh = grade(t, CartanElement.of((1, 1)))
     degs_h = {str(b): d for b, d in zip(t.basis, gh.degrees)}
     assert degs_h["e(1,0)"] == Fraction(1, 2)

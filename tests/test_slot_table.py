@@ -19,15 +19,23 @@ from wrat.orbits import load_records
 from wrat.ratcheck import (
     EvidenceEntry,
     _admissible,
-    _eigenvalue,
     _hf_basis,
     exact_condition,
     realize_record,
 )
-from wrat.rootsys import CartanElement
+from wrat.rootsys import CartanElement, pairing
 
 RECORDS = load_records()
 IDS = [f"{rec.algebra}-{rec.label}" for rec in RECORDS]
+
+
+def eigenvalue(table, i, v):
+    """ad(v)-eigenvalue of basis vector i: a(v) on e_a, -a(v) on f_a, 0 on h."""
+    b = table.basis[i]
+    if b.kind == "h":
+        return Fraction(0)
+    val = pairing(table.rs, b.key, v)
+    return val if b.kind == "e" else -val
 
 
 def blockwise_condition(table, grading, f, v):
@@ -35,7 +43,7 @@ def blockwise_condition(table, grading, f, v):
     fi = table.to_indexed(f)
     blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
     for i in range(table.dimension):
-        blocks.setdefault((grading.degrees[i], _eigenvalue(table, i, v)), []).append(i)
+        blocks.setdefault((grading.degrees[i], eigenvalue(table, i, v)), []).append(i)
     rows = []
     for (d, lam), src in blocks.items():
         dst = blocks.get((d - 1, lam), [])
