@@ -75,6 +75,17 @@ def _partition_label(partition: ClassicalPartition) -> str:
     return f"{partition.family}[{','.join(str(p) for p in parts)}]"
 
 
+def _algebra_label(partition: ClassicalPartition) -> str:
+    """The simple type, e.g. "C3" for sp(6); so(3) = sp(2) = A1, so(6) = A3,
+    and the non-simple so(1), so(2), so(4) get family and size: "so4"."""
+    key = (partition.letter, partition.size // 2)
+    try:
+        return str(SimpleType(*key))
+    except IllegalType:
+        low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
+        return low.get(key, f"{partition.family}{partition.size}")
+
+
 def _parse_partition(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -142,8 +153,7 @@ def _cmd_check_classical(args) -> int:
     if args.v_zero:
         real = _zero_v(real)
     verdict = check_classical(real)
-    algebra = f"{partition.letter}{partition.size // 2}"
-    d = verdict_to_json(algebra, _partition_label(partition), verdict)
+    d = verdict_to_json(_algebra_label(partition), _partition_label(partition), verdict)
     _emit(d)
     return EXIT_OK if verdict.status == "pass" else EXIT_FAIL
 
@@ -152,12 +162,12 @@ def _cmd_search_v(args) -> int:
     st, rec = _find_record(args.algebra, args.q, args.label)
     if rec is EVEN_OR_EXTERNAL:
         return _even_or_external(st, args.q)
-    table, grading, f, _ = realize_record(rec)
+    table, grading, f, triple = realize_record(rec)
     config = SearchConfig(
         denominator_bound=args.denominator_bound,
         coefficient_bound=args.coefficient_bound,
     )
-    v = search_v(table, grading, f, config)
+    v = search_v(table, grading, f, config, triple)
     base = {"algebra": str(st), "label": rec.label, "q": list(rec.q)}
     if v is NOT_FOUND:
         _emit({**base, "status": "not-found"})
@@ -174,7 +184,7 @@ def _cmd_verify_contragredient(args) -> int:
         real = build_classical(partition)
         ok = verify_self_contragredient_classical(real)
         label = _partition_label(partition)
-        algebra = f"{partition.letter}{partition.size // 2}"
+        algebra = _algebra_label(partition)
     else:
         if args.algebra is None:
             raise IllegalType("need --algebra/--q or --family/--partition")
@@ -281,8 +291,8 @@ def _report_rows():
     rows = []
     all_pass = True
     for rec in load_records():
-        table, grading, f, _ = realize_record(rec)
-        verdict = check_realized(table, grading, f, rec.v, "both")
+        table, grading, f, triple = realize_record(rec)
+        verdict = check_realized(table, grading, f, rec.v, "both", triple)
         if verdict.status != "pass":
             all_pass = False
         contra = verify_self_contragredient(table, grading, f)

@@ -253,23 +253,17 @@ class ClassicalPartition:
         return not self.pairs or not self.singles
 
 
-def _antidiagonal_form(m: int) -> list[list[Fraction]]:
-    s = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        s[i][m - 1 - i] = Fraction((-1) ** i)
-    return s
-
-
 @dataclass(frozen=True)
 class ClassicalRealization:
-    """Matrices for a partition: the form S, the nilpotent f, the diagonals
-    of h and v, and the sparse description of S (row i holds its only
-    nonzero in column sigma(i), with value c(i))."""
+    """Matrices for a partition: the form S, the nilpotent f, its sl2
+    partner e, the diagonals of h and v, and the sparse description of S
+    (row i holds its only nonzero in column sigma(i), with value c(i))."""
 
     partition: ClassicalPartition
     size: int
     form: tuple[tuple[Fraction, ...], ...]
     f: tuple[tuple[Fraction, ...], ...]
+    e: tuple[tuple[Fraction, ...], ...]
     h_diag: tuple[Fraction, ...]
     v_diag: tuple[Fraction, ...]
     sigma: tuple[int, ...]
@@ -285,97 +279,116 @@ class ClassicalRealization:
 
 
 def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
-    """Assemble S, f, h, v from the block data.
+    """Assemble S, f, e, h, v from the block data.
 
-    Paired parts contribute two adjacent lower Jordan blocks coupled by the
-    off-diagonal form [[0, S_m], [-S_m, 0]]; single parts carry the
-    alternating antidiagonal form on their own block.  h is the usual sl2
-    weight diagonal m-1, m-3, ..., 1-m on every block, and v is +1/2 on the
-    first copy of each pair, -1/2 on the second, 0 on singles.
+    With S_m the alternating antidiagonal form (row i holds (-1)^i in
+    column m - 1 - i), paired parts contribute two adjacent lower Jordan
+    blocks coupled by the form [[0, S_m], [-S_m, 0]], and single parts carry
+    S_m on their own block.  h is the usual sl2 weight diagonal m-1, m-3,
+    ..., 1-m on every block, e is the upper partner with entries
+    (i + 1)(m - 1 - i), and v is +1/2 on the first copy of each pair, -1/2
+    on the second, 0 on singles.  A failure of the triple check is a bug
+    and raises AssertionError.
     """
     n = partition.size
     zero = Fraction(0)
     form = [[zero] * n for _ in range(n)]
     f = [[zero] * n for _ in range(n)]
+    e = [[zero] * n for _ in range(n)]
     h = [zero] * n
     v = [zero] * n
 
     def place_jordan(start: int, m: int):
         for i in range(m - 1):
             f[start + i + 1][start + i] = Fraction(1)
+            e[start + i][start + i + 1] = Fraction((i + 1) * (m - 1 - i))
         for i in range(m):
             h[start + i] = Fraction(m - 1 - 2 * i)
 
     off = 0
     for m in partition.pairs:
-        sp = _antidiagonal_form(m)
         for i in range(m):
-            for j in range(m):
-                if sp[i][j]:
-                    form[off + i][off + m + j] = sp[i][j]
-                    form[off + m + i][off + j] = -sp[i][j]
+            form[off + i][off + 2 * m - 1 - i] = Fraction((-1) ** i)
+            form[off + m + i][off + m - 1 - i] = Fraction(-((-1) ** i))
+            v[off + i], v[off + m + i] = Fraction(1, 2), Fraction(-1, 2)
         place_jordan(off, m)
         place_jordan(off + m, m)
-        for i in range(m):
-            v[off + i] = Fraction(1, 2)
-            v[off + m + i] = Fraction(-1, 2)
         off += 2 * m
     for m in partition.singles:
-        sp = _antidiagonal_form(m)
         for i in range(m):
-            for j in range(m):
-                if sp[i][j]:
-                    form[off + i][off + j] = sp[i][j]
+            form[off + i][off + m - 1 - i] = Fraction((-1) ** i)
         place_jordan(off, m)
         off += m
 
-    sigma = [0] * n
-    coeff = [zero] * n
-    for i in range(n):
-        for j in range(n):
-            if form[i][j]:
-                sigma[i] = j
-                coeff[i] = form[i][j]
-                break
-        else:
-            raise InvalidPartition("degenerate form row")
+    # the first nonzero of each row; `_verify_membership` checks it is the only one
+    sigma = [next((j for j, x in enumerate(row) if x), -1) for row in form]
+    coeff = [form[i][j] for i, j in enumerate(sigma)]
 
     real = ClassicalRealization(
         partition=partition,
         size=n,
         form=tuple(tuple(r) for r in form),
         f=tuple(tuple(r) for r in f),
+        e=tuple(tuple(r) for r in e),
         h_diag=tuple(h),
         v_diag=tuple(v),
         sigma=tuple(sigma),
         form_coeff=tuple(coeff),
     )
     _verify_membership(real)
+    if not is_sl2_triple(real):
+        raise AssertionError(f"the Jordan e of {partition} is not an sl2 partner of f")
     return real
 
 
+def _nonzeros(m) -> dict[tuple[int, int], Fraction]:
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+
 def _verify_membership(real: ClassicalRealization) -> None:
-    """S f = -f^T S, and the diagonals h, v satisfy d(sigma(i)) = -d(i).
+    """S is monomial, f and e lie in g, and the diagonals h, v satisfy
+    d(sigma(i)) = -d(i).
 
     S must be monomial: row i holds only c(i), in column sigma(i), and sigma
-    is a permutation.  Then (S f)[i][j] = c(i) f[sigma(i)][j] and
-    (f^T S)[i][j] = f[k][i] c(k) with sigma(k) = j, so the check is entrywise.
+    is a permutation.  Then X lies in g iff the involution
+    X -> -S^{-1} X^T S, which maps E_ij to c * E_i'j' (`involution_of`),
+    fixes it: X[i'][j'] = c * X[i][j], checked at each nonzero of X.
     """
     n = real.size
-    s, f, sigma, c = real.form, real.f, real.sigma, real.form_coeff
+    s, sigma, c = real.form, real.sigma, real.form_coeff
     if sorted(sigma) != list(range(n)) or any(
         s[i][j] != (c[i] if j == sigma[i] else 0) for i in range(n) for j in range(n)
     ):
         raise InvalidPartition("the form is not monomial")
-    inv = sorted(range(n), key=sigma.__getitem__)
-    for i in range(n):
-        for j in range(n):
-            if c[i] * f[sigma[i]][j] != -f[inv[j]][i] * c[inv[j]]:
+    for x in (real.f, real.e):
+        for (i, j), a in _nonzeros(x).items():
+            ip, jp, cc = real.involution_of(i, j)
+            if x[ip][jp] != cc * a:
                 raise InvalidPartition("nilpotent fell outside the algebra")
     for diag in (real.h_diag, real.v_diag):
         for i in range(n):
             if diag[real.sigma[i]] != -diag[i]:
                 raise InvalidPartition("diagonal element fell outside the algebra")
+
+
+def is_sl2_triple(real: ClassicalRealization) -> bool:
+    """[e, f] = h, [h, e] = 2e and [h, f] = -2f, over nonzero entries only;
+    h is diagonal, so [h, X] = 2X says h_i - h_j = 2 at each nonzero X_ij."""
+    hd = real.h_diag
+    e, f = _nonzeros(real.e), _nonzeros(real.f)
+    ef = {(i, i): -x for i, x in enumerate(hd) if x}  # [e, f] - h
+    for x, y, sign in ((e, f, 1), (f, e, -1)):
+        rows: dict[int, list] = {}
+        for (k, j), b in y.items():
+            rows.setdefault(k, []).append((j, b))
+        for (i, k), a in x.items():
+            for j, b in rows.get(k, ()):
+                ef[i, j] = ef.get((i, j), 0) + sign * a * b
+    return (
+        not any(ef.values())
+        and all(hd[i] - hd[j] == 2 for i, j in e)
+        and all(hd[i] - hd[j] == -2 for i, j in f)
+    )
 
 
 def classical_basis(real: ClassicalRealization):

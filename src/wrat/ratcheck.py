@@ -9,16 +9,17 @@ symmetrized matrix units of a classical partition) are read through one
 graded operator, `_GradedOperator`: per basis vector a degree and an integer
 torus weight (signed root coefficients, resp. e_i - e_j), on which a torus
 element given by its coordinate values acts by the dot product; the columns
-[f, b_j] of ad(f), built on demand; and the Cartan basis vectors with their
-torus coordinates and their pairing with h/2.  On it:
+[f, b_j] of ad(f), built on demand; the Cartan basis vectors with their
+torus coordinates; and whether f sits in a verified sl2-triple (e, h, f).
 
 * `exact_condition` and `check_classical` read the evidence off the kernel
   slot table.  ad(f) maps the (degree d, torus weight mu) span into the
-  (d - 1, mu) span, so ker ad(f) splits into slots (d, mu), one exact rank
-  each.  A record's torus is h^f, which kills every root in the support of
-  f and holds every v centralizing f, so its slots do not depend on v; a
-  partition's torus is v itself.  Summing the slots by (j, eigenvalue of v)
-  gives one evidence row per occupied pair.
+  (d - 1, mu) span, so ker ad(f) splits into slots (d, mu).  A record's
+  torus is h^f, which kills every root in the support of f and holds every
+  v centralizing f, so its slots do not depend on v; a partition's torus is
+  v itself.  On a verified triple each slot is counted (Kostant), reading
+  only degrees and weights; without one it takes one exact rank.  Summing
+  the slots by (j, eigenvalue of v) gives one evidence row per occupied pair.
 
 * `fast_condition` looks only at the spectrum of ad(v) on the degree-0 and
   degree -1/2 blocks, which controls the spectrum everywhere else.  The only
@@ -28,7 +29,9 @@ torus coordinates and their pairing with h/2.  On it:
   the tractable range hands off to the slot table wholesale.
 
 `search_v` builds a record's slot table once and checks each v of a small
-rational lattice inside h^f against it in integer arithmetic.
+rational lattice inside h^f against it in integer arithmetic.  A record's
+triple is the one `complete_sl2` verifies in `realize_record`; a partition's
+is built and verified by `build_classical`.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ from . import _linalg
 from .grading import (
     DynkinGrading,
     NotDegreeMinusOne,
+    Sl2Triple,
+    complete_sl2,
     grade,
     grade_by_weights,
     is_even_grading,
@@ -55,8 +60,8 @@ from .liealg import (
     LieElement,
     build_chevalley,
 )
-from .orbits import ClassicalRealization, OrbitRecord, classical_basis
-from .rootsys import CartanElement, pairing
+from .orbits import ClassicalRealization, OrbitRecord, classical_basis, is_sl2_triple
+from .rootsys import CartanElement, build, pairing
 
 
 class VNotInCentralizer(ValueError):
@@ -109,6 +114,7 @@ class ConditionVerdict:
     evidence: tuple[EvidenceEntry, ...]
     fallbacks: tuple[FallbackWitness, ...]
     method: str
+    slot_rule: str  # "counting" (verified sl2-triple), "rank", or "none" (no slot table)
 
 
 @dataclass(frozen=True)
@@ -122,10 +128,10 @@ def _admissible(j: Fraction, lam: Fraction) -> bool:
     return t.denominator == 1 and t >= 0
 
 
-def _verdict(rows, witnesses, method: str) -> ConditionVerdict:
+def _verdict(rows, witnesses, method: str, slot_rule: str) -> ConditionVerdict:
     rows = sorted(rows, key=lambda r: (r.j, r.eigenvalue))
     status = "pass" if all(r.admissible for r in rows) else "fail"
-    return ConditionVerdict(status, tuple(rows), tuple(witnesses), method)
+    return ConditionVerdict(status, tuple(rows), tuple(witnesses), method, slot_rule)
 
 
 def _integral(x):
@@ -139,29 +145,47 @@ def _dot(weight, t):
     return sum(c * t[k] for k, c in weight)
 
 
+def _over_common_denominator(t) -> tuple[list[int], int]:
+    """(integers n, den) with t = n / den, so that `_dot` on t runs on ints."""
+    den = lcm(*(x.denominator for x in t))
+    return [x.numerator * (den // x.denominator) for x in t], den
+
+
 @dataclass(frozen=True)
 class _GradedOperator:
     """ad(f) on a graded basis b_0, b_1, ... on which a torus acts diagonally.
 
     weights[i] is the torus weight of b_i as sparse (coordinate, integer)
     pairs; column(j) is [f, b_j] as {i: coefficient}, built on each call;
-    cartan holds (i, torus coordinates of b_i, <h/2, b_i> up to a positive
-    scale) per Cartan basis vector b_i.
+    cartan holds (i, torus coordinates of b_i) per Cartan basis vector b_i;
+    sl2 says that f sits in a verified sl2-triple (e, h, f), h giving the
+    degrees, and that the torus centralizes it.
     """
 
     degrees: tuple[Fraction, ...]
     weights: tuple[tuple[tuple[int, int], ...], ...]
     column: Callable[[int], dict[int, int | Fraction]]
-    cartan: tuple[tuple[int, tuple, Fraction], ...]
+    cartan: tuple[tuple[int, tuple], ...]
+    sl2: bool
 
 
 def _chevalley_operator(
-    table: ChevalleyTable, grading: DynkinGrading, f: LieElement
+    table: ChevalleyTable,
+    grading: DynkinGrading,
+    f: LieElement,
+    triple: Sl2Triple | None = None,
 ) -> _GradedOperator:
     """The operator on the Chevalley basis.  The torus coordinates are the
-    simple-root pairings a_i(.), so e_a has weight a and f_a weight -a."""
-    rs = table.rs
-    n = rs.rank
+    simple-root pairings a_i(.), so e_a has weight a and f_a weight -a.
+    triple is f's sl2-triple on this grading from `complete_sl2`, or None;
+    h^f centralizes its e too, as e is the only partner of h and f."""
+    a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
+    if triple is not None and (
+        triple.f != f
+        or [sum(c * triple.h[H(k)] for k, c in enumerate(r)) for r in a]
+        != list(grading.characteristic.pairings)
+    ):
+        raise ValueError("the sl2-triple is not the triple of f on this grading")
     fi = table.to_indexed(f)
 
     def column(j: int) -> dict[int, int | Fraction]:
@@ -176,10 +200,8 @@ def _chevalley_operator(
         tuple((k, sign[b.kind] * c) for k, c in enumerate(b.key) if c) if b.kind in sign else ()
         for b in table.basis
     )
-    a, d, h = rs.cartan_matrix, rs.half_norms, grading.characteristic.pairings
-    # a_i(h_k) = a_ik, and <h_i, h_k> = a_ik / d_i is symmetric: <h/2, h_k> = a_k(h) / 2d_k
-    cartan = tuple((table.index[H(k)], tuple(r[k] for r in a), h[k] / 2 / d[k]) for k in range(n))
-    return _GradedOperator(grading.degrees, weights, column, cartan)
+    cartan = tuple((table.index[H(k)], tuple(r[k] for r in a)) for k in range(len(a)))
+    return _GradedOperator(grading.degrees, weights, column, cartan, triple is not None)
 
 
 def _units(elt) -> list[tuple[int, int, int | Fraction]]:
@@ -190,8 +212,9 @@ def _units(elt) -> list[tuple[int, int, int | Fraction]]:
 
 def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     """The operator on the symmetrized matrix units of `classical_basis`.
-    The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j, and
-    <h/2, w> is taken as tr(h w)."""
+    The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j.
+    sl2 is checked here, so an f replaced after `build_classical` gets the
+    rank rule; a diagonal v commuting with f commutes with e as well."""
     basis = classical_basis(real)
     index = {pos: k for k, (pos, _, _) in enumerate(basis)}
     by_col: list[list] = [[] for _ in range(real.size)]
@@ -214,7 +237,7 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
                     out[k] = out.get(k, 0) + coeff * x
         return {k: x for k, x in out.items() if x}
 
-    hd = real.h_diag
+    hd, v = real.h_diag, real.v_diag
     degrees, weights, cartan = [], [], []
     for k, elt in enumerate(basis):
         (i, j), _, _ = elt
@@ -224,8 +247,9 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
             coords = [0] * real.size
             for a, _, c in _units(elt):
                 coords[a] = c
-            cartan.append((k, tuple(coords), sum(x * y for x, y in zip(coords, hd))))
-    return _GradedOperator(tuple(degrees), tuple(weights), column, tuple(cartan))
+            cartan.append((k, tuple(coords)))
+    sl2 = is_sl2_triple(real) and all(v[r] == v[s] for s, col in enumerate(by_col) for r, _ in col)
+    return _GradedOperator(tuple(degrees), tuple(weights), column, tuple(cartan), sl2)
 
 
 def _block(op: _GradedOperator, src, dst) -> list[list]:
@@ -248,36 +272,51 @@ def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tupl
     Returns one (degree, weight, representative basis index, multiplicity)
     tuple per occupied slot; for every v in the span of the torus, the
     representative's ad(v)-eigenvalue is the slot's eigenvalue.
+
+    With op.sl2 the weight-mu spans form an sl2-module (h acts by 2d), so a
+    slot holds dim g_(d, mu) - dim g_(d-1, mu) at d <= 0 and none at d > 0;
+    otherwise dim g_(d, mu) - rank(ad(f): g_(d, mu) -> g_(d-1, mu)).
     """
     groups: dict[tuple, list[int]] = {}
     for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
         groups.setdefault((d, tuple(_dot(w, t) for t in torus)), []).append(i)
     slots = []
     for (d, mu), src in groups.items():
-        mult = len(src) - _linalg.rank(_block(op, src, groups.get((d - 1, mu), [])))
+        dst = groups.get((d - 1, mu), [])
+        if op.sl2:
+            mult = len(src) - len(dst) if d <= 0 else 0
+        else:
+            mult = len(src) - _linalg.rank(_block(op, src, dst))
         if mult:
             slots.append((d, mu, src[0], mult))
     return slots
 
 
-def _slot_verdict(op: _GradedOperator, slots, v) -> ConditionVerdict:
+def _slot_verdict(op: _GradedOperator, torus, v) -> ConditionVerdict:
     """Slot multiplicities summed by (j, eigenvalue of v), one evidence row
     per occupied pair; v is given by its torus coordinates."""
+    ints, den = _over_common_denominator(v)
     mults: dict[tuple[Fraction, Fraction], int] = {}
-    for d, _, rep, mult in slots:
-        key = (-d, _dot(op.weights[rep], v))
+    for d, _, rep, mult in _kernel_slots(op, torus):
+        key = (-d, Fraction(_dot(op.weights[rep], ints), den))
         mults[key] = mults.get(key, 0) + mult
     rows = [EvidenceEntry(j, lam, m, _admissible(j, lam)) for (j, lam), m in mults.items()]
-    return _verdict(rows, (), "exact")
+    return _verdict(rows, (), "exact", "counting" if op.sl2 else "rank")
 
 
 def _self_contragredient(op: _GradedOperator) -> bool:
-    """Each centralizer vector w in degree 0 pairs to zero with h/2 and has
-    traceless adjoint action on the positive and the negative part.
+    """Each centralizer vector w in degree 0 has traceless adjoint action on
+    the positive part (and so on the negative part): the trace is a linear
+    functional L on g_0, zero on the kernel of M = ad(f): g_0 -> g_-1
+    exactly when rank(M + [L]) == rank(M).
 
-    Each condition is a linear functional L on g_0, and L vanishes on the
-    kernel of M = ad(f): g_0 -> g_-1 exactly when rank(M + [L]) == rank(M).
-    The functionals are appended together, which tests them all at once.
+    When f is in an sl2-triple (e, h, f) with h giving the degrees, this
+    restates the triple.  Such a w spans a trivial sl2 summand, so it
+    commutes with e, and ad(e)^(2d): g_-d -> g_d is w-equivariant; the
+    Killing form makes g_-d dual to g_d, so tr(w|g_d) = -tr(w|g_d) = 0.
+    The pairing with h/2 needs no row either, as it vanishes on the kernel:
+    <h, w> = <[e, f], w> = <e, [f, w]> = 0.  The rank test is for an f in
+    no triple (f = 0, a dropped root), where the trace row is what fails.
     """
     g0 = [i for i, d in enumerate(op.degrees) if d == 0]
     m = _block(op, g0, [i for i, d in enumerate(op.degrees) if d == -1])
@@ -291,20 +330,14 @@ def _self_contragredient(op: _GradedOperator) -> bool:
             for k, c in w:
                 positive[k] = positive.get(k, 0) + c
     col = {i: c for c, i in enumerate(g0)}
-    rows = [[0] * len(g0) for _ in range(2)]
-    for i, coords, pair in op.cartan:
-        rows[0][col[i]] = pair
-        rows[1][col[i]] = _dot(positive.items(), coords)
-    return _linalg.rank(m + rows) == _linalg.rank(m)
+    row = [0] * len(g0)
+    for i, coords in op.cartan:
+        row[col[i]] = _dot(positive.items(), coords)
+    return _linalg.rank(m + [row]) == _linalg.rank(m)
 
 
 def _support_roots(f: LieElement) -> list[tuple[int, ...]]:
-    roots = []
-    for b in f.coords:
-        if b.kind == "h":
-            continue
-        roots.append(b.key)
-    return roots
+    return [b.key for b in f.coords if b.kind != "h"]
 
 
 def _require_centralizing(table: ChevalleyTable, f: LieElement, v: CartanElement) -> None:
@@ -318,15 +351,17 @@ def exact_condition(
     grading: DynkinGrading,
     f: LieElement,
     v: CartanElement,
+    triple: Sl2Triple | None = None,
 ) -> ConditionVerdict:
     """Exact kernel computation; one evidence row per occupied (j, eigenvalue).
 
     The kernel slot table is built for f over h^f, and the multiplicities of
     the slots on which v acts by the same eigenvalue are summed per degree.
+    Given f's sl2-triple the slots are counted, else each takes one rank.
     """
     _require_centralizing(table, f, v)
-    op = _chevalley_operator(table, grading, f)
-    return _slot_verdict(op, _kernel_slots(op, _hf_basis(table, f)), v.pairings)
+    op = _chevalley_operator(table, grading, f, triple)
+    return _slot_verdict(op, _hf_basis(table, f), v.pairings)
 
 
 def fast_condition(
@@ -334,13 +369,16 @@ def fast_condition(
     grading: DynkinGrading,
     f: LieElement,
     v: CartanElement,
+    triple: Sl2Triple | None = None,
 ) -> ConditionVerdict:
-    """Spectrum-on-two-blocks route; hands off wholesale on hard eigenvalues."""
+    """Spectrum-on-two-blocks route; hands off wholesale on hard eigenvalues,
+    to the slot table of `exact_condition` (counted when triple is given)."""
     _require_centralizing(table, f, v)
-    op = _chevalley_operator(table, grading, f)
+    op = _chevalley_operator(table, grading, f, triple)
+    ints, den = _over_common_denominator(v.pairings)
     blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
     for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
-        blocks.setdefault((d, _dot(w, v.pairings)), []).append(i)
+        blocks.setdefault((d, Fraction(_dot(w, ints), den)), []).append(i)
     half = Fraction(1, 2)
 
     rows: list[EvidenceEntry] = []
@@ -349,39 +387,34 @@ def fast_condition(
     def analyze(d: Fraction, boundary: Fraction) -> bool:
         """One graded block; returns False when the hand-off is needed."""
         special = boundary - 1  # -2 on the integer block, -5/2 on the half block
-        lams = sorted({lam for (dd, lam) in blocks if dd == d})
-        for lam in lams:
-            offset = lam - boundary  # integer iff lam is on the tame lattice
-            if offset.denominator != 1:
+        for lam in sorted({lam for (dd, lam) in blocks if dd == d}):
+            # off the tame lattice, or below its one resolvable value
+            if (lam - boundary).denominator != 1 or lam < special:
                 return False
-            if lam >= boundary and lam != -special:
+            if lam not in (special, -special):
                 continue
-            if lam == special or lam == -special:
-                # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
-                # (each image's support) when it is injective
-                src = blocks.get((d, lam), [])
-                m = _block(op, src, blocks.get((d - 1, lam), []))
-                defect = len(src) - _linalg.rank(m)
-                if defect:
-                    rows.append(EvidenceEntry(-d, lam, defect, _admissible(-d, lam)))
-                    continue
-                for i in src:
-                    support = sorted(
-                        (table.basis[k] for k in op.column(i)), key=lambda b: (b.kind, b.key)
-                    )
-                    witnesses.append(FallbackWitness(lam, table.basis[i], tuple(support)))
+            # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
+            # (each image's support) when it is injective
+            src = blocks.get((d, lam), [])
+            defect = len(src) - _linalg.rank(_block(op, src, blocks.get((d - 1, lam), [])))
+            if defect:
+                rows.append(EvidenceEntry(-d, lam, defect, _admissible(-d, lam)))
                 continue
-            return False
+            for i in src:
+                support = sorted(
+                    (table.basis[k] for k in op.column(i)), key=lambda b: (b.kind, b.key)
+                )
+                witnesses.append(FallbackWitness(lam, table.basis[i], tuple(support)))
         return True
 
     # degree 0: tame eigenvalues are the integers >= -1, the one extra
     # injectivity-resolvable value is -2 (and +2 gets the same treatment);
     # degree -1/2: shift everything down by a half.
     if not (analyze(Fraction(0), Fraction(-1)) and analyze(-half, Fraction(-3, 2))):
-        return _slot_verdict(op, _kernel_slots(op, _hf_basis(table, f)), v.pairings)
+        return _slot_verdict(op, _hf_basis(table, f), v.pairings)
 
     witnesses.sort(key=lambda w: (w.eigenvalue, w.element.kind, w.element.key))
-    return _verdict(rows, witnesses, "fast")
+    return _verdict(rows, witnesses, "fast", "none")
 
 
 def h0f_space(table: ChevalleyTable, f: LieElement) -> list[CartanElement]:
@@ -393,25 +426,16 @@ def h0f_space(table: ChevalleyTable, f: LieElement) -> list[CartanElement]:
 
 
 def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
-    den = lcm(*(x.denominator for x in vec)) if vec else 1
+    """The integer vector on vec's ray with coprime entries, first nonzero > 0."""
+    den = lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    g = gcd(*ints) * next((1 if x > 0 else -1 for x in ints if x), 1) or 1
+    return tuple(x // g for x in ints)
 
 
 def _hf_basis(table: ChevalleyTable, f: LieElement) -> list[tuple[int, ...]]:
     """`h0f_space` as primitive integer pairing vectors."""
-    basis = [_primitive(w.pairings) for w in h0f_space(table, f)]
-    return [b for b in basis if any(b)]
+    return [_primitive(w.pairings) for w in h0f_space(table, f)]
 
 
 def search_v(
@@ -419,9 +443,10 @@ def search_v(
     grading: DynkinGrading,
     f: LieElement,
     config: SearchConfig = SearchConfig(),
+    triple: Sl2Triple | None = None,
 ):
     """First v in a small rational lattice of h^f that passes
-    `exact_condition`, or NOT_FOUND.
+    `exact_condition`, or NOT_FOUND; triple as there.
 
     Candidates are v = sum k_i b_i / den over the primitive basis b of h^f,
     with |k_i| <= coefficient_bound and den <= denominator_bound, taken in
@@ -443,7 +468,7 @@ def search_v(
     # s*q + den*p being a nonnegative multiple of den*q
     checks = [
         (mu, (1 - d).numerator, (1 - d).denominator)
-        for d, mu, _, _ in _kernel_slots(_chevalley_operator(table, grading, f), basis)
+        for d, mu, _, _ in _kernel_slots(_chevalley_operator(table, grading, f, triple), basis)
     ]
 
     B = config.coefficient_bound
@@ -482,8 +507,6 @@ def verify_good_even_shortcut(
     grading must be good for f and even, and then v = h/2 - x0 is the
     canonical candidate, checked exactly against the Dynkin grading of h.
     """
-    from .grading import complete_sl2
-
     f_roots = [tuple(c) for c in f_roots]
     rs = table.rs
     for c in f_roots:
@@ -501,10 +524,10 @@ def verify_good_even_shortcut(
             raise VNotInCentralizer(f"h/2 - x0 does not centralize the root vector at {c}")
     dynkin = grade(table, h)
     try:
-        complete_sl2(table, dynkin, f_roots)
+        triple = complete_sl2(table, dynkin, f_roots)
     except NotDegreeMinusOne as exc:
         raise GradingNotGood(str(exc)) from exc
-    return exact_condition(table, dynkin, f, v)
+    return exact_condition(table, dynkin, f, v, triple)
 
 
 def verify_self_contragredient(
@@ -522,11 +545,11 @@ def verify_self_contragredient(
 def check_classical(real: ClassicalRealization) -> ConditionVerdict:
     """Kernel slot table on the matrix realization, with v as the torus."""
     op = _classical_operator(real)
-    return _slot_verdict(op, _kernel_slots(op, [real.v_diag]), real.v_diag)
+    return _slot_verdict(op, [real.v_diag], real.v_diag)
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
-    """`_self_contragredient` on the matrix realization, pairing by tr(h w)."""
+    """`_self_contragredient` on the matrix realization."""
     return _self_contragredient(_classical_operator(real))
 
 
@@ -537,9 +560,6 @@ def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
 
 def realize_record(record: OrbitRecord):
     """(table, dynkin grading, f, sl2 triple) for a bundled record."""
-    from .grading import complete_sl2
-    from .rootsys import build
-
     table = build_chevalley(build(record.algebra))
     grading = grade(table, record.h)
     triple = complete_sl2(table, grading, list(record.f_roots))
@@ -552,36 +572,37 @@ def check_realized(
     f: LieElement,
     v: CartanElement,
     method: str,
+    triple: Sl2Triple | None = None,
 ) -> ConditionVerdict:
     """`check_record` on the parts `realize_record` returns."""
     if method == "exact":
-        return exact_condition(table, grading, f, v)
+        return exact_condition(table, grading, f, v, triple)
     if method == "fast":
-        return fast_condition(table, grading, f, v)
+        return fast_condition(table, grading, f, v, triple)
     if method != "both":
         raise ValueError(f"unknown method {method!r}")
-    fast = fast_condition(table, grading, f, v)
-    exact = exact_condition(table, grading, f, v)
+    fast = fast_condition(table, grading, f, v, triple)
+    exact = exact_condition(table, grading, f, v, triple)
     if fast.status != exact.status:
         raise RuntimeError(
             f"routes disagree on {table.rs.simple_type} at v = {[str(x) for x in v.pairings]}: "
             f"fast={fast.status} exact={exact.status}"
         )
-    return ConditionVerdict(exact.status, exact.evidence, fast.fallbacks, "both")
+    return ConditionVerdict(exact.status, exact.evidence, fast.fallbacks, "both", exact.slot_rule)
 
 
 def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
     """Run the requested route(s) on a bundled record.
 
     With method="both" both routes run and must agree on the status; the
-    merged verdict carries the exact route's evidence and the fast route's
-    witnesses.  The two routes group the basis differently (by
-    ad(v)-eigenvalue on two degrees, by slot over h^f), but they share the
-    operator's ad(f) columns and `_linalg.rank`, so a fault in either of
-    those is not caught by their agreement.
+    merged verdict carries the exact route's evidence and slot rule and the
+    fast route's witnesses.  The exact route counts its slots on the
+    verified triple and the fast route takes ranks of ad(f) columns, so the
+    two share only the degrees and the weights.  When the fast route hands
+    off (its method is "exact") both sides are the counted table.
     """
-    table, grading, f, _ = realize_record(record)
-    return check_realized(table, grading, f, record.v, method)
+    table, grading, f, triple = realize_record(record)
+    return check_realized(table, grading, f, record.v, method, triple)
 
 
 def verdict_to_json(algebra: str, label: str, verdict: ConditionVerdict) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from ._linalg import mat, solve_unique
 
@@ -182,21 +183,30 @@ class RootSystem:
             return True
         return tuple(-c for c in coeffs) in self.positive_set
 
+    @cached_property
+    def _scaled_form(self) -> tuple[int, list[list[int]]]:
+        return _scaled(self.form_on_simple_roots)
+
     def norm2(self, coeffs: tuple[int, ...]) -> Fraction:
         """<b, b> for a root given by its coefficient vector."""
-        form = self.form_on_simple_roots
-        total = Fraction(0)
-        for i, ci in enumerate(coeffs):
-            if ci:
-                row = form[i]
-                for j, cj in enumerate(coeffs):
-                    if cj:
-                        total += ci * cj * row[j]
-        return total
+        s, form = self._scaled_form
+        return Fraction(_quadratic(form, coeffs), s)
 
     def coroot_pairing(self, coeffs: tuple[int, ...], i: int) -> int:
         """<b, a_i^v> for a root b: the Cartan-matrix root-string pairing."""
         return sum(c * self.cartan_matrix[j][i] for j, c in enumerate(coeffs) if c)
+
+
+def _scaled(form) -> tuple[int, list[list[int]]]:
+    """(s, s * form) with s the least scale making the form integral."""
+    s = lcm(*(x.denominator for row in form for x in row))
+    return s, [[int(x * s) for x in row] for row in form]
+
+
+def _quadratic(form, coeffs) -> int:
+    """sum_ij c_i c_j form_ij over the support of an integer vector c."""
+    support = [(i, c) for i, c in enumerate(coeffs) if c]
+    return sum(ci * cj * form[i][j] for i, ci in support for j, cj in support)
 
 
 def _enumerate_positive(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -234,18 +244,11 @@ def _build(st: SimpleType) -> RootSystem:
         for j in range(n):
             assert form[i][j] == form[j][i], "form must be symmetric"
 
-    coeff_list = _enumerate_positive(cartan)
-
-    def norm2(coeffs):
-        return sum(
-            coeffs[i] * coeffs[j] * form[i][j]
-            for i in range(n)
-            for j in range(n)
-            if coeffs[i] and coeffs[j]
-        )
-
+    # long roots have <b, b> = 2, i.e. 2s on the form scaled by s
+    s, scaled = _scaled(form)
     roots = tuple(
-        Root(c, "long" if norm2(c) == 2 else "short") for c in coeff_list
+        Root(c, "long" if _quadratic(scaled, c) == 2 * s else "short")
+        for c in _enumerate_positive(cartan)
     )
     highest = max(roots, key=lambda r: (r.height, r.coeffs))
     marks = highest.coeffs

@@ -257,9 +257,11 @@ def _dense_oracle(real):
     for (d, lam), elts in blocks.items():
         cols = []
         for m in elts:
+            # f m - m f, entry by entry; products with a zero factor are skipped
             img = [
                 [
-                    sum(f[r][k] * m[k][c2] - m[r][k] * f[k][c2] for k in range(n))
+                    sum((f[r][k] * m[k][c2] for k in range(n) if f[r][k] and m[k][c2]), Q(0))
+                    - sum((m[r][k] * f[k][c2] for k in range(n) if m[r][k] and f[k][c2]), Q(0))
                     for c2 in range(n)
                 ]
                 for r in range(n)
@@ -273,10 +275,13 @@ def _dense_oracle(real):
 
 
 @criterion(6, "classical checks pass for every legal partition of size <= 8 "
-             "and agree with a dense-matrix kernel oracle")
+             "and a seeded sample of sizes 9-14, and agree with a dense-matrix "
+             "kernel oracle")
 def test_criterion_6():
     n_mixed = n_even = 0
-    for p in _legal_partitions(8):
+    larger = [p for p in _legal_partitions(14) if p.size > 8]
+    sample = random.Random(6).sample(larger, 16)
+    for p in _legal_partitions(8) + sample:
         real = build_classical(p)
         if p.pairs and p.singles:
             n_mixed += 1

@@ -148,6 +148,58 @@ def test_check_classical_letter_mismatch(capsys):
     assert rc == 3 and "not B" in err
 
 
+@pytest.mark.parametrize(
+    "family,parts,label",
+    [
+        ("B", "1", "so1"),
+        ("so", "1,1", "so2"),
+        ("B", "3", "A1"),
+        ("so", "1,1,1", "A1"),
+        ("C", "2", "A1"),
+        ("sp", "1,1", "A1"),
+        ("so", "2,2", "so4"),
+        ("so", "3,1", "so4"),
+        ("so", "3,3", "A3"),
+        ("D", "5,1", "A3"),
+        ("B", "2,2,1", "B2"),
+        ("C", "2,2", "C2"),
+        ("D", "4,4", "D4"),
+        ("C", "13,13,10,10,6,4,2,2", "C30"),
+        ("B", "9,9,8,8,7,5,5,3,3,2,2", "B30"),
+        ("D", "12,12,9,9,7,5,3,1", "D29"),
+    ],
+)
+def test_classical_algebra_labels(capsys, family, parts, label):
+    for cmd in ("check-classical", "verify-contragredient"):
+        _, d, _ = run_json(capsys, cmd, "--family", family, "--partition", parts)
+        assert d["algebra"] == label
+
+
+def test_classical_algebra_labels_name_the_algebra(capsys):
+    """On every legal partition of size <= 14 the label is a simple type of
+    the algebra's dimension, or one of the three non-simple so(1), so(2),
+    so(4); where the letter's own type exists the label is that type."""
+    from test_contragredience import legal_partitions
+    from wrat.rootsys import IllegalType, SimpleType, build
+
+    for p in legal_partitions(range(1, 15)):
+        parts = ",".join(str(x) for x in sorted(list(p.pairs) * 2 + list(p.singles)))
+        _, d, _ = run_json(
+            capsys, "verify-contragredient", "--family", p.family, "--partition", parts
+        )
+        n = p.size
+        if d["algebra"] in ("so1", "so2", "so4"):
+            assert d["algebra"] == f"so{n}" and p.family == "so"
+            continue
+        st = SimpleType.parse(d["algebra"])
+        dim = n * (n - 1) // 2 if p.family == "so" else n * (n + 1) // 2
+        assert st.rank + 2 * len(build(st).positive_roots) == dim
+        try:
+            assert st == SimpleType(p.letter, n // 2)
+        except IllegalType:
+            pass
+
+
 def test_check_classical_v_zero(capsys):
     # all-pairs partition: the grading is even and v = 0 passes
     rc, d, _ = run_json(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,8 +14,10 @@ from wrat.orbits import (
     InvalidRecord,
     NotExceptionalType,
     UnknownRoot,
+    _verify_membership,
     build_classical,
     classical_basis,
+    is_sl2_triple,
     load_records,
     lookup_exceptional,
     record_from_json,
@@ -166,6 +169,70 @@ def test_realization_membership_equations():
         assert sorted(real.h_diag, reverse=True)[0] == max(
             list(real.partition.pairs) * 2 + list(real.partition.singles)
         ) - 1
+
+
+def _dense(rows):
+    return [[int(x) for x in row] for row in rows]
+
+
+def _mul(a, b):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n) if a[i][k]) for j in range(n)] for i in range(n)
+    ]
+
+
+def _sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _transpose(a):
+    return [list(r) for r in zip(*a)]
+
+
+def test_jordan_triple_up_to_14_by_dense_products():
+    """The constructed e is in g (S e = -e^T S) and [e, f] = h, [h, e] = 2e,
+    [h, f] = -2f, checked with dense integer products."""
+    from test_contragredience import legal_partitions
+
+    for p in legal_partitions(range(1, 15)):
+        real = build_classical(p)
+        n = real.size
+        S, e, f = _dense(real.form), _dense(real.e), _dense(real.f)
+        h = [[int(real.h_diag[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+        assert _mul(S, e) == [[-x for x in r] for r in _mul(_transpose(e), S)], p
+        assert _sub(_mul(e, f), _mul(f, e)) == h, p
+        assert _sub(_mul(h, e), _mul(e, h)) == [[2 * x for x in r] for r in e], p
+        assert _sub(_mul(h, f), _mul(f, h)) == [[-2 * x for x in r] for r in f], p
+        assert is_sl2_triple(real), p
+
+
+def _set(m, i, j, x):
+    rows = [list(r) for r in m]
+    rows[i][j] = Fraction(x)
+    return tuple(tuple(r) for r in rows)
+
+
+def test_triple_and_membership_checks_reject():
+    real = build_classical(ClassicalPartition.from_parts("sp", [3, 3, 2]))
+    # e scaled by 2: still in g, no longer a partner of f
+    double_e = tuple(tuple(2 * x for x in r) for r in real.e)
+    assert not is_sl2_triple(dataclasses.replace(real, e=double_e))
+    # f = 0 breaks [e, f] = h
+    zero = tuple((Fraction(0),) * real.size for _ in range(real.size))
+    assert not is_sl2_triple(dataclasses.replace(real, f=zero))
+    # an entry of f or e without its involution partner leaves g
+    for field in ("f", "e"):
+        x = getattr(real, field)
+        (i, j) = next((i, j) for i, r in enumerate(x) for j, y in enumerate(r) if y)
+        ip, jp, _ = real.involution_of(i, j)
+        broken = dataclasses.replace(real, **{field: _set(x, ip, jp, 0)})
+        with pytest.raises(InvalidPartition):
+            _verify_membership(broken)
+        broken = dataclasses.replace(real, **{field: _set(x, ip, jp, 7)})
+        with pytest.raises(InvalidPartition):
+            _verify_membership(broken)
+    _verify_membership(real)
 
 
 def test_involution_squares_to_identity():
