@@ -1,7 +1,9 @@
 """Exact linear algebra over Fraction, on lists of rows.
 
 `rank` is the kernel primitive: fraction-free elimination on sparse integer
-rows.  `rref`, `nullspace` and `solve` are dense Gauss-Jordan, for small systems.
+rows.  `rref`, `nullspace` and `solve` are dense Gauss-Jordan, for small
+systems; they turn int entries into Fraction on the way in, so they stay
+exact on int input.  `block` places sparse columns into a dense matrix.
 """
 from __future__ import annotations
 
@@ -17,13 +19,6 @@ def mat(rows) -> Matrix:
 
 def zeros(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -44,7 +39,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column indices)."""
-    m = [row[:] for row in a]
+    m = mat(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
@@ -100,6 +95,23 @@ def rank(a: Matrix) -> int:
     return len(pivots)
 
 
+def block(column, src, dst) -> list[list]:
+    """Matrix from the span of src to the span of dst of the linear map whose
+    image of basis vector j is column(j), as sparse {index: value}.
+
+    dst must contain the image; components outside it are dropped.  The
+    zeros are int, which `rank` skips faster.
+    """
+    row_of = {k: r for r, k in enumerate(dst)}
+    m = [[0] * len(src) for _ in dst]
+    for c, j in enumerate(src):
+        for k, x in column(j).items():
+            r = row_of.get(k)
+            if r is not None:
+                m[r][c] = x
+    return m
+
+
 def nullspace(a: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
     """Canonical nullspace basis (one vector per free column of the RREF)."""
     if not a:
@@ -123,7 +135,7 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     if not a:
         return [] if not any(b) else None
     n = len(a[0])
-    aug = [row[:] + [Fraction(bi)] for row, bi in zip(a, b)]
+    aug = [row + [bi] for row, bi in zip(a, b)]
     red, pivots = rref(aug)
     if n in pivots:  # pivot in the constant column: inconsistent
         return None

@@ -598,8 +598,8 @@ def system_from_json(obj: dict) -> dict:
     a JSON integer, or ell < 1, K < 0 or an index < 0; a seed key "j:k"
     outside 0 <= j < len(exponents), 0 <= k <= K; an A_n, a row of it, an f
     vector, a seed vector or the exponents not given as a JSON list; an A_n
-    that is not ell x ell, an f or seed vector not of length ell, or a bad
-    rational.
+    that is not ell x ell, an f or seed vector not of length ell, a domain
+    epsilon or delta that is not positive, or a bad rational.
     """
     from ._serde import rat_from_json
 
@@ -637,11 +637,12 @@ def system_from_json(obj: dict) -> dict:
                 z0 = complex(float(rat_from_json(z0_raw[0])), float(rat_from_json(z0_raw[1])))
             else:
                 z0 = rat_from_json(z0_raw)
-            domain = DomainParams(
-                z0=z0,
-                epsilon=rat_from_json(d["epsilon"]),
-                delta=rat_from_json(d["delta"]),
-            )
+            epsilon, delta = rat_from_json(d["epsilon"]), rat_from_json(d["delta"])
+            if epsilon <= 0 or delta <= 0:
+                raise InvalidSystem(
+                    f"domain radii must be positive, got epsilon {epsilon}, delta {delta}"
+                )
+            domain = DomainParams(z0=z0, epsilon=epsilon, delta=delta)
         radius = rat_from_json(obj.get("radius", 1))
     except InvalidSystem:
         raise

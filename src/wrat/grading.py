@@ -90,20 +90,13 @@ def ad_block(
     src: tuple[int, ...],
     dst: tuple[int, ...],
 ):
-    """Matrix of ad(x) from the span of src to the span of dst.
+    """Matrix of ad(x) from the span of src to the span of dst: the columns
+    `ChevalleyTable.ad_column` placed by `_linalg.block`, with int zeros.
 
     Components of [x, b] falling outside dst are dropped, so callers must
     pass a dst block that actually contains the image.
     """
-    pos_of = {k: r for r, k in enumerate(dst)}
-    out = _linalg.zeros(len(dst), len(src))
-    for c, j in enumerate(src):
-        for i, ci in x_indexed.items():
-            for k, coef in table.basis_bracket(i, j).items():
-                r = pos_of.get(k)
-                if r is not None:
-                    out[r][c] += ci * coef
-    return out
+    return _linalg.block(lambda j: table.ad_column(x_indexed, j), src, dst)
 
 
 def verify_good_grading(grading: DynkinGrading, f: LieElement) -> bool:
@@ -132,9 +125,11 @@ def complete_sl2(
     """Extend f = sum of f_b over the given roots to a triple (e, h, f).
 
     Every root must sit in degree -1 (raises NotDegreeMinusOne otherwise);
-    e is found in degree +1 by solving [e, f] = h exactly, and the whole
-    triple is re-verified before being returned.  Raises NoSl2Completion
-    when the linear system has no solution.
+    e is found in degree +1 by solving [f, e] = -h exactly.  ad(f) maps
+    g_1 into g_0, which holds h, so the system keeps the g_0 rows only: the
+    rows it drops are all zero.  The whole triple is re-verified before
+    being returned.  Raises NoSl2Completion when the linear system has no
+    solution.
     """
     from .liealg import F
     from .rootsys import pairing
@@ -150,20 +145,9 @@ def complete_sl2(
     if h.is_zero():
         raise NoSl2Completion("characteristic is zero; no sl2 through it")
 
-    src = grading.block(1)
-    fi = table.to_indexed(f)
-    dim = table.dimension
-    # columns: [b_j, f] for degree-one basis vectors b_j; target: coords of h
-    m = _linalg.zeros(dim, len(src))
-    for c, j in enumerate(src):
-        for i, ci in fi.items():
-            # [b_j, f_i] = -[f_i, b_j]
-            for k, coef in table.basis_bracket(i, j).items():
-                m[k][c] -= ci * coef
-    rhs = [Fraction(0)] * dim
-    for k, ck in table.to_indexed(h).items():
-        rhs[k] = ck
-    sol = _linalg.solve(m, rhs)
+    src, g0 = grading.block(1), grading.block(0)
+    hi = table.to_indexed(h)
+    sol = _linalg.solve(ad_block(table, table.to_indexed(f), src, g0), [-hi.get(k, 0) for k in g0])
     if sol is None:
         raise NoSl2Completion("no degree-one e satisfies [e, f] = h")
     e = table.from_indexed({j: sol[c] for c, j in enumerate(src) if sol[c]})

@@ -258,20 +258,20 @@ class ChevalleyTable:
     def from_indexed(self, coords: dict[int, Fraction]) -> LieElement:
         return LieElement({self.basis[i]: c for i, c in coords.items()})
 
-    def bracket_indexed(self, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+    def ad_column(self, x: dict[int, Fraction], j: int) -> dict[int, Fraction]:
+        """[x, b_j] as sparse coordinates, for x given by its coordinates."""
         out: dict[int, Fraction] = {}
         for i, ci in x.items():
-            for j, cj in y.items():
-                scale = ci * cj
-                if not scale:
-                    continue
-                for k, c in self.basis_bracket(i, j).items():
-                    v = out.get(k, Fraction(0)) + scale * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        return out
+            for k, c in self.basis_bracket(i, j).items():
+                out[k] = out.get(k, 0) + ci * c
+        return {k: c for k, c in out.items() if c}
+
+    def bracket_indexed(self, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for j, cj in y.items():
+            for k, c in self.ad_column(x, j).items():
+                out[k] = out.get(k, 0) + cj * c
+        return {k: c for k, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -287,20 +287,8 @@ def bracket(table: ChevalleyTable, x: LieElement, y: LieElement) -> LieElement:
 
 def ad_matrix(table: ChevalleyTable, x: LieElement):
     """Matrix of ad(x) over the basis: column j holds the coords of [x, b_j]."""
-    dim = table.dimension
-    xi = table.to_indexed(x)
-    cols = []
-    for j in range(dim):
-        col: dict[int, Fraction] = {}
-        for i, ci in xi.items():
-            for k, c in table.basis_bracket(i, j).items():
-                col[k] = col.get(k, Fraction(0)) + ci * c
-        cols.append(col)
-    out = _linalg.zeros(dim, dim)
-    for j, col in enumerate(cols):
-        for k, c in col.items():
-            out[k][j] = c
-    return out
+    xi, basis = table.to_indexed(x), range(table.dimension)
+    return _linalg.block(lambda j: table.ad_column(xi, j), basis, basis)
 
 
 def centralizer(table: ChevalleyTable, x: LieElement) -> list[LieElement]:

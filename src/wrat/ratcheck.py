@@ -189,11 +189,7 @@ def _chevalley_operator(
     fi = table.to_indexed(f)
 
     def column(j: int) -> dict[int, int | Fraction]:
-        acc: dict[int, Fraction] = {}
-        for i, ci in fi.items():
-            for k, c in table.basis_bracket(i, j).items():
-                acc[k] = acc.get(k, 0) + ci * c
-        return {k: _integral(x) for k, x in acc.items() if x}
+        return {k: _integral(x) for k, x in table.ad_column(fi, j).items()}
 
     sign = {"e": 1, "f": -1}
     weights = tuple(
@@ -252,19 +248,6 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     return _GradedOperator(tuple(degrees), tuple(weights), column, tuple(cartan), sl2)
 
 
-def _block(op: _GradedOperator, src, dst) -> list[list]:
-    """Matrix of ad(f) from the span of src to the span of dst, which must
-    contain the image.  Its zeros are int, which `_linalg.rank` skips faster."""
-    row_of = {k: r for r, k in enumerate(dst)}
-    m = [[0] * len(src) for _ in dst]
-    for c, j in enumerate(src):
-        for k, x in op.column(j).items():
-            r = row_of.get(k)
-            if r is not None:
-                m[r][c] = x
-    return m
-
-
 def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tuple, int, int]]:
     """ker ad(f) split into (degree, torus weight) slots, for a torus given
     as a list of elements, each by its coordinate values.
@@ -286,7 +269,7 @@ def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tupl
         if op.sl2:
             mult = len(src) - len(dst) if d <= 0 else 0
         else:
-            mult = len(src) - _linalg.rank(_block(op, src, dst))
+            mult = len(src) - _linalg.rank(_linalg.block(op.column, src, dst))
         if mult:
             slots.append((d, mu, src[0], mult))
     return slots
@@ -319,7 +302,7 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     no triple (f = 0, a dropped root), where the trace row is what fails.
     """
     g0 = [i for i, d in enumerate(op.degrees) if d == 0]
-    m = _block(op, g0, [i for i, d in enumerate(op.degrees) if d == -1])
+    m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -1])
     # ad(w) is traceless on g and on g_0 for w in g_0, so its trace on the
     # negative part is minus its trace on the positive part and needs no row
     # of its own.  A basis vector of nonzero weight shifts every weight, so
@@ -396,7 +379,8 @@ def fast_condition(
             # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
             # (each image's support) when it is injective
             src = blocks.get((d, lam), [])
-            defect = len(src) - _linalg.rank(_block(op, src, blocks.get((d - 1, lam), [])))
+            m = _linalg.block(op.column, src, blocks.get((d - 1, lam), []))
+            defect = len(src) - _linalg.rank(m)
             if defect:
                 rows.append(EvidenceEntry(-d, lam, defect, _admissible(-d, lam)))
                 continue

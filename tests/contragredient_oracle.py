@@ -4,21 +4,35 @@ These compute a basis of ker ad(f) on g_0 with the Gauss-Jordan
 `_linalg.nullspace` and test every kernel vector against the three
 conditions one by one: pairing with h/2 (tr(h w) on the matrix side) and
 the trace of ad(w) on the positive and on the negative part.  The classical
-version builds [f, B] by scanning the dense f, so neither oracle shares the
-sparse assembly or the integer rank of the package code.
+version builds [f, B] by scanning the dense f, and the Chevalley version sums
+[f, b_j] from `basis_bracket` itself, so neither oracle shares the sparse
+assembly (`ad_column`, `_linalg.block`) or the integer rank of the package
+code.
 """
 from fractions import Fraction
 
 from wrat import _linalg
-from wrat.grading import ad_block
 from wrat.orbits import classical_basis
 from wrat.rootsys import cartan_solve
+
+
+def _ad_block(table, x_indexed, src, dst):
+    """ad(x): span(src) -> span(dst), summed straight from the basis brackets."""
+    pos_of = {k: r for r, k in enumerate(dst)}
+    out = _linalg.zeros(len(dst), len(src))
+    for c, j in enumerate(src):
+        for i, ci in x_indexed.items():
+            for k, coef in table.basis_bracket(i, j).items():
+                r = pos_of.get(k)
+                if r is not None:
+                    out[r][c] += ci * coef
+    return out
 
 
 def self_contragredient(table, grading, f) -> bool:
     fi = table.to_indexed(f)
     g0 = grading.block(0)
-    m = ad_block(table, fi, g0, grading.block(-1))
+    m = _ad_block(table, fi, g0, grading.block(-1))
     kernel = _linalg.nullspace(m, len(g0))
 
     rs = table.rs

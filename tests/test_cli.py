@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -431,13 +432,41 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
             "a seed vector must be a JSON list",
         ),
         ({"ell": 1, "exponents": "1", "seeds": {}}, "exponents must be a JSON list"),
+        (
+            {
+                "ell": 1,
+                "A": [[0, [[["1/4", 1]]]]],
+                "seeds": [[[1]]],
+                "domain": {"z0": 0, "epsilon": "-3", "delta": "1/2"},
+            },
+            "domain radii must be positive",
+        ),
+        (
+            {
+                "ell": 1,
+                "A": [[0, [["1/2"]]]],
+                "seeds": [[[1]]],
+                "domain": {"z0": 0, "epsilon": "1/2", "delta": "-1/2"},
+            },
+            "domain radii must be positive",
+        ),
+        (
+            {
+                "ell": 1,
+                "A": [[0, [["1/2"]]]],
+                "seeds": [[[1]]],
+                "domain": {"z0": 0, "epsilon": "1/2", "delta": 0},
+            },
+            "domain radii must be positive",
+        ),
     ],
     ids=[
         "wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed",
         "float-ell", "bool-ell", "float-K", "float-A-index", "negative-A-index",
         "negative-f-index", "seed-exponent-out-of-range", "seed-k-above-K",
         "congruent-exponents", "string-seed", "string-A-row", "string-A", "string-f",
-        "string-layer-seed", "string-exponents",
+        "string-layer-seed", "string-exponents", "negative-epsilon", "negative-delta",
+        "zero-delta",
     ],
 )
 def test_frobenius_malformed_system_exits_3(capsys, tmp_path, obj, message):
@@ -516,6 +545,66 @@ def test_frobenius_exit_contract_under_mutation(obj, route, order):
     assert "Traceback" not in err.getvalue()
     if rc:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+RADII = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
+
+
+def _rat(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def contraction_systems(draw):
+    """A 1x1 or 2x2 system with polynomial entries, rational z0 and a domain
+    with epsilon, delta > 0."""
+    ell = draw(st.integers(1, 2))
+    poly = st.lists(RATIONALS.map(_rat), max_size=2)
+    vec = st.lists(poly, min_size=ell, max_size=ell)
+    mat = st.lists(vec, min_size=ell, max_size=ell)
+    terms = draw(st.dictionaries(st.integers(0, 2), mat, max_size=3))
+    f = draw(st.dictionaries(st.integers(0, 3), vec, max_size=2))
+    return {
+        "ell": ell,
+        "A": [[n, m] for n, m in terms.items()],
+        "f": [[n, v] for n, v in f.items()],
+        "seeds": draw(st.lists(vec, min_size=1, max_size=2)),
+        "domain": {
+            "z0": _rat(draw(RATIONALS)),
+            "epsilon": _rat(draw(RADII)),
+            "delta": _rat(draw(RADII)),
+        },
+    }
+
+
+FRACTION_TEXT = re.compile(r"\d+(/\d+)?")
+
+
+@settings(max_examples=100, deadline=None)
+@given(contraction_systems(), st.integers(1, 6), st.integers(0, 4))
+def test_frobenius_contraction_certificate_is_nonnegative(obj, order, iterate):
+    """Either bad input (exit 3) or a certificate whose ratio, bound and
+    distances are all nonnegative exact rationals, with ratio < 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(
+                ["frobenius", path, "--route", "contraction", "--order", str(order),
+                 "--iterate", str(iterate)]
+            )
+    if rc == 3:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        return
+    assert rc == 0, err.getvalue()
+    d = json.loads(out.getvalue())
+    texts = [d["ratio"], d["bound"], *d["distances"]]
+    assert len(d["distances"]) == iterate
+    assert all(FRACTION_TEXT.fullmatch(t) for t in texts), texts
+    assert Fraction(d["ratio"]) < 1
 
 
 def test_report_tsv_golden(capsys):

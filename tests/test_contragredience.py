@@ -23,7 +23,6 @@ from wrat import _linalg
 from wrat.liealg import F, LieElement
 from wrat.orbits import ClassicalPartition, InvalidPartition, build_classical, load_records
 from wrat.ratcheck import (
-    _block,
     _chevalley_operator,
     _classical_operator,
     _dot,
@@ -84,7 +83,7 @@ def assert_functionals_match(op, g0, pair, pos, neg):
     positive = [w for w, d in zip(op.weights, op.degrees) if d > 0]
     cartan = {i: sum(_dot(w, coords) for w in positive) for i, coords in op.cartan}
     assert {i: x for i, x in zip(g0, pos) if x or i in cartan} == cartan
-    m = _block(op, g0, [i for i, d in enumerate(op.degrees) if d == -1])
+    m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -1])
     assert len(_linalg.rref(m + [pair])[1]) == len(_linalg.rref(m)[1])
     return any(pair)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wrat._linalg import rank as mat_rank
+from wrat._linalg import rank as mat_rank, solve
 from wrat.grading import (
     NoSl2Completion,
     NotDegreeMinusOne,
@@ -13,7 +13,7 @@ from wrat.grading import (
     is_even_grading,
     verify_good_grading,
 )
-from wrat.liealg import build_chevalley
+from wrat.liealg import F, LieElement, build_chevalley, cartan_lie_element
 from wrat.orbits import load_records
 from wrat.rootsys import CartanElement, SimpleType, build
 
@@ -127,3 +127,35 @@ def test_ad_block_respects_grading():
     dst = g.block(-half - 1)
     m = ad_block(t, fi, src, dst)
     assert len(m) == len(dst) and (not m or len(m[0]) == len(src))
+
+
+def full_system_e(t, g, f_roots):
+    """e from [e, f] = h over all dim(g) rows, summed from `basis_bracket`;
+    also checks that the rows outside g_0 are all zero."""
+    fi = t.to_indexed(LieElement({F(c): Fraction(1) for c in f_roots}))
+    src, dim = g.block(1), t.dimension
+    m = [[Fraction(0)] * len(src) for _ in range(dim)]
+    for c, j in enumerate(src):
+        for i, ci in fi.items():
+            # [b_j, f_i] = -[f_i, b_j]
+            for k, coef in t.basis_bracket(i, j).items():
+                m[k][c] -= ci * coef
+    g0 = set(g.block(0))
+    assert all(not any(row) for k, row in enumerate(m) if k not in g0)
+    rhs = [Fraction(0)] * dim
+    for k, ck in t.to_indexed(cartan_lie_element(t, g.characteristic)).items():
+        rhs[k] = ck
+    sol = solve(m, rhs)
+    return t.from_indexed({j: sol[c] for c, j in enumerate(src) if sol[c]})
+
+
+@pytest.mark.parametrize(
+    "name,h,f_roots",
+    [(str(r.algebra), r.h, list(r.f_roots)) for r in load_records()]
+    + [("A2", CartanElement.of((2, 2)), [(1, 0), (0, 1)])],
+    ids=[f"{r.algebra}-{r.label}" for r in load_records()] + ["A2-principal"],
+)
+def test_complete_sl2_g0_rows_match_full_system(name, h, f_roots):
+    t = table_for(name)
+    g = grade(t, h)
+    assert complete_sl2(t, g, f_roots).e == full_system_e(t, g, f_roots)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import euclid_model as em
 from wrat.liealg import (
@@ -191,3 +193,39 @@ def test_ad_matrix_shape_and_nilpotency():
 
 def test_table_is_cached():
     assert table_for("E6") is table_for("E6")
+
+
+def _dense(t, coords):
+    out = [Fraction(0)] * t.dimension
+    for k, c in coords.items():
+        out[k] += c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["G2", "F4", "E6"]), st.data())
+def test_ad_column_is_the_hand_summed_bracket(name, data):
+    t = table_for(name)
+    ix = st.integers(0, t.dimension - 1)
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    x = data.draw(st.dictionaries(ix, coef, min_size=1, max_size=4))
+    j, cj = data.draw(ix), data.draw(coef)
+    expect = [Fraction(0)] * t.dimension
+    for i, c in x.items():
+        for k, v in enumerate(_dense(t, t.basis_bracket(i, j))):
+            expect[k] += c * v
+    col = t.ad_column(x, j)
+    assert all(col.values())
+    assert _dense(t, col) == expect
+    assert t.bracket_indexed(x, {j: cj}) == {k: cj * c for k, c in col.items()}
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_ad_column_drops_cancelled_terms(name):
+    # x = <a, h_2> h_1 - <a, h_1> h_2 acts by zero on e_a, for every root a
+    t = table_for(name)
+    for a in t.positive:
+        ea = t.index[E(a)]
+        p1, p2 = (t.basis_bracket(t.index[H(k)], ea).get(ea, 0) for k in (0, 1))
+        x = {t.index[H(0)]: Fraction(p2), t.index[H(1)]: Fraction(-p1)}
+        assert t.ad_column({k: c for k, c in x.items() if c}, ea) == {}
