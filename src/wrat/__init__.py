@@ -1,60 +1,72 @@
-"""Exact Lie-algebra structure, graded rationality checks, series solving."""
+"""Exact Lie-algebra structure, graded rationality checks, series solving.
 
-from .rootsys import CartanElement, RootSystem, SimpleType, build, is_admissible_level
-from .liealg import ChevalleyTable, LieElement, build_chevalley
-from .grading import DynkinGrading, Sl2Triple, complete_sl2, grade, grade_by_weights
-from .orbits import (
-    EVEN_OR_EXTERNAL,
-    ClassicalPartition,
-    OrbitRecord,
-    build_classical,
-    load_records,
-    lookup_exceptional,
-)
-from .ratcheck import (
-    NOT_FOUND,
-    ConditionVerdict,
-    SearchConfig,
-    check_classical,
-    check_record,
-    exact_condition,
-    fast_condition,
-    search_v,
-    verify_good_even_shortcut,
-    verify_self_contragredient,
-)
+Submodules load on first use.  `import wrat` registers each one in
+`sys.modules` through `importlib.util.LazyLoader` and binds it here, so a
+module's code runs on the first attribute read from it, and a request runs
+only the modules it calls.  The public names below resolve through the
+module `__getattr__`.
+"""
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanElement",
-    "ChevalleyTable",
-    "ClassicalPartition",
-    "ConditionVerdict",
-    "DynkinGrading",
-    "EVEN_OR_EXTERNAL",
-    "LieElement",
-    "NOT_FOUND",
-    "OrbitRecord",
-    "RootSystem",
-    "SearchConfig",
-    "SimpleType",
-    "Sl2Triple",
-    "build",
-    "build_chevalley",
-    "build_classical",
-    "check_classical",
-    "check_record",
-    "complete_sl2",
-    "exact_condition",
-    "fast_condition",
-    "grade",
-    "grade_by_weights",
-    "is_admissible_level",
-    "load_records",
-    "lookup_exceptional",
-    "search_v",
-    "verify_good_even_shortcut",
-    "verify_self_contragredient",
-    "__version__",
-]
+# public name -> submodule defining it
+_PUBLIC = {
+    "CartanElement": "rootsys",
+    "ChevalleyTable": "liealg",
+    "ClassicalPartition": "orbits",
+    "ConditionVerdict": "ratcheck",
+    "DynkinGrading": "grading",
+    "EVEN_OR_EXTERNAL": "orbits",
+    "LieElement": "liealg",
+    "NOT_FOUND": "ratcheck",
+    "OrbitRecord": "orbits",
+    "RootSystem": "rootsys",
+    "SearchConfig": "ratcheck",
+    "SimpleType": "rootsys",
+    "Sl2Triple": "grading",
+    "build": "rootsys",
+    "build_chevalley": "liealg",
+    "build_classical": "orbits",
+    "check_classical": "ratcheck",
+    "check_record": "ratcheck",
+    "complete_sl2": "grading",
+    "exact_condition": "ratcheck",
+    "fast_condition": "ratcheck",
+    "grade": "grading",
+    "grade_by_weights": "grading",
+    "is_admissible_level": "rootsys",
+    "load_records": "orbits",
+    "lookup_exceptional": "orbits",
+    "search_v": "ratcheck",
+    "verify_good_even_shortcut": "ratcheck",
+    "verify_self_contragredient": "ratcheck",
+}
+
+__all__ = [*_PUBLIC, "__version__"]
+
+
+def _lazy(name: str) -> None:
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in (
+    "_linalg", "_serde", "rootsys", "liealg", "grading", "orbits", "ratcheck", "frobenius"
+):
+    _lazy(_name)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return getattr(globals()[_PUBLIC[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_PUBLIC})

@@ -14,7 +14,8 @@ Matrix = list[list[Fraction]]
 
 
 def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    """A fresh Fraction matrix; Fraction entries are kept, others converted."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
 
 
 def zeros(m: int, n: int) -> Matrix:

@@ -26,32 +26,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import frobenius as fr
+from . import frobenius as fr, orbits, ratcheck, rootsys
 from ._serde import rat_to_json
-from .orbits import (
-    EVEN_OR_EXTERNAL,
-    ClassicalPartition,
-    InvalidPartition,
-    InvalidRecord,
-    NotExceptionalType,
-    UnknownRoot,
-    build_classical,
-    load_records,
-    lookup_exceptional,
-)
-from .ratcheck import (
-    NOT_FOUND,
-    SearchConfig,
-    check_classical,
-    check_realized,
-    check_record,
-    realize_record,
-    search_v,
-    verdict_to_json,
-    verify_self_contragredient,
-    verify_self_contragredient_classical,
-)
-from .rootsys import IllegalType, SimpleType
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -68,20 +44,20 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _partition_label(partition: ClassicalPartition) -> str:
+def _partition_label(partition: orbits.ClassicalPartition) -> str:
     parts = sorted(
         list(partition.pairs) * 2 + list(partition.singles), reverse=True
     )
     return f"{partition.family}[{','.join(str(p) for p in parts)}]"
 
 
-def _algebra_label(partition: ClassicalPartition) -> str:
+def _algebra_label(partition: orbits.ClassicalPartition) -> str:
     """The simple type, e.g. "C3" for sp(6); so(3) = sp(2) = A1, so(6) = A3,
     and the non-simple so(1), so(2), so(4) get family and size: "so4"."""
     key = (partition.letter, partition.size // 2)
     try:
-        return str(SimpleType(*key))
-    except IllegalType:
+        return str(rootsys.SimpleType(*key))
+    except rootsys.IllegalType:
         low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
         return low.get(key, f"{partition.family}{partition.size}")
 
@@ -90,18 +66,20 @@ def _parse_partition(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise InvalidPartition(f"partition must be comma-separated integers: {text!r}")
+        raise orbits.InvalidPartition(
+            f"partition must be comma-separated integers: {text!r}"
+        )
 
 
 _FAMILY_TO_SERIES = {"B": "so", "D": "so", "C": "sp", "so": "so", "sp": "sp"}
 
 
-def _build_partition(family: str, text: str) -> ClassicalPartition:
-    partition = ClassicalPartition.from_parts(
+def _build_partition(family: str, text: str) -> orbits.ClassicalPartition:
+    partition = orbits.ClassicalPartition.from_parts(
         _FAMILY_TO_SERIES[family], _parse_partition(text)
     )
     if family in ("B", "C", "D") and partition.letter != family:
-        raise InvalidPartition(
+        raise orbits.InvalidPartition(
             f"partition of {partition.size} is type {partition.letter}, not {family}"
         )
     return partition
@@ -109,22 +87,22 @@ def _build_partition(family: str, text: str) -> ClassicalPartition:
 
 def _find_record(algebra: str, q: int | None, label: str | None):
     """Resolve a bundled record by (algebra, q), by (algebra, label), or both."""
-    st = SimpleType.parse(algebra)
+    st = rootsys.SimpleType.parse(algebra)
     if q is None and label is None:
-        raise IllegalType("need --q or --label to pick a record")
+        raise rootsys.IllegalType("need --q or --label to pick a record")
     if label is not None:
-        for rec in load_records():
+        for rec in orbits.load_records():
             if rec.algebra == st and rec.label == label:
                 if q is not None and q not in rec.q:
-                    raise IllegalType(
+                    raise rootsys.IllegalType(
                         f"record {st} {label} belongs to q = {rec.q}, not {q}"
                     )
                 return st, rec
-        raise NotExceptionalType(f"no bundled record {st} with label {label!r}")
-    return st, lookup_exceptional(st, q)
+        raise orbits.NotExceptionalType(f"no bundled record {st} with label {label!r}")
+    return st, orbits.lookup_exceptional(st, q)
 
 
-def _even_or_external(st: SimpleType, q: int | None) -> int:
+def _even_or_external(st: rootsys.SimpleType, q: int | None) -> int:
     _emit({"algebra": str(st), "q": q, "status": "even-or-external"})
     return _fail(
         f"{st} at q = {q} is even or external: no bundled record", EXIT_BAD_INPUT
@@ -133,10 +111,10 @@ def _even_or_external(st: SimpleType, q: int | None) -> int:
 
 def _cmd_check_exceptional(args) -> int:
     st, rec = _find_record(args.algebra, args.q, args.label)
-    if rec is EVEN_OR_EXTERNAL:
+    if rec is orbits.EVEN_OR_EXTERNAL:
         return _even_or_external(st, args.q)
-    verdict = check_record(rec, args.method)
-    d = verdict_to_json(str(st), rec.label, verdict)
+    verdict = ratcheck.check_record(rec, args.method)
+    d = ratcheck.verdict_to_json(str(st), rec.label, verdict)
     out = {"algebra": d["algebra"], "label": d["label"], "q": list(rec.q)}
     out.update({k: d[k] for k in ("status", "evidence", "fallbacks")})
     _emit(out)
@@ -149,27 +127,30 @@ def _zero_v(real):
 
 def _cmd_check_classical(args) -> int:
     partition = _build_partition(args.family, args.partition)
-    real = build_classical(partition)
+    real = orbits.build_classical(partition)
     if args.v_zero:
         real = _zero_v(real)
-    verdict = check_classical(real)
-    d = verdict_to_json(_algebra_label(partition), _partition_label(partition), verdict)
-    _emit(d)
+    verdict = ratcheck.check_classical(real)
+    _emit(
+        ratcheck.verdict_to_json(
+            _algebra_label(partition), _partition_label(partition), verdict
+        )
+    )
     return EXIT_OK if verdict.status == "pass" else EXIT_FAIL
 
 
 def _cmd_search_v(args) -> int:
     st, rec = _find_record(args.algebra, args.q, args.label)
-    if rec is EVEN_OR_EXTERNAL:
+    if rec is orbits.EVEN_OR_EXTERNAL:
         return _even_or_external(st, args.q)
-    table, grading, f, triple = realize_record(rec)
-    config = SearchConfig(
+    table, grading, f, triple = ratcheck.realize_record(rec)
+    config = ratcheck.SearchConfig(
         denominator_bound=args.denominator_bound,
         coefficient_bound=args.coefficient_bound,
     )
-    v = search_v(table, grading, f, config, triple)
+    v = ratcheck.search_v(table, grading, f, config, triple)
     base = {"algebra": str(st), "label": rec.label, "q": list(rec.q)}
-    if v is NOT_FOUND:
+    if v is ratcheck.NOT_FOUND:
         _emit({**base, "status": "not-found"})
         return EXIT_FAIL
     _emit({**base, "status": "found", "v": [str(p) for p in v.pairings]})
@@ -179,20 +160,20 @@ def _cmd_search_v(args) -> int:
 def _cmd_verify_contragredient(args) -> int:
     if args.family is not None:
         if args.partition is None:
-            raise InvalidPartition("--family needs --partition")
+            raise orbits.InvalidPartition("--family needs --partition")
         partition = _build_partition(args.family, args.partition)
-        real = build_classical(partition)
-        ok = verify_self_contragredient_classical(real)
+        real = orbits.build_classical(partition)
+        ok = ratcheck.verify_self_contragredient_classical(real)
         label = _partition_label(partition)
         algebra = _algebra_label(partition)
     else:
         if args.algebra is None:
-            raise IllegalType("need --algebra/--q or --family/--partition")
+            raise rootsys.IllegalType("need --algebra/--q or --family/--partition")
         st, rec = _find_record(args.algebra, args.q, args.label)
-        if rec is EVEN_OR_EXTERNAL:
+        if rec is orbits.EVEN_OR_EXTERNAL:
             return _even_or_external(st, args.q)
-        table, grading, f, _ = realize_record(rec)
-        ok = verify_self_contragredient(table, grading, f)
+        table, grading, f, _ = ratcheck.realize_record(rec)
+        ok = ratcheck.verify_self_contragredient(table, grading, f)
         label = rec.label
         algebra = str(st)
     _emit({"algebra": algebra, "label": label, "self_contragredient": ok})
@@ -205,11 +186,6 @@ def _series_json(series: fr.VectorSeries) -> list:
 
 def _rat_str(x) -> str:
     return str(x) if isinstance(x, Fraction) else repr(x)
-
-
-# exact residual weights: z0 = 0, epsilon = delta = 1 turns the majorant into
-# the plain sum of absolute coefficient values
-_RESIDUAL_DOMAIN = fr.DomainParams(Fraction(0), Fraction(1), Fraction(1))
 
 
 def _cmd_frobenius(args) -> int:
@@ -276,7 +252,10 @@ def _cmd_frobenius(args) -> int:
         )
         return EXIT_OK
     series = fr.recursion_solve(sysd["a"], sysd["f"], sysd["seeds"], args.order)
-    residual = fr.residual_norm(sysd["a"], sysd["f"], series, _RESIDUAL_DOMAIN)
+    # exact residual weights: z0 = 0, epsilon = delta = 1 turns the majorant
+    # into the plain sum of absolute coefficient values
+    unit = fr.DomainParams(Fraction(0), Fraction(1), Fraction(1))
+    residual = fr.residual_norm(sysd["a"], sysd["f"], series, unit)
     _emit(
         {
             "route": "recursion",
@@ -290,12 +269,12 @@ def _cmd_frobenius(args) -> int:
 def _report_rows():
     rows = []
     all_pass = True
-    for rec in load_records():
-        table, grading, f, triple = realize_record(rec)
-        verdict = check_realized(table, grading, f, rec.v, "both", triple)
+    for rec in orbits.load_records():
+        table, grading, f, triple = ratcheck.realize_record(rec)
+        verdict = ratcheck.check_realized(table, grading, f, rec.v, "both", triple)
         if verdict.status != "pass":
             all_pass = False
-        contra = verify_self_contragredient(table, grading, f)
+        contra = ratcheck.verify_self_contragredient(table, grading, f)
         for q in rec.q:
             rows.append(
                 ((rec.algebra.family, rec.algebra.rank, q), rec, q, verdict, contra)
@@ -316,7 +295,7 @@ def _report_tsv(rows) -> str:
 def _report_json(rows) -> str:
     out = []
     for rec, q, verdict, contra in rows:
-        d = verdict_to_json(str(rec.algebra), rec.label, verdict)
+        d = ratcheck.verdict_to_json(str(rec.algebra), rec.label, verdict)
         d = {"algebra": d["algebra"], "label": d["label"], "q": q, **d}
         d["self_contragredient"] = contra
         out.append(d)
@@ -427,11 +406,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        IllegalType,
-        NotExceptionalType,
-        InvalidPartition,
-        InvalidRecord,
-        UnknownRoot,
+        rootsys.IllegalType,
+        orbits.NotExceptionalType,
+        orbits.InvalidPartition,
+        orbits.InvalidRecord,
+        orbits.UnknownRoot,
         fr.InvalidSystem,
     ) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)

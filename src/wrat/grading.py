@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
 from .liealg import ChevalleyTable, LieElement, bracket, cartan_lie_element
-from .rootsys import CartanElement
+from .rootsys import CartanElement, DimensionMismatch
 
 
 class NoSl2Completion(ValueError):
@@ -48,17 +49,27 @@ class Sl2Triple(NamedTuple):
 
 
 def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading:
-    """Grade the basis by half the characteristic pairing on each root."""
-    from .rootsys import pairing
+    """Grade the basis by half the characteristic pairing on each root.
 
-    rs = table.rs
+    The pairings are scaled once to integers over their common denominator
+    den, so each root takes one integer dot product n and sits in degree
+    n / (2 den).
+    """
+    pairings = characteristic.pairings
+    if len(pairings) != table.rs.rank:
+        raise DimensionMismatch(
+            f"Cartan element of rank {len(pairings)} against {table.rs.simple_type}"
+        )
+    den = lcm(*(p.denominator for p in pairings))
+    scaled = [p.numerator * (den // p.denominator) for p in pairings]
+    zero = Fraction(0)
     degrees: list[Fraction] = []
     for b in table.basis:
         if b.kind == "h":
-            degrees.append(Fraction(0))
+            degrees.append(zero)
         else:
-            d = pairing(rs, b.key, characteristic) / 2
-            degrees.append(d if b.kind == "e" else -d)
+            n = sum(c * p for c, p in zip(b.key, scaled))
+            degrees.append(Fraction(n if b.kind == "e" else -n, 2 * den))
     by_degree: dict[Fraction, list[int]] = {}
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)

@@ -16,7 +16,7 @@ from wrat.orbits import classical_basis
 from wrat.rootsys import cartan_solve
 
 
-def _ad_block(table, x_indexed, src, dst):
+def ad_block(table, x_indexed, src, dst):
     """ad(x): span(src) -> span(dst), summed straight from the basis brackets."""
     pos_of = {k: r for r, k in enumerate(dst)}
     out = _linalg.zeros(len(dst), len(src))
@@ -32,7 +32,7 @@ def _ad_block(table, x_indexed, src, dst):
 def self_contragredient(table, grading, f) -> bool:
     fi = table.to_indexed(f)
     g0 = grading.block(0)
-    m = _ad_block(table, fi, g0, grading.block(-1))
+    m = ad_block(table, fi, g0, grading.block(-1))
     kernel = _linalg.nullspace(m, len(g0))
 
     rs = table.rs

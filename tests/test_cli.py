@@ -4,14 +4,18 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import series_oracle
+import wrat
 from wrat.cli import main
 
 
@@ -658,3 +662,86 @@ def test_report_empty_data_dir(capsys, tmp_path, monkeypatch):
 def test_unknown_subcommand_is_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# -- start-up: a fresh process runs only the modules its subcommand calls -------
+
+SRC = str(Path(wrat.__file__).resolve().parent.parent)
+
+# runs one request as `python -m wrat.cli` would, then prints which of the
+# package's modules executed; a module's own __dict__ is read past the lazy
+# loader, so the check itself loads nothing
+EXECUTED_PROBE = """
+import json, runpy, sys
+sys.argv = ["wrat", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("wrat.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+defines = {
+    "rootsys": "build", "liealg": "build_chevalley", "grading": "grade",
+    "orbits": "load_records", "ratcheck": "check_record",
+    "frobenius": "recursion_solve",
+}
+ran = [
+    name for name, attr in defines.items()
+    if attr in object.__getattribute__(sys.modules["wrat." + name], "__dict__")
+]
+print(json.dumps({"exit": code, "ran": ran}))
+"""
+
+
+def fresh_python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def executed_modules(*argv):
+    out = fresh_python("-c", EXECUTED_PROBE, json.dumps(argv))
+    assert out.stderr == ""
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_frobenius_request_runs_only_frobenius(tmp_path):
+    path = write_system(
+        tmp_path,
+        "rec.json",
+        {"ell": 1, "A": [[0, [["1/2"]]]], "f": [[1, [[1]]]], "seeds": [[[0]], [[2]]]},
+    )
+    got = executed_modules("frobenius", path, "--order", "4", "--route", "recursion")
+    assert got == {"exit": 0, "ran": ["frobenius"]}
+
+
+def test_check_classical_request_never_runs_frobenius():
+    got = executed_modules("check-classical", "--family", "C", "--partition", "3,3,2")
+    assert got["exit"] == 0
+    assert "ratcheck" in got["ran"] and "frobenius" not in got["ran"]
+
+
+def test_module_help_writes_nothing_to_stderr():
+    out = fresh_python("-m", "wrat.cli", "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: wrat")
+    assert out.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["frobenius", "{bad}"], 3, "error: cannot parse system"),
+        (["frobenius", "{absent}"], 4, "error: [Errno 2]"),
+        (["check-exceptional", "--algebra", "Q9", "--q", "2"], 3, "error: "),
+        (["check-classical", "--family", "C", "--partition", "3,2"], 3, "error: "),
+    ],
+    ids=["malformed-series", "missing-series", "unknown-algebra", "illegal-partition"],
+)
+def test_error_paths_in_a_fresh_process(tmp_path, argv, code, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    paths = {"{bad}": str(bad), "{absent}": str(tmp_path / "absent.json")}
+    out = fresh_python("-m", "wrat.cli", *[paths.get(a, a) for a in argv])
+    assert out.returncode == code
+    assert out.stdout == ""
+    assert out.stderr.startswith(message) and out.stderr.count("\n") == 1

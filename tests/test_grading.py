@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrat._linalg import rank as mat_rank, solve
 from wrat.grading import (
@@ -15,7 +17,7 @@ from wrat.grading import (
 )
 from wrat.liealg import F, LieElement, build_chevalley, cartan_lie_element
 from wrat.orbits import load_records
-from wrat.rootsys import CartanElement, SimpleType, build
+from wrat.rootsys import CartanElement, DimensionMismatch, SimpleType, build, pairing
 
 
 def table_for(name):
@@ -159,3 +161,53 @@ def test_complete_sl2_g0_rows_match_full_system(name, h, f_roots):
     t = table_for(name)
     g = grade(t, h)
     assert complete_sl2(t, g, f_roots).e == full_system_e(t, g, f_roots)
+
+
+def reference_degrees(t, characteristic):
+    """Degree of each basis vector from the Fraction pairing: a(h)/2 on e_a."""
+    out = []
+    for b in t.basis:
+        d = Fraction(0) if b.kind == "h" else pairing(t.rs, b.key, characteristic) / 2
+        out.append(-d if b.kind == "f" else d)
+    return out
+
+
+def assert_grading_matches_reference(t, g, characteristic):
+    ref = reference_degrees(t, characteristic)
+    assert list(g.degrees) == ref
+    by_degree = {}
+    for i, d in enumerate(ref):
+        by_degree.setdefault(d, []).append(i)
+    assert g.by_degree == {d: tuple(ix) for d, ix in by_degree.items()}
+
+
+@pytest.mark.parametrize("k", range(len(load_records())))
+def test_grade_matches_fraction_pairing_on_records(k):
+    rec = load_records()[k]
+    t = table_for(str(rec.algebra))
+    assert_grading_matches_reference(t, grade(t, rec.h), rec.h)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    name=st.sampled_from(["G2", "F4", "E6"]),
+    by_weights=st.booleans(),
+    data=st.data(),
+)
+def test_grade_matches_fraction_pairing_on_rational_characteristics(name, by_weights, data):
+    t = table_for(name)
+    values = data.draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            min_size=t.rs.rank,
+            max_size=t.rs.rank,
+        )
+    )
+    x = CartanElement.of(values)
+    g = grade_by_weights(t, x) if by_weights else grade(t, x)
+    assert_grading_matches_reference(t, g, 2 * x if by_weights else x)
+
+
+def test_grade_rejects_a_characteristic_of_the_wrong_rank():
+    with pytest.raises(DimensionMismatch):
+        grade(table_for("A2"), CartanElement.of((1, 1, 1)))

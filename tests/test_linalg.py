@@ -111,3 +111,14 @@ def test_rank_does_not_modify_its_input():
     before = [row[:] for row in a]
     assert _linalg.rank(a) == 1
     assert a == before
+
+
+def test_mat_keeps_fractions_and_copies_rows():
+    third = Fraction(1, 3)
+    a = [[third, 2], [True, Fraction(4)]]
+    m = _linalg.mat(a)
+    assert m == [[third, 2], [1, 4]] and _all_fractions(m)
+    assert m[0][0] is third
+    red, _ = _linalg.rref(a)
+    assert red == [[1, 0], [0, 1]]
+    assert a == [[third, 2], [True, Fraction(4)]]

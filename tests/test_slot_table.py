@@ -3,8 +3,11 @@
 The oracle is the direct algorithm: group the Chevalley basis by
 (degree, ad(v)-eigenvalue) for the given v and take one exact rank per
 block, counted as the pivots of the Gauss-Jordan `_linalg.rref` rather than
-by the integer `_linalg.rank` the package uses.  The slot table groups by (degree, h^f-weight) instead, once per f;
-both must give identical evidence rows and status for every v in h^f.
+by the integer `_linalg.rank` the package uses.  Its ad(f) blocks are summed
+straight from `ChevalleyTable.basis_bracket` (`contragredient_oracle.ad_block`),
+not from the package's `ad_column`/`_linalg.block` assembly.  The slot table
+groups by (degree, h^f-weight) instead, once per f; both must give identical
+evidence rows and status for every v in h^f.
 """
 import functools
 from fractions import Fraction
@@ -13,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contragredient_oracle import ad_block
 from wrat import _linalg
-from wrat.grading import ad_block
 from wrat.orbits import load_records
 from wrat.ratcheck import (
     EvidenceEntry,
