@@ -19,7 +19,6 @@ _PUBLIC = {
     "ConditionVerdict": "ratcheck",
     "DynkinGrading": "grading",
     "EVEN_OR_EXTERNAL": "orbits",
-    "LieElement": "liealg",
     "NOT_FOUND": "ratcheck",
     "OrbitRecord": "orbits",
     "RootSystem": "rootsys",

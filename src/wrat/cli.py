@@ -14,9 +14,9 @@ Subcommands:
 * report [--all] [--format json|tsv] [--output PATH] -- every bundled record,
   one row each, with self-contragredience; deterministic byte-identical output.
 
-Exit codes: 0 pass/ok, 2 mathematical fail (or search miss), 3 invalid
-input/data (bad flags, illegal partitions, no bundled record, resonance),
-4 I/O failure.
+Exit codes: 0 pass/ok, 2 mathematical fail (or search miss, or
+`ratcheck.RoutesDisagree`), 3 invalid input/data (bad flags, illegal
+partitions, no bundled record, resonance), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -172,8 +172,8 @@ def _cmd_verify_contragredient(args) -> int:
         st, rec = _find_record(args.algebra, args.q, args.label)
         if rec is orbits.EVEN_OR_EXTERNAL:
             return _even_or_external(st, args.q)
-        table, grading, f, _ = ratcheck.realize_record(rec)
-        ok = ratcheck.verify_self_contragredient(table, grading, f)
+        table, grading, f, triple = ratcheck.realize_record(rec)
+        ok = ratcheck.verify_self_contragredient(table, grading, f, triple)
         label = rec.label
         algebra = str(st)
     _emit({"algebra": algebra, "label": label, "self_contragredient": ok})
@@ -274,7 +274,7 @@ def _report_rows():
         verdict = ratcheck.check_realized(table, grading, f, rec.v, "both", triple)
         if verdict.status != "pass":
             all_pass = False
-        contra = ratcheck.verify_self_contragredient(table, grading, f)
+        contra = ratcheck.verify_self_contragredient(table, grading, f, triple)
         for q in rec.q:
             rows.append(
                 ((rec.algebra.family, rec.algebra.rank, q), rec, q, verdict, contra)
@@ -417,8 +417,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         # resonance and friends are data defects in the supplied system
         return _fail(str(exc), EXIT_BAD_INPUT)
-    except RuntimeError as exc:
-        # dual-route disagreement: a mathematical failure, not bad input
+    except ratcheck.RoutesDisagree as exc:
+        # a mathematical failure, not bad input
         return _fail(str(exc), EXIT_FAIL)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)

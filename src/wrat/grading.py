@@ -14,7 +14,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .liealg import ChevalleyTable, LieElement, bracket, cartan_lie_element
+from .liealg import ChevalleyTable, F, cartan_lie_element
 from .rootsys import CartanElement, DimensionMismatch
 
 
@@ -43,9 +43,11 @@ class DynkinGrading:
 
 
 class Sl2Triple(NamedTuple):
-    e: LieElement
-    h: LieElement
-    f: LieElement
+    """Elements e, h, f of the algebra with [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
+
+    e: dict[int, Fraction]
+    h: dict[int, Fraction]
+    f: dict[int, Fraction]
 
 
 def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading:
@@ -97,7 +99,7 @@ def is_even_grading(grading: DynkinGrading) -> bool:
 
 def ad_block(
     table: ChevalleyTable,
-    x_indexed: dict[int, Fraction],
+    x: dict[int, Fraction],
     src: tuple[int, ...],
     dst: tuple[int, ...],
 ):
@@ -107,19 +109,18 @@ def ad_block(
     Components of [x, b] falling outside dst are dropped, so callers must
     pass a dst block that actually contains the image.
     """
-    return _linalg.block(lambda j: table.ad_column(x_indexed, j), src, dst)
+    return _linalg.block(lambda j: table.ad_column(x, j), src, dst)
 
 
-def verify_good_grading(grading: DynkinGrading, f: LieElement) -> bool:
+def verify_good_grading(grading: DynkinGrading, f: dict[int, Fraction]) -> bool:
     """ad(f) injective on degrees >= 1/2 and surjective onto degrees <= -1/2."""
     table = grading.table
-    fi = table.to_indexed(f)
     half = Fraction(1, 2)
     levels = set(grading.by_degree) | {j + 1 for j in grading.by_degree}
     for j in levels:
         src = grading.block(j)
         dst = grading.block(j - 1)
-        m = ad_block(table, fi, src, dst)
+        m = ad_block(table, f, src, dst)
         r = _linalg.rank(m)
         if j >= half and r < len(src):
             return False
@@ -142,7 +143,6 @@ def complete_sl2(
     being returned.  Raises NoSl2Completion when the linear system has no
     solution.
     """
-    from .liealg import F
     from .rootsys import pairing
 
     rs = table.rs
@@ -151,20 +151,21 @@ def complete_sl2(
             raise NotDegreeMinusOne(
                 f"root {c} pairs to {pairing(rs, c, grading.characteristic)}, expected 2"
             )
-    f = LieElement({F(tuple(c)): Fraction(1) for c in f_roots})
+    f = {table.index[F(c)]: Fraction(1) for c in f_roots}
     h = cartan_lie_element(table, grading.characteristic)
-    if h.is_zero():
+    if not h:
         raise NoSl2Completion("characteristic is zero; no sl2 through it")
 
     src, g0 = grading.block(1), grading.block(0)
-    hi = table.to_indexed(h)
-    sol = _linalg.solve(ad_block(table, table.to_indexed(f), src, g0), [-hi.get(k, 0) for k in g0])
+    sol = _linalg.solve(ad_block(table, f, src, g0), [-h.get(k, 0) for k in g0])
     if sol is None:
         raise NoSl2Completion("no degree-one e satisfies [e, f] = h")
-    e = table.from_indexed({j: sol[c] for c, j in enumerate(src) if sol[c]})
+    e = {j: sol[c] for c, j in enumerate(src) if sol[c]}
 
-    if bracket(table, e, f) != h:
+    if table.bracket(e, f) != h:
         raise NoSl2Completion("completion failed verification")
-    if bracket(table, h, e) != 2 * e or bracket(table, h, f) != -2 * f:
+    two_e = {k: 2 * c for k, c in e.items()}
+    minus_two_f = {k: -2 * c for k, c in f.items()}
+    if table.bracket(h, e) != two_e or table.bracket(h, f) != minus_two_f:
         raise NoSl2Completion("candidate h does not weight the pair correctly")
     return Sl2Triple(e=e, h=h, f=f)

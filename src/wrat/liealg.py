@@ -10,7 +10,10 @@ minimal gets N(a1, b1) = +(p + 1), and every other constant is forced from
 these by the Jacobi identity and the invariant-form relations
 N(a,b)/<c,c> = N(b,c)/<a,a> = N(c,a)/<b,b> for a + b + c = 0.
 
-Everything is exact over Fraction; no floating point enters this module.
+An element of the algebra is a sparse dict {basis index: Fraction} over
+`ChevalleyTable.basis`, with no stored zeros, so two elements are equal
+exactly when their dicts are.  Everything is exact over Fraction; no
+floating point enters this module.
 """
 from __future__ import annotations
 
@@ -45,49 +48,6 @@ def F(coeffs: Iterable[int]) -> BasisElement:
 
 def H(i: int) -> BasisElement:
     return BasisElement("h", i)
-
-
-class LieElement:
-    """Sparse vector over the Chevalley basis (no stored zeros)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: dict[BasisElement, Fraction] | None = None):
-        self.coords = {b: Fraction(c) for b, c in (coords or {}).items() if c}
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        out = dict(self.coords)
-        for b, c in other.coords.items():
-            out[b] = out.get(b, Fraction(0)) + c
-        return LieElement(out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        out = dict(self.coords)
-        for b, c in other.coords.items():
-            out[b] = out.get(b, Fraction(0)) - c
-        return LieElement(out)
-
-    def __rmul__(self, c) -> "LieElement":
-        c = Fraction(c)
-        return LieElement({b: c * x for b, x in self.coords.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.coords == other.coords
-
-    def __getitem__(self, b: BasisElement) -> Fraction:
-        return self.coords.get(b, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def support(self) -> list[BasisElement]:
-        return sorted(self.coords, key=lambda b: (b.kind, b.key))
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        return " + ".join(f"{c}*{b}" for b, c in sorted(
-            self.coords.items(), key=lambda t: (t[0].kind, t[0].key)))
 
 
 class ChevalleyTable:
@@ -250,23 +210,18 @@ class ChevalleyTable:
         target = E(diff) if diff in self._pos_set else F(tuple(-c for c in diff))
         return {idx[target]: n}
 
-    # -- sparse element plumbing --------------------------------------------
-
-    def to_indexed(self, x: LieElement) -> dict[int, Fraction]:
-        return {self.index[b]: c for b, c in x.coords.items()}
-
-    def from_indexed(self, coords: dict[int, Fraction]) -> LieElement:
-        return LieElement({self.basis[i]: c for i, c in coords.items()})
+    # -- brackets of elements -----------------------------------------------
 
     def ad_column(self, x: dict[int, Fraction], j: int) -> dict[int, Fraction]:
-        """[x, b_j] as sparse coordinates, for x given by its coordinates."""
+        """[x, b_j] as an element."""
         out: dict[int, Fraction] = {}
         for i, ci in x.items():
             for k, c in self.basis_bracket(i, j).items():
                 out[k] = out.get(k, 0) + ci * c
         return {k: c for k, c in out.items() if c}
 
-    def bracket_indexed(self, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+    def bracket(self, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+        """[x, y], bilinear over the basis brackets."""
         out: dict[int, Fraction] = {}
         for j, cj in y.items():
             for k, c in self.ad_column(x, j).items():
@@ -280,28 +235,21 @@ def build_chevalley(rs: RootSystem) -> ChevalleyTable:
     return ChevalleyTable(rs)
 
 
-def bracket(table: ChevalleyTable, x: LieElement, y: LieElement) -> LieElement:
-    """[x, y] for arbitrary elements, bilinear over the basis table."""
-    return table.from_indexed(table.bracket_indexed(table.to_indexed(x), table.to_indexed(y)))
-
-
-def ad_matrix(table: ChevalleyTable, x: LieElement):
+def ad_matrix(table: ChevalleyTable, x: dict[int, Fraction]):
     """Matrix of ad(x) over the basis: column j holds the coords of [x, b_j]."""
-    xi, basis = table.to_indexed(x), range(table.dimension)
-    return _linalg.block(lambda j: table.ad_column(xi, j), basis, basis)
+    basis = range(table.dimension)
+    return _linalg.block(lambda j: table.ad_column(x, j), basis, basis)
 
 
-def centralizer(table: ChevalleyTable, x: LieElement) -> list[LieElement]:
+def centralizer(table: ChevalleyTable, x: dict[int, Fraction]) -> list[dict[int, Fraction]]:
     """Basis of ker ad(x), as elements."""
     null = _linalg.nullspace(ad_matrix(table, x), table.dimension)
-    return [
-        LieElement({table.basis[i]: c for i, c in enumerate(v) if c}) for v in null
-    ]
+    return [{i: c for i, c in enumerate(v) if c} for v in null]
 
 
-def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> LieElement:
+def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> dict[int, Fraction]:
     """The Cartan element with pairings a_i(v) = diagram_i, over the coroot basis."""
     from .rootsys import cartan_solve
 
     coords = cartan_solve(table.rs, diagram)
-    return LieElement({H(i): c for i, c in enumerate(coords) if c})
+    return {table.index[H(i)]: c for i, c in enumerate(coords) if c}

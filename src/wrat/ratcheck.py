@@ -52,14 +52,7 @@ from .grading import (
     is_even_grading,
     verify_good_grading,
 )
-from .liealg import (
-    BasisElement,
-    ChevalleyTable,
-    F,
-    H,
-    LieElement,
-    build_chevalley,
-)
+from .liealg import BasisElement, ChevalleyTable, F, H, build_chevalley
 from .orbits import ClassicalRealization, OrbitRecord, classical_basis, is_sl2_triple
 from .rootsys import CartanElement, build, pairing
 
@@ -74,6 +67,10 @@ class GradingNotGood(ValueError):
 
 class GradingNotEven(ValueError):
     """The supplied grading has half-integer degrees where integers are required."""
+
+
+class RoutesDisagree(RuntimeError):
+    """The fast and exact routes reach different verdicts on the same input."""
 
 
 class _NotFound:
@@ -172,7 +169,7 @@ class _GradedOperator:
 def _chevalley_operator(
     table: ChevalleyTable,
     grading: DynkinGrading,
-    f: LieElement,
+    f: dict[int, Fraction],
     triple: Sl2Triple | None = None,
 ) -> _GradedOperator:
     """The operator on the Chevalley basis.  The torus coordinates are the
@@ -180,23 +177,23 @@ def _chevalley_operator(
     triple is f's sl2-triple on this grading from `complete_sl2`, or None;
     h^f centralizes its e too, as e is the only partner of h and f."""
     a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
+    hk = [table.index[H(k)] for k in range(len(a))]
     if triple is not None and (
         triple.f != f
-        or [sum(c * triple.h[H(k)] for k, c in enumerate(r)) for r in a]
+        or [sum(c * triple.h.get(i, 0) for i, c in zip(hk, r)) for r in a]
         != list(grading.characteristic.pairings)
     ):
         raise ValueError("the sl2-triple is not the triple of f on this grading")
-    fi = table.to_indexed(f)
 
     def column(j: int) -> dict[int, int | Fraction]:
-        return {k: _integral(x) for k, x in table.ad_column(fi, j).items()}
+        return {k: _integral(x) for k, x in table.ad_column(f, j).items()}
 
     sign = {"e": 1, "f": -1}
     weights = tuple(
         tuple((k, sign[b.kind] * c) for k, c in enumerate(b.key) if c) if b.kind in sign else ()
         for b in table.basis
     )
-    cartan = tuple((table.index[H(k)], tuple(r[k] for r in a)) for k in range(len(a)))
+    cartan = tuple((i, tuple(r[k] for r in a)) for k, i in enumerate(hk))
     return _GradedOperator(grading.degrees, weights, column, cartan, triple is not None)
 
 
@@ -301,6 +298,8 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     <h, w> = <[e, f], w> = <e, [f, w]> = 0.  The rank test is for an f in
     no triple (f = 0, a dropped root), where the trace row is what fails.
     """
+    if op.sl2:
+        return True
     g0 = [i for i, d in enumerate(op.degrees) if d == 0]
     m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -1])
     # ad(w) is traceless on g and on g_0 for w in g_0, so its trace on the
@@ -319,12 +318,12 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     return _linalg.rank(m + [row]) == _linalg.rank(m)
 
 
-def _support_roots(f: LieElement) -> list[tuple[int, ...]]:
-    return [b.key for b in f.coords if b.kind != "h"]
+def _support_roots(table: ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
+    return [table.basis[i].key for i in f if table.basis[i].kind != "h"]
 
 
-def _require_centralizing(table: ChevalleyTable, f: LieElement, v: CartanElement) -> None:
-    for c in _support_roots(f):
+def _require_centralizing(table: ChevalleyTable, f: dict[int, Fraction], v: CartanElement) -> None:
+    for c in _support_roots(table, f):
         if pairing(table.rs, c, v) != 0:
             raise VNotInCentralizer(f"a(v) = {pairing(table.rs, c, v)} != 0 at root {c}")
 
@@ -332,7 +331,7 @@ def _require_centralizing(table: ChevalleyTable, f: LieElement, v: CartanElement
 def exact_condition(
     table: ChevalleyTable,
     grading: DynkinGrading,
-    f: LieElement,
+    f: dict[int, Fraction],
     v: CartanElement,
     triple: Sl2Triple | None = None,
 ) -> ConditionVerdict:
@@ -350,7 +349,7 @@ def exact_condition(
 def fast_condition(
     table: ChevalleyTable,
     grading: DynkinGrading,
-    f: LieElement,
+    f: dict[int, Fraction],
     v: CartanElement,
     triple: Sl2Triple | None = None,
 ) -> ConditionVerdict:
@@ -401,9 +400,9 @@ def fast_condition(
     return _verdict(rows, witnesses, "fast", "none")
 
 
-def h0f_space(table: ChevalleyTable, f: LieElement) -> list[CartanElement]:
+def h0f_space(table: ChevalleyTable, f: dict[int, Fraction]) -> list[CartanElement]:
     """Basis of the Cartan elements annihilating every root in the support of f."""
-    roots = _support_roots(f)
+    roots = _support_roots(table, f)
     n = table.rs.rank
     m = [[Fraction(c) for c in r] for r in roots]
     return [CartanElement.of(vec) for vec in _linalg.nullspace(m, n)]
@@ -417,7 +416,7 @@ def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _hf_basis(table: ChevalleyTable, f: LieElement) -> list[tuple[int, ...]]:
+def _hf_basis(table: ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
     """`h0f_space` as primitive integer pairing vectors."""
     return [_primitive(w.pairings) for w in h0f_space(table, f)]
 
@@ -425,7 +424,7 @@ def _hf_basis(table: ChevalleyTable, f: LieElement) -> list[tuple[int, ...]]:
 def search_v(
     table: ChevalleyTable,
     grading: DynkinGrading,
-    f: LieElement,
+    f: dict[int, Fraction],
     config: SearchConfig = SearchConfig(),
     triple: Sl2Triple | None = None,
 ):
@@ -497,7 +496,7 @@ def verify_good_even_shortcut(
         if pairing(rs, c, x0) != 1:
             raise GradingNotGood(f"root {c} is not in degree -1 for the x0 grading")
     aux = grade_by_weights(table, x0)
-    f = LieElement({F(c): Fraction(1) for c in f_roots})
+    f = {table.index[F(c)]: Fraction(1) for c in f_roots}
     if not verify_good_grading(aux, f):
         raise GradingNotGood("the x0 grading is not good for f")
     if not is_even_grading(aux):
@@ -515,10 +514,14 @@ def verify_good_even_shortcut(
 
 
 def verify_self_contragredient(
-    table: ChevalleyTable, grading: DynkinGrading, f: LieElement
+    table: ChevalleyTable,
+    grading: DynkinGrading,
+    f: dict[int, Fraction],
+    triple: Sl2Triple | None = None,
 ) -> bool:
-    """`_self_contragredient` on the Chevalley basis."""
-    return _self_contragredient(_chevalley_operator(table, grading, f))
+    """`_self_contragredient` on the Chevalley basis; given f's sl2-triple
+    from `complete_sl2` it holds without a rank."""
+    return _self_contragredient(_chevalley_operator(table, grading, f, triple))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +556,7 @@ def realize_record(record: OrbitRecord):
 def check_realized(
     table: ChevalleyTable,
     grading: DynkinGrading,
-    f: LieElement,
+    f: dict[int, Fraction],
     v: CartanElement,
     method: str,
     triple: Sl2Triple | None = None,
@@ -568,7 +571,7 @@ def check_realized(
     fast = fast_condition(table, grading, f, v, triple)
     exact = exact_condition(table, grading, f, v, triple)
     if fast.status != exact.status:
-        raise RuntimeError(
+        raise RoutesDisagree(
             f"routes disagree on {table.rs.simple_type} at v = {[str(x) for x in v.pairings]}: "
             f"fast={fast.status} exact={exact.status}"
         )

@@ -16,12 +16,12 @@ from wrat.orbits import classical_basis
 from wrat.rootsys import cartan_solve
 
 
-def ad_block(table, x_indexed, src, dst):
+def ad_block(table, x, src, dst):
     """ad(x): span(src) -> span(dst), summed straight from the basis brackets."""
     pos_of = {k: r for r, k in enumerate(dst)}
     out = _linalg.zeros(len(dst), len(src))
     for c, j in enumerate(src):
-        for i, ci in x_indexed.items():
+        for i, ci in x.items():
             for k, coef in table.basis_bracket(i, j).items():
                 r = pos_of.get(k)
                 if r is not None:
@@ -30,9 +30,8 @@ def ad_block(table, x_indexed, src, dst):
 
 
 def self_contragredient(table, grading, f) -> bool:
-    fi = table.to_indexed(f)
     g0 = grading.block(0)
-    m = ad_block(table, fi, g0, grading.block(-1))
+    m = ad_block(table, f, g0, grading.block(-1))
     kernel = _linalg.nullspace(m, len(g0))
 
     rs = table.rs

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import series_oracle
 import wrat
+from wrat import ratcheck
 from wrat.cli import main
 
 
@@ -615,6 +617,62 @@ def test_report_tsv_golden(capsys):
     rc, out, _ = run(capsys, "report", "--format", "tsv")
     assert rc == 0
     assert out == REPORT_TSV
+
+
+# the requests of the bench workloads at their default seed (argv as in
+# bench/workloads.py) and their golden stdout, read as data from bench/golden
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+GOLDEN_REQUESTS = (
+    [("report_all", "report", ("report", "--all"))]
+    + [
+        ("search_v", f"search-v_{alg}_q{q}", ("search-v", "--algebra", alg, "--q", str(q)))
+        for alg, q in (("E6", 2), ("F4", 2), ("E8", 4), ("E7", 3))
+    ]
+    + [
+        (
+            "classical",
+            f"{cmd}_{family}_{parts.replace(',', '-')}",
+            (cmd, "--family", family, "--partition", parts),
+        )
+        for family, parts in (
+            ("C", "13,13,10,10,6,4,2,2"),
+            ("B", "9,9,8,8,7,5,5,3,3,2,2"),
+            ("D", "12,12,9,9,7,5,3,1"),
+        )
+        for cmd in ("check-classical", "verify-contragredient")
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "workload,name,argv", GOLDEN_REQUESTS, ids=[f"{w}/{n}" for w, n, _ in GOLDEN_REQUESTS]
+)
+def test_bench_requests_match_golden_bytes(capsys, workload, name, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.encode() == (GOLDEN / workload / f"{name}.out").read_bytes()
+
+
+def test_route_disagreement_exits_2_with_one_line(capsys, monkeypatch):
+    real = ratcheck.fast_condition
+
+    def flipped(*args, **kwargs):
+        v = real(*args, **kwargs)
+        return dataclasses.replace(v, status="fail" if v.status == "pass" else "pass")
+
+    monkeypatch.setattr(ratcheck, "fast_condition", flipped)
+    rc, out, err = run(capsys, "check-exceptional", "--algebra", "G2", "--q", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: routes disagree on G2") and err.count("\n") == 1
+
+
+def test_other_runtime_errors_propagate(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a verdict")
+
+    monkeypatch.setattr(ratcheck, "check_record", broken)
+    with pytest.raises(RuntimeError, match="not a verdict"):
+        main(["check-exceptional", "--algebra", "G2", "--q", "3"])
 
 
 def test_report_json_deterministic_and_round_trips(capsys):

@@ -1,7 +1,12 @@
 """Self-contragredience as a rank test, against the kernel-walk oracles.
 
+On a verified sl2-triple the verdict is a theorem (`_self_contragredient`
+returns True without a rank); for an f in no triple
 `verify_self_contragredient` and `verify_self_contragredient_classical` ask
-whether the trace lies in the row space of ad(f): g_0 -> g_-1.  The oracles
+whether the trace lies in the row space of ad(f): g_0 -> g_-1.  The triple
+path must equal that rank path on every bundled record and on every legal
+so/sp partition of size <= 12, and a record's triple is refused for any
+other f.  The oracles
 in `contragredient_oracle.py` walk a nullspace basis instead, and also test
 the h/2 pairing.  Both must agree on every bundled record and on every legal
 so/sp partition, and both must return False on the negative controls: f = 0,
@@ -20,12 +25,13 @@ from hypothesis import strategies as st
 
 import contragredient_oracle as oracle
 from wrat import _linalg
-from wrat.liealg import F, LieElement
+from wrat.liealg import F
 from wrat.orbits import ClassicalPartition, InvalidPartition, build_classical, load_records
 from wrat.ratcheck import (
     _chevalley_operator,
     _classical_operator,
     _dot,
+    _self_contragredient,
     realize_record,
     verify_self_contragredient,
     verify_self_contragredient_classical,
@@ -65,11 +71,19 @@ def _zero_f(real):
     return dataclasses.replace(real, f=tuple((Fraction(0),) * real.size for _ in range(real.size)))
 
 
+def assert_triple_path_is_rank_path(op):
+    """The short cut on a verified triple against the rank test it skips."""
+    assert op.sl2
+    assert _self_contragredient(op) == _self_contragredient(dataclasses.replace(op, sl2=False))
+
+
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
 def test_record_matches_oracle(k):
-    table, grading, f, _ = realized(k)
+    table, grading, f, triple = realized(k)
+    assert verify_self_contragredient(table, grading, f, triple)
     assert verify_self_contragredient(table, grading, f)
     assert oracle.self_contragredient(table, grading, f)
+    assert_triple_path_is_rank_path(_chevalley_operator(table, grading, f, triple))
 
 
 def assert_functionals_match(op, g0, pair, pos, neg):
@@ -117,15 +131,17 @@ def test_sampled_partitions_up_to_14_pairing_row_is_redundant(p):
 
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
 def test_record_negative_controls(k):
-    table, grading, f, _ = realized(k)
-    controls = [LieElement({})]
+    table, grading, f, triple = realized(k)
+    controls = [{}]
     roots = RECORDS[k].f_roots
     if len(roots) > 1:
         for drop in roots:
-            controls.append(LieElement({F(c): Fraction(1) for c in roots if c != drop}))
+            controls.append({table.index[F(c)]: Fraction(1) for c in roots if c != drop})
     for g in controls:
         assert not verify_self_contragredient(table, grading, g), g
         assert not oracle.self_contragredient(table, grading, g), g
+        with pytest.raises(ValueError):
+            verify_self_contragredient(table, grading, g, triple)
 
 
 def test_partitions_up_to_12_match_oracle():
@@ -133,6 +149,7 @@ def test_partitions_up_to_12_match_oracle():
     assert len(parts) > 200
     for p in parts:
         real = build_classical(p)
+        assert_triple_path_is_rank_path(_classical_operator(real))
         assert verify_self_contragredient_classical(real), p
         assert oracle.self_contragredient_classical(real), p
         zero = _zero_f(real)

@@ -15,7 +15,7 @@ from wrat.grading import (
     is_even_grading,
     verify_good_grading,
 )
-from wrat.liealg import F, LieElement, build_chevalley, cartan_lie_element
+from wrat.liealg import F, build_chevalley, cartan_lie_element
 from wrat.orbits import load_records
 from wrat.rootsys import CartanElement, DimensionMismatch, SimpleType, build, pairing
 
@@ -70,12 +70,11 @@ def test_kernel_dimension_identity():
         t = table_for(str(rec.algebra))
         g = grade(t, rec.h)
         triple = complete_sl2(t, g, list(rec.f_roots))
-        fi = t.to_indexed(triple.f)
         kernel_dim = 0
         for j in g.block_dims():
             src = g.block(j)
             dst = g.block(j - 1)
-            m = ad_block(t, fi, src, dst)
+            m = ad_block(t, triple.f, src, dst)
             kernel_dim += len(src) - mat_rank(m)
         expect = len(g.block(0)) + len(g.block(Fraction(1, 2)))
         assert kernel_dim == expect, rec.label
@@ -85,11 +84,13 @@ def test_complete_sl2_success_and_bracket_relations():
     t = table_for("A2")
     g = grade(t, CartanElement.of((2, 2)))
     triple = complete_sl2(t, g, [(1, 0), (0, 1)])
-    from wrat.liealg import bracket
-
-    assert bracket(t, triple.e, triple.f) == triple.h
-    assert bracket(t, triple.h, triple.e) == 2 * triple.e
-    assert bracket(t, triple.h, triple.f) == -2 * triple.f
+    assert triple.f == {t.index[F((1, 0))]: 1, t.index[F((0, 1))]: 1}
+    assert triple.h == cartan_lie_element(t, g.characteristic)
+    for x in triple:
+        assert x and all(type(c) is Fraction and c for c in x.values())
+    assert t.bracket(triple.e, triple.f) == triple.h
+    assert t.bracket(triple.h, triple.e) == {k: 2 * c for k, c in triple.e.items()}
+    assert t.bracket(triple.h, triple.f) == {k: -2 * c for k, c in triple.f.items()}
 
 
 def test_complete_sl2_rejects_wrong_degree():
@@ -123,18 +124,17 @@ def test_ad_block_respects_grading():
     t = table_for("G2")
     g = grade(t, rec.h)
     triple = complete_sl2(t, g, list(rec.f_roots))
-    fi = t.to_indexed(triple.f)
     half = Fraction(1, 2)
     src = g.block(-half)
     dst = g.block(-half - 1)
-    m = ad_block(t, fi, src, dst)
+    m = ad_block(t, triple.f, src, dst)
     assert len(m) == len(dst) and (not m or len(m[0]) == len(src))
 
 
 def full_system_e(t, g, f_roots):
     """e from [e, f] = h over all dim(g) rows, summed from `basis_bracket`;
     also checks that the rows outside g_0 are all zero."""
-    fi = t.to_indexed(LieElement({F(c): Fraction(1) for c in f_roots}))
+    fi = {t.index[F(c)]: Fraction(1) for c in f_roots}
     src, dim = g.block(1), t.dimension
     m = [[Fraction(0)] * len(src) for _ in range(dim)]
     for c, j in enumerate(src):
@@ -145,10 +145,10 @@ def full_system_e(t, g, f_roots):
     g0 = set(g.block(0))
     assert all(not any(row) for k, row in enumerate(m) if k not in g0)
     rhs = [Fraction(0)] * dim
-    for k, ck in t.to_indexed(cartan_lie_element(t, g.characteristic)).items():
+    for k, ck in cartan_lie_element(t, g.characteristic).items():
         rhs[k] = ck
     sol = solve(m, rhs)
-    return t.from_indexed({j: sol[c] for c, j in enumerate(src) if sol[c]})
+    return {j: sol[c] for c, j in enumerate(src) if sol[c]}
 
 
 @pytest.mark.parametrize(

@@ -7,17 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import euclid_model as em
-from wrat.liealg import (
-    E,
-    F,
-    H,
-    LieElement,
-    ad_matrix,
-    bracket,
-    build_chevalley,
-    cartan_lie_element,
-    centralizer,
-)
+from wrat.liealg import E, F, H, ad_matrix, build_chevalley, cartan_lie_element, centralizer
 from wrat.rootsys import CartanElement, SimpleType, build
 
 EXHAUSTIVE = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
@@ -120,52 +110,47 @@ def test_g2_known_constants():
     assert abs(t.n_constant((1, 1), (1, 2))) == 3
 
 
+def unit(t, label, c=1):
+    """The element c * label, with no stored zero."""
+    return {t.index[label]: Fraction(c)} if c else {}
+
+
 def test_e_f_bracket_lands_in_cartan_with_integer_coroot():
     for name in ("G2", "F4", "E6"):
         t = table_for(name)
         for r in t.rs.positive_roots:
-            e = LieElement({E(r.coeffs): Fraction(1)})
-            f = LieElement({F(r.coeffs): Fraction(1)})
-            x = bracket(t, e, f)
-            assert not x.is_zero()
-            for b in x.support():
-                assert b.kind == "h"
-                assert x[b].denominator == 1
+            x = t.bracket(unit(t, E(r.coeffs)), unit(t, F(r.coeffs)))
+            assert x
+            for i, c in x.items():
+                assert t.basis[i].kind == "h"
+                assert type(c) is Fraction and c.denominator == 1 and c
 
 
 def test_h_acts_diagonally():
     t = table_for("F4")
     rs = t.rs
     for i in range(rs.rank):
-        hi = LieElement({H(i): Fraction(1)})
         for r in rs.positive_roots:
-            er = LieElement({E(r.coeffs): Fraction(1)})
-            out = bracket(t, hi, er)
-            expect = rs.coroot_pairing(r.coeffs, i)
-            assert out == LieElement({E(r.coeffs): Fraction(expect)}) or (
-                expect == 0 and out.is_zero()
-            )
+            out = t.bracket(unit(t, H(i)), unit(t, E(r.coeffs)))
+            assert out == unit(t, E(r.coeffs), rs.coroot_pairing(r.coeffs, i))
 
 
 def test_sl2_inside_each_row():
     # e_a, f_a, [e_a, f_a] close into an sl2: [h_a, e_a] = 2 e_a
     t = table_for("E7")
     for r in t.rs.positive_roots[:20]:
-        e = LieElement({E(r.coeffs): Fraction(1)})
-        f = LieElement({F(r.coeffs): Fraction(1)})
-        h = bracket(t, e, f)
-        assert bracket(t, h, e) == LieElement({E(r.coeffs): Fraction(2)})
-        assert bracket(t, h, f) == LieElement({F(r.coeffs): Fraction(-2)})
+        e, f = unit(t, E(r.coeffs)), unit(t, F(r.coeffs))
+        h = t.bracket(e, f)
+        assert t.bracket(h, e) == unit(t, E(r.coeffs), 2)
+        assert t.bracket(h, f) == unit(t, F(r.coeffs), -2)
 
 
 def test_cartan_lie_element_pairings():
     t = table_for("G2")
     h = cartan_lie_element(t, CartanElement.of((2, 0)))
+    assert all(t.basis[i].kind == "h" and c for i, c in h.items())
     for i, r in enumerate(((1, 0), (0, 1))):
-        e = LieElement({E(r): Fraction(1)})
-        out = bracket(t, h, e)
-        expect = Fraction((2, 0)[i])
-        assert out == LieElement({E(r): expect}) or (expect == 0 and out.is_zero())
+        assert t.bracket(h, unit(t, E(r))) == unit(t, E(r), (2, 0)[i])
 
 
 def test_centralizer_of_regular_semisimple_is_cartan():
@@ -174,12 +159,12 @@ def test_centralizer_of_regular_semisimple_is_cartan():
     cent = centralizer(t, h)
     assert len(cent) == 2
     for x in cent:
-        assert all(b.kind == "h" for b in x.support())
+        assert x and all(t.basis[i].kind == "h" and c for i, c in x.items())
 
 
 def test_ad_matrix_shape_and_nilpotency():
     t = table_for("A2")
-    e = LieElement({E((1, 0)): Fraction(1), E((0, 1)): Fraction(1)})
+    e = {t.index[E((1, 0))]: Fraction(1), t.index[E((0, 1))]: Fraction(1)}
     m = ad_matrix(t, e)
     assert len(m) == t.dimension and len(m[0]) == t.dimension
     # principal nilpotent: ad(e)^k = 0 for k > 2*height of highest root
@@ -217,7 +202,33 @@ def test_ad_column_is_the_hand_summed_bracket(name, data):
     col = t.ad_column(x, j)
     assert all(col.values())
     assert _dense(t, col) == expect
-    assert t.bracket_indexed(x, {j: cj}) == {k: cj * c for k, c in col.items()}
+    assert t.bracket(x, {j: cj}) == {k: cj * c for k, c in col.items()}
+
+
+def elements(t):
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return st.dictionaries(st.integers(0, t.dimension - 1), coef, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["G2", "F4", "E6"]), st.data())
+def test_bracket_is_sparse_antisymmetric_and_the_basis_sum(name, data):
+    """Equality of elements is dict equality, so `bracket` must store no
+    zero.  y = c x + z makes every term of [x, c x] cancel, and z = 0 or
+    c = 0 reach the plain pairs."""
+    t = table_for(name)
+    x, z = data.draw(elements(t)), data.draw(elements(t))
+    c = data.draw(st.sampled_from([0, 1, -2, Fraction(1, 3)]))
+    y = {k: v for k in {*x, *z} if (v := c * x.get(k, 0) + z.get(k, 0))}
+    got = t.bracket(x, y)
+    assert all(got.values())
+    assert t.bracket(y, x) == {k: -v for k, v in got.items()}
+    expect = [Fraction(0)] * t.dimension
+    for i, ci in x.items():
+        for j, cj in y.items():
+            for k, v in t.basis_bracket(i, j).items():
+                expect[k] += ci * cj * v
+    assert _dense(t, got) == expect
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])
@@ -228,4 +239,6 @@ def test_ad_column_drops_cancelled_terms(name):
         ea = t.index[E(a)]
         p1, p2 = (t.basis_bracket(t.index[H(k)], ea).get(ea, 0) for k in (0, 1))
         x = {t.index[H(0)]: Fraction(p2), t.index[H(1)]: Fraction(-p1)}
-        assert t.ad_column({k: c for k, c in x.items() if c}, ea) == {}
+        x = {k: c for k, c in x.items() if c}
+        assert t.ad_column(x, ea) == {}
+        assert t.bracket(x, {ea: Fraction(1)}) == {} == t.bracket({ea: Fraction(1)}, x)

@@ -43,14 +43,13 @@ def eigenvalue(table, i, v):
 
 def blockwise_condition(table, grading, f, v):
     """(status, evidence rows) from one rank per (degree, eigenvalue) block."""
-    fi = table.to_indexed(f)
     blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
     for i in range(table.dimension):
         blocks.setdefault((grading.degrees[i], eigenvalue(table, i, v)), []).append(i)
     rows = []
     for (d, lam), src in blocks.items():
         dst = blocks.get((d - 1, lam), [])
-        m = ad_block(table, fi, tuple(src), tuple(dst))
+        m = ad_block(table, f, tuple(src), tuple(dst))
         mult = len(src) - len(_linalg.rref(m)[1])
         if mult:
             rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
