@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import frobenius as fr, orbits, ratcheck, rootsys
+from . import frobenius as fr, grading, orbits, ratcheck, rootsys
 from ._serde import rat_to_json
 
 EXIT_OK = 0
@@ -192,7 +192,7 @@ def _cmd_frobenius(args) -> int:
     with open(args.system) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return _fail(f"cannot parse system: {exc}", EXIT_BAD_INPUT)
     sysd = fr.system_from_json(obj)
     route = args.route
@@ -412,10 +412,11 @@ def main(argv=None) -> int:
         orbits.InvalidRecord,
         orbits.UnknownRoot,
         fr.InvalidSystem,
+        fr.Resonance,
+        fr.SeedInconsistent,
+        fr.ContractionFails,
+        grading.NoSl2Completion,
     ) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except (ValueError, KeyError) as exc:
-        # resonance and friends are data defects in the supplied system
         return _fail(str(exc), EXIT_BAD_INPUT)
     except ratcheck.RoutesDisagree as exc:
         # a mathematical failure, not bad input

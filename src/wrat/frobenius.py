@@ -32,12 +32,13 @@ z0; a complex center is accepted but the bounds then go through floats.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 from typing import Mapping
 
 from . import _linalg
+from ._serde import rat_from_json, rat_to_json
 
 Poly = tuple[Fraction, ...]  # coefficients, constant term first, no trailing zeros
 
@@ -99,6 +100,10 @@ def p_add(a: Poly, b: Poly) -> Poly:
     for i, c in enumerate(b):
         out[i] += c
     return p_trim(out)
+
+
+def p_sub(a: Poly, b: Poly) -> Poly:
+    return p_add(a, p_scale(-1, b))
 
 
 def p_scale(c, a: Poly) -> Poly:
@@ -200,14 +205,12 @@ class AnalyticMatrixSeries:
         return AnalyticMatrixSeries(self.ell, terms)
 
     def majorant_norm(self, domain: "DomainParams"):
-        """C = sum_n (sum_ij maj(A_n[i][j])) delta^n."""
-        total = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
-        for n, m in self.terms.items():
-            block = sum(
-                p_majorant(e, domain.epsilon, domain.z0) for row in m for e in row
-            )
-            total = total + block * domain.delta**n
-        return total
+        """C = sum_n (sum_ij maj(A_n[i][j])) delta^n: the constant controlling
+        the clamped operator."""
+        return _weighted(
+            ((n, _majorant((e for row in m for e in row), domain)) for n, m in self.terms.items()),
+            domain,
+        )
 
 
 @dataclass
@@ -217,20 +220,6 @@ class VectorSeries:
     ell: int
     coeffs: list[list[Poly]]
 
-    def term(self, n: int) -> list[Poly]:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return _zero_vec(self.ell)
-
-    def majorant_norm(self, domain: "DomainParams", start: int = 0):
-        total = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
-        dp = domain.delta**start
-        for n in range(start, len(self.coeffs)):
-            block = sum(p_majorant(e, domain.epsilon, domain.z0) for e in self.coeffs[n])
-            total = total + block * dp
-            dp = dp * domain.delta
-        return total
-
 
 @dataclass(frozen=True)
 class DomainParams:
@@ -239,6 +228,20 @@ class DomainParams:
     z0: Fraction | complex
     epsilon: Fraction
     delta: Fraction
+
+
+def _majorant(polys, domain: DomainParams):
+    """sum of maj(p) over the polynomials of one block."""
+    return sum(p_majorant(p, domain.epsilon, domain.z0) for p in polys)
+
+
+def _weighted(blocks, domain: DomainParams):
+    """sum_n block_n delta^n over (n, block) pairs, summed in the order given;
+    exact for a rational z0, a float for a complex one."""
+    total = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
+    for n, block in blocks:
+        total = total + block * domain.delta**n
+    return total
 
 
 @dataclass
@@ -265,12 +268,7 @@ class LogSeriesSolution:
 
 
 def _mat_vec(m: list[list[Poly]], v: list[Poly]) -> list[Poly]:
-    return [
-        p_trim(
-            _sum_polys([p_mul(m[i][j], v[j]) for j in range(len(v)) if m[i][j] and v[j]])
-        )
-        for i in range(len(m))
-    ]
+    return [_sum_polys([p_mul(e, x) for e, x in zip(row, v) if e and x]) for row in m]
 
 
 def _sum_polys(ps: list[Poly]) -> Poly:
@@ -318,6 +316,23 @@ def _char_expansion(a0: list[list[Poly]]):
     return cs, bs[:ell]
 
 
+def _rhs(
+    a: AnalyticMatrixSeries,
+    f_terms: Mapping[int, list[Poly]],
+    u: list[list[Poly]],
+    n: int,
+    stop: int,
+) -> list[Poly]:
+    """b_n = f_n + sum_{m < stop} A_{n-m} u_m, the right-hand side of the
+    recursion (stop = n) and of the clamped operator and residual (stop = n + 1)."""
+    out = [p_trim(e) for e in f_terms.get(n, _zero_vec(a.ell))]
+    for m in range(stop):
+        an = a.term(n - m)
+        if an is not None and any(u[m]):
+            out = [p_add(x, y) for x, y in zip(out, _mat_vec(an, u[m]))]
+    return out
+
+
 def recursion_solve(
     a: AnalyticMatrixSeries,
     f_terms: Mapping[int, list[Poly]],
@@ -340,15 +355,10 @@ def recursion_solve(
     cs, bs = _char_expansion(a0)
     u: list[list[Poly]] = []
     for n in range(n_max):
-        rhs = [p_trim(f_terms.get(n, _zero_vec(ell))[i]) for i in range(ell)]
-        for m_idx in range(n):
-            an = a.term(n - m_idx)
-            if an is not None and any(u[m_idx][j] for j in range(ell)):
-                prod = _mat_vec(an, u[m_idx])
-                rhs = [p_add(rhs[i], prod[i]) for i in range(ell)]
+        rhs = _rhs(a, f_terms, u, n, n)
         if n < n_seeds:
-            mm = [[p_add((Fraction(n),) if i == j else (), p_scale(-1, e))
-                   for j, e in enumerate(row)] for i, row in enumerate(a0)]
+            mm = [[p_sub((Fraction(n),) if i == j else (), e) for j, e in enumerate(row)]
+                  for i, row in enumerate(a0)]
             cand = [p_trim(c) for c in seeds[n]]
             if _mat_vec(mm, cand) == rhs:
                 u.append(cand)
@@ -372,31 +382,18 @@ def residual_norm(
     series: VectorSeries,
     domain: DomainParams,
 ):
-    """Majorant norm of q u' - A u - f over the computed coefficient range."""
-    ell = a.ell
-    total = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
-    dp = Fraction(1)
-    for n in range(len(series.coeffs)):
-        r = [p_scale(n, series.coeffs[n][i]) for i in range(ell)]
-        for m_idx in range(n + 1):
-            an = a.term(n - m_idx)
-            if an is not None:
-                prod = _mat_vec(an, series.term(m_idx))
-                r = [p_add(r[i], p_scale(-1, prod[i])) for i in range(ell)]
-        fv = f_terms.get(n)
-        if fv is not None:
-            r = [p_add(r[i], p_scale(-1, fv[i])) for i in range(ell)]
-        total = total + sum(p_majorant(e, domain.epsilon, domain.z0) for e in r) * dp
-        dp = dp * domain.delta
-    return total
+    """Majorant norm of q u' - A u - f over the computed coefficient range:
+    n u_n - b_n weighed by delta^n."""
+    u = series.coeffs
+
+    def block(n: int):
+        scaled = [p_scale(n, x) for x in u[n]]
+        return _majorant(map(p_sub, scaled, _rhs(a, f_terms, u, n, n + 1)), domain)
+
+    return _weighted(((n, block(n)) for n in range(len(u))), domain)
 
 
 # -- certified contraction route ---------------------------------------------
-
-
-def norm_bound(a: AnalyticMatrixSeries, domain: DomainParams):
-    """The constant C controlling the clamped operator: ||A||-majorant."""
-    return a.majorant_norm(domain)
 
 
 def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams) -> int:
@@ -414,7 +411,7 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams) -> int:
         z = z0 + complex(domain.epsilon) * cmath.exp(2j * cmath.pi * k / 64)
         s = sum(abs(p_eval(e, z)) for row in a0 for e in row)
         k_bound = max(k_bound, 2.0 * float(abs(s)))
-    c = float(norm_bound(a, domain))
+    c = float(a.majorant_norm(domain))
     return 1 + floor(max(k_bound, c))
 
 
@@ -438,65 +435,36 @@ def contraction_solve(
     ell = a.ell
     n_cap = truncation if truncation is not None else choose_truncation(a, domain)
     n_cap = max(n_cap, len(seeds))
-    c = norm_bound(a, domain)
-    ratio = Fraction(c) / n_cap if isinstance(c, Fraction) else c / n_cap
+    ratio = a.majorant_norm(domain) / n_cap
     if ratio >= 1:
         raise ContractionFails(f"C/N = {ratio} >= 1")
     n_clamped = min(n_cap, n_max)
     if len(seeds) < n_clamped:
         seeds = recursion_solve(a, f_terms, seeds, n_clamped).coeffs
+    clamped = [[p_trim(e) for e in seeds[n]] for n in range(n_clamped)]
 
     # ||T 0||: the clamped block plus the divided inhomogeneity tail
-    f_norm = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
-    dp = Fraction(1)
-    for n in range(n_max):
-        if n < n_cap:
-            block = sum(
-                p_majorant(p_trim(e), domain.epsilon, domain.z0) for e in seeds[n]
-            )
-        else:
-            fv = f_terms.get(n)
-            block = (
-                sum(p_majorant(p_trim(e), domain.epsilon, domain.z0) for e in fv) / n
-                if fv is not None
-                else 0
-            )
-        f_norm = f_norm + block * dp
-        dp = dp * domain.delta
-
-    u = [
-        [p_trim(e) for e in seeds[n]] if n < len(seeds) else _zero_vec(ell)
-        for n in range(n_max)
-    ]
+    f_norm = _weighted(
+        [(n, _majorant(vec, domain)) for n, vec in enumerate(clamped)]
+        + [(n, _majorant(f, domain) / n) for n, f in sorted(f_terms.items()) if n_cap <= n < n_max],
+        domain,
+    )
 
     def apply_t(cur: list[list[Poly]]) -> list[list[Poly]]:
-        out = []
-        for n in range(n_max):
-            if n < n_cap:
-                out.append([p_trim(e) for e in seeds[n]])
-                continue
-            acc = [p_trim(f_terms.get(n, _zero_vec(ell))[i]) for i in range(ell)]
-            for m_idx in range(n + 1):
-                an = a.term(n - m_idx)
-                if an is not None and any(cur[m_idx][j] for j in range(ell)):
-                    prod = _mat_vec(an, cur[m_idx])
-                    acc = [p_add(acc[i], prod[i]) for i in range(ell)]
-            out.append([p_scale(Fraction(1, n), acc[i]) for i in range(ell)])
-        return out
+        return clamped + [
+            [p_scale(Fraction(1, n), b) for b in _rhs(a, f_terms, cur, n, n + 1)]
+            for n in range(n_clamped, n_max)
+        ]
 
+    u = clamped + [_zero_vec(ell) for _ in range(n_clamped, n_max)]
     distances = []
     for _ in range(iterations):
         nxt = apply_t(u)
-        diff = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
-        dp = Fraction(1)
-        for n in range(n_max):
-            block = sum(
-                p_majorant(p_add(nxt[n][i], p_scale(-1, u[n][i])), domain.epsilon, domain.z0)
-                for i in range(ell)
+        distances.append(
+            _weighted(
+                ((n, _majorant(map(p_sub, nxt[n], u[n]), domain)) for n in range(n_max)), domain
             )
-            diff = diff + block * dp
-            dp = dp * domain.delta
-        distances.append(diff)
+        )
         u = nxt
 
     bound = (1 / (1 - ratio)) * ratio**iterations * f_norm
@@ -559,16 +527,12 @@ def log_system_solve(
 
 
 def poly_from_json(v) -> Poly:
-    from ._serde import rat_from_json
-
     if isinstance(v, list):
         return p_trim([rat_from_json(c) for c in v])
     return p_trim([rat_from_json(v)])
 
 
 def poly_to_json(p: Poly) -> list:
-    from ._serde import rat_to_json
-
     return [rat_to_json(c) for c in p]
 
 
@@ -601,8 +565,6 @@ def system_from_json(obj: dict) -> dict:
     that is not ell x ell, an f or seed vector not of length ell, a domain
     epsilon or delta that is not positive, or a bad rational.
     """
-    from ._serde import rat_from_json
-
     if not isinstance(obj, dict):
         raise InvalidSystem("a system must be a JSON object")
     try:

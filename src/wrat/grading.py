@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import _linalg
 from .liealg import ChevalleyTable, F, cartan_lie_element
-from .rootsys import CartanElement, DimensionMismatch
+from .rootsys import CartanElement, DimensionMismatch, pairing
 
 
 class NoSl2Completion(ValueError):
@@ -143,8 +143,6 @@ def complete_sl2(
     being returned.  Raises NoSl2Completion when the linear system has no
     solution.
     """
-    from .rootsys import pairing
-
     rs = table.rs
     for c in f_roots:
         if pairing(rs, c, grading.characteristic) != 2:

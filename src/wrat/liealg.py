@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import _linalg
-from .rootsys import CartanElement, RootSystem
+from .rootsys import CartanElement, RootSystem, cartan_solve
 
 
 class BasisElement(NamedTuple):
@@ -249,7 +249,5 @@ def centralizer(table: ChevalleyTable, x: dict[int, Fraction]) -> list[dict[int,
 
 def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> dict[int, Fraction]:
     """The Cartan element with pairings a_i(v) = diagram_i, over the coroot basis."""
-    from .rootsys import cartan_solve
-
     coords = cartan_solve(table.rs, diagram)
     return {table.index[H(i)]: c for i, c in enumerate(coords) if c}

@@ -24,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ._serde import rat_from_json, rat_to_json
-from .rootsys import CartanElement, RootSystem, SimpleType, build
+from .rootsys import CartanElement, RootSystem, SimpleType, build, pairing
 
 
 class NotExceptionalType(ValueError):
@@ -136,8 +136,6 @@ def record_to_json(rec: OrbitRecord) -> dict:
 
 def validate_record(rec: OrbitRecord) -> None:
     """Arithmetic sanity: roots exist, f has degree -1, v centralizes f."""
-    from .rootsys import pairing
-
     rs = rec.root_system()
     for c in rec.f_roots:
         if c not in rs.positive_set:
@@ -167,7 +165,10 @@ def _load_dir(path_str: str) -> tuple[OrbitRecord, ...]:
     recs = []
     for fn in sorted(path.glob("*.json")):
         with open(fn) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise InvalidRecord(f"cannot parse record {fn.name}: {exc}") from exc
         rec = record_from_json(obj)
         validate_record(rec)
         recs.append(rec)

@@ -203,11 +203,20 @@ def _units(elt) -> list[tuple[int, int, int | Fraction]]:
     return [(i, j, 1)] + ([(*partner, _integral(c))] if partner else [])
 
 
+def _classical_sl2(real: ClassicalRealization) -> bool:
+    """Whether (e, h, f) is a verified sl2-triple and the diagonal v commutes
+    with f: v is constant across each nonzero entry of f, and then commutes
+    with e as well.  Checked on the realization itself, so an f replaced after
+    `build_classical` gets the rank rule."""
+    v = real.v_diag
+    return is_sl2_triple(real) and all(
+        v[r] == v[s] for r, row in enumerate(real.f) for s, x in enumerate(row) if x
+    )
+
+
 def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     """The operator on the symmetrized matrix units of `classical_basis`.
-    The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j.
-    sl2 is checked here, so an f replaced after `build_classical` gets the
-    rank rule; a diagonal v commuting with f commutes with e as well."""
+    The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j."""
     basis = classical_basis(real)
     index = {pos: k for k, (pos, _, _) in enumerate(basis)}
     by_col: list[list] = [[] for _ in range(real.size)]
@@ -230,7 +239,7 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
                     out[k] = out.get(k, 0) + coeff * x
         return {k: x for k, x in out.items() if x}
 
-    hd, v = real.h_diag, real.v_diag
+    hd = real.h_diag
     degrees, weights, cartan = [], [], []
     for k, elt in enumerate(basis):
         (i, j), _, _ = elt
@@ -241,8 +250,9 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
             for a, _, c in _units(elt):
                 coords[a] = c
             cartan.append((k, tuple(coords)))
-    sl2 = is_sl2_triple(real) and all(v[r] == v[s] for s, col in enumerate(by_col) for r, _ in col)
-    return _GradedOperator(tuple(degrees), tuple(weights), column, tuple(cartan), sl2)
+    return _GradedOperator(
+        tuple(degrees), tuple(weights), column, tuple(cartan), _classical_sl2(real)
+    )
 
 
 def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tuple, int, int]]:
@@ -536,8 +546,9 @@ def check_classical(real: ClassicalRealization) -> ConditionVerdict:
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
-    """`_self_contragredient` on the matrix realization."""
-    return _self_contragredient(_classical_operator(real))
+    """`_self_contragredient` on the matrix realization; on a verified triple
+    it is True without building the operator."""
+    return _classical_sl2(real) or _self_contragredient(_classical_operator(real))
 
 
 # ---------------------------------------------------------------------------

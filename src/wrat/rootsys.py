@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from ._linalg import mat, solve_unique
 
@@ -99,9 +99,6 @@ class CartanElement:
     def __rmul__(self, c) -> "CartanElement":
         c = Fraction(c)
         return CartanElement(tuple(c * a for a in self.pairings))
-
-    def is_zero(self) -> bool:
-        return not any(self.pairings)
 
 
 def _cartan_matrix(st: SimpleType) -> list[list[int]]:
@@ -302,8 +299,6 @@ def is_admissible_level(rs: RootSystem, p: int, q: int) -> bool:
     """
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
-    from math import gcd
-
     if gcd(p, q) != 1:
         return False
     if gcd(q, rs.lacety) == 1:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import series_oracle
 import wrat
-from wrat import ratcheck
+from wrat import frobenius as fr, ratcheck
 from wrat.cli import main
 
 
@@ -620,7 +620,8 @@ def test_report_tsv_golden(capsys):
 
 
 # the requests of the bench workloads at their default seed (argv as in
-# bench/workloads.py) and their golden stdout, read as data from bench/golden
+# bench/workloads.py) and their golden stdout, read as data from bench/golden;
+# a dict in an argv is a series system, written to a file before the run
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 GOLDEN_REQUESTS = (
     [("report_all", "report", ("report", "--all"))]
@@ -641,13 +642,21 @@ GOLDEN_REQUESTS = (
         )
         for cmd in ("check-classical", "verify-contragredient")
     ]
+    + [
+        ("series", f"frobenius_{name}", ("frobenius", system, "--order", str(order)))
+        for name, system, order in (
+            ("recursion", series_oracle.recursion_system(), 36),
+            ("log", series_oracle.log_system(), 28),
+        )
+    ]
 )
 
 
 @pytest.mark.parametrize(
     "workload,name,argv", GOLDEN_REQUESTS, ids=[f"{w}/{n}" for w, n, _ in GOLDEN_REQUESTS]
 )
-def test_bench_requests_match_golden_bytes(capsys, workload, name, argv):
+def test_bench_requests_match_golden_bytes(capsys, tmp_path, workload, name, argv):
+    argv = [write_system(tmp_path, "system.json", a) if isinstance(a, dict) else a for a in argv]
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert out.encode() == (GOLDEN / workload / f"{name}.out").read_bytes()
@@ -673,6 +682,48 @@ def test_other_runtime_errors_propagate(capsys, monkeypatch):
     monkeypatch.setattr(ratcheck, "check_record", broken)
     with pytest.raises(RuntimeError, match="not a verdict"):
         main(["check-exceptional", "--algebra", "G2", "--q", "3"])
+
+
+def _not_utf8_series(tmp_path, monkeypatch):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"ell": 1, "note": "\xe9"}')
+    return ["frobenius", str(path)]
+
+
+def _unparsable_record(tmp_path, monkeypatch):
+    (tmp_path / "broken.json").write_text("{not json")
+    monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+    return ["report"]
+
+
+def _resonant_system(tmp_path, monkeypatch):
+    system = {"ell": 1, "A": [[0, [[2]]]], "f": [[2, [[1]]]], "seeds": []}
+    return ["frobenius", write_system(tmp_path, "res.json", system)]
+
+
+@pytest.mark.parametrize(
+    "make_argv,message",
+    [
+        (_not_utf8_series, "error: cannot parse system: 'utf-8' codec can't decode"),
+        (_unparsable_record, "error: cannot parse record broken.json: Expecting"),
+        (_resonant_system, "error: resonant index n = 2"),
+    ],
+    ids=["not-utf8-series", "unparsable-record", "resonant-system"],
+)
+def test_named_bad_input_exits_3_with_one_line(capsys, tmp_path, monkeypatch, make_argv, message):
+    rc, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
+    assert (rc, out) == (3, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_plain_value_errors_propagate(capsys, monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise ValueError("not a data defect")
+
+    monkeypatch.setattr(fr, "recursion_solve", broken)
+    path = write_system(tmp_path, "rec.json", {"ell": 1, "A": [[0, [["1/2"]]]], "seeds": []})
+    with pytest.raises(ValueError, match="not a data defect"):
+        main(["frobenius", path])
 
 
 def test_report_json_deterministic_and_round_trips(capsys):

@@ -3,7 +3,10 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import series_oracle as oracle
 from wrat import frobenius as fr
 
 
@@ -133,7 +136,7 @@ def test_truncation_goldens():
 def test_norm_bound_weighs_by_delta_powers():
     a = fr.AnalyticMatrixSeries(1, {0: [[poly(1)]], 2: [[poly(4)]]})
     # 1 * delta^0 + 4 * delta^2 at delta = 1/2
-    assert fr.norm_bound(a, DOM) == 1 + 1
+    assert a.majorant_norm(DOM) == 1 + 1
 
 
 def test_contraction_converges_with_certified_rate():
@@ -176,6 +179,111 @@ def test_contraction_clamps_to_the_recursion_past_the_seeds():
 def test_contraction_fails_when_ratio_too_big():
     with pytest.raises(fr.ContractionFails):
         fr.contraction_solve(a_scalar(Q(10)), {}, [[()]], DOM, n_max=4, truncation=2)
+
+
+# -- residual and contraction bound against sums taken here --------------------
+
+
+def taylor(p, z0) -> list:
+    """Taylor coefficients of p at z0, by repeated synthetic division by z - z0."""
+    rest, out = list(p), []
+    while rest:
+        carry, quot = 0, []
+        for c in reversed(rest):
+            carry = carry * z0 + c
+            quot.append(carry)
+        out.append(quot.pop())
+        rest = quot[::-1]
+    return out
+
+
+def weighted_majorant(blocks, dom):
+    """sum_n (sum_p sum_t |c_t(p)| epsilon^t) delta^n over (n, polynomials) pairs."""
+    return sum(
+        sum(abs(c) * dom.epsilon**t for p in polys for t, c in enumerate(taylor(p, dom.z0)))
+        * dom.delta**n
+        for n, polys in blocks
+    )
+
+
+def same(got, want):
+    if isinstance(got, Q):
+        return got == want
+    return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+small_rat = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+small_poly = st.lists(small_rat, max_size=2).map(fr.p_trim)
+domains = st.builds(
+    fr.DomainParams,
+    z0=small_rat | st.builds(complex, small_rat.map(float), st.sampled_from([0.5, -1 / 3])),
+    epsilon=st.sampled_from([Q(1, 3), Q(1, 2), Q(1)]),
+    delta=st.sampled_from([Q(1, 8), Q(1, 4), Q(1, 2)]),
+)
+
+
+@st.composite
+def nonresonant_systems(draw):
+    """1x1 or 2x2: A_0 constant upper triangular with non-integer diagonal, so
+    det(nI - A_0) never vanishes; A_1, A_2 linear in z; a sparse f."""
+    ell = draw(st.integers(1, 2))
+    diag = st.sampled_from([Q(1, 2), Q(-1, 3), Q(2, 3), Q(-5, 2)])
+    a0 = [[(draw(diag),) if i == j else (draw(small_poly) if i < j else ()) for j in range(ell)]
+          for i in range(ell)]
+    terms = {0: a0}
+    for n in draw(st.sets(st.integers(1, 2), max_size=2)):
+        terms[n] = [[draw(small_poly) for _ in range(ell)] for _ in range(ell)]
+    f = {n: [draw(small_poly) for _ in range(ell)] for n in draw(st.sets(st.integers(0, 6), max_size=3))}
+    return fr.AnalyticMatrixSeries(ell, {n: [[fr.p_trim(e) for e in row] for row in m]
+                                         for n, m in terms.items()}), f
+
+
+def residual_blocks(a, f, u):
+    """(n, n u_n - f_n - sum_{m <= n} A_{n-m} u_m) with the oracle's arithmetic."""
+    for n, un in enumerate(u):
+        r = [oracle.p_scale(n, x) for x in un]
+        for m in range(n + 1):
+            if n - m in a.terms:
+                prod = oracle._mat_vec(a.terms[n - m], u[m])
+                r = [oracle.p_add(x, oracle.p_scale(-1, y)) for x, y in zip(r, prod)]
+        for i, y in enumerate(f.get(n, [])):
+            r[i] = oracle.p_add(r[i], oracle.p_scale(-1, y))
+        yield n, r
+
+
+@settings(max_examples=120, deadline=None)
+@given(nonresonant_systems(), domains, st.integers(1, 6), st.data())
+def test_residual_norm_of_a_perturbed_solution(system, dom, n_max, data):
+    a, f = system
+    u = [list(vec) for vec in fr.recursion_solve(a, f, [], n_max).coeffs]
+    assert fr.residual_norm(a, f, fr.VectorSeries(a.ell, u), dom) == 0
+    n = data.draw(st.integers(0, n_max - 1))
+    i = data.draw(st.integers(0, a.ell - 1))
+    bump = data.draw(small_poly.filter(bool))
+    u[n][i] = fr.p_add(u[n][i], bump)
+    got = fr.residual_norm(a, f, fr.VectorSeries(a.ell, u), dom)
+    want = weighted_majorant(residual_blocks(a, f, u), dom)
+    assert same(got, want), (got, want)
+    # nI - A_0 is invertible, so the bumped index leaves a residual
+    assert want > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonresonant_systems(), domains, st.integers(1, 8), st.integers(0, 6))
+def test_contraction_bound_is_the_a_priori_estimate(system, dom, n_max, iterations):
+    a, f = system
+    res = fr.contraction_solve(a, f, [], dom, n_max, iterations=iterations)
+    n_cap = res.truncation
+    clamped = oracle.recursion_solve(a, f, [], min(n_cap, n_max)).coeffs
+    assert res.series.coeffs[: len(clamped)] == clamped
+    c = weighted_majorant(((n, [e for row in m for e in row]) for n, m in a.terms.items()), dom)
+    assert same(res.ratio, c / n_cap)
+    # ||T 0||: the clamped block, then each f_n past the clamp divided by n
+    t0 = weighted_majorant(enumerate(clamped), dom) + sum(
+        weighted_majorant([(n, f[n])], dom) / n for n in f if n_cap <= n < n_max
+    )
+    want = (1 - res.ratio) ** -1 * res.ratio**iterations * t0
+    assert same(res.bound, want), (res.bound, want)
 
 
 # -- logarithmic layers --------------------------------------------------------
