@@ -1,9 +1,15 @@
 """Exact linear algebra over Fraction, on lists of rows.
 
-`rank` is the kernel primitive: fraction-free elimination on sparse integer
-rows.  `rref`, `nullspace` and `solve` are dense Gauss-Jordan, for small
-systems; they turn int entries into Fraction on the way in, so they stay
-exact on int input.  `block` places sparse columns into a dense matrix.
+There is one elimination, `_pivot_rows`: fraction-free on sparse integer
+rows.  It returns the pivot rows in echelon form, keyed by leading column;
+their leading columns are the pivot columns of the reduced row echelon
+form.  `rank` counts them.  `solve` eliminates the augmented rows a | b and
+`nullspace` the rows of a, and each back-substitutes once per vector in
+Fraction with the free variables fixed (to 0 for `solve`, to a unit vector
+per free column for `nullspace`).  Fixed free variables leave the pivot
+variables unique, so both return the vectors Gauss-Jordan would.  All of
+them take int or Fraction entries and return Fraction entries.  `block`
+places sparse columns into a dense matrix.
 """
 from __future__ import annotations
 
@@ -11,6 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
+# echelon rows {leading column: sparse integer row {column: entry}}
+Pivots = dict[int, dict[int, int]]
 
 
 def mat(rows) -> Matrix:
@@ -22,56 +30,17 @@ def zeros(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column indices)."""
-    m = mat(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rank(a: Matrix) -> int:
-    """Exact rank of a list of equal-length Fraction or int rows.
+def _pivot_rows(a) -> Pivots:
+    """Echelon form of a list of equal-length Fraction or int rows, as
+    {leading column: sparse integer row}.
 
     Each row is scaled by the lcm of its denominators to a sparse {column: int}
     dict, reduced against the pivot rows (keyed by leading column c) with
-    p[c] * r - r[c] * p, and divided by its gcd content after each step.
-    The rank is the number of pivot rows; no entry is ever divided.
+    p[c] * r - r[c] * p, and divided by its gcd content after each step.  A
+    row left nonzero becomes the pivot row of its leading column; no entry is
+    ever divided.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: Pivots = {}
     for row in a:
         nz = [(c, x) for c, x in enumerate(row) if x]
         den = lcm(*(x.denominator for _, x in nz))
@@ -93,7 +62,32 @@ def rank(a: Matrix) -> int:
             g = gcd(*r.values())
             if g > 1:
                 r = {k: x // g for k, x in r.items()}
-    return len(pivots)
+    return pivots
+
+
+def rank(a: Matrix) -> int:
+    """Exact rank of a list of equal-length Fraction or int rows: the number
+    of pivot rows of `_pivot_rows`."""
+    return len(_pivot_rows(a))
+
+
+def _back_substitute(pivots: Pivots, x: list[Fraction], n: int) -> list[Fraction]:
+    """Fill in the pivot entries of x, whose other entries are fixed, so that
+    each pivot row p holds as sum_{k < n} p[k] x[k] = p.get(n, 0).
+
+    Rows are taken by decreasing leading column, so every later entry of a
+    row is known when the row is reached.
+    """
+    for c in sorted(pivots, reverse=True):
+        p = pivots[c]
+        s = p.get(n, 0)
+        for k, y in p.items():
+            if k != c and k != n:
+                xk = x[k]
+                if xk:
+                    s -= y * xk
+        x[c] = Fraction(s, p[c])
+    return x
 
 
 def block(column, src, dst) -> list[list]:
@@ -114,43 +108,42 @@ def block(column, src, dst) -> list[list]:
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Canonical nullspace basis (one vector per free column of the RREF)."""
-    if not a:
-        n = ncols or 0
-        return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    n = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
+    """Canonical nullspace basis: one vector per free column, in column
+    order, with 1 there and 0 in every other free column.  ncols gives the
+    width when a has no rows."""
+    n = len(a[0]) if a else ncols or 0
+    pivots = _pivot_rows(a)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for fc in range(n):
+        if fc not in pivots:
+            x = [Fraction(0)] * n
+            x[fc] = Fraction(1)
+            basis.append(_back_substitute(pivots, x, n))
     return basis
+
+
+def _solve(a: Matrix, b: list[Fraction]) -> tuple[Pivots, list[Fraction] | None]:
+    """Pivot rows of the augmented rows a | b, and one solution of a x = b
+    with the free variables 0 (None when a pivot lands in the constant column)."""
+    if not a:
+        return {}, (None if any(b) else [])
+    n = len(a[0])
+    pivots = _pivot_rows([[*row, bi] for row, bi in zip(a, b)])
+    if n in pivots:
+        return pivots, None
+    return pivots, _back_substitute(pivots, [Fraction(0)] * n, n)
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     """One solution of a x = b, or None if inconsistent (free vars set to 0)."""
-    if not a:
-        return [] if not any(b) else None
-    n = len(a[0])
-    aug = [row + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    if n in pivots:  # pivot in the constant column: inconsistent
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return x
+    return _solve(a, b)[1]
 
 
 def solve_unique(a: Matrix, b: list[Fraction]) -> list[Fraction]:
     """Solution of a square nonsingular system (raises on anything else)."""
-    x = solve(a, b)
+    pivots, x = _solve(a, b)
     if x is None:
         raise ArithmeticError("inconsistent linear system")
-    if rank(a) != len(a[0]):
+    if len(pivots) != len(x):
         raise ArithmeticError("singular linear system")
     return x

@@ -439,9 +439,7 @@ def contraction_solve(
     if ratio >= 1:
         raise ContractionFails(f"C/N = {ratio} >= 1")
     n_clamped = min(n_cap, n_max)
-    if len(seeds) < n_clamped:
-        seeds = recursion_solve(a, f_terms, seeds, n_clamped).coeffs
-    clamped = [[p_trim(e) for e in seeds[n]] for n in range(n_clamped)]
+    clamped = recursion_solve(a, f_terms, seeds[:n_clamped], n_clamped).coeffs
 
     # ||T 0||: the clamped block plus the divided inhomogeneity tail
     f_norm = _weighted(

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from . import _linalg
 from .rootsys import CartanElement, RootSystem, cartan_solve
 
 
@@ -233,18 +232,6 @@ class ChevalleyTable:
 def build_chevalley(rs: RootSystem) -> ChevalleyTable:
     """Chevalley table over a built root system (cached per system)."""
     return ChevalleyTable(rs)
-
-
-def ad_matrix(table: ChevalleyTable, x: dict[int, Fraction]):
-    """Matrix of ad(x) over the basis: column j holds the coords of [x, b_j]."""
-    basis = range(table.dimension)
-    return _linalg.block(lambda j: table.ad_column(x, j), basis, basis)
-
-
-def centralizer(table: ChevalleyTable, x: dict[int, Fraction]) -> list[dict[int, Fraction]]:
-    """Basis of ker ad(x), as elements."""
-    null = _linalg.nullspace(ad_matrix(table, x), table.dimension)
-    return [{i: c for i, c in enumerate(v) if c} for v in null]
 
 
 def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> dict[int, Fraction]:

@@ -1,7 +1,7 @@
 """Kernel-walk self-contragredience checks, kept as oracles for the rank test.
 
 These compute a basis of ker ad(f) on g_0 with the Gauss-Jordan
-`_linalg.nullspace` and test every kernel vector against the three
+`linalg_oracle.nullspace` and test every kernel vector against the three
 conditions one by one: pairing with h/2 (tr(h w) on the matrix side) and
 the trace of ad(w) on the positive and on the negative part.  The classical
 version builds [f, B] by scanning the dense f, and the Chevalley version sums
@@ -11,6 +11,7 @@ code.
 """
 from fractions import Fraction
 
+import linalg_oracle
 from wrat import _linalg
 from wrat.orbits import classical_basis
 from wrat.rootsys import cartan_solve
@@ -32,7 +33,7 @@ def ad_block(table, x, src, dst):
 def self_contragredient(table, grading, f) -> bool:
     g0 = grading.block(0)
     m = ad_block(table, f, g0, grading.block(-1))
-    kernel = _linalg.nullspace(m, len(g0))
+    kernel = linalg_oracle.nullspace(m, len(g0))
 
     rs = table.rs
     n = rs.rank
@@ -102,7 +103,7 @@ def self_contragredient_classical(real) -> bool:
             r = reps.get(pos)
             if r is not None:
                 m[r][col] = val
-    kernel = _linalg.nullspace(m, len(g0))
+    kernel = linalg_oracle.nullspace(m, len(g0))
 
     pos_elts = [elt for elt in basis if real.h_diag[elt[0][0]] > real.h_diag[elt[0][1]]]
     neg_elts = [elt for elt in basis if real.h_diag[elt[0][0]] < real.h_diag[elt[0][1]]]

@@ -17,10 +17,10 @@ import random
 import time
 from fractions import Fraction as Q
 
-from wrat._linalg import rref
+from linalg_oracle import centralizer, rref
 from wrat.cli import main as cli_main
 from wrat.grading import verify_good_grading
-from wrat.liealg import centralizer, build_chevalley
+from wrat.liealg import build_chevalley
 from wrat.orbits import (
     ClassicalPartition,
     InvalidPartition,

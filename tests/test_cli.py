@@ -363,6 +363,25 @@ def test_frobenius_contraction_resonant_fill_exits_3(capsys, tmp_path):
     assert rc == 3 and "n = 1" in err
 
 
+INCONSISTENT_SEED = {
+    "ell": 1,
+    "A": [[0, [["1/4"]]]],
+    "f": [[2, [[1]]]],
+    "seeds": [[[5]]],
+    "domain": {"z0": 0, "epsilon": "1/2", "delta": "1/2"},
+}
+
+
+@pytest.mark.parametrize("route", ["recursion", "contraction"])
+def test_frobenius_inconsistent_seed_exits_3(capsys, tmp_path, route):
+    # -u_0/4 = f_0 = 0 forces u_0 = 0; the seed 5 is checked on every route,
+    # also when the seeds fill the whole clamped range (truncation N = 1)
+    path = write_system(tmp_path, "seed.json", INCONSISTENT_SEED)
+    rc, out, err = run(capsys, "frobenius", path, "--route", route)
+    assert rc == 3 and out == ""
+    assert err == "error: seed at n = 0 does not satisfy the recursion\n"
+
+
 def test_frobenius_log_route(capsys, tmp_path):
     path = write_system(
         tmp_path,
@@ -585,6 +604,54 @@ def contraction_systems(draw):
 
 
 FRACTION_TEXT = re.compile(r"\d+(/\d+)?")
+
+
+NON_INTEGERS = RATIONALS.filter(lambda x: x.denominator > 1)
+
+
+@st.composite
+def perturbed_seed_systems(draw):
+    """(system, k): a 1x1 or 2x2 system with a diagonal, non-integer A_0, so
+    that det(nI - A_0) never vanishes and every seed is forced; its seeds
+    u_0 .. u_k from the recursion, with a nonzero constant added to one
+    component of u_k when perturbed."""
+    obj = draw(contraction_systems())
+    ell = obj["ell"]
+    diag = [draw(NON_INTEGERS) for _ in range(ell)]
+    a0 = [[[_rat(diag[i])] if i == j else [] for j in range(ell)] for i in range(ell)]
+    obj["A"] = [[0, a0]] + [[n, m] for n, m in obj["A"] if n]
+    k = draw(st.integers(0, 2))
+    system = fr.system_from_json(obj)
+    seeds = [list(vec) for vec in fr.recursion_solve(system["a"], system["f"], [], k + 1).coeffs]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, ell - 1))
+        seeds[k][i] = fr.p_add(seeds[k][i], (draw(RATIONALS.filter(bool)),))
+        perturbed = True
+    else:
+        perturbed = False
+    obj["seeds"] = [[[_rat(c) for c in p] for p in vec] for vec in seeds]
+    return obj, k, perturbed
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_seed_systems())
+def test_frobenius_perturbed_seed_exits_3_on_every_route(case):
+    """A seed off the recursion is refused on both plain routes; the same
+    system with the recursion's own seeds is certified on both."""
+    obj, k, perturbed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        for route in ("recursion", "contraction"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["frobenius", path, "--route", route, "--order", str(k + 2)])
+            if perturbed:
+                assert rc == 3 and out.getvalue() == "", route
+                assert err.getvalue() == f"error: seed at n = {k} does not satisfy the recursion\n"
+            else:
+                assert rc == 0, (route, err.getvalue())
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle as oracle
+from contragredient_oracle import ad_block as bracket_block
 from wrat._linalg import rank as mat_rank, solve
 from wrat.grading import (
     NoSl2Completion,
@@ -17,6 +19,7 @@ from wrat.grading import (
 )
 from wrat.liealg import F, build_chevalley, cartan_lie_element
 from wrat.orbits import load_records
+from wrat.ratcheck import h0f_space
 from wrat.rootsys import CartanElement, DimensionMismatch, SimpleType, build, pairing
 
 
@@ -161,6 +164,25 @@ def test_complete_sl2_g0_rows_match_full_system(name, h, f_roots):
     t = table_for(name)
     g = grade(t, h)
     assert complete_sl2(t, g, f_roots).e == full_system_e(t, g, f_roots)
+
+
+@pytest.mark.parametrize("rec", load_records(), ids=lambda r: f"{r.algebra}-{r.label}")
+def test_sl2_completion_and_hf_basis_match_gauss_jordan(rec):
+    """complete_sl2 gives the triple that [f, e] = -h solves to with the
+    Gauss-Jordan oracle on the g_1 -> g_0 block (summed from `basis_bracket`),
+    and h0f_space the oracle's canonical kernel basis of the support roots of
+    f, which fixes the candidate box `search_v` enumerates."""
+    t = table_for(str(rec.algebra))
+    g = grade(t, rec.h)
+    triple = complete_sl2(t, g, list(rec.f_roots))
+    f = {t.index[F(c)]: Fraction(1) for c in rec.f_roots}
+    h = cartan_lie_element(t, g.characteristic)
+    src, g0 = g.block(1), g.block(0)
+    x = oracle.solve(bracket_block(t, f, src, g0), [-h.get(k, 0) for k in g0])
+    e = {j: x[c] for c, j in enumerate(src) if x[c]}
+    assert (triple.e, triple.h, triple.f) == (e, h, f)
+    basis = oracle.nullspace([list(c) for c in rec.f_roots], t.rs.rank)
+    assert [v.pairings for v in h0f_space(t, triple.f)] == [tuple(v) for v in basis]
 
 
 def reference_degrees(t, characteristic):

@@ -1,12 +1,14 @@
-"""`_linalg.rank` (fraction-free, sparse integer rows) against two
-independent ranks: sympy's `Matrix.rank` and the pivot count of the
-Gauss-Jordan `_linalg.rref`; and the dense routines exact on raw int input."""
+"""`_linalg` (one fraction-free elimination on sparse integer rows) against
+two independent references: sympy's `Matrix.rank`, and the dense
+Gauss-Jordan of `linalg_oracle`, whose `solve` and `nullspace` lists
+`_linalg.solve` and `_linalg.nullspace` must equal exactly."""
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle as oracle
 from wrat import _linalg
 
 ENTRIES = st.one_of(
@@ -53,7 +55,7 @@ def sympy_rank(a) -> int:
 def test_rank_matches_sympy_and_rref(a):
     got = _linalg.rank(a)
     assert got == sympy_rank(a)
-    assert got == len(_linalg.rref(a)[1])
+    assert got == len(oracle.rref(a)[1])
 
 
 def _all_fractions(rows) -> bool:
@@ -65,8 +67,6 @@ def _all_fractions(rows) -> bool:
 def test_dense_routines_are_exact_on_int_input(a, data):
     n = len(a[0]) if a else 0
     r = _linalg.rank(a)
-    red, pivots = _linalg.rref(a)
-    assert _all_fractions(red) and len(pivots) == r
     null = _linalg.nullspace(a, n)
     assert _all_fractions(null) and len(null) == n - r
     assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a for v in null)
@@ -77,10 +77,59 @@ def test_dense_routines_are_exact_on_int_input(a, data):
         assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
 
 
+@st.composite
+def shaped_systems(draw):
+    """(a, ncols, b) over mixed int and Fraction entries: any shape, tall,
+    wide, all-zero, or no rows at all (ncols is then the width)."""
+    shape = draw(st.sampled_from(["any", "tall", "wide", "zero", "empty"]))
+    if shape == "empty":
+        return [], draw(st.integers(0, 4)), draw(st.lists(MIXED, max_size=2))
+    a = draw(matrices(MIXED))
+    m, n = len(a), len(a[0]) if a else 0
+    if shape == "tall":
+        a = a + draw(st.lists(st.lists(MIXED, min_size=n, max_size=n), min_size=1, max_size=4))
+    elif shape == "wide":
+        k = draw(st.integers(1, 4))
+        a = [row + draw(st.lists(MIXED, min_size=k, max_size=k)) for row in a]
+    elif shape == "zero":
+        a = [[draw(st.sampled_from([0, Fraction(0)]))] * n for _ in range(m)]
+    n = len(a[0]) if a else 0
+    b = draw(st.one_of(
+        st.lists(MIXED, min_size=len(a), max_size=len(a)),
+        st.just([0] * len(a)),
+    ))
+    return a, n, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_systems())
+def test_solve_and_nullspace_equal_the_oracle(system):
+    """The echelon rows and back-substitution give Gauss-Jordan's exact lists:
+    the same solution (free variables 0), the same canonical kernel basis in
+    the same order, all Fraction; solve_unique raises exactly on a singular
+    or inconsistent system."""
+    a, n, b = system
+    x = _linalg.solve(a, b)
+    assert x == oracle.solve(a, b)
+    if x is not None:
+        assert _all_fractions([x])
+    null = _linalg.nullspace(a, n)
+    assert null == oracle.nullspace(a, n)
+    assert _all_fractions(null)
+    width = len(a[0]) if a else 0
+    bad = x is None or len(oracle.rref(a)[1]) != width
+    try:
+        assert _linalg.solve_unique(a, b) == x
+    except ArithmeticError:
+        assert bad
+    else:
+        assert not bad
+
+
 def test_dense_routines_on_small_int_systems():
     assert _linalg.solve([[2]], [1]) == [Fraction(1, 2)]
     assert type(_linalg.solve([[2]], [1])[0]) is Fraction
-    red, pivots = _linalg.rref([[3, 1], [1, 2]])
+    red, pivots = oracle.rref([[3, 1], [1, 2]])
     assert red == [[1, 0], [0, 1]] and pivots == [0, 1] and _all_fractions(red)
     assert _linalg.solve_unique([[3, 1], [1, 2]], [1, 0]) == [Fraction(2, 5), Fraction(-1, 5)]
     assert _linalg.nullspace([[2, 4]]) == [[-2, 1]] and _all_fractions(_linalg.nullspace([[2, 4]]))
@@ -119,6 +168,6 @@ def test_mat_keeps_fractions_and_copies_rows():
     m = _linalg.mat(a)
     assert m == [[third, 2], [1, 4]] and _all_fractions(m)
     assert m[0][0] is third
-    red, _ = _linalg.rref(a)
-    assert red == [[1, 0], [0, 1]]
+    assert _linalg.solve_unique(a, [1, 1]) == [-3, 1]
+    assert _linalg.nullspace(a) == []
     assert a == [[third, 2], [True, Fraction(4)]]

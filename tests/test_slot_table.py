@@ -2,8 +2,8 @@
 
 The oracle is the direct algorithm: group the Chevalley basis by
 (degree, ad(v)-eigenvalue) for the given v and take one exact rank per
-block, counted as the pivots of the Gauss-Jordan `_linalg.rref` rather than
-by the integer `_linalg.rank` the package uses.  Its ad(f) blocks are summed
+block, counted as the pivots of the Gauss-Jordan `linalg_oracle.rref`
+rather than by the integer `_linalg.rank` the package uses.  Its ad(f) blocks are summed
 straight from `ChevalleyTable.basis_bracket` (`contragredient_oracle.ad_block`),
 not from the package's `ad_column`/`_linalg.block` assembly.  The slot table
 groups by (degree, h^f-weight) instead, once per f; both must give identical
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contragredient_oracle import ad_block
-from wrat import _linalg
+from linalg_oracle import rref
 from wrat.orbits import load_records
 from wrat.ratcheck import (
     EvidenceEntry,
@@ -50,7 +50,7 @@ def blockwise_condition(table, grading, f, v):
     for (d, lam), src in blocks.items():
         dst = blocks.get((d - 1, lam), [])
         m = ad_block(table, f, tuple(src), tuple(dst))
-        mult = len(src) - len(_linalg.rref(m)[1])
+        mult = len(src) - len(rref(m)[1])
         if mult:
             rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
     rows.sort(key=lambda r: (r.j, r.eigenvalue))
