@@ -560,8 +560,9 @@ def system_from_json(obj: dict) -> dict:
     a JSON integer, or ell < 1, K < 0 or an index < 0; a seed key "j:k"
     outside 0 <= j < len(exponents), 0 <= k <= K; an A_n, a row of it, an f
     vector, a seed vector or the exponents not given as a JSON list; an A_n
-    that is not ell x ell, an f or seed vector not of length ell, a domain
-    epsilon or delta that is not positive, or a bad rational.
+    that is not ell x ell, an f or seed vector not of length ell, a list
+    domain z0 that is not [re, im], a domain epsilon or delta that is not
+    positive, or a bad rational.
     """
     if not isinstance(obj, dict):
         raise InvalidSystem("a system must be a JSON object")
@@ -594,6 +595,8 @@ def system_from_json(obj: dict) -> dict:
             d = obj["domain"]
             z0_raw = d["z0"]
             if isinstance(z0_raw, list):
+                if len(z0_raw) != 2:
+                    raise InvalidSystem(f"a list z0 must be [re, im], got {z0_raw!r}")
                 z0 = complex(float(rat_from_json(z0_raw[0])), float(rat_from_json(z0_raw[1])))
             else:
                 z0 = rat_from_json(z0_raw)

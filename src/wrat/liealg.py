@@ -63,7 +63,6 @@ class ChevalleyTable:
         )
         self.dimension = len(self.basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self._pos_set = set(pos)
         self._norm2 = {c: rs.norm2(c) for c in pos}
         self._by_height = sorted(pos, key=lambda c: (sum(c), c))
         self._order = {c: k for k, c in enumerate(self._by_height)}
@@ -74,14 +73,11 @@ class ChevalleyTable:
 
     # -- root-level helpers -------------------------------------------------
 
-    def _is_root(self, c: tuple[int, ...]) -> bool:
-        return c in self._pos_set or tuple(-x for x in c) in self._pos_set
-
     def string_down_length(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """p = largest k >= 0 such that b - k*a is a root."""
         k = 0
         probe = tuple(x - y for x, y in zip(b, a))
-        while self._is_root(probe):
+        while self.rs.is_root(probe):
             k += 1
             probe = tuple(x - y for x, y in zip(probe, a))
         return k
@@ -95,7 +91,7 @@ class ChevalleyTable:
                 if 2 * sum(a) > ht:
                     break
                 rem = tuple(x - y for x, y in zip(g, a))
-                if rem in self._pos_set:
+                if rem in self.rs.positive_set:
                     got = (a, rem)
                     break
             if got is None:
@@ -124,10 +120,10 @@ class ChevalleyTable:
             s = tuple(x - y for x, y in zip(a, a1))   # a - a1 = b1 - b
             t = tuple(x - y for x, y in zip(b, a1))   # b - a1 = b1 - a
             total = Fraction(0)
-            if s in self._pos_set:
+            if s in self.rs.positive_set:
                 total += Fraction(n2[s], n2[a] * n2[b1]) * (
                     self.n_constant(a1, s) * self.n_constant(b, s))
-            if t in self._pos_set:
+            if t in self.rs.positive_set:
                 total -= Fraction(n2[t], n2[b1] * n2[b]) * (
                     self.n_constant(a, t) * self.n_constant(a1, t))
             exact = -n2[g] * total / self.n_constant(a1, b1)
@@ -140,7 +136,7 @@ class ChevalleyTable:
         """N(a, -b) for positive roots a != b with a - b a root."""
         n2 = self._norm2
         diff = tuple(x - y for x, y in zip(a, b))
-        if diff in self._pos_set:
+        if diff in self.rs.positive_set:
             # b + diff = a
             return -Fraction(n2[diff], n2[a]) * self.n_constant(b, diff)
         neg = tuple(-x for x in diff)
@@ -190,7 +186,7 @@ class ChevalleyTable:
         a, b = x.key, y.key
         if x.kind == y.kind:
             s = tuple(p + q for p, q in zip(a, b))
-            if s not in self._pos_set:
+            if s not in self.rs.positive_set:
                 return {}
             n = self.n_constant(a, b)
             if x.kind == "e":
@@ -202,11 +198,11 @@ class ChevalleyTable:
         if a == b:
             return {i: c for i, c in self.coroot_coords(a).items()}
         diff = tuple(p - q for p, q in zip(a, b))
-        if not self._is_root(diff):
+        if not self.rs.is_root(diff):
             return {}
         n = self._n_mixed(a, b)
         assert n.denominator == 1, "structure constant must be integral"
-        target = E(diff) if diff in self._pos_set else F(tuple(-c for c in diff))
+        target = E(diff) if diff in self.rs.positive_set else F(tuple(-c for c in diff))
         return {idx[target]: n}
 
     # -- brackets of elements -----------------------------------------------

@@ -96,14 +96,22 @@ def _diagram_to_json(values, family: str) -> dict:
     return {"row": vals}
 
 
+def _json_int(x, name: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidRecord(f"{name} must be a JSON integer, got {x!r}")
+    return x
+
+
 def record_from_json(obj: dict) -> OrbitRecord:
     try:
         st = SimpleType.parse(obj["algebra"])
         label = str(obj["label"])
-        q = tuple(int(x) for x in obj["q"])
+        q = tuple(_json_int(x, "a q value") for x in obj["q"])
         h = _diagram_from_json(obj["h"], st.family, st.rank)
         v = _diagram_from_json(obj["v"], st.family, st.rank)
-        f_roots = tuple(tuple(int(x) for x in r) for r in obj["f_roots"])
+        f_roots = tuple(
+            tuple(_json_int(x, "a root coefficient") for x in r) for r in obj["f_roots"]
+        )
     except InvalidRecord:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -256,15 +264,15 @@ class ClassicalPartition:
 
 @dataclass(frozen=True)
 class ClassicalRealization:
-    """Matrices for a partition: the form S, the nilpotent f, its sl2
-    partner e, the diagonals of h and v, and the sparse description of S
-    (row i holds its only nonzero in column sigma(i), with value c(i))."""
+    """A partition's matrices, held sparse: the nilpotent f and its sl2
+    partner e as {(row, column): entry} with no stored zeros, the diagonals
+    of h and v, and the monomial form S as sigma and c (row i of S holds its
+    only nonzero c(i) in column sigma(i))."""
 
     partition: ClassicalPartition
     size: int
-    form: tuple[tuple[Fraction, ...], ...]
-    f: tuple[tuple[Fraction, ...], ...]
-    e: tuple[tuple[Fraction, ...], ...]
+    f: dict[tuple[int, int], Fraction]
+    e: dict[tuple[int, int], Fraction]
     h_diag: tuple[Fraction, ...]
     v_diag: tuple[Fraction, ...]
     sigma: tuple[int, ...]
@@ -280,7 +288,7 @@ class ClassicalRealization:
 
 
 def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
-    """Assemble S, f, e, h, v from the block data.
+    """Assemble S (as sigma and c), f, e, h, v from the block data.
 
     With S_m the alternating antidiagonal form (row i holds (-1)^i in
     column m - 1 - i), paired parts contribute two adjacent lower Jordan
@@ -293,44 +301,43 @@ def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
     """
     n = partition.size
     zero = Fraction(0)
-    form = [[zero] * n for _ in range(n)]
-    f = [[zero] * n for _ in range(n)]
-    e = [[zero] * n for _ in range(n)]
+    f: dict[tuple[int, int], Fraction] = {}
+    e: dict[tuple[int, int], Fraction] = {}
     h = [zero] * n
     v = [zero] * n
+    sigma = [-1] * n
+    coeff = [zero] * n
 
     def place_jordan(start: int, m: int):
         for i in range(m - 1):
-            f[start + i + 1][start + i] = Fraction(1)
-            e[start + i][start + i + 1] = Fraction((i + 1) * (m - 1 - i))
+            f[start + i + 1, start + i] = Fraction(1)
+            e[start + i, start + i + 1] = Fraction((i + 1) * (m - 1 - i))
         for i in range(m):
             h[start + i] = Fraction(m - 1 - 2 * i)
+
+    def place_form(row: int, col: int, c: int):
+        sigma[row], coeff[row] = col, Fraction(c)
 
     off = 0
     for m in partition.pairs:
         for i in range(m):
-            form[off + i][off + 2 * m - 1 - i] = Fraction((-1) ** i)
-            form[off + m + i][off + m - 1 - i] = Fraction(-((-1) ** i))
+            place_form(off + i, off + 2 * m - 1 - i, (-1) ** i)
+            place_form(off + m + i, off + m - 1 - i, -((-1) ** i))
             v[off + i], v[off + m + i] = Fraction(1, 2), Fraction(-1, 2)
         place_jordan(off, m)
         place_jordan(off + m, m)
         off += 2 * m
     for m in partition.singles:
         for i in range(m):
-            form[off + i][off + m - 1 - i] = Fraction((-1) ** i)
+            place_form(off + i, off + m - 1 - i, (-1) ** i)
         place_jordan(off, m)
         off += m
-
-    # the first nonzero of each row; `_verify_membership` checks it is the only one
-    sigma = [next((j for j, x in enumerate(row) if x), -1) for row in form]
-    coeff = [form[i][j] for i, j in enumerate(sigma)]
 
     real = ClassicalRealization(
         partition=partition,
         size=n,
-        form=tuple(tuple(r) for r in form),
-        f=tuple(tuple(r) for r in f),
-        e=tuple(tuple(r) for r in e),
+        f=f,
+        e=e,
         h_diag=tuple(h),
         v_diag=tuple(v),
         sigma=tuple(sigma),
@@ -342,29 +349,21 @@ def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
     return real
 
 
-def _nonzeros(m) -> dict[tuple[int, int], Fraction]:
-    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
-
-
 def _verify_membership(real: ClassicalRealization) -> None:
-    """S is monomial, f and e lie in g, and the diagonals h, v satisfy
-    d(sigma(i)) = -d(i).
+    """sigma is a permutation, f and e lie in g, and the diagonals h, v
+    satisfy d(sigma(i)) = -d(i).
 
-    S must be monomial: row i holds only c(i), in column sigma(i), and sigma
-    is a permutation.  Then X lies in g iff the involution
+    S is monomial by construction, so X lies in g iff the involution
     X -> -S^{-1} X^T S, which maps E_ij to c * E_i'j' (`involution_of`),
     fixes it: X[i'][j'] = c * X[i][j], checked at each nonzero of X.
     """
     n = real.size
-    s, sigma, c = real.form, real.sigma, real.form_coeff
-    if sorted(sigma) != list(range(n)) or any(
-        s[i][j] != (c[i] if j == sigma[i] else 0) for i in range(n) for j in range(n)
-    ):
+    if sorted(real.sigma) != list(range(n)):
         raise InvalidPartition("the form is not monomial")
     for x in (real.f, real.e):
-        for (i, j), a in _nonzeros(x).items():
+        for (i, j), a in x.items():
             ip, jp, cc = real.involution_of(i, j)
-            if x[ip][jp] != cc * a:
+            if x.get((ip, jp), 0) != cc * a:
                 raise InvalidPartition("nilpotent fell outside the algebra")
     for diag in (real.h_diag, real.v_diag):
         for i in range(n):
@@ -376,7 +375,7 @@ def is_sl2_triple(real: ClassicalRealization) -> bool:
     """[e, f] = h, [h, e] = 2e and [h, f] = -2f, over nonzero entries only;
     h is diagonal, so [h, X] = 2X says h_i - h_j = 2 at each nonzero X_ij."""
     hd = real.h_diag
-    e, f = _nonzeros(real.e), _nonzeros(real.f)
+    e, f = real.e, real.f
     ef = {(i, i): -x for i, x in enumerate(hd) if x}  # [e, f] - h
     for x, y, sign in ((e, f, 1), (f, e, -1)):
         rows: dict[int, list] = {}
@@ -403,19 +402,14 @@ def classical_basis(real: ClassicalRealization):
     """
     n = real.size
     out = []
-    seen = set()
     for i in range(n):
         for j in range(n):
-            if (i, j) in seen:
-                continue
             ip, jp, c = real.involution_of(i, j)
             if (ip, jp) == (i, j):
                 if c == 1:
                     out.append(((i, j), None, None))
                 # c == -1: this unit lies in the -1 eigenspace; not in g
-                seen.add((i, j))
-            else:
+            elif (i, j) < (ip, jp):
+                # the first unit of its two-cycle in row-major order
                 out.append(((i, j), (ip, jp), c))
-                seen.add((i, j))
-                seen.add((ip, jp))
     return out

@@ -14,12 +14,11 @@ torus coordinates; and whether f sits in a verified sl2-triple (e, h, f).
 
 * `exact_condition` and `check_classical` read the evidence off the kernel
   slot table.  ad(f) maps the (degree d, torus weight mu) span into the
-  (d - 1, mu) span, so ker ad(f) splits into slots (d, mu).  A record's
-  torus is h^f, which kills every root in the support of f and holds every
-  v centralizing f, so its slots do not depend on v; a partition's torus is
-  v itself.  On a verified triple each slot is counted (Kostant), reading
-  only degrees and weights; without one it takes one exact rank.  Summing
-  the slots by (j, eigenvalue of v) gives one evidence row per occupied pair.
+  (d - 1, mu) span, so ker ad(f) splits into slots (d, mu).  For a record
+  and for a partition alike the torus is v itself, so a slot is a pair
+  (d, eigenvalue of v) and gives one evidence row.  On a verified triple
+  each slot is counted (Kostant), reading only degrees and weights; without
+  one it takes one exact rank.
 
 * `fast_condition` looks only at the spectrum of ad(v) on the degree-0 and
   degree -1/2 blocks, which controls the spectrum everywhere else.  The only
@@ -28,10 +27,12 @@ torus coordinates; and whether f sits in a verified sl2-triple (e, h, f).
   images as witnesses) or exhibits a genuine violation.  Anything outside
   the tractable range hands off to the slot table wholesale.
 
-`search_v` builds a record's slot table once and checks each v of a small
-rational lattice inside h^f against it in integer arithmetic.  A record's
-triple is the one `complete_sl2` verifies in `realize_record`; a partition's
-is built and verified by `build_classical`.
+`search_v`, the only user of h^f, builds a record's slot table once with h^f
+as the torus; h^f kills every root in the support of f and holds every v
+centralizing f.  Each v of a small rational lattice inside h^f is checked
+against that table in integer arithmetic.  A record's triple is the one
+`complete_sl2` verifies in `realize_record`; a partition's is built and
+verified by `build_classical`.
 """
 from __future__ import annotations
 
@@ -209,9 +210,7 @@ def _classical_sl2(real: ClassicalRealization) -> bool:
     with e as well.  Checked on the realization itself, so an f replaced after
     `build_classical` gets the rank rule."""
     v = real.v_diag
-    return is_sl2_triple(real) and all(
-        v[r] == v[s] for r, row in enumerate(real.f) for s, x in enumerate(row) if x
-    )
+    return is_sl2_triple(real) and all(v[r] == v[s] for r, s in real.f)
 
 
 def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
@@ -221,11 +220,9 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     index = {pos: k for k, (pos, _, _) in enumerate(basis)}
     by_col: list[list] = [[] for _ in range(real.size)]
     by_row: list[list] = [[] for _ in range(real.size)]
-    for r, row in enumerate(real.f):
-        for s, x in enumerate(row):
-            if x:
-                by_col[s].append((r, _integral(x)))
-                by_row[r].append((s, _integral(x)))
+    for (r, s), x in real.f.items():
+        by_col[s].append((r, _integral(x)))
+        by_row[r].append((s, _integral(x)))
 
     def column(j: int) -> dict[int, int | Fraction]:
         # f E_ab has f's column a in column b, and E_ab f has f's row b in
@@ -255,13 +252,12 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     )
 
 
-def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tuple, int, int]]:
+def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tuple, int]]:
     """ker ad(f) split into (degree, torus weight) slots, for a torus given
-    as a list of elements, each by its coordinate values.
+    as a list of elements, each by its coordinate values: the single v of
+    `_slot_verdict`, or the h^f basis of `search_v`.
 
-    Returns one (degree, weight, representative basis index, multiplicity)
-    tuple per occupied slot; for every v in the span of the torus, the
-    representative's ad(v)-eigenvalue is the slot's eigenvalue.
+    Returns one (degree, weight, multiplicity) tuple per occupied slot.
 
     With op.sl2 the weight-mu spans form an sl2-module (h acts by 2d), so a
     slot holds dim g_(d, mu) - dim g_(d-1, mu) at d <= 0 and none at d > 0;
@@ -278,19 +274,19 @@ def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tupl
         else:
             mult = len(src) - _linalg.rank(_linalg.block(op.column, src, dst))
         if mult:
-            slots.append((d, mu, src[0], mult))
+            slots.append((d, mu, mult))
     return slots
 
 
-def _slot_verdict(op: _GradedOperator, torus, v) -> ConditionVerdict:
-    """Slot multiplicities summed by (j, eigenvalue of v), one evidence row
-    per occupied pair; v is given by its torus coordinates."""
+def _slot_verdict(op: _GradedOperator, v) -> ConditionVerdict:
+    """One evidence row per occupied slot of the table with v, given by its
+    torus coordinates, as the torus: slot (d, (n,)) holds eigenvalue n / den
+    in degree j = -d."""
     ints, den = _over_common_denominator(v)
-    mults: dict[tuple[Fraction, Fraction], int] = {}
-    for d, _, rep, mult in _kernel_slots(op, torus):
-        key = (-d, Fraction(_dot(op.weights[rep], ints), den))
-        mults[key] = mults.get(key, 0) + mult
-    rows = [EvidenceEntry(j, lam, m, _admissible(j, lam)) for (j, lam), m in mults.items()]
+    rows = []
+    for d, (n,), mult in _kernel_slots(op, [ints]):
+        lam = Fraction(n, den)
+        rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
     return _verdict(rows, (), "exact", "counting" if op.sl2 else "rank")
 
 
@@ -347,13 +343,13 @@ def exact_condition(
 ) -> ConditionVerdict:
     """Exact kernel computation; one evidence row per occupied (j, eigenvalue).
 
-    The kernel slot table is built for f over h^f, and the multiplicities of
-    the slots on which v acts by the same eigenvalue are summed per degree.
-    Given f's sl2-triple the slots are counted, else each takes one rank.
+    The kernel slot table is built for f with v as the torus, so each slot
+    is one (j, eigenvalue) pair.  Given f's sl2-triple the slots are
+    counted, else each takes one rank.
     """
     _require_centralizing(table, f, v)
     op = _chevalley_operator(table, grading, f, triple)
-    return _slot_verdict(op, _hf_basis(table, f), v.pairings)
+    return _slot_verdict(op, v.pairings)
 
 
 def fast_condition(
@@ -404,7 +400,7 @@ def fast_condition(
     # injectivity-resolvable value is -2 (and +2 gets the same treatment);
     # degree -1/2: shift everything down by a half.
     if not (analyze(Fraction(0), Fraction(-1)) and analyze(-half, Fraction(-3, 2))):
-        return _slot_verdict(op, _hf_basis(table, f), v.pairings)
+        return _slot_verdict(op, v.pairings)
 
     witnesses.sort(key=lambda w: (w.eigenvalue, w.element.kind, w.element.key))
     return _verdict(rows, witnesses, "fast", "none")
@@ -461,7 +457,7 @@ def search_v(
     # s*q + den*p being a nonnegative multiple of den*q
     checks = [
         (mu, (1 - d).numerator, (1 - d).denominator)
-        for d, mu, _, _ in _kernel_slots(_chevalley_operator(table, grading, f, triple), basis)
+        for d, mu, _ in _kernel_slots(_chevalley_operator(table, grading, f, triple), basis)
     ]
 
     B = config.coefficient_bound
@@ -542,7 +538,7 @@ def verify_self_contragredient(
 def check_classical(real: ClassicalRealization) -> ConditionVerdict:
     """Kernel slot table on the matrix realization, with v as the torus."""
     op = _classical_operator(real)
-    return _slot_verdict(op, [real.v_diag], real.v_diag)
+    return _slot_verdict(op, real.v_diag)
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:

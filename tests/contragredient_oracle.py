@@ -4,7 +4,8 @@ These compute a basis of ker ad(f) on g_0 with the Gauss-Jordan
 `linalg_oracle.nullspace` and test every kernel vector against the three
 conditions one by one: pairing with h/2 (tr(h w) on the matrix side) and
 the trace of ad(w) on the positive and on the negative part.  The classical
-version builds [f, B] by scanning the dense f, and the Chevalley version sums
+version builds [f, B] by scanning f as a dense matrix (`dense`, built from
+the realization's sparse entries), and the Chevalley version sums
 [f, b_j] from `basis_bracket` itself, so neither oracle shares the sparse
 assembly (`ad_column`, `_linalg.block`) or the integer rank of the package
 code.
@@ -15,6 +16,17 @@ import linalg_oracle
 from wrat import _linalg
 from wrat.orbits import classical_basis
 from wrat.rootsys import cartan_solve
+
+
+def dense(real, entries) -> list[list[Fraction]]:
+    """The n x n matrix with the given {(row, column): entry} dict."""
+    n = real.size
+    return [[Fraction(entries.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+
+def dense_form(real) -> list[list[Fraction]]:
+    """The form S: row i holds c(i) in column sigma(i)."""
+    return dense(real, {(i, j): c for i, (j, c) in enumerate(zip(real.sigma, real.form_coeff))})
 
 
 def ad_block(table, x, src, dst):
@@ -77,11 +89,11 @@ def _units(elt):
     return units
 
 
-def _ad_f(real, elt) -> dict:
-    """[f, B] for a symmetrized unit B, scanning every row and column of f."""
+def _ad_f(f, elt) -> dict:
+    """[f, B] for a symmetrized unit B, scanning every row and column of the
+    dense f."""
     out: dict = {}
-    n = real.size
-    f = real.f
+    n = len(f)
     for a, b, coeff in _units(elt):
         for r in range(n):
             if f[r][a]:
@@ -98,8 +110,9 @@ def self_contragredient_classical(real) -> bool:
     gm1 = [elt for elt in basis if real.h_diag[elt[0][0]] - real.h_diag[elt[0][1]] == -2]
     reps = {elt[0]: r for r, elt in enumerate(gm1)}
     m = _linalg.zeros(len(gm1), len(g0))
+    f = dense(real, real.f)
     for col, elt in enumerate(g0):
-        for pos, val in _ad_f(real, elt).items():
+        for pos, val in _ad_f(f, elt).items():
             r = reps.get(pos)
             if r is not None:
                 m[r][col] = val

@@ -17,6 +17,7 @@ import random
 import time
 from fractions import Fraction as Q
 
+from contragredient_oracle import dense
 from linalg_oracle import centralizer, rref
 from wrat.cli import main as cli_main
 from wrat.grading import verify_good_grading
@@ -252,7 +253,7 @@ def _dense_oracle(real):
         d = Q(real.h_diag[i] - real.h_diag[j], 2)
         lam = real.v_diag[i] - real.v_diag[j]
         blocks.setdefault((d, lam), []).append(mat)
-    f = real.f
+    f = dense(real, real.f)
     mult = {}
     for (d, lam), elts in blocks.items():
         cols = []

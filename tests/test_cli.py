@@ -484,6 +484,18 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
             },
             "domain radii must be positive",
         ),
+        *(
+            (
+                {
+                    "ell": 1,
+                    "A": [[0, [["1/2"]]]],
+                    "seeds": [[[1]]],
+                    "domain": {"z0": z0, "epsilon": "1/2", "delta": "1/2"},
+                },
+                "a list z0 must be [re, im]",
+            )
+            for z0 in ([1], [], [1, 2, 3])
+        ),
     ],
     ids=[
         "wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed",
@@ -491,7 +503,7 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
         "negative-f-index", "seed-exponent-out-of-range", "seed-k-above-K",
         "congruent-exponents", "string-seed", "string-A-row", "string-A", "string-f",
         "string-layer-seed", "string-exponents", "negative-epsilon", "negative-delta",
-        "zero-delta",
+        "zero-delta", "one-entry-z0", "empty-z0", "three-entry-z0",
     ],
 )
 def test_frobenius_malformed_system_exits_3(capsys, tmp_path, obj, message):
@@ -781,6 +793,34 @@ def test_named_bad_input_exits_3_with_one_line(capsys, tmp_path, monkeypatch, ma
     rc, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
     assert (rc, out) == (3, "")
     assert err.startswith(message) and err.count("\n") == 1
+
+
+ROOT_ENTRY = "a root coefficient must be a JSON integer,"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("q", [2.9], "a q value must be a JSON integer, got 2.9"),
+        ("q", [True], "a q value must be a JSON integer, got True"),
+        ("q", ["2"], "a q value must be a JSON integer, got '2'"),
+        ("f_roots", [[0, 1, 1, 2, 1, 0.0]], f"{ROOT_ENTRY} got 0.0"),
+        ("f_roots", [[0, True, 1, 2, 1, 0]], f"{ROOT_ENTRY} got True"),
+    ],
+    ids=["float-q", "bool-q", "string-q", "float-root", "bool-root"],
+)
+def test_report_non_integer_record_field_exits_3(
+    capsys, tmp_path, monkeypatch, key, value, message
+):
+    """q and the f_roots entries are read as JSON integers only: a float,
+    bool or string there is bad data, not a value to truncate or convert."""
+    obj = json.loads((Path(wrat.__file__).parent / "data" / "e6_q2.json").read_text())
+    obj[key] = value
+    (tmp_path / "e6_q2.json").write_text(json.dumps(obj))
+    monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+    rc, out, err = run(capsys, "report", "--format", "tsv")
+    assert (rc, out) == (3, "")
+    assert err == f"error: {message}\n"
 
 
 def test_plain_value_errors_propagate(capsys, monkeypatch, tmp_path):

@@ -69,7 +69,7 @@ def legal_partitions(sizes):
 
 
 def _zero_f(real):
-    return dataclasses.replace(real, f=tuple((Fraction(0),) * real.size for _ in range(real.size)))
+    return dataclasses.replace(real, f={})
 
 
 def assert_triple_path_is_rank_path(op):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from contragredient_oracle import dense, dense_form
 from wrat._linalg import nullspace, rank
 from wrat.orbits import (
     EVEN_OR_EXTERNAL,
@@ -157,8 +158,8 @@ def test_realization_membership_equations():
     sigma-antisymmetric diagonals."""
     for fam, parts in (("sp", [3, 3, 2]), ("so", [5, 5, 4, 4]), ("so", [3, 2, 2])):
         real = build_classical(ClassicalPartition.from_parts(fam, parts))
-        S = _as_sympy(real.form)
-        f = _as_sympy(real.f)
+        S = _as_sympy(dense_form(real))
+        f = _as_sympy(dense(real, real.f))
         assert S * f == -f.T * S
         n = real.size
         for i in range(n):
@@ -173,6 +174,14 @@ def test_realization_membership_equations():
 
 def _dense(rows):
     return [[int(x) for x in row] for row in rows]
+
+
+def _set(x, i, j, a):
+    """A copy of the sparse matrix x with entry (i, j) set to a."""
+    out = {k: y for k, y in x.items() if k != (i, j)}
+    if a:
+        out[i, j] = Fraction(a)
+    return out
 
 
 def _mul(a, b):
@@ -198,7 +207,8 @@ def test_jordan_triple_up_to_14_by_dense_products():
     for p in legal_partitions(range(1, 15)):
         real = build_classical(p)
         n = real.size
-        S, e, f = _dense(real.form), _dense(real.e), _dense(real.f)
+        S = _dense(dense_form(real))
+        e, f = _dense(dense(real, real.e)), _dense(dense(real, real.f))
         h = [[int(real.h_diag[i]) if i == j else 0 for j in range(n)] for i in range(n)]
         assert _mul(S, e) == [[-x for x in r] for r in _mul(_transpose(e), S)], p
         assert _sub(_mul(e, f), _mul(f, e)) == h, p
@@ -207,24 +217,17 @@ def test_jordan_triple_up_to_14_by_dense_products():
         assert is_sl2_triple(real), p
 
 
-def _set(m, i, j, x):
-    rows = [list(r) for r in m]
-    rows[i][j] = Fraction(x)
-    return tuple(tuple(r) for r in rows)
-
-
 def test_triple_and_membership_checks_reject():
     real = build_classical(ClassicalPartition.from_parts("sp", [3, 3, 2]))
     # e scaled by 2: still in g, no longer a partner of f
-    double_e = tuple(tuple(2 * x for x in r) for r in real.e)
+    double_e = {k: 2 * x for k, x in real.e.items()}
     assert not is_sl2_triple(dataclasses.replace(real, e=double_e))
     # f = 0 breaks [e, f] = h
-    zero = tuple((Fraction(0),) * real.size for _ in range(real.size))
-    assert not is_sl2_triple(dataclasses.replace(real, f=zero))
+    assert not is_sl2_triple(dataclasses.replace(real, f={}))
     # an entry of f or e without its involution partner leaves g
     for field in ("f", "e"):
         x = getattr(real, field)
-        (i, j) = next((i, j) for i, r in enumerate(x) for j, y in enumerate(r) if y)
+        (i, j) = min(x)
         ip, jp, _ = real.involution_of(i, j)
         broken = dataclasses.replace(real, **{field: _set(x, ip, jp, 0)})
         with pytest.raises(InvalidPartition):
@@ -232,6 +235,10 @@ def test_triple_and_membership_checks_reject():
         broken = dataclasses.replace(real, **{field: _set(x, ip, jp, 7)})
         with pytest.raises(InvalidPartition):
             _verify_membership(broken)
+    # a form whose sigma is no permutation is not monomial
+    sigma = (real.sigma[1],) + real.sigma[1:]
+    with pytest.raises(InvalidPartition, match="not monomial"):
+        _verify_membership(dataclasses.replace(real, sigma=sigma))
     _verify_membership(real)
 
 
@@ -266,7 +273,7 @@ def test_classical_basis_spans_the_right_dimension():
 
 def test_classical_basis_elements_satisfy_form_equation():
     real = build_classical(ClassicalPartition.from_parts("sp", [3, 3, 2]))
-    S = _as_sympy(real.form)
+    S = _as_sympy(dense_form(real))
     n = real.size
     for (i, j), partner, c in classical_basis(real):
         m = sympy.zeros(n, n)

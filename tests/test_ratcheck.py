@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from contragredient_oracle import dense
 from wrat.liealg import build_chevalley
 from wrat.orbits import (
     ClassicalPartition,
@@ -227,7 +228,7 @@ def test_classical_blocks_against_sympy():
     full N x N coordinates, no representative-position shortcuts."""
     real = build_classical(ClassicalPartition.from_parts("sp", [3, 3, 2]))
     n = real.size
-    f = sympy.Matrix([[sympy.Rational(x) for x in row] for row in real.f])
+    f = sympy.Matrix([[sympy.Rational(x) for x in row] for row in dense(real, real.f)])
     basis = classical_basis(real)
 
     def unit(i, j, c=1):

@@ -1,13 +1,19 @@
-"""`exact_condition` (kernel slot table) against the blockwise oracle.
+"""`exact_condition` (kernel slot table) against the blockwise oracle, and
+against the h^f slot table of `search_v`.
 
 The oracle is the direct algorithm: group the Chevalley basis by
 (degree, ad(v)-eigenvalue) for the given v and take one exact rank per
 block, counted as the pivots of the Gauss-Jordan `linalg_oracle.rref`
 rather than by the integer `_linalg.rank` the package uses.  Its ad(f) blocks are summed
 straight from `ChevalleyTable.basis_bracket` (`contragredient_oracle.ad_block`),
-not from the package's `ad_column`/`_linalg.block` assembly.  The slot table
-groups by (degree, h^f-weight) instead, once per f; both must give identical
-evidence rows and status for every v in h^f.
+not from the package's `ad_column`/`_linalg.block` assembly.  Both must give
+identical evidence rows and status for every v in h^f.
+
+`exact_condition` groups by (degree, eigenvalue of v) as well, with v as the
+torus of its slot table: ranked without a triple, counted with one.
+`search_v` groups once per f by (degree, h^f-weight) and reads each
+candidate v off those finer slots.  Summing the h^f slots by (j, eigenvalue
+of v) must give `exact_condition`'s evidence rows for every v in h^f.
 """
 import functools
 from fractions import Fraction
@@ -22,7 +28,9 @@ from wrat.orbits import load_records
 from wrat.ratcheck import (
     EvidenceEntry,
     _admissible,
+    _chevalley_operator,
     _hf_basis,
+    _kernel_slots,
     exact_condition,
     realize_record,
 )
@@ -60,8 +68,31 @@ def blockwise_condition(table, grading, f, v):
 
 @functools.cache
 def realized(k):
-    table, grading, f, _ = realize_record(RECORDS[k])
-    return table, grading, f, _hf_basis(table, f)
+    table, grading, f, triple = realize_record(RECORDS[k])
+    return table, grading, f, triple, _hf_basis(table, f)
+
+
+@functools.cache
+def hf_slots(k):
+    """The (degree, h^f-weight, multiplicity) slots `search_v` checks."""
+    table, grading, f, triple, basis = realized(k)
+    return _kernel_slots(_chevalley_operator(table, grading, f, triple), basis)
+
+
+def draw_v(data, table, basis):
+    """v = sum k_i b_i / den over the primitive h^f basis b, as (v, ks, den)."""
+    den = data.draw(st.integers(1, 4), label="den")
+    ks = data.draw(
+        st.lists(st.integers(-4, 4), min_size=len(basis), max_size=len(basis)),
+        label="ks",
+    )
+    v = CartanElement(
+        tuple(
+            sum((Fraction(c * b[i], den) for c, b in zip(ks, basis)), Fraction(0))
+            for i in range(table.rs.rank)
+        )
+    )
+    return v, ks, den
 
 
 def assert_routes_agree(table, grading, f, v):
@@ -71,7 +102,7 @@ def assert_routes_agree(table, grading, f, v):
 
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
 def test_record_v_matches_oracle(k):
-    table, grading, f, _ = realized(k)
+    table, grading, f, _, _ = realized(k)
     assert_routes_agree(table, grading, f, RECORDS[k].v)
 
 
@@ -79,17 +110,23 @@ def test_record_v_matches_oracle(k):
 @settings(max_examples=20, deadline=None, database=None)
 @given(data=st.data())
 def test_sampled_v_matches_oracle(k, data):
-    table, grading, f, basis = realized(k)
-    den = data.draw(st.integers(1, 4), label="den")
-    ks = data.draw(
-        st.lists(st.integers(-4, 4), min_size=len(basis), max_size=len(basis)),
-        label="ks",
-    )
-    rank = table.rs.rank
-    v = CartanElement(
-        tuple(
-            sum((Fraction(c * b[i], den) for c, b in zip(ks, basis)), Fraction(0))
-            for i in range(rank)
-        )
-    )
+    table, grading, f, _, basis = realized(k)
+    v, _, _ = draw_v(data, table, basis)
     assert_routes_agree(table, grading, f, v)
+
+
+@pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_hf_slots_summed_at_v_equal_exact_evidence(k, data):
+    """On slot (d, mu) of the h^f table v acts by sum k_i mu_i / den; the
+    multiplicities summed per (j, eigenvalue) are `exact_condition`'s rows."""
+    table, grading, f, triple, basis = realized(k)
+    v, ks, den = draw_v(data, table, basis)
+    mults: dict[tuple[Fraction, Fraction], int] = {}
+    for d, mu, mult in hf_slots(k):
+        key = (-d, Fraction(sum(c * m for c, m in zip(ks, mu)), den))
+        mults[key] = mults.get(key, 0) + mult
+    got = exact_condition(table, grading, f, v, triple)
+    assert {(r.j, r.eigenvalue): r.multiplicity for r in got.evidence} == mults
+    assert all(r.admissible == _admissible(r.j, r.eigenvalue) for r in got.evidence)
