@@ -184,10 +184,6 @@ def _series_json(series: fr.VectorSeries) -> list:
     return [[fr.poly_to_json(e) for e in vec] for vec in series.coeffs]
 
 
-def _rat_str(x) -> str:
-    return str(x) if isinstance(x, Fraction) else repr(x)
-
-
 def _cmd_frobenius(args) -> int:
     with open(args.system) as fh:
         try:
@@ -244,9 +240,9 @@ def _cmd_frobenius(args) -> int:
             {
                 "route": "contraction",
                 "truncation": res.truncation,
-                "ratio": _rat_str(res.ratio),
-                "bound": _rat_str(res.bound),
-                "distances": [_rat_str(d) for d in res.distances],
+                "ratio": str(res.ratio),
+                "bound": str(res.bound),
+                "distances": [str(d) for d in res.distances],
                 "coefficients": _series_json(res.series),
             }
         )
@@ -259,7 +255,7 @@ def _cmd_frobenius(args) -> int:
     _emit(
         {
             "route": "recursion",
-            "residual": _rat_str(residual),
+            "residual": str(residual),
             "coefficients": _series_json(series),
         }
     )

@@ -25,9 +25,12 @@ Logarithmic solutions (nilpotent monodromy) are layered: the coefficient of
 an inhomogeneity fed by layer k+1, solved from the top layer down.
 
 Majorant convention: a polynomial p contributes sum_m |c_m| eps^m where the
-c_m are its Taylor coefficients at the expansion center z0, and a q-series
-weighs coefficient n by delta^n.  All of it stays in Fraction for rational
-z0; a complex center is accepted but the bounds then go through floats.
+c_m are its Taylor coefficients at the rational expansion center z0, and a
+q-series weighs coefficient n by delta^n, so every bound is a Fraction.  A
+complex center a + ib is certified on the real disc |z - a| <= eps + |b|,
+which contains its disc: the Taylor coefficients c_t at a + ib satisfy
+sum_t |c_t| eps^t <= sum_m |q_m| (eps + |b|)^m for q(w) = p(a + w), so
+`system_from_json` folds [a, b] into z0 = a and epsilon + |b|.
 """
 from __future__ import annotations
 
@@ -137,34 +140,28 @@ def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def p_eval(p: Poly, x):
-    out = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
+    out = Fraction(0)
     for c in reversed(p):
         out = out * x + c
     return out
 
 
-def p_shift(p: Poly, z0) -> tuple:
+def p_shift(p: Poly, z0: Fraction) -> Poly:
     """Coefficients of p(z0 + w) as a polynomial in w (binomial expansion)."""
-    out = [Fraction(0) if isinstance(z0, Fraction) else 0.0 for _ in p]
+    out = [Fraction(0)] * len(p)
     for m, c in enumerate(p):
         if not c:
             continue
-        zp = Fraction(1) if isinstance(z0, Fraction) else complex(1)
+        zp = Fraction(1)
         for k in range(m + 1):
-            t = m - k
-            out[t] = out[t] + comb(m, t) * c * zp
-            zp = zp * z0
+            out[m - k] += comb(m, k) * c * zp
+            zp *= z0
     return tuple(out)
 
 
-def p_majorant(p: Poly, eps: Fraction, z0):
+def p_majorant(p: Poly, eps: Fraction, z0: Fraction) -> Fraction:
     """sum_t |c_t| eps^t for the Taylor coefficients of p at z0."""
-    total = Fraction(0) if isinstance(z0, Fraction) else 0.0
-    ep = Fraction(1) if isinstance(z0, Fraction) else 1.0
-    for c in p_shift(p, z0):
-        total = total + abs(c) * ep
-        ep = ep * eps
-    return total
+    return sum((abs(c) * eps**t for t, c in enumerate(p_shift(p, z0))), Fraction(0))
 
 
 # -- series containers -------------------------------------------------------
@@ -223,9 +220,9 @@ class VectorSeries:
 
 @dataclass(frozen=True)
 class DomainParams:
-    """Polydisc data: |z - z0| <= epsilon, |q| <= delta."""
+    """Polydisc data: |z - z0| <= epsilon, |q| <= delta, z0 rational."""
 
-    z0: Fraction | complex
+    z0: Fraction
     epsilon: Fraction
     delta: Fraction
 
@@ -235,13 +232,9 @@ def _majorant(polys, domain: DomainParams):
     return sum(p_majorant(p, domain.epsilon, domain.z0) for p in polys)
 
 
-def _weighted(blocks, domain: DomainParams):
-    """sum_n block_n delta^n over (n, block) pairs, summed in the order given;
-    exact for a rational z0, a float for a complex one."""
-    total = Fraction(0) if isinstance(domain.z0, Fraction) else 0.0
-    for n, block in blocks:
-        total = total + block * domain.delta**n
-    return total
+def _weighted(blocks, domain: DomainParams) -> Fraction:
+    """sum_n block_n delta^n over (n, block) pairs, exactly."""
+    return sum((block * domain.delta**n for n, block in blocks), Fraction(0))
 
 
 @dataclass
@@ -555,7 +548,8 @@ def system_from_json(obj: dict) -> dict:
 
     Returns a dict with keys: a (AnalyticMatrixSeries), f (dict n -> vector),
     seeds (list for the plain recursion, or dict (j, k) -> seed list when the
-    system carries exponents), exponents, log_order, domain, radius.
+    system carries exponents), exponents, log_order, domain, radius.  A
+    domain z0 given as [re, im] comes back as z0 = re with epsilon + |im|.
     Raises InvalidSystem on a non-object; an ell, K or A/f index that is not
     a JSON integer, or ell < 1, K < 0 or an index < 0; a seed key "j:k"
     outside 0 <= j < len(exponents), 0 <= k <= K; an A_n, a row of it, an f
@@ -597,15 +591,15 @@ def system_from_json(obj: dict) -> dict:
             if isinstance(z0_raw, list):
                 if len(z0_raw) != 2:
                     raise InvalidSystem(f"a list z0 must be [re, im], got {z0_raw!r}")
-                z0 = complex(float(rat_from_json(z0_raw[0])), float(rat_from_json(z0_raw[1])))
+                z0, im = (rat_from_json(x) for x in z0_raw)
             else:
-                z0 = rat_from_json(z0_raw)
+                z0, im = rat_from_json(z0_raw), Fraction(0)
             epsilon, delta = rat_from_json(d["epsilon"]), rat_from_json(d["delta"])
             if epsilon <= 0 or delta <= 0:
                 raise InvalidSystem(
                     f"domain radii must be positive, got epsilon {epsilon}, delta {delta}"
                 )
-            domain = DomainParams(z0=z0, epsilon=epsilon, delta=delta)
+            domain = DomainParams(z0=z0, epsilon=epsilon + abs(im), delta=delta)
         radius = rat_from_json(obj.get("radius", 1))
     except InvalidSystem:
         raise

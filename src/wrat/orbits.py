@@ -102,10 +102,16 @@ def _json_int(x, name: str) -> int:
     return x
 
 
+def _json_str(x, name: str) -> str:
+    if not isinstance(x, str):
+        raise InvalidRecord(f"{name} must be a JSON string, got {x!r}")
+    return x
+
+
 def record_from_json(obj: dict) -> OrbitRecord:
     try:
-        st = SimpleType.parse(obj["algebra"])
-        label = str(obj["label"])
+        st = SimpleType.parse(_json_str(obj["algebra"], "the algebra"))
+        label = _json_str(obj["label"], "the label")
         q = tuple(_json_int(x, "a q value") for x in obj["q"])
         h = _diagram_from_json(obj["h"], st.family, st.rank)
         v = _diagram_from_json(obj["v"], st.family, st.rank)

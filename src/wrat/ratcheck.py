@@ -143,12 +143,6 @@ def _dot(weight, t):
     return sum(c * t[k] for k, c in weight)
 
 
-def _over_common_denominator(t) -> tuple[list[int], int]:
-    """(integers n, den) with t = n / den, so that `_dot` on t runs on ints."""
-    den = lcm(*(x.denominator for x in t))
-    return [x.numerator * (den // x.denominator) for x in t], den
-
-
 @dataclass(frozen=True)
 class _GradedOperator:
     """ad(f) on a graded basis b_0, b_1, ... on which a torus acts diagonally.
@@ -252,10 +246,21 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     )
 
 
-def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tuple, int]]:
-    """ker ad(f) split into (degree, torus weight) slots, for a torus given
-    as a list of elements, each by its coordinate values: the single v of
-    `_slot_verdict`, or the h^f basis of `search_v`.
+def _group(op: _GradedOperator, torus: list) -> tuple[dict[tuple, list[int]], int]:
+    """(groups, den): basis indices by (degree, torus weight), for a torus
+    given as a list of elements by their coordinate values (v alone, or the
+    h^f basis of `search_v`).  The weights are taken on den times the torus,
+    den the common denominator, so `_dot` runs on ints."""
+    den = lcm(*(x.denominator for t in torus for x in t))
+    ints = [[x.numerator * (den // x.denominator) for x in t] for t in torus]
+    groups: dict[tuple, list[int]] = {}
+    for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
+        groups.setdefault((d, tuple(_dot(w, t) for t in ints)), []).append(i)
+    return groups, den
+
+
+def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[Fraction, tuple, int]]:
+    """ker ad(f) split into the (degree, torus weight) slots of `_group`.
 
     Returns one (degree, weight, multiplicity) tuple per occupied slot.
 
@@ -263,9 +268,6 @@ def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tupl
     slot holds dim g_(d, mu) - dim g_(d-1, mu) at d <= 0 and none at d > 0;
     otherwise dim g_(d, mu) - rank(ad(f): g_(d, mu) -> g_(d-1, mu)).
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
-        groups.setdefault((d, tuple(_dot(w, t) for t in torus)), []).append(i)
     slots = []
     for (d, mu), src in groups.items():
         dst = groups.get((d - 1, mu), [])
@@ -278,13 +280,11 @@ def _kernel_slots(op: _GradedOperator, torus: list) -> list[tuple[Fraction, tupl
     return slots
 
 
-def _slot_verdict(op: _GradedOperator, v) -> ConditionVerdict:
-    """One evidence row per occupied slot of the table with v, given by its
-    torus coordinates, as the torus: slot (d, (n,)) holds eigenvalue n / den
-    in degree j = -d."""
-    ints, den = _over_common_denominator(v)
+def _slot_verdict(op: _GradedOperator, groups: dict, den: int) -> ConditionVerdict:
+    """One evidence row per occupied slot of `_group`'s table with v alone
+    as the torus: slot (d, (n,)) holds eigenvalue n / den in degree j = -d."""
     rows = []
-    for d, (n,), mult in _kernel_slots(op, [ints]):
+    for d, (n,), mult in _kernel_slots(op, groups):
         lam = Fraction(n, den)
         rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
     return _verdict(rows, (), "exact", "counting" if op.sl2 else "rank")
@@ -349,7 +349,7 @@ def exact_condition(
     """
     _require_centralizing(table, f, v)
     op = _chevalley_operator(table, grading, f, triple)
-    return _slot_verdict(op, v.pairings)
+    return _slot_verdict(op, *_group(op, [v.pairings]))
 
 
 def fast_condition(
@@ -360,13 +360,10 @@ def fast_condition(
     triple: Sl2Triple | None = None,
 ) -> ConditionVerdict:
     """Spectrum-on-two-blocks route; hands off wholesale on hard eigenvalues,
-    to the slot table of `exact_condition` (counted when triple is given)."""
+    to `exact_condition`'s slot table (counted given triple) on its grouping."""
     _require_centralizing(table, f, v)
     op = _chevalley_operator(table, grading, f, triple)
-    ints, den = _over_common_denominator(v.pairings)
-    blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
-        blocks.setdefault((d, Fraction(_dot(w, ints), den)), []).append(i)
+    groups, den = _group(op, [v.pairings])
     half = Fraction(1, 2)
 
     rows: list[EvidenceEntry] = []
@@ -375,7 +372,8 @@ def fast_condition(
     def analyze(d: Fraction, boundary: Fraction) -> bool:
         """One graded block; returns False when the hand-off is needed."""
         special = boundary - 1  # -2 on the integer block, -5/2 on the half block
-        for lam in sorted({lam for (dd, lam) in blocks if dd == d}):
+        for n in sorted({n for (dd, (n,)) in groups if dd == d}):
+            lam = Fraction(n, den)
             # off the tame lattice, or below its one resolvable value
             if (lam - boundary).denominator != 1 or lam < special:
                 return False
@@ -383,8 +381,8 @@ def fast_condition(
                 continue
             # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
             # (each image's support) when it is injective
-            src = blocks.get((d, lam), [])
-            m = _linalg.block(op.column, src, blocks.get((d - 1, lam), []))
+            src = groups[(d, (n,))]
+            m = _linalg.block(op.column, src, groups.get((d - 1, (n,)), []))
             defect = len(src) - _linalg.rank(m)
             if defect:
                 rows.append(EvidenceEntry(-d, lam, defect, _admissible(-d, lam)))
@@ -400,7 +398,7 @@ def fast_condition(
     # injectivity-resolvable value is -2 (and +2 gets the same treatment);
     # degree -1/2: shift everything down by a half.
     if not (analyze(Fraction(0), Fraction(-1)) and analyze(-half, Fraction(-3, 2))):
-        return _slot_verdict(op, v.pairings)
+        return _slot_verdict(op, groups, den)
 
     witnesses.sort(key=lambda w: (w.eigenvalue, w.element.kind, w.element.key))
     return _verdict(rows, witnesses, "fast", "none")
@@ -455,9 +453,10 @@ def search_v(
     # slot (d, mu) is admissible at v iff t = mu(v) + 1 - d is a
     # nonnegative integer; with 1 - d = p/q and mu(v) = s/den that is
     # s*q + den*p being a nonnegative multiple of den*q
+    op = _chevalley_operator(table, grading, f, triple)
     checks = [
         (mu, (1 - d).numerator, (1 - d).denominator)
-        for d, mu, _ in _kernel_slots(_chevalley_operator(table, grading, f, triple), basis)
+        for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])
     ]
 
     B = config.coefficient_bound
@@ -538,7 +537,7 @@ def verify_self_contragredient(
 def check_classical(real: ClassicalRealization) -> ConditionVerdict:
     """Kernel slot table on the matrix realization, with v as the torus."""
     op = _classical_operator(real)
-    return _slot_verdict(op, real.v_diag)
+    return _slot_verdict(op, *_group(op, [real.v_diag]))
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:

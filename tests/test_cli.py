@@ -564,6 +564,17 @@ def mutated_systems(draw):
     return obj
 
 
+def _frobenius_run(obj: dict, *argv: str) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["frobenius", path, *argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     mutated_systems(),
@@ -571,17 +582,11 @@ def mutated_systems(draw):
     st.integers(1, 5),
 )
 def test_frobenius_exit_contract_under_mutation(obj, route, order):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "system.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["frobenius", path, "--route", route, "--order", str(order)])
+    rc, out, err = _frobenius_run(obj, "--route", route, "--order", str(order))
     assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if rc:
-        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert out == "" and err.startswith("error:")
 
 
 RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -651,19 +656,13 @@ def test_frobenius_perturbed_seed_exits_3_on_every_route(case):
     """A seed off the recursion is refused on both plain routes; the same
     system with the recursion's own seeds is certified on both."""
     obj, k, perturbed = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "system.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        for route in ("recursion", "contraction"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(["frobenius", path, "--route", route, "--order", str(k + 2)])
-            if perturbed:
-                assert rc == 3 and out.getvalue() == "", route
-                assert err.getvalue() == f"error: seed at n = {k} does not satisfy the recursion\n"
-            else:
-                assert rc == 0, (route, err.getvalue())
+    for route in ("recursion", "contraction"):
+        rc, out, err = _frobenius_run(obj, "--route", route, "--order", str(k + 2))
+        if perturbed:
+            assert rc == 3 and out == "", route
+            assert err == f"error: seed at n = {k} does not satisfy the recursion\n"
+        else:
+            assert rc == 0, (route, err)
 
 
 @settings(max_examples=100, deadline=None)
@@ -671,25 +670,42 @@ def test_frobenius_perturbed_seed_exits_3_on_every_route(case):
 def test_frobenius_contraction_certificate_is_nonnegative(obj, order, iterate):
     """Either bad input (exit 3) or a certificate whose ratio, bound and
     distances are all nonnegative exact rationals, with ratio < 1."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "system.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(
-                ["frobenius", path, "--route", "contraction", "--order", str(order),
-                 "--iterate", str(iterate)]
-            )
+    rc, out, err = _frobenius_run(
+        obj, "--route", "contraction", "--order", str(order), "--iterate", str(iterate)
+    )
     if rc == 3:
-        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert out == "" and err.startswith("error:")
         return
-    assert rc == 0, err.getvalue()
-    d = json.loads(out.getvalue())
+    assert rc == 0, err
+    d = json.loads(out)
     texts = [d["ratio"], d["bound"], *d["distances"]]
     assert len(d["distances"]) == iterate
     assert all(FRACTION_TEXT.fullmatch(t) for t in texts), texts
     assert Fraction(d["ratio"]) < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(contraction_systems(), RATIONALS, st.integers(1, 5), st.integers(0, 3))
+def test_frobenius_complex_center_is_its_containing_real_disc(obj, im, order, iterate):
+    """A z0 of [re, im] prints the same bytes as z0 = re with epsilon grown
+    by |im|, and every number it prints is exact rational text."""
+    argv = ("--route", "contraction", "--order", str(order), "--iterate", str(iterate))
+    domain = obj["domain"]
+    gaussian = {**obj, "domain": {**domain, "z0": [domain["z0"], _rat(im)]}}
+    folded = {**obj, "domain": {**domain, "epsilon": _rat(Fraction(domain["epsilon"]) + abs(im))}}
+    got = _frobenius_run(gaussian, *argv)
+    assert got == _frobenius_run(folded, *argv)
+    rc, out, err = got
+    if rc:
+        assert rc == 3 and out == "" and err.startswith("error:")
+        return
+    d = json.loads(out)
+    numbers = [d["ratio"], d["bound"], *d["distances"]]
+    numbers += [c for vec in d["coefficients"] for p in vec for c in p]
+    for x in numbers:
+        text = str(x)
+        assert "." not in text and "e" not in text, text
+        Fraction(text)
 
 
 def test_report_tsv_golden(capsys):
@@ -806,14 +822,22 @@ ROOT_ENTRY = "a root coefficient must be a JSON integer,"
         ("q", ["2"], "a q value must be a JSON integer, got '2'"),
         ("f_roots", [[0, 1, 1, 2, 1, 0.0]], f"{ROOT_ENTRY} got 0.0"),
         ("f_roots", [[0, True, 1, 2, 1, 0]], f"{ROOT_ENTRY} got True"),
+        ("algebra", 5, "the algebra must be a JSON string, got 5"),
+        ("algebra", ["E", 6], "the algebra must be a JSON string, got ['E', 6]"),
+        ("label", ["A", 1], "the label must be a JSON string, got ['A', 1]"),
+        ("label", 3, "the label must be a JSON string, got 3"),
     ],
-    ids=["float-q", "bool-q", "string-q", "float-root", "bool-root"],
+    ids=[
+        "float-q", "bool-q", "string-q", "float-root", "bool-root",
+        "int-algebra", "list-algebra", "list-label", "int-label",
+    ],
 )
 def test_report_non_integer_record_field_exits_3(
     capsys, tmp_path, monkeypatch, key, value, message
 ):
-    """q and the f_roots entries are read as JSON integers only: a float,
-    bool or string there is bad data, not a value to truncate or convert."""
+    """q and the f_roots entries are read as JSON integers only, and algebra
+    and label as JSON strings only: anything else there is bad data, not a
+    value to truncate or convert."""
     obj = json.loads((Path(wrat.__file__).parent / "data" / "e6_q2.json").read_text())
     obj[key] = value
     (tmp_path / "e6_q2.json").write_text(json.dumps(obj))

@@ -25,6 +25,7 @@ from wrat.orbits import ClassicalPartition, build_classical, is_sl2_triple, load
 from wrat.ratcheck import (
     _chevalley_operator,
     _classical_operator,
+    _group,
     _hf_basis,
     _slot_verdict,
     check_classical,
@@ -58,6 +59,10 @@ def by_rank(op):
     return dataclasses.replace(op, sl2=False)
 
 
+def slot_verdict(op, v):
+    return _slot_verdict(op, *_group(op, [v]))
+
+
 def zero_v(real):
     return dataclasses.replace(real, v_diag=(Fraction(0),) * real.size)
 
@@ -74,7 +79,7 @@ def test_partitions_up_to_14_count_as_they_rank():
             op = _classical_operator(real)
             assert op.sl2, p
             counted = check_classical(real)
-            assert_same_table(counted, _slot_verdict(by_rank(op), real.v_diag))
+            assert_same_table(counted, slot_verdict(by_rank(op), real.v_diag))
 
 
 @pytest.mark.parametrize("family,parts", BENCH_PARTITIONS)
@@ -122,6 +127,8 @@ def test_records_count_as_they_rank_on_sampled_v(k, data):
     )
     fast = fast_condition(table, grading, f, v, triple)
     assert fast.slot_rule == ("none" if fast.method == "fast" else "counting")
+    if fast.method == "exact":
+        assert fast == exact_condition(table, grading, f, v, triple)
     both = check_realized(table, grading, f, v, "both", triple)
     assert (both.method, both.slot_rule) == ("both", "counting")
 
@@ -144,8 +151,8 @@ def test_dropped_root_runs_by_rank():
             got = exact_condition(table, grading, g, rec.v)
             assert got.slot_rule == "rank"
             op = _chevalley_operator(table, grading, g)
-            assert got == _slot_verdict(op, rec.v.pairings)
-            forced = _slot_verdict(dataclasses.replace(op, sl2=True), rec.v.pairings)
+            assert got == slot_verdict(op, rec.v.pairings)
+            forced = slot_verdict(dataclasses.replace(op, sl2=True), rec.v.pairings)
             miscounted += forced.evidence != got.evidence
             with pytest.raises(ValueError):
                 exact_condition(table, grading, g, rec.v, triple)

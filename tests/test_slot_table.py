@@ -29,6 +29,7 @@ from wrat.ratcheck import (
     EvidenceEntry,
     _admissible,
     _chevalley_operator,
+    _group,
     _hf_basis,
     _kernel_slots,
     exact_condition,
@@ -76,7 +77,8 @@ def realized(k):
 def hf_slots(k):
     """The (degree, h^f-weight, multiplicity) slots `search_v` checks."""
     table, grading, f, triple, basis = realized(k)
-    return _kernel_slots(_chevalley_operator(table, grading, f, triple), basis)
+    op = _chevalley_operator(table, grading, f, triple)
+    return _kernel_slots(op, _group(op, basis)[0])
 
 
 def draw_v(data, table, basis):
