@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, gcd, lcm
 from typing import Mapping
 
 from . import _linalg
@@ -90,53 +90,66 @@ class OutOfRadius(ValueError):
 
 
 def p_trim(p) -> Poly:
-    p = tuple(Fraction(c) for c in p)
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
+    """p as a Poly: where input enters, each coefficient made a Fraction."""
+    return _dot([(([1], 1), _ints([Fraction(c) for c in p]))])
+
+
+def _ints(p) -> tuple[list[int], int]:
+    """p as integer numerators over the least common denominator."""
+    den = lcm(*[c.denominator for c in p])
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _dot(pairs) -> Poly:
+    """sum_k a_k b_k over (numerators, denominator) pairs: every product is
+    convolved and summed in int over one common denominator, and each output
+    coefficient becomes one Fraction.  The one kernel of this module."""
+    terms = [(na, nb, da * db) for (na, da), (nb, db) in pairs if na and nb]
+    den = lcm(*[d for _, _, d in terms])
+    out = [0] * max((len(na) + len(nb) - 1 for na, nb, _ in terms), default=0)
+    for na, nb, d in terms:
+        s = den // d
+        for i, x in enumerate(na):
+            if x:
+                x *= s
+                for j, y in enumerate(nb, i):
+                    out[j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(Fraction(c, den) for c in out)
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return p_trim(out)
+    return _dot([(([1], 1), _ints(a)), (([1], 1), _ints(b))])
 
 
 def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_scale(-1, b))
+    return _dot([(([1], 1), _ints(a)), (([-1], 1), _ints(b))])
 
 
 def p_scale(c, a: Poly) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return ()
-    return tuple(c * x for x in a)
+    return _dot([(_ints((c,)), _ints(a))])
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return p_trim(out)
+    return _dot([(_ints(a), _ints(b))])
 
 
 def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by a nonzero b, exactly."""
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for t in range(len(quot) - 1, -1, -1):
-        quot[t] = rem[t + len(b) - 1] / b[-1]
-        for i, cb in enumerate(b):
-            rem[t + i] -= quot[t] * cb
-    return p_trim(quot), p_trim(rem)
+    """Quotient and remainder of a by a nonzero b, exactly: the pseudo-division
+    lead^k na = q nb + r of integer numerators, with nb over its content so
+    that a constant b, or any b / b[-1] in Z[z], has lead +-1."""
+    (na, da), (nb, db) = _ints(a), _ints(b)
+    g = gcd(*nb)
+    nb = [y // g for y in nb]
+    k = max(len(na) - len(nb) + 1, 0)
+    rem, quot = [x * nb[-1] ** k for x in na], [0] * k
+    for t in reversed(range(k)):
+        quot[t] = q = rem[t + len(nb) - 1] // nb[-1]
+        for i, y in enumerate(nb, t):
+            rem[i] -= q * y
+    den = da * nb[-1] ** k
+    return _dot([(([db], g), (quot, den))]), _dot([(([1], 1), (rem, den))])
 
 
 def p_eval(p: Poly, x):
@@ -261,14 +274,8 @@ class LogSeriesSolution:
 
 
 def _mat_vec(m: list[list[Poly]], v: list[Poly]) -> list[Poly]:
-    return [_sum_polys([p_mul(e, x) for e, x in zip(row, v) if e and x]) for row in m]
-
-
-def _sum_polys(ps: list[Poly]) -> Poly:
-    out: Poly = ()
-    for p in ps:
-        out = p_add(out, p)
-    return out
+    iv = [_ints(x) for x in v]
+    return [_dot(zip(map(_ints, row), iv)) for row in m]
 
 
 def _poly_solvable(m: list[list[Poly]], b: list[Poly]) -> bool:
@@ -297,16 +304,17 @@ def _poly_solvable(m: list[list[Poly]], b: list[Poly]) -> bool:
 
 def _char_expansion(a0: list[list[Poly]]):
     """Faddeev-LeVerrier over Q[z]: c_0..c_ell and B_0..B_{ell-1} with
-    det(lam I - A_0) = sum_k c_k lam^(ell-k), adj(lam I - A_0) = sum_k B_k lam^(ell-1-k)."""
+    det(lam I - A_0) = sum_k c_k lam^(ell-k), adj(lam I - A_0) = sum_k B_k lam^(ell-1-k),
+    each polynomial as (numerators, denominator) for `_dot`."""
     ell = len(a0)
     cs: list[Poly] = [(Fraction(1),)]
     bs = [[[(Fraction(1),) if i == j else () for j in range(ell)] for i in range(ell)]]
     for k in range(1, ell + 1):
         ab = [_mat_vec(a0, col) for col in zip(*bs[-1])]  # columns of A_0 B_{k-1}
-        cs.append(p_scale(Fraction(-1, k), _sum_polys([ab[i][i] for i in range(ell)])))
+        cs.append(_dot((([-1], k), _ints(ab[i][i])) for i in range(ell)))
         bs.append([[p_add(ab[j][i], cs[k] if i == j else ()) for j in range(ell)]
                    for i in range(ell)])
-    return cs, bs[:ell]
+    return [_ints(c) for c in cs], [[[_ints(e) for e in row] for row in b] for b in bs[:ell]]
 
 
 def _rhs(
@@ -315,15 +323,15 @@ def _rhs(
     u: list[list[Poly]],
     n: int,
     stop: int,
-) -> list[Poly]:
-    """b_n = f_n + sum_{m < stop} A_{n-m} u_m, the right-hand side of the
-    recursion (stop = n) and of the clamped operator and residual (stop = n + 1)."""
-    out = [p_trim(e) for e in f_terms.get(n, _zero_vec(a.ell))]
-    for m in range(stop):
-        an = a.term(n - m)
-        if an is not None and any(u[m]):
-            out = [p_add(x, y) for x, y in zip(out, _mat_vec(an, u[m]))]
-    return out
+) -> list[list]:
+    """b_n = f_n + sum_{m < stop} A_{n-m} u_m as one list of `_dot` terms per
+    row, the right-hand side of the recursion (stop = n) and of the clamped
+    operator and residual (stop = n + 1)."""
+    prods = [(a.term(n - m), [_ints(x) for x in u[m]]) for m in range(stop) if a.term(n - m)]
+    return [
+        [(([1], 1), _ints(f))] + [(_ints(e), x) for an, v in prods for e, x in zip(an[i], v)]
+        for i, f in enumerate(f_terms.get(n, _zero_vec(a.ell)))
+    ]
 
 
 def recursion_solve(
@@ -348,7 +356,7 @@ def recursion_solve(
     cs, bs = _char_expansion(a0)
     u: list[list[Poly]] = []
     for n in range(n_max):
-        rhs = _rhs(a, f_terms, u, n, n)
+        rhs = [_dot(terms) for terms in _rhs(a, f_terms, u, n, n)]
         if n < n_seeds:
             mm = [[p_sub((Fraction(n),) if i == j else (), e) for j, e in enumerate(row)]
                   for i, row in enumerate(a0)]
@@ -357,10 +365,10 @@ def recursion_solve(
                 u.append(cand)
                 continue
             raise (SeedInconsistent if _poly_solvable(mm, rhs) else Resonance)(n, layer)
-        chi = _sum_polys([p_scale(n ** (ell - k), c) for k, c in enumerate(cs)])
+        chi = _dot((([n ** (ell - k)], 1), c) for k, c in enumerate(cs))
         if not chi:
             raise Resonance(n, layer)
-        adj = [[_sum_polys([p_scale(n ** (ell - 1 - k), b[i][j]) for k, b in enumerate(bs)])
+        adj = [[_dot((([n ** (ell - 1 - k)], 1), b[i][j]) for k, b in enumerate(bs))
                 for j in range(ell)] for i in range(ell)]
         divided = [p_divmod(y, chi) for y in _mat_vec(adj, rhs)]
         if any(rem for _, rem in divided):
@@ -376,12 +384,12 @@ def residual_norm(
     domain: DomainParams,
 ):
     """Majorant norm of q u' - A u - f over the computed coefficient range:
-    n u_n - b_n weighed by delta^n."""
+    b_n - n u_n (the majorant of n u_n - b_n) weighed by delta^n."""
     u = series.coeffs
 
     def block(n: int):
-        scaled = [p_scale(n, x) for x in u[n]]
-        return _majorant(map(p_sub, scaled, _rhs(a, f_terms, u, n, n + 1)), domain)
+        rows = zip(_rhs(a, f_terms, u, n, n + 1), u[n])
+        return _majorant((_dot(terms + [(([-n], 1), _ints(x))]) for terms, x in rows), domain)
 
     return _weighted(((n, block(n)) for n in range(len(u))), domain)
 
@@ -389,13 +397,13 @@ def residual_norm(
 # -- certified contraction route ---------------------------------------------
 
 
-def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams) -> int:
+def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> int:
     """Truncation index N beyond which the recursion divisors dominate A.
 
     Uses a crude spectral proxy (twice the max of the entry-wise l1 norm of
     A_0 over boundary samples of the z-disc) capped from below by the full
-    majorant constant C, so that both the resonance range and the
-    contraction requirement C/N < 1 are cleared.
+    majorant constant C (computed here unless given as c), so that both the
+    resonance range and the contraction requirement C/N < 1 are cleared.
     """
     a0 = a.a0()
     k_bound = 0.0
@@ -404,8 +412,8 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams) -> int:
         z = z0 + complex(domain.epsilon) * cmath.exp(2j * cmath.pi * k / 64)
         s = sum(abs(p_eval(e, z)) for row in a0 for e in row)
         k_bound = max(k_bound, 2.0 * float(abs(s)))
-    c = float(a.majorant_norm(domain))
-    return 1 + floor(max(k_bound, c))
+    c = a.majorant_norm(domain) if c is None else c
+    return 1 + floor(max(k_bound, float(c)))
 
 
 def contraction_solve(
@@ -426,9 +434,10 @@ def contraction_solve(
     final iterate to the true fixed point in the weighted majorant norm.
     """
     ell = a.ell
-    n_cap = truncation if truncation is not None else choose_truncation(a, domain)
+    c = a.majorant_norm(domain)
+    n_cap = truncation if truncation is not None else choose_truncation(a, domain, c)
     n_cap = max(n_cap, len(seeds))
-    ratio = a.majorant_norm(domain) / n_cap
+    ratio = c / n_cap
     if ratio >= 1:
         raise ContractionFails(f"C/N = {ratio} >= 1")
     n_clamped = min(n_cap, n_max)
@@ -443,7 +452,7 @@ def contraction_solve(
 
     def apply_t(cur: list[list[Poly]]) -> list[list[Poly]]:
         return clamped + [
-            [p_scale(Fraction(1, n), b) for b in _rhs(a, f_terms, cur, n, n + 1)]
+            [p_scale(Fraction(1, n), _dot(terms)) for terms in _rhs(a, f_terms, cur, n, n + 1)]
             for n in range(n_clamped, n_max)
         ]
 

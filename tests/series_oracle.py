@@ -6,6 +6,8 @@ over the Taylor coefficients of u_n, up to the degree bound
 solution is not unique.  `frobenius.recursion_solve` computes the same step
 as adj(nI - A_0) b / det(nI - A_0) and must agree with this one on every
 input: the same coefficients, or the same exception type, index and layer.
+Its polynomial arithmetic is schoolbook Fraction code of its own, so a fault
+in the integer kernel of `frobenius` cannot pass through its own reference.
 
 Also here: systems shaped like the benchmark's two `series` inputs.
 """
@@ -21,12 +23,59 @@ from wrat.frobenius import (
     Resonance,
     SeedInconsistent,
     VectorSeries,
-    _mat_vec,
-    _zero_vec,
-    p_add,
-    p_scale,
-    p_trim,
 )
+
+
+# -- schoolbook Fraction arithmetic, independent of `frobenius`'s int kernel --
+
+
+def p_trim(p) -> Poly:
+    out = [Fraction(c) for c in p]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def p_add(a: Poly, b: Poly) -> Poly:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] += c
+    return p_trim(out)
+
+
+def p_scale(c, a: Poly) -> Poly:
+    return p_trim([Fraction(c) * x for x in a])
+
+
+def p_mul(a: Poly, b: Poly) -> Poly:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * y
+    return p_trim(out)
+
+
+def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division by a nonzero b, one Fraction coefficient at a time."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for t in reversed(range(len(quot))):
+        quot[t] = rem[t + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[t + i] -= quot[t] * c
+    return p_trim(quot), p_trim(rem)
+
+
+def mat_vec(m: list[list[Poly]], v: list[Poly]) -> list[Poly]:
+    """M v, each entry summed one product at a time."""
+    out = []
+    for row in m:
+        acc: Poly = ()
+        for e, x in zip(row, v):
+            acc = p_add(acc, p_mul(e, x))
+        out.append(acc)
+    return out
 
 
 def poly_solve(m: list[list[Poly]], b: list[Poly], ell: int):
@@ -87,11 +136,11 @@ def recursion_solve(
     a0 = a.a0()
     u: list[list[Poly]] = []
     for n in range(n_max):
-        rhs = [p_trim(f_terms.get(n, _zero_vec(ell))[i]) for i in range(ell)]
+        rhs = [p_trim(e) for e in f_terms.get(n, [()] * ell)]
         for m_idx in range(n):
             an = a.term(n - m_idx)
             if an is not None and any(u[m_idx][j] for j in range(ell)):
-                prod = _mat_vec(an, u[m_idx])
+                prod = mat_vec(an, u[m_idx])
                 rhs = [p_add(rhs[i], prod[i]) for i in range(ell)]
         mm = [
             [
@@ -102,7 +151,7 @@ def recursion_solve(
         ]
         if n < n_seeds:
             cand = [p_trim(c) for c in seeds[n]]
-            lhs = _mat_vec(mm, cand)
+            lhs = mat_vec(mm, cand)
             if lhs == [p_trim(r) for r in rhs]:
                 u.append(cand)
                 continue

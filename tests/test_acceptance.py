@@ -19,6 +19,7 @@ from fractions import Fraction as Q
 
 from contragredient_oracle import dense
 from linalg_oracle import centralizer, rref
+import series_oracle as oracle
 from wrat.cli import main as cli_main
 from wrat.grading import verify_good_grading
 from wrat.liealg import build_chevalley
@@ -307,22 +308,12 @@ def test_criterion_7():
         assert len(centralizer(table, f)) == expect, rec.label
 
 
-def _poly_mat_vec(a_mat, vec):
-    out = []
-    for row in a_mat:
-        acc = ()
-        for entry, x in zip(row, vec):
-            acc = fr.p_add(acc, fr.p_mul(entry, x))
-        out.append(acc)
-    return out
-
-
 @criterion(8, "series solver recovers a planted solution to order 50, the "
              "contraction iterates obey the certified rate, and the scalar "
              "example comes out exactly")
 def test_criterion_8():
     def poly(*cs):
-        return fr.p_trim(cs)
+        return oracle.p_trim(cs)
 
     # planted 2-dimensional solution with degree-2 polynomial coefficients
     a_terms = {
@@ -343,11 +334,11 @@ def test_criterion_8():
     f_terms = {}
     for n in range(order):
         phi_n = planted.get(n, [(), ()])
-        rhs = [fr.p_scale(n, e) for e in phi_n]
+        rhs = [oracle.p_scale(n, e) for e in phi_n]
         for m, mat in a_terms.items():
             if n - m in planted:
-                prod = _poly_mat_vec(mat, planted[n - m])
-                rhs = [fr.p_add(x, fr.p_scale(-1, y)) for x, y in zip(rhs, prod)]
+                prod = oracle.mat_vec(mat, planted[n - m])
+                rhs = [oracle.p_add(x, oracle.p_scale(-1, y)) for x, y in zip(rhs, prod)]
         if any(rhs):
             f_terms[n] = rhs
     sol = fr.recursion_solve(a, f_terms, [planted[0]], order)

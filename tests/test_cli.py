@@ -708,6 +708,19 @@ def test_frobenius_complex_center_is_its_containing_real_disc(obj, im, order, it
         Fraction(text)
 
 
+# stdout of three routes the bench does not run, captured from the
+# Fraction-at-a-time arithmetic that the integer kernel of `frobenius` must
+# reproduce byte for byte
+FROBENIUS_ROUTES = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "frobenius_routes.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", FROBENIUS_ROUTES, ids=[c["name"] for c in FROBENIUS_ROUTES])
+def test_frobenius_route_bytes_are_pinned(case):
+    assert _frobenius_run(case["system"], *case["argv"]) == (0, case["stdout"], "")
+
+
 def test_report_tsv_golden(capsys):
     rc, out, _ = run(capsys, "report", "--format", "tsv")
     assert rc == 0

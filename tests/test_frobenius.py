@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,67 @@ def test_poly_arithmetic():
     assert fr.p_scale(0, a) == ()
     assert fr.p_trim((Q(1), Q(0), Q(0))) == (Q(1),)
     assert fr.p_eval(poly(1, 0, 1), Q(2)) == 5
+
+
+# mixed denominators, negative and zero coefficients; a drawn tuple may be
+# empty or end in zeros, which every result must drop
+kernel_poly = st.lists(
+    st.one_of(st.just(Q(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12)),
+    max_size=4,
+).map(tuple)
+
+
+def assert_same_poly(got, want):
+    assert got == want
+    assert not got or got[-1] != 0
+    assert all(type(c) is Q for c in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_poly, kernel_poly, kernel_poly, st.booleans(), st.fractions(max_denominator=7))
+def test_kernel_matches_schoolbook_arithmetic(a, b, low, cancel, c):
+    """p_add, p_sub, p_scale and p_mul against one-Fraction-at-a-time
+    arithmetic; with cancel, b = low - a, so a + b cancels down to low."""
+    if cancel:
+        b = oracle.p_add(low, oracle.p_scale(-1, a))
+    assert_same_poly(fr.p_add(a, b), oracle.p_add(a, b))
+    assert_same_poly(fr.p_sub(a, b), oracle.p_add(a, oracle.p_scale(-1, b)))
+    assert_same_poly(fr.p_scale(c, a), oracle.p_scale(c, a))
+    assert_same_poly(fr.p_mul(a, b), oracle.p_mul(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(kernel_poly, min_size=9, max_size=9),
+    st.lists(kernel_poly, min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_mat_vec_matches_schoolbook(entries, v, cancel):
+    """One kernel call per row of three products; with cancel, v = (e, -d, 0)
+    against the row (d, e, f), whose products cancel to zero."""
+    m = [entries[:3], entries[3:6], entries[6:]]
+    if cancel:
+        v = [m[0][1], oracle.p_scale(-1, m[0][0]), ()]
+    got = fr._mat_vec(m, v)
+    for g, w in zip(got, oracle.mat_vec(m, v)):
+        assert_same_poly(g, w)
+    if cancel:
+        assert got[0] == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_poly, kernel_poly.map(oracle.p_trim).filter(bool), kernel_poly, st.booleans())
+def test_divmod_matches_schoolbook(a, b, q, exact):
+    """Exact division against Fraction long division; with exact, a = q b,
+    so the remainder is zero."""
+    if exact:
+        a = oracle.p_mul(q, b)
+    quot, rem = fr.p_divmod(a, b)
+    want_quot, want_rem = oracle.p_divmod(a, b)
+    assert_same_poly(quot, want_quot)
+    assert_same_poly(rem, want_rem)
+    if exact:
+        assert rem == () and quot == oracle.p_trim(q)
 
 
 def test_taylor_shift_exact():
@@ -152,6 +214,19 @@ def test_truncation_goldens():
     assert fr.choose_truncation(diag, DOM) == 6
 
 
+def test_contraction_takes_the_majorant_norm_once():
+    a = a_scalar(Q(5, 2))
+    norm = mock.patch.object(
+        fr.AnalyticMatrixSeries, "majorant_norm", autospec=True,
+        side_effect=fr.AnalyticMatrixSeries.majorant_norm,
+    )
+    with norm as spy:
+        res = fr.contraction_solve(a, {}, [[()]], DOM, 8)
+    assert spy.call_count == 1
+    assert res.truncation == fr.choose_truncation(a, DOM) == 6
+    assert res.ratio == Q(5, 2) / 6
+
+
 def test_norm_bound_weighs_by_delta_powers():
     a = fr.AnalyticMatrixSeries(1, {0: [[poly(1)]], 2: [[poly(4)]]})
     # 1 * delta^0 + 4 * delta^2 at delta = 1/2
@@ -257,7 +332,7 @@ def residual_blocks(a, f, u):
         r = [oracle.p_scale(n, x) for x in un]
         for m in range(n + 1):
             if n - m in a.terms:
-                prod = oracle._mat_vec(a.terms[n - m], u[m])
+                prod = oracle.mat_vec(a.terms[n - m], u[m])
                 r = [oracle.p_add(x, oracle.p_scale(-1, y)) for x, y in zip(r, prod)]
         for i, y in enumerate(f.get(n, [])):
             r[i] = oracle.p_add(r[i], oracle.p_scale(-1, y))
