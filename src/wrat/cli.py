@@ -21,7 +21,6 @@ partitions, no bundled record, resonance), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -121,15 +120,11 @@ def _cmd_check_exceptional(args) -> int:
     return EXIT_OK if verdict.status == "pass" else EXIT_FAIL
 
 
-def _zero_v(real):
-    return dataclasses.replace(real, v_diag=tuple([Fraction(0)] * real.size))
-
-
 def _cmd_check_classical(args) -> int:
     partition = _build_partition(args.family, args.partition)
     real = orbits.build_classical(partition)
     if args.v_zero:
-        real = _zero_v(real)
+        real = real._replace(v_diag=(Fraction(0),) * real.size)
     verdict = ratcheck.check_classical(real)
     _emit(
         ratcheck.verdict_to_json(

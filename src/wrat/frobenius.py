@@ -35,10 +35,9 @@ sum_t |c_t| eps^t <= sum_m |q_m| (eps + |b|)^m for q(w) = p(a + w), so
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import _linalg
 from ._serde import rat_from_json, rat_to_json
@@ -101,9 +100,16 @@ def _ints(p) -> tuple[list[int], int]:
 
 
 def _dot(pairs) -> Poly:
+    """`_kernel` as a Poly: each output coefficient becomes one Fraction."""
+    out, den = _kernel(pairs)
+    return tuple(Fraction(c, den) for c in out)
+
+
+def _kernel(pairs) -> tuple[list[int], int]:
     """sum_k a_k b_k over (numerators, denominator) pairs: every product is
-    convolved and summed in int over one common denominator, and each output
-    coefficient becomes one Fraction.  The one kernel of this module."""
+    convolved and summed in int over one common denominator den; returns
+    the numerators, without trailing zeros, and den.  The one kernel of
+    this module."""
     terms = [(na, nb, da * db) for (na, da), (nb, db) in pairs if na and nb]
     den = lcm(*[d for _, _, d in terms])
     out = [0] * max((len(na) + len(nb) - 1 for na, nb, _ in terms), default=0)
@@ -116,7 +122,7 @@ def _dot(pairs) -> Poly:
                     out[j] += x * y
     while out and not out[-1]:
         out.pop()
-    return tuple(Fraction(c, den) for c in out)
+    return out, den
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
@@ -136,10 +142,15 @@ def p_mul(a: Poly, b: Poly) -> Poly:
 
 
 def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by a nonzero b, exactly: the pseudo-division
+    """Quotient and remainder of a by a nonzero b, exactly."""
+    return _divmod(_ints(a), _ints(b))
+
+
+def _divmod(a, b) -> tuple[Poly, Poly]:
+    """`p_divmod` on (numerators, denominator) forms: the pseudo-division
     lead^k na = q nb + r of integer numerators, with nb over its content so
     that a constant b, or any b / b[-1] in Z[z], has lead +-1."""
-    (na, da), (nb, db) = _ints(a), _ints(b)
+    (na, da), (nb, db) = a, b
     g = gcd(*nb)
     nb = [y // g for y in nb]
     k = max(len(na) - len(nb) + 1, 0)
@@ -184,20 +195,24 @@ def _zero_vec(ell: int) -> list[Poly]:
     return [() for _ in range(ell)]
 
 
-@dataclass
-class AnalyticMatrixSeries:
-    """A(z, q) = sum_n A_n(z) q^n with polynomial-in-z entries."""
-
+class _Series(NamedTuple):
     ell: int
     terms: dict[int, list[list[Poly]]]
 
-    def __post_init__(self):
+
+class AnalyticMatrixSeries(_Series):
+    """A(z, q) = sum_n A_n(z) q^n with polynomial-in-z entries; building one
+    trims every entry and drops the zero A_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, ell: int, terms: dict[int, list[list[Poly]]]):
         clean = {}
-        for n, m in self.terms.items():
+        for n, m in terms.items():
             mm = [[p_trim(e) for e in row] for row in m]
             if any(any(e for e in row) for row in mm):
                 clean[int(n)] = mm
-        self.terms = clean
+        return super().__new__(cls, ell, clean)
 
     def a0(self) -> list[list[Poly]]:
         return self.terms.get(0, [[() for _ in range(self.ell)] for _ in range(self.ell)])
@@ -223,16 +238,14 @@ class AnalyticMatrixSeries:
         )
 
 
-@dataclass
-class VectorSeries:
+class VectorSeries(NamedTuple):
     """u(z, q) = sum_n u_n(z) q^n, coefficients stored densely from n = 0."""
 
     ell: int
     coeffs: list[list[Poly]]
 
 
-@dataclass(frozen=True)
-class DomainParams:
+class DomainParams(NamedTuple):
     """Polydisc data: |z - z0| <= epsilon, |q| <= delta, z0 rational."""
 
     z0: Fraction
@@ -250,8 +263,7 @@ def _weighted(blocks, domain: DomainParams) -> Fraction:
     return sum((block * domain.delta**n for n, block in blocks), Fraction(0))
 
 
-@dataclass
-class ContractionResult:
+class ContractionResult(NamedTuple):
     series: VectorSeries
     truncation: int
     ratio: Fraction
@@ -259,8 +271,7 @@ class ContractionResult:
     distances: tuple[Fraction, ...]
 
 
-@dataclass
-class LogSeriesSolution:
+class LogSeriesSolution(NamedTuple):
     """phi = sum_{j,k,n} phi_{j,k,n}(z) q^{h_j + n} (log q)^k."""
 
     ell: int
@@ -347,8 +358,10 @@ def recursion_solve(
     against the recursion: a violated relation raises SeedInconsistent when
     some polynomial solution exists and Resonance when none does.  Beyond the
     seeds, u_n = adj(nI - A_0) b_n / chi(n) with chi(n) = det(nI - A_0), by
-    exact division; chi(n) = 0 in Q[z] or a nonzero remainder raises
-    Resonance (the module docstring says why this matches a linear solve).
+    exact division of `_kernel` integer forms, so that only the quotient's
+    coefficients become Fractions; chi(n) = 0 in Q[z] or a nonzero remainder
+    raises Resonance (the module docstring says why this matches a linear
+    solve).
     """
     ell = a.ell
     n_seeds = len(seeds)
@@ -356,8 +369,9 @@ def recursion_solve(
     cs, bs = _char_expansion(a0)
     u: list[list[Poly]] = []
     for n in range(n_max):
-        rhs = [_dot(terms) for terms in _rhs(a, f_terms, u, n, n)]
+        rhs = [_kernel(terms) for terms in _rhs(a, f_terms, u, n, n)]
         if n < n_seeds:
+            rhs = [_dot([(([1], 1), y)]) for y in rhs]
             mm = [[p_sub((Fraction(n),) if i == j else (), e) for j, e in enumerate(row)]
                   for i, row in enumerate(a0)]
             cand = [p_trim(c) for c in seeds[n]]
@@ -365,12 +379,12 @@ def recursion_solve(
                 u.append(cand)
                 continue
             raise (SeedInconsistent if _poly_solvable(mm, rhs) else Resonance)(n, layer)
-        chi = _dot((([n ** (ell - k)], 1), c) for k, c in enumerate(cs))
-        if not chi:
+        chi = _kernel((([n ** (ell - k)], 1), c) for k, c in enumerate(cs))
+        if not chi[0]:
             raise Resonance(n, layer)
-        adj = [[_dot((([n ** (ell - 1 - k)], 1), b[i][j]) for k, b in enumerate(bs))
+        adj = [[_kernel((([n ** (ell - 1 - k)], 1), b[i][j]) for k, b in enumerate(bs))
                 for j in range(ell)] for i in range(ell)]
-        divided = [p_divmod(y, chi) for y in _mat_vec(adj, rhs)]
+        divided = [_divmod(_kernel(zip(row, rhs)), chi) for row in adj]
         if any(rem for _, rem in divided):
             raise Resonance(n, layer)
         u.append([quot for quot, _ in divided])

@@ -8,7 +8,6 @@ surjective for j <= 1/2; it is *even* when every degree is an integer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -26,14 +25,14 @@ class NotDegreeMinusOne(ValueError):
     """The candidate nilpotent is not homogeneous of degree -1."""
 
 
-@dataclass(frozen=True)
-class DynkinGrading:
-    """Eigenspace decomposition of the algebra under a Cartan characteristic."""
+class DynkinGrading(NamedTuple):
+    """Eigenspace decomposition of the algebra under a Cartan characteristic;
+    by_degree is derived from degrees."""
 
     table: ChevalleyTable
     characteristic: CartanElement
     degrees: tuple[Fraction, ...]
-    by_degree: dict[Fraction, tuple[int, ...]] = field(compare=False)
+    by_degree: dict[Fraction, tuple[int, ...]]
 
     def block(self, j) -> tuple[int, ...]:
         return self.by_degree.get(Fraction(j), ())

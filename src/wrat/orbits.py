@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from ._serde import rat_from_json, rat_to_json
 from .rootsys import CartanElement, RootSystem, SimpleType, build, pairing
@@ -60,8 +60,7 @@ class _EvenOrExternal:
 EVEN_OR_EXTERNAL = _EvenOrExternal()
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     algebra: SimpleType
     label: str
     q: tuple[int, ...]
@@ -213,8 +212,7 @@ def lookup_exceptional(algebra, q: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalPartition:
+class ClassicalPartition(NamedTuple):
     """Jordan data for a nilpotent in so/sp, split into paired and single parts.
 
     Parity does the splitting: orthogonal types pair the even parts and keep
@@ -268,29 +266,26 @@ class ClassicalPartition:
         return not self.pairs or not self.singles
 
 
-@dataclass(frozen=True)
-class ClassicalRealization:
+class ClassicalRealization(NamedTuple):
     """A partition's matrices, held sparse: the nilpotent f and its sl2
     partner e as {(row, column): entry} with no stored zeros, the diagonals
     of h and v, and the monomial form S as sigma and c (row i of S holds its
-    only nonzero c(i) in column sigma(i))."""
+    only nonzero c(i) = +-1 in column sigma(i))."""
 
     partition: ClassicalPartition
     size: int
-    f: dict[tuple[int, int], Fraction]
-    e: dict[tuple[int, int], Fraction]
-    h_diag: tuple[Fraction, ...]
-    v_diag: tuple[Fraction, ...]
+    f: dict[tuple[int, int], int | Fraction]
+    e: dict[tuple[int, int], int | Fraction]
+    h_diag: tuple[int | Fraction, ...]
+    v_diag: tuple[int | Fraction, ...]
     sigma: tuple[int, ...]
-    form_coeff: tuple[Fraction, ...]
+    form_coeff: tuple[int, ...]
 
-    def involution_of(self, i: int, j: int) -> tuple[int, int, Fraction]:
-        """X -> -S^{-1} X^T S on a matrix unit: E_ij maps to c * E_i'j'."""
-        return (
-            self.sigma[j],
-            self.sigma[i],
-            -self.form_coeff[i] / self.form_coeff[j],
-        )
+    def involution_of(self, i: int, j: int) -> tuple[int, int, int]:
+        """X -> -S^{-1} X^T S on a matrix unit: E_ij maps to c * E_i'j' with
+        c = -c(i) / c(j) = -c(i) c(j), as c(j) = +-1."""
+        c = self.form_coeff
+        return self.sigma[j], self.sigma[i], -c[i] * c[j]
 
 
 def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
@@ -302,27 +297,26 @@ def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
     S_m on their own block.  h is the usual sl2 weight diagonal m-1, m-3,
     ..., 1-m on every block, e is the upper partner with entries
     (i + 1)(m - 1 - i), and v is +1/2 on the first copy of each pair, -1/2
-    on the second, 0 on singles.  A failure of the triple check is a bug
-    and raises AssertionError.
+    on the second, 0 on singles.  f, e, h and c are ints, v Fractions.  A
+    failure of the triple check is a bug and raises AssertionError.
     """
     n = partition.size
-    zero = Fraction(0)
-    f: dict[tuple[int, int], Fraction] = {}
-    e: dict[tuple[int, int], Fraction] = {}
-    h = [zero] * n
-    v = [zero] * n
+    f: dict[tuple[int, int], int] = {}
+    e: dict[tuple[int, int], int] = {}
+    h = [0] * n
+    v = [Fraction(0)] * n
     sigma = [-1] * n
-    coeff = [zero] * n
+    coeff = [0] * n
 
     def place_jordan(start: int, m: int):
         for i in range(m - 1):
-            f[start + i + 1, start + i] = Fraction(1)
-            e[start + i, start + i + 1] = Fraction((i + 1) * (m - 1 - i))
+            f[start + i + 1, start + i] = 1
+            e[start + i, start + i + 1] = (i + 1) * (m - 1 - i)
         for i in range(m):
-            h[start + i] = Fraction(m - 1 - 2 * i)
+            h[start + i] = m - 1 - 2 * i
 
     def place_form(row: int, col: int, c: int):
-        sigma[row], coeff[row] = col, Fraction(c)
+        sigma[row], coeff[row] = col, c
 
     off = 0
     for m in partition.pairs:
@@ -406,16 +400,17 @@ def classical_basis(real: ClassicalRealization):
     distinct basis elements are disjoint and coordinates of any algebra
     element can be read straight off its matrix entries at representatives.
     """
-    n = real.size
+    sigma = real.sigma
     out = []
-    for i in range(n):
-        for j in range(n):
+    for i in range(real.size):
+        # E_ij maps to c E_(sigma(j), sigma(i)), so it comes first in its
+        # two-cycle or is fixed when sigma(j) >= i; sigma is an involution,
+        # so those j are the values sigma[i:]
+        for j in sorted(sigma[i:]):
             ip, jp, c = real.involution_of(i, j)
-            if (ip, jp) == (i, j):
-                if c == 1:
-                    out.append(((i, j), None, None))
-                # c == -1: this unit lies in the -1 eigenspace; not in g
-            elif (i, j) < (ip, jp):
-                # the first unit of its two-cycle in row-major order
+            if (ip, jp) != (i, j):
                 out.append(((i, j), (ip, jp), c))
+            elif c == 1:
+                out.append(((i, j), None, None))
+            # a fixed unit with c == -1 lies in the -1 eigenspace; not in g
     return out

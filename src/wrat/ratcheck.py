@@ -36,24 +36,12 @@ verified by `build_classical`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from . import _linalg
-from .grading import (
-    DynkinGrading,
-    NotDegreeMinusOne,
-    Sl2Triple,
-    complete_sl2,
-    grade,
-    grade_by_weights,
-    is_even_grading,
-    verify_good_grading,
-)
-from .liealg import BasisElement, ChevalleyTable, F, H, build_chevalley
+from . import _linalg, grading as gr, liealg
 from .orbits import ClassicalRealization, OrbitRecord, classical_basis, is_sl2_triple
 from .rootsys import CartanElement, build, pairing
 
@@ -91,23 +79,20 @@ class _NotFound:
 NOT_FOUND = _NotFound()
 
 
-@dataclass(frozen=True)
-class EvidenceEntry:
+class EvidenceEntry(NamedTuple):
     j: Fraction
     eigenvalue: Fraction
     multiplicity: int
     admissible: bool
 
 
-@dataclass(frozen=True)
-class FallbackWitness:
+class FallbackWitness(NamedTuple):
     eigenvalue: Fraction
-    element: BasisElement
-    image_support: tuple[BasisElement, ...]
+    element: liealg.BasisElement
+    image_support: tuple[liealg.BasisElement, ...]
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     status: str  # "pass" | "fail"
     evidence: tuple[EvidenceEntry, ...]
     fallbacks: tuple[FallbackWitness, ...]
@@ -115,8 +100,7 @@ class ConditionVerdict:
     slot_rule: str  # "counting" (verified sl2-triple), "rank", or "none" (no slot table)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     denominator_bound: int = 2
     coefficient_bound: int = 4
 
@@ -143,18 +127,27 @@ def _dot(weight, t):
     return sum(c * t[k] for k, c in weight)
 
 
-@dataclass(frozen=True)
-class _GradedOperator:
+def _over_common(rows, base: int = 1) -> tuple[list[list[int]], int]:
+    """(integer rows, den): rational rows times den, their least common
+    denominator that is a multiple of base."""
+    den = lcm(base, *(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
+class _GradedOperator(NamedTuple):
     """ad(f) on a graded basis b_0, b_1, ... on which a torus acts diagonally.
 
-    weights[i] is the torus weight of b_i as sparse (coordinate, integer)
-    pairs; column(j) is [f, b_j] as {i: coefficient}, built on each call;
-    cartan holds (i, torus coordinates of b_i) per Cartan basis vector b_i;
-    sl2 says that f sits in a verified sl2-triple (e, h, f), h giving the
-    degrees, and that the torus centralizes it.
+    b_i sits in degree degrees[i] / degree_den, integers over one even
+    denominator, so that degree -1/2 has a key as well; weights[i] is the
+    torus weight of b_i as sparse (coordinate, integer) pairs; column(j) is
+    [f, b_j] as {i: coefficient}, built on each call; cartan holds (i, torus
+    coordinates of b_i) per Cartan basis vector b_i; sl2 says that f sits
+    in a verified sl2-triple (e, h, f), h giving the degrees, and that the
+    torus centralizes it.
     """
 
-    degrees: tuple[Fraction, ...]
+    degrees: tuple[int, ...]
+    degree_den: int
     weights: tuple[tuple[tuple[int, int], ...], ...]
     column: Callable[[int], dict[int, int | Fraction]]
     cartan: tuple[tuple[int, tuple], ...]
@@ -162,17 +155,17 @@ class _GradedOperator:
 
 
 def _chevalley_operator(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
     f: dict[int, Fraction],
-    triple: Sl2Triple | None = None,
+    triple: gr.Sl2Triple | None = None,
 ) -> _GradedOperator:
     """The operator on the Chevalley basis.  The torus coordinates are the
     simple-root pairings a_i(.), so e_a has weight a and f_a weight -a.
     triple is f's sl2-triple on this grading from `complete_sl2`, or None;
     h^f centralizes its e too, as e is the only partner of h and f."""
     a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
-    hk = [table.index[H(k)] for k in range(len(a))]
+    hk = [table.index[liealg.H(k)] for k in range(len(a))]
     if triple is not None and (
         triple.f != f
         or [sum(c * triple.h.get(i, 0) for i, c in zip(hk, r)) for r in a]
@@ -189,7 +182,8 @@ def _chevalley_operator(
         for b in table.basis
     )
     cartan = tuple((i, tuple(r[k] for r in a)) for k, i in enumerate(hk))
-    return _GradedOperator(grading.degrees, weights, column, cartan, triple is not None)
+    (degrees,), den = _over_common([grading.degrees], 2)
+    return _GradedOperator(tuple(degrees), den, weights, column, cartan, triple is not None)
 
 
 def _units(elt) -> list[tuple[int, int, int | Fraction]]:
@@ -230,11 +224,11 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
                     out[k] = out.get(k, 0) + coeff * x
         return {k: x for k, x in out.items() if x}
 
-    hd = real.h_diag
+    (hd,), den = _over_common([real.h_diag])
     degrees, weights, cartan = [], [], []
     for k, elt in enumerate(basis):
         (i, j), _, _ = elt
-        degrees.append((hd[i] - hd[j]) / 2)
+        degrees.append(hd[i] - hd[j])
         weights.append(((i, 1), (j, -1)) if i != j else ())
         if i == j:
             coords = [0] * real.size
@@ -242,27 +236,28 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
                 coords[a] = c
             cartan.append((k, tuple(coords)))
     return _GradedOperator(
-        tuple(degrees), tuple(weights), column, tuple(cartan), _classical_sl2(real)
+        tuple(degrees), 2 * den, tuple(weights), column, tuple(cartan), _classical_sl2(real)
     )
 
 
 def _group(op: _GradedOperator, torus: list) -> tuple[dict[tuple, list[int]], int]:
-    """(groups, den): basis indices by (degree, torus weight), for a torus
-    given as a list of elements by their coordinate values (v alone, or the
-    h^f basis of `search_v`).  The weights are taken on den times the torus,
-    den the common denominator, so `_dot` runs on ints."""
-    den = lcm(*(x.denominator for t in torus for x in t))
-    ints = [[x.numerator * (den // x.denominator) for x in t] for t in torus]
+    """(groups, den): basis indices by (degree numerator, torus weight), for
+    a torus given as a list of elements by their coordinate values (v alone,
+    or the h^f basis of `search_v`).  The weights are taken on den times the
+    torus, den the common denominator, so every key is integers."""
+    ints, den = _over_common(torus)
+    mus = [[sum([c * t[k] for k, c in w]) for w in op.weights] for t in ints]
     groups: dict[tuple, list[int]] = {}
-    for i, (d, w) in enumerate(zip(op.degrees, op.weights)):
-        groups.setdefault((d, tuple(_dot(w, t) for t in ints)), []).append(i)
+    for i, key in enumerate(zip(op.degrees, zip(*mus))):
+        groups.setdefault(key, []).append(i)
     return groups, den
 
 
 def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[Fraction, tuple, int]]:
     """ker ad(f) split into the (degree, torus weight) slots of `_group`.
 
-    Returns one (degree, weight, multiplicity) tuple per occupied slot.
+    Returns one (degree, weight, multiplicity) tuple per occupied slot, the
+    degree a Fraction.
 
     With op.sl2 the weight-mu spans form an sl2-module (h acts by 2d), so a
     slot holds dim g_(d, mu) - dim g_(d-1, mu) at d <= 0 and none at d > 0;
@@ -270,13 +265,13 @@ def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[Fraction, tup
     """
     slots = []
     for (d, mu), src in groups.items():
-        dst = groups.get((d - 1, mu), [])
+        dst = groups.get((d - op.degree_den, mu), [])
         if op.sl2:
             mult = len(src) - len(dst) if d <= 0 else 0
         else:
             mult = len(src) - _linalg.rank(_linalg.block(op.column, src, dst))
         if mult:
-            slots.append((d, mu, mult))
+            slots.append((Fraction(d, op.degree_den), mu, mult))
     return slots
 
 
@@ -307,7 +302,7 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     if op.sl2:
         return True
     g0 = [i for i, d in enumerate(op.degrees) if d == 0]
-    m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -1])
+    m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -op.degree_den])
     # ad(w) is traceless on g and on g_0 for w in g_0, so its trace on the
     # negative part is minus its trace on the positive part and needs no row
     # of its own.  A basis vector of nonzero weight shifts every weight, so
@@ -324,22 +319,24 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     return _linalg.rank(m + [row]) == _linalg.rank(m)
 
 
-def _support_roots(table: ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
+def _support_roots(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
     return [table.basis[i].key for i in f if table.basis[i].kind != "h"]
 
 
-def _require_centralizing(table: ChevalleyTable, f: dict[int, Fraction], v: CartanElement) -> None:
+def _require_centralizing(
+    table: liealg.ChevalleyTable, f: dict[int, Fraction], v: CartanElement
+) -> None:
     for c in _support_roots(table, f):
         if pairing(table.rs, c, v) != 0:
             raise VNotInCentralizer(f"a(v) = {pairing(table.rs, c, v)} != 0 at root {c}")
 
 
 def exact_condition(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
     f: dict[int, Fraction],
     v: CartanElement,
-    triple: Sl2Triple | None = None,
+    triple: gr.Sl2Triple | None = None,
 ) -> ConditionVerdict:
     """Exact kernel computation; one evidence row per occupied (j, eigenvalue).
 
@@ -353,24 +350,24 @@ def exact_condition(
 
 
 def fast_condition(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
     f: dict[int, Fraction],
     v: CartanElement,
-    triple: Sl2Triple | None = None,
+    triple: gr.Sl2Triple | None = None,
 ) -> ConditionVerdict:
     """Spectrum-on-two-blocks route; hands off wholesale on hard eigenvalues,
     to `exact_condition`'s slot table (counted given triple) on its grouping."""
     _require_centralizing(table, f, v)
     op = _chevalley_operator(table, grading, f, triple)
     groups, den = _group(op, [v.pairings])
-    half = Fraction(1, 2)
 
     rows: list[EvidenceEntry] = []
     witnesses: list[FallbackWitness] = []
 
-    def analyze(d: Fraction, boundary: Fraction) -> bool:
-        """One graded block; returns False when the hand-off is needed."""
+    def analyze(d: int, boundary: Fraction) -> bool:
+        """One graded block, degree d / op.degree_den; returns False when the
+        hand-off is needed."""
         special = boundary - 1  # -2 on the integer block, -5/2 on the half block
         for n in sorted({n for (dd, (n,)) in groups if dd == d}):
             lam = Fraction(n, den)
@@ -382,10 +379,11 @@ def fast_condition(
             # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
             # (each image's support) when it is injective
             src = groups[(d, (n,))]
-            m = _linalg.block(op.column, src, groups.get((d - 1, (n,)), []))
+            m = _linalg.block(op.column, src, groups.get((d - op.degree_den, (n,)), []))
             defect = len(src) - _linalg.rank(m)
             if defect:
-                rows.append(EvidenceEntry(-d, lam, defect, _admissible(-d, lam)))
+                j = Fraction(-d, op.degree_den)
+                rows.append(EvidenceEntry(j, lam, defect, _admissible(j, lam)))
                 continue
             for i in src:
                 support = sorted(
@@ -397,14 +395,14 @@ def fast_condition(
     # degree 0: tame eigenvalues are the integers >= -1, the one extra
     # injectivity-resolvable value is -2 (and +2 gets the same treatment);
     # degree -1/2: shift everything down by a half.
-    if not (analyze(Fraction(0), Fraction(-1)) and analyze(-half, Fraction(-3, 2))):
+    if not (analyze(0, Fraction(-1)) and analyze(-op.degree_den // 2, Fraction(-3, 2))):
         return _slot_verdict(op, groups, den)
 
     witnesses.sort(key=lambda w: (w.eigenvalue, w.element.kind, w.element.key))
     return _verdict(rows, witnesses, "fast", "none")
 
 
-def h0f_space(table: ChevalleyTable, f: dict[int, Fraction]) -> list[CartanElement]:
+def h0f_space(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[CartanElement]:
     """Basis of the Cartan elements annihilating every root in the support of f."""
     roots = _support_roots(table, f)
     n = table.rs.rank
@@ -414,23 +412,22 @@ def h0f_space(table: ChevalleyTable, f: dict[int, Fraction]) -> list[CartanEleme
 
 def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
     """The integer vector on vec's ray with coprime entries, first nonzero > 0."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
+    (ints,), _ = _over_common([vec])
     g = gcd(*ints) * next((1 if x > 0 else -1 for x in ints if x), 1) or 1
     return tuple(x // g for x in ints)
 
 
-def _hf_basis(table: ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
+def _hf_basis(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
     """`h0f_space` as primitive integer pairing vectors."""
     return [_primitive(w.pairings) for w in h0f_space(table, f)]
 
 
 def search_v(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
     f: dict[int, Fraction],
     config: SearchConfig = SearchConfig(),
-    triple: Sl2Triple | None = None,
+    triple: gr.Sl2Triple | None = None,
 ):
     """First v in a small rational lattice of h^f that passes
     `exact_condition`, or NOT_FOUND; triple as there.
@@ -445,7 +442,7 @@ def search_v(
     Even gradings need no search: v = 0 always works there.
     """
     rank = table.rs.rank
-    if is_even_grading(grading):
+    if gr.is_even_grading(grading):
         return CartanElement.zero(rank)
     basis = _hf_basis(table, f)
     if not basis:
@@ -483,7 +480,7 @@ def search_v(
 
 
 def verify_good_even_shortcut(
-    table: ChevalleyTable,
+    table: liealg.ChevalleyTable,
     h: CartanElement,
     f_roots: Iterable[tuple[int, ...]],
     x0: CartanElement,
@@ -500,29 +497,29 @@ def verify_good_even_shortcut(
     for c in f_roots:
         if pairing(rs, c, x0) != 1:
             raise GradingNotGood(f"root {c} is not in degree -1 for the x0 grading")
-    aux = grade_by_weights(table, x0)
-    f = {table.index[F(c)]: Fraction(1) for c in f_roots}
-    if not verify_good_grading(aux, f):
+    aux = gr.grade_by_weights(table, x0)
+    f = {table.index[liealg.F(c)]: Fraction(1) for c in f_roots}
+    if not gr.verify_good_grading(aux, f):
         raise GradingNotGood("the x0 grading is not good for f")
-    if not is_even_grading(aux):
+    if not gr.is_even_grading(aux):
         raise GradingNotEven("the x0 grading has half-integer degrees")
     v = Fraction(1, 2) * h - x0
     for c in f_roots:
         if pairing(rs, c, v) != 0:
             raise VNotInCentralizer(f"h/2 - x0 does not centralize the root vector at {c}")
-    dynkin = grade(table, h)
+    dynkin = gr.grade(table, h)
     try:
-        triple = complete_sl2(table, dynkin, f_roots)
-    except NotDegreeMinusOne as exc:
+        triple = gr.complete_sl2(table, dynkin, f_roots)
+    except gr.NotDegreeMinusOne as exc:
         raise GradingNotGood(str(exc)) from exc
     return exact_condition(table, dynkin, f, v, triple)
 
 
 def verify_self_contragredient(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
     f: dict[int, Fraction],
-    triple: Sl2Triple | None = None,
+    triple: gr.Sl2Triple | None = None,
 ) -> bool:
     """`_self_contragredient` on the Chevalley basis; given f's sl2-triple
     from `complete_sl2` it holds without a rank."""
@@ -553,19 +550,19 @@ def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
 
 def realize_record(record: OrbitRecord):
     """(table, dynkin grading, f, sl2 triple) for a bundled record."""
-    table = build_chevalley(build(record.algebra))
-    grading = grade(table, record.h)
-    triple = complete_sl2(table, grading, list(record.f_roots))
+    table = liealg.build_chevalley(build(record.algebra))
+    grading = gr.grade(table, record.h)
+    triple = gr.complete_sl2(table, grading, list(record.f_roots))
     return table, grading, triple.f, triple
 
 
 def check_realized(
-    table: ChevalleyTable,
-    grading: DynkinGrading,
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
     f: dict[int, Fraction],
     v: CartanElement,
     method: str,
-    triple: Sl2Triple | None = None,
+    triple: gr.Sl2Triple | None = None,
 ) -> ConditionVerdict:
     """`check_record` on the parts `realize_record` returns."""
     if method == "exact":

@@ -9,10 +9,10 @@ The Cartan matrix convention is ``a[i][j] = 2<a_i, a_j> / <a_j, a_j>``, i.e.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from ._linalg import mat, solve_unique
 
@@ -36,18 +36,24 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+class _Type(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        lo_hi = _RANK_RANGE.get(self.family)
+
+class SimpleType(_Type):
+    """(family, rank); one outside the classification raises IllegalType."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        lo_hi = _RANK_RANGE.get(family)
         if lo_hi is None:
-            raise IllegalType(f"unknown family {self.family!r}")
+            raise IllegalType(f"unknown family {family!r}")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise IllegalType(f"illegal rank {self.rank} for family {self.family}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise IllegalType(f"illegal rank {rank} for family {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -60,8 +66,7 @@ class SimpleType:
         return cls(text[0].upper(), int(text[1:]))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root, as its coefficient vector over the simple roots."""
 
     coeffs: tuple[int, ...]
@@ -72,8 +77,7 @@ class Root:
         return sum(self.coeffs)
 
 
-@dataclass(frozen=True)
-class CartanElement:
+class CartanElement(NamedTuple):
     """Element v of the Cartan subalgebra, stored by its pairings a_i(v)."""
 
     pairings: tuple[Fraction, ...]
@@ -151,8 +155,10 @@ def _half_norms(st: SimpleType) -> list[Fraction]:
     return d
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
+    """A root system; `half_norms` (<a_i, a_i>/2), `positive_set` and
+    `scaled_form` (s and s times the form, integral) are derived in `_build`."""
+
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
@@ -161,18 +167,13 @@ class RootSystem:
     coxeter_number: int
     dual_coxeter_number: int
     lacety: int
+    half_norms: tuple[Fraction, ...]
+    positive_set: frozenset[tuple[int, ...]]
+    scaled_form: tuple[int, tuple[tuple[int, ...], ...]]
 
     @property
     def rank(self) -> int:
         return self.simple_type.rank
-
-    @cached_property
-    def half_norms(self) -> tuple[Fraction, ...]:
-        return tuple(self.form_on_simple_roots[i][i] / 2 for i in range(self.rank))
-
-    @cached_property
-    def positive_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(r.coeffs for r in self.positive_roots)
 
     def is_root(self, coeffs: tuple[int, ...]) -> bool:
         """Membership for signed coefficient vectors."""
@@ -180,13 +181,9 @@ class RootSystem:
             return True
         return tuple(-c for c in coeffs) in self.positive_set
 
-    @cached_property
-    def _scaled_form(self) -> tuple[int, list[list[int]]]:
-        return _scaled(self.form_on_simple_roots)
-
     def norm2(self, coeffs: tuple[int, ...]) -> Fraction:
         """<b, b> for a root given by its coefficient vector."""
-        s, form = self._scaled_form
+        s, form = self.scaled_form
         return Fraction(_quadratic(form, coeffs), s)
 
     def coroot_pairing(self, coeffs: tuple[int, ...], i: int) -> int:
@@ -194,10 +191,10 @@ class RootSystem:
         return sum(c * self.cartan_matrix[j][i] for j, c in enumerate(coeffs) if c)
 
 
-def _scaled(form) -> tuple[int, list[list[int]]]:
+def _scaled(form) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(s, s * form) with s the least scale making the form integral."""
     s = lcm(*(x.denominator for row in form for x in row))
-    return s, [[int(x * s) for x in row] for row in form]
+    return s, tuple(tuple(int(x * s) for x in row) for row in form)
 
 
 def _quadratic(form, coeffs) -> int:
@@ -262,6 +259,9 @@ def _build(st: SimpleType) -> RootSystem:
         coxeter_number=h,
         dual_coxeter_number=int(hv),
         lacety=lacety,
+        half_norms=tuple(d),
+        positive_set=frozenset(r.coeffs for r in roots),
+        scaled_form=(s, scaled),
     )
 
 

@@ -8,7 +8,6 @@ to watch the lines as the criteria execute.  Everything here is exact
 rational arithmetic -- there are no tolerances to tune.
 """
 import contextlib
-import dataclasses
 import functools
 import io
 import itertools
@@ -238,7 +237,7 @@ def test_criterion_5():
 
 
 def _zero_v(real):
-    return dataclasses.replace(real, v_diag=tuple([Q(0)] * real.size))
+    return real._replace(v_diag=tuple([Q(0)] * real.size))
 
 
 def _dense_oracle(real):

@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -775,7 +774,7 @@ def test_route_disagreement_exits_2_with_one_line(capsys, monkeypatch):
 
     def flipped(*args, **kwargs):
         v = real(*args, **kwargs)
-        return dataclasses.replace(v, status="fail" if v.status == "pass" else "pass")
+        return v._replace(status="fail" if v.status == "pass" else "pass")
 
     monkeypatch.setattr(ratcheck, "fast_condition", flipped)
     rc, out, err = run(capsys, "check-exceptional", "--algebra", "G2", "--q", "3")
@@ -922,8 +921,9 @@ def test_unknown_subcommand_is_argparse_error(capsys):
 SRC = str(Path(wrat.__file__).resolve().parent.parent)
 
 # runs one request as `python -m wrat.cli` would, then prints which of the
-# package's modules executed; a module's own __dict__ is read past the lazy
-# loader, so the check itself loads nothing
+# package's modules executed and whether `dataclasses` was imported; a
+# module's own __dict__ is read past the lazy loader, so the check itself
+# loads nothing
 EXECUTED_PROBE = """
 import json, runpy, sys
 sys.argv = ["wrat", *json.loads(sys.argv[1])]
@@ -940,7 +940,7 @@ ran = [
     name for name, attr in defines.items()
     if attr in object.__getattribute__(sys.modules["wrat." + name], "__dict__")
 ]
-print(json.dumps({"exit": code, "ran": ran}))
+print(json.dumps({"exit": code, "ran": ran, "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -964,13 +964,23 @@ def test_frobenius_request_runs_only_frobenius(tmp_path):
         {"ell": 1, "A": [[0, [["1/2"]]]], "f": [[1, [[1]]]], "seeds": [[[0]], [[2]]]},
     )
     got = executed_modules("frobenius", path, "--order", "4", "--route", "recursion")
-    assert got == {"exit": 0, "ran": ["frobenius"]}
+    assert got == {"exit": 0, "ran": ["frobenius"], "dataclasses": False}
 
 
 def test_check_classical_request_never_runs_frobenius():
-    got = executed_modules("check-classical", "--family", "C", "--partition", "3,3,2")
-    assert got["exit"] == 0
-    assert "ratcheck" in got["ran"] and "frobenius" not in got["ran"]
+    """The matrix route needs neither the Chevalley table nor the gradings."""
+    for command in ("check-classical", "verify-contragredient"):
+        got = executed_modules(command, "--family", "C", "--partition", "3,3,2")
+        assert got["exit"] == 0
+        assert "ratcheck" in got["ran"]
+        assert not {"frobenius", "liealg", "grading"} & set(got["ran"]), command
+        assert not got["dataclasses"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--all"]], ids=["help", "report"])
+def test_start_up_never_imports_dataclasses(argv):
+    got = executed_modules(*argv)
+    assert got["exit"] == 0 and not got["dataclasses"]
 
 
 def test_module_help_writes_nothing_to_stderr():

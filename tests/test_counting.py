@@ -6,16 +6,16 @@ dim g_(d, mu) - dim g_(d-1, mu) for d <= 0 and 0 for d > 0.  `_kernel_slots`
 counts that way whenever the operator carries a verified triple and takes
 one rank per slot otherwise.  Both rules must give the same evidence rows and
 status on every legal so/sp partition of size <= 14 (with its own v and with
-v = 0) and on the 15 records for sampled v in h^f.  `ConditionVerdict.slot_rule`
+v = 0) and on the 15 records for sampled v in h^f; past size 14 the counted
+multiplicities must add up to dim g^f.  `ConditionVerdict.slot_rule`
 says which rule ran; an f with a root dropped is in no triple and must run by
 rank, and counting there would be wrong.
 """
-import dataclasses
 import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_contragredience import legal_partitions
@@ -56,7 +56,7 @@ def realized(k):
 
 
 def by_rank(op):
-    return dataclasses.replace(op, sl2=False)
+    return op._replace(sl2=False)
 
 
 def slot_verdict(op, v):
@@ -64,7 +64,7 @@ def slot_verdict(op, v):
 
 
 def zero_v(real):
-    return dataclasses.replace(real, v_diag=(Fraction(0),) * real.size)
+    return real._replace(v_diag=(Fraction(0),) * real.size)
 
 
 def assert_same_table(counted, ranked):
@@ -82,6 +82,39 @@ def test_partitions_up_to_14_count_as_they_rank():
             assert_same_table(counted, slot_verdict(by_rank(op), real.v_diag))
 
 
+@st.composite
+def larger_partitions(draw):
+    """A legal so/sp partition of size 15-40: each part drawn for a family
+    that must pair it (even in so, odd in sp) enters twice."""
+    family = draw(st.sampled_from(["so", "sp"]))
+    paired = 0 if family == "so" else 1
+    drawn = draw(st.lists(st.integers(1, 14), min_size=1, max_size=14))
+    parts = [p for p in drawn for _ in range(2 if p % 2 == paired else 1)]
+    assume(15 <= sum(parts) <= 40)
+    return family, parts
+
+
+def centralizer_dim(family, parts):
+    """dim g^f from the partition: 1/2 sum (dual part)^2 +- 1/2 #{odd parts},
+    + in sp and - in so."""
+    dual = [sum(1 for p in parts if p > i) for i in range(max(parts))]
+    odd = sum(p % 2 for p in parts)
+    return (sum(x * x for x in dual) + (odd if family == "sp" else -odd)) // 2
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(larger_partitions())
+def test_larger_partitions_count_dim_centralizer(drawn):
+    """Past the sizes the rank rule checks, the counted slots still add up
+    to dim g^f, with the partition's own v and with v = 0."""
+    family, parts = drawn
+    real = build_classical(ClassicalPartition.from_parts(family, parts))
+    for r in (real, zero_v(real)):
+        verdict = check_classical(r)
+        assert verdict.slot_rule == "counting"
+        assert sum(e.multiplicity for e in verdict.evidence) == centralizer_dim(family, parts)
+
+
 @pytest.mark.parametrize("family,parts", BENCH_PARTITIONS)
 def test_bench_partitions_run_by_counting(family, parts):
     real = build_classical(ClassicalPartition.from_parts(family, parts))
@@ -91,7 +124,7 @@ def test_bench_partitions_run_by_counting(family, parts):
 
 def test_replaced_f_runs_by_rank():
     real = build_classical(ClassicalPartition.from_parts("sp", (3, 3, 2)))
-    zero = dataclasses.replace(real, f={})
+    zero = real._replace(f={})
     assert not is_sl2_triple(zero)
     assert check_classical(zero).slot_rule == "rank"
 
@@ -152,7 +185,7 @@ def test_dropped_root_runs_by_rank():
             assert got.slot_rule == "rank"
             op = _chevalley_operator(table, grading, g)
             assert got == slot_verdict(op, rec.v.pairings)
-            forced = slot_verdict(dataclasses.replace(op, sl2=True), rec.v.pairings)
+            forced = slot_verdict(op._replace(sl2=True), rec.v.pairings)
             miscounted += forced.evidence != got.evidence
             with pytest.raises(ValueError):
                 exact_condition(table, grading, g, rec.v, triple)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -221,24 +220,24 @@ def test_triple_and_membership_checks_reject():
     real = build_classical(ClassicalPartition.from_parts("sp", [3, 3, 2]))
     # e scaled by 2: still in g, no longer a partner of f
     double_e = {k: 2 * x for k, x in real.e.items()}
-    assert not is_sl2_triple(dataclasses.replace(real, e=double_e))
+    assert not is_sl2_triple(real._replace(e=double_e))
     # f = 0 breaks [e, f] = h
-    assert not is_sl2_triple(dataclasses.replace(real, f={}))
+    assert not is_sl2_triple(real._replace(f={}))
     # an entry of f or e without its involution partner leaves g
     for field in ("f", "e"):
         x = getattr(real, field)
         (i, j) = min(x)
         ip, jp, _ = real.involution_of(i, j)
-        broken = dataclasses.replace(real, **{field: _set(x, ip, jp, 0)})
+        broken = real._replace(**{field: _set(x, ip, jp, 0)})
         with pytest.raises(InvalidPartition):
             _verify_membership(broken)
-        broken = dataclasses.replace(real, **{field: _set(x, ip, jp, 7)})
+        broken = real._replace(**{field: _set(x, ip, jp, 7)})
         with pytest.raises(InvalidPartition):
             _verify_membership(broken)
     # a form whose sigma is no permutation is not monomial
     sigma = (real.sigma[1],) + real.sigma[1:]
     with pytest.raises(InvalidPartition, match="not monomial"):
-        _verify_membership(dataclasses.replace(real, sigma=sigma))
+        _verify_membership(real._replace(sigma=sigma))
     _verify_membership(real)
 
 
