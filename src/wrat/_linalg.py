@@ -8,8 +8,9 @@ form.  `rank` counts them.  `solve` eliminates the augmented rows a | b and
 Fraction with the free variables fixed (to 0 for `solve`, to a unit vector
 per free column for `nullspace`).  Fixed free variables leave the pivot
 variables unique, so both return the vectors Gauss-Jordan would.  All of
-them take int or Fraction entries and return Fraction entries.  `block`
-places sparse columns into a dense matrix.
+them take int or Fraction entries and return Fraction entries; `integral`
+turns an integral one back into an int.  `block` places sparse columns into
+a dense matrix.
 """
 from __future__ import annotations
 
@@ -28,6 +29,12 @@ def mat(rows) -> Matrix:
 
 def zeros(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
+
+
+def integral(x):
+    """x as an int when it is integral, else x itself; `rank` and the
+    Chevalley brackets are faster on ints."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _pivot_rows(a) -> Pivots:

@@ -2,7 +2,8 @@
 
 Integers are stored as JSON numbers; every other rational is the string
 "num/den" in lowest terms (e.g. "-3/2").  Floats are rejected on input so
-that exactness is never silently lost.
+that exactness is never silently lost, and so is a zero denominator, as a
+ValueError like every other malformed value.
 """
 from __future__ import annotations
 
@@ -22,5 +23,8 @@ def rat_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r} (ZeroDivisionError)") from None
     raise ValueError(f"expected an int or 'num/den' string, got {v!r}")

@@ -305,9 +305,15 @@ def _cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to the bad-input exit code."""
+    """argparse with usage errors mapped to the bad-input exit code.  A
+    top-level parser built for one subcommand (`partial`) reports its own
+    errors through the full parser, whose usage names every subcommand."""
+
+    partial = False
 
     def error(self, message):
+        if self.partial:
+            build_parser().error(message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
@@ -325,49 +331,43 @@ def _int_at_least(lo: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wrat", description="exact rationality checks and series solving"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _record_flags(p, required: bool = True) -> None:
+    p.add_argument("--algebra", required=required)
+    p.add_argument("--q", type=int)
+    p.add_argument("--label")
 
-    def add_record_flags(p):
-        p.add_argument("--algebra", required=True)
-        p.add_argument("--q", type=int)
-        p.add_argument("--label")
 
-    p = sub.add_parser("check-exceptional", help="check a bundled record")
-    add_record_flags(p)
+def _check_exceptional_args(p) -> None:
+    _record_flags(p)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", dest="method", action="store_const", const="exact")
     g.add_argument("--fast", dest="method", action="store_const", const="fast")
     g.add_argument("--both", dest="method", action="store_const", const="both")
     p.set_defaults(method="both", func=_cmd_check_exceptional)
 
-    p = sub.add_parser("check-classical", help="check a classical partition")
+
+def _check_classical_args(p) -> None:
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_TO_SERIES))
     p.add_argument("--partition", required=True, help="comma-separated parts")
     p.add_argument("--v-zero", action="store_true", help="force v = 0")
     p.set_defaults(func=_cmd_check_classical)
 
-    p = sub.add_parser("search-v", help="lattice search for a working v")
-    add_record_flags(p)
+
+def _search_v_args(p) -> None:
+    _record_flags(p)
     p.add_argument("--denominator-bound", type=_int_at_least(1), default=2)
     p.add_argument("--coefficient-bound", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_search_v)
 
-    p = sub.add_parser(
-        "verify-contragredient",
-        help="self-contragredience (--algebra/--q or --family/--partition)",
-    )
-    p.add_argument("--algebra")
-    p.add_argument("--q", type=int)
-    p.add_argument("--label")
+
+def _verify_contragredient_args(p) -> None:
+    _record_flags(p, required=False)
     p.add_argument("--family", choices=sorted(_FAMILY_TO_SERIES))
     p.add_argument("--partition")
     p.set_defaults(func=_cmd_verify_contragredient)
 
-    p = sub.add_parser("frobenius", help="solve a series system from JSON")
+
+def _frobenius_args(p) -> None:
     p.add_argument("system")
     p.add_argument(
         "--order", type=_int_at_least(1), default=16, help="series truncation order"
@@ -382,18 +382,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_frobenius)
 
-    p = sub.add_parser("report", help="verdict table over all bundled records")
+
+def _report_args(p) -> None:
     p.add_argument("--all", action="store_true", help="include every record (default)")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.set_defaults(func=_cmd_report)
 
+
+# subcommand -> (help line, the function adding its arguments), in help order
+_COMMANDS = {
+    "check-exceptional": ("check a bundled record", _check_exceptional_args),
+    "check-classical": ("check a classical partition", _check_classical_args),
+    "search-v": ("lattice search for a working v", _search_v_args),
+    "verify-contragredient": (
+        "self-contragredience (--algebra/--q or --family/--partition)",
+        _verify_contragredient_args,
+    ),
+    "frobenius": ("solve a series system from JSON", _frobenius_args),
+    "report": ("verdict table over all bundled records", _report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  For a known subcommand only its subparser is
+    built; otherwise (--help, no or an unknown subcommand) all of them."""
+    parser = _Parser(
+        prog="wrat", description="exact rationality checks and series solving"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    for name in names:
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
+    parser.partial = len(names) < len(_COMMANDS)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -13,7 +13,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
-from .liealg import ChevalleyTable, F, cartan_lie_element
+from .liealg import ChevalleyTable, Element, F, cartan_lie_element
 from .rootsys import CartanElement, DimensionMismatch, pairing
 
 
@@ -26,13 +26,21 @@ class NotDegreeMinusOne(ValueError):
 
 
 class DynkinGrading(NamedTuple):
-    """Eigenspace decomposition of the algebra under a Cartan characteristic;
-    by_degree is derived from degrees."""
+    """Eigenspace decomposition of the algebra under a Cartan characteristic.
+
+    Basis vector i sits in degree degree_nums[i] / degree_den, integers over
+    one even denominator; by_degree, derived from them, lists the indices
+    per degree."""
 
     table: ChevalleyTable
     characteristic: CartanElement
-    degrees: tuple[Fraction, ...]
+    degree_nums: tuple[int, ...]
+    degree_den: int
     by_degree: dict[Fraction, tuple[int, ...]]
+
+    @property
+    def degrees(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.degree_den) for n in self.degree_nums)
 
     def block(self, j) -> tuple[int, ...]:
         return self.by_degree.get(Fraction(j), ())
@@ -44,17 +52,17 @@ class DynkinGrading(NamedTuple):
 class Sl2Triple(NamedTuple):
     """Elements e, h, f of the algebra with [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
 
-    e: dict[int, Fraction]
-    h: dict[int, Fraction]
-    f: dict[int, Fraction]
+    e: Element
+    h: Element
+    f: Element
 
 
 def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading:
     """Grade the basis by half the characteristic pairing on each root.
 
     The pairings are scaled once to integers over their common denominator
-    den, so each root takes one integer dot product n and sits in degree
-    n / (2 den).
+    den, so each basis vector takes one integer dot product n with its
+    torus weight and sits in degree n / (2 den).
     """
     pairings = characteristic.pairings
     if len(pairings) != table.rs.rank:
@@ -63,22 +71,16 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
         )
     den = lcm(*(p.denominator for p in pairings))
     scaled = [p.numerator * (den // p.denominator) for p in pairings]
-    zero = Fraction(0)
-    degrees: list[Fraction] = []
-    for b in table.basis:
-        if b.kind == "h":
-            degrees.append(zero)
-        else:
-            n = sum(c * p for c, p in zip(b.key, scaled))
-            degrees.append(Fraction(n if b.kind == "e" else -n, 2 * den))
-    by_degree: dict[Fraction, list[int]] = {}
-    for i, d in enumerate(degrees):
-        by_degree.setdefault(d, []).append(i)
+    nums = tuple(sum([c * scaled[k] for k, c in w]) for w in table.weights)
+    by_num: dict[int, list[int]] = {}
+    for i, n in enumerate(nums):
+        by_num.setdefault(n, []).append(i)
     return DynkinGrading(
         table=table,
         characteristic=characteristic,
-        degrees=tuple(degrees),
-        by_degree={j: tuple(ix) for j, ix in by_degree.items()},
+        degree_nums=nums,
+        degree_den=2 * den,
+        by_degree={Fraction(n, 2 * den): tuple(ix) for n, ix in by_num.items()},
     )
 
 
@@ -98,7 +100,7 @@ def is_even_grading(grading: DynkinGrading) -> bool:
 
 def ad_block(
     table: ChevalleyTable,
-    x: dict[int, Fraction],
+    x: Element,
     src: tuple[int, ...],
     dst: tuple[int, ...],
 ):
@@ -111,7 +113,7 @@ def ad_block(
     return _linalg.block(lambda j: table.ad_column(x, j), src, dst)
 
 
-def verify_good_grading(grading: DynkinGrading, f: dict[int, Fraction]) -> bool:
+def verify_good_grading(grading: DynkinGrading, f: Element) -> bool:
     """ad(f) injective on degrees >= 1/2 and surjective onto degrees <= -1/2."""
     table = grading.table
     half = Fraction(1, 2)
@@ -140,7 +142,8 @@ def complete_sl2(
     g_1 into g_0, which holds h, so the system keeps the g_0 rows only: the
     rows it drops are all zero.  The whole triple is re-verified before
     being returned.  Raises NoSl2Completion when the linear system has no
-    solution.
+    solution.  f's coefficients are the int 1, and those of h and e are
+    ints wherever they are integral.
     """
     rs = table.rs
     for c in f_roots:
@@ -148,7 +151,7 @@ def complete_sl2(
             raise NotDegreeMinusOne(
                 f"root {c} pairs to {pairing(rs, c, grading.characteristic)}, expected 2"
             )
-    f = {table.index[F(c)]: Fraction(1) for c in f_roots}
+    f = {table.index[F(c)]: 1 for c in f_roots}
     h = cartan_lie_element(table, grading.characteristic)
     if not h:
         raise NoSl2Completion("characteristic is zero; no sl2 through it")
@@ -157,7 +160,7 @@ def complete_sl2(
     sol = _linalg.solve(ad_block(table, f, src, g0), [-h.get(k, 0) for k in g0])
     if sol is None:
         raise NoSl2Completion("no degree-one e satisfies [e, f] = h")
-    e = {j: sol[c] for c, j in enumerate(src) if sol[c]}
+    e = {j: _linalg.integral(sol[c]) for c, j in enumerate(src) if sol[c]}
 
     if table.bracket(e, f) != h:
         raise NoSl2Completion("completion failed verification")

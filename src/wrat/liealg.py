@@ -10,10 +10,13 @@ minimal gets N(a1, b1) = +(p + 1), and every other constant is forced from
 these by the Jacobi identity and the invariant-form relations
 N(a,b)/<c,c> = N(b,c)/<a,a> = N(c,a)/<b,b> for a + b + c = 0.
 
-An element of the algebra is a sparse dict {basis index: Fraction} over
-`ChevalleyTable.basis`, with no stored zeros, so two elements are equal
-exactly when their dicts are.  Everything is exact over Fraction; no
-floating point enters this module.
+Every structure constant is an int: the table holds the root norms scaled
+to integers, s<a, a>, and every division in the recursion is an exact
+integer division, asserted as such.  An element of the algebra is a sparse
+dict {basis index: int | Fraction} over `ChevalleyTable.basis`, with no
+stored zeros and never a float, so two elements are equal exactly when
+their dicts are (1 == Fraction(1)).  Elements with int coefficients bracket
+in int.
 """
 from __future__ import annotations
 
@@ -21,7 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from . import _linalg
 from .rootsys import CartanElement, RootSystem, cartan_solve
+
+# an element: {basis index: coefficient}, no stored zeros, never a float
+Element = dict[int, int | Fraction]
 
 
 class BasisElement(NamedTuple):
@@ -50,7 +57,11 @@ def H(i: int) -> BasisElement:
 
 
 class ChevalleyTable:
-    """Structure constants of the simple Lie algebra over a root system."""
+    """Structure constants of the simple Lie algebra over a root system.
+
+    weights[i] is the torus weight of basis[i] as sparse (simple root,
+    coefficient) pairs: a on e_a, -a on f_a, none on the Cartan basis.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -63,13 +74,19 @@ class ChevalleyTable:
         )
         self.dimension = len(self.basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self._norm2 = {c: rs.norm2(c) for c in pos}
+        up = tuple(tuple((k, c) for k, c in enumerate(a) if c) for a in pos)
+        self.weights: tuple[tuple[tuple[int, int], ...], ...] = (
+            ((),) * rs.rank + up + tuple(tuple((k, -c) for k, c in w) for w in up)
+        )
+        # s<a, a> for s the scale of rs.scaled_form: the invariant-form
+        # relations only take ratios of norms
+        self._norm2 = {c: rs.scaled_norm2(c) for c in pos}
         self._by_height = sorted(pos, key=lambda c: (sum(c), c))
         self._order = {c: k for k, c in enumerate(self._by_height)}
         self._ex: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._npp: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         # (i, j) -> sparse coords of [basis_i, basis_j]; filled on demand
-        self.brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self.brackets: dict[tuple[int, int], dict[int, int]] = {}
 
     # -- root-level helpers -------------------------------------------------
 
@@ -115,49 +132,53 @@ class ChevalleyTable:
             val = -self.n_constant(b, a)
         else:
             # Jacobi identity on the quadruple (a1, -a, b1, -b), reduced to
-            # positive pairs of smaller height via the invariant-form relation.
+            # positive pairs of smaller height via the invariant-form
+            # relation, over the common denominator <a,a><b1,b1><b,b>:
+            # N(a, b) = -<g,g> (<s,s> <b,b> N(a1,s) N(b,s)
+            #           - <t,t> <a,a> N(a,t) N(a1,t)) / (den N(a1, b1))
             n2 = self._norm2
             s = tuple(x - y for x, y in zip(a, a1))   # a - a1 = b1 - b
             t = tuple(x - y for x, y in zip(b, a1))   # b - a1 = b1 - a
-            total = Fraction(0)
+            total = 0
             if s in self.rs.positive_set:
-                total += Fraction(n2[s], n2[a] * n2[b1]) * (
-                    self.n_constant(a1, s) * self.n_constant(b, s))
+                total += n2[s] * n2[b] * self.n_constant(a1, s) * self.n_constant(b, s)
             if t in self.rs.positive_set:
-                total -= Fraction(n2[t], n2[b1] * n2[b]) * (
-                    self.n_constant(a, t) * self.n_constant(a1, t))
-            exact = -n2[g] * total / self.n_constant(a1, b1)
-            assert exact.denominator == 1, "structure constant must be integral"
-            val = int(exact)
+                total -= n2[t] * n2[a] * self.n_constant(a, t) * self.n_constant(a1, t)
+            den = n2[a] * n2[b1] * n2[b] * self.n_constant(a1, b1)
+            val, rem = divmod(-n2[g] * total, den)
+            assert not rem, "structure constant must be integral"
         self._npp[key] = val
         return val
 
-    def _n_mixed(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
+    def _n_mixed(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """N(a, -b) for positive roots a != b with a - b a root."""
         n2 = self._norm2
         diff = tuple(x - y for x, y in zip(a, b))
         if diff in self.rs.positive_set:
-            # b + diff = a
-            return -Fraction(n2[diff], n2[a]) * self.n_constant(b, diff)
-        neg = tuple(-x for x in diff)
-        # a + neg = b
-        return -Fraction(n2[neg], n2[b]) * self.n_constant(a, neg)
+            # b + diff = a: N(a, -b) = -<diff,diff>/<a,a> N(b, diff)
+            num, den = -n2[diff] * self.n_constant(b, diff), n2[a]
+        else:
+            # a + neg = b: N(a, -b) = -<neg,neg>/<b,b> N(a, neg)
+            neg = tuple(-x for x in diff)
+            num, den = -n2[neg] * self.n_constant(a, neg), n2[b]
+        val, rem = divmod(num, den)
+        assert not rem, "structure constant must be integral"
+        return val
 
-    def coroot_coords(self, a: tuple[int, ...]) -> dict[int, Fraction]:
+    def coroot_coords(self, a: tuple[int, ...]) -> dict[int, int]:
         """a^v over the simple coroots: coefficients n_i <a_i,a_i> / <a,a>."""
-        d = self.rs.half_norms
-        da = self._norm2[a] / 2
+        simple = self.rs.scaled_form[1]
         out = {}
         for i, n in enumerate(a):
             if n:
-                c = n * d[i] / da
-                assert c.denominator == 1, "coroot must be an integer vector"
-                out[i] = Fraction(c)
+                c, rem = divmod(n * simple[i][i], self._norm2[a])
+                assert not rem, "coroot must be an integer vector"
+                out[i] = c
         return out
 
     # -- basis-level brackets ----------------------------------------------
 
-    def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def basis_bracket(self, i: int, j: int) -> dict[int, int]:
         """Sparse coordinates of [basis[i], basis[j]]."""
         if i == j:
             return {}
@@ -172,7 +193,7 @@ class ChevalleyTable:
         self.brackets[(i, j)] = out
         return out
 
-    def _compute_bracket(self, x: BasisElement, y: BasisElement) -> dict[int, Fraction]:
+    def _compute_bracket(self, x: BasisElement, y: BasisElement) -> dict[int, int]:
         rs, idx = self.rs, self.index
         if x.kind == "h" and y.kind == "h":
             return {}
@@ -180,7 +201,7 @@ class ChevalleyTable:
             c = rs.coroot_pairing(y.key, x.key)
             if not c:
                 return {}
-            return {idx[y]: Fraction(c if y.kind == "e" else -c)}
+            return {idx[y]: c if y.kind == "e" else -c}
         if y.kind == "h":
             return {k: -c for k, c in self._compute_bracket(y, x).items()}
         a, b = x.key, y.key
@@ -190,34 +211,33 @@ class ChevalleyTable:
                 return {}
             n = self.n_constant(a, b)
             if x.kind == "e":
-                return {idx[E(s)]: Fraction(n)}
-            return {idx[F(s)]: Fraction(-n)}
+                return {idx[E(s)]: n}
+            return {idx[F(s)]: -n}
         if x.kind == "f":  # [f_a, e_b] = -[e_b, f_a]
             return {k: -c for k, c in self._compute_bracket(y, x).items()}
         # [e_a, f_b]
         if a == b:
-            return {i: c for i, c in self.coroot_coords(a).items()}
+            return self.coroot_coords(a)
         diff = tuple(p - q for p, q in zip(a, b))
         if not self.rs.is_root(diff):
             return {}
         n = self._n_mixed(a, b)
-        assert n.denominator == 1, "structure constant must be integral"
         target = E(diff) if diff in self.rs.positive_set else F(tuple(-c for c in diff))
         return {idx[target]: n}
 
     # -- brackets of elements -----------------------------------------------
 
-    def ad_column(self, x: dict[int, Fraction], j: int) -> dict[int, Fraction]:
+    def ad_column(self, x: Element, j: int) -> Element:
         """[x, b_j] as an element."""
-        out: dict[int, Fraction] = {}
+        out: Element = {}
         for i, ci in x.items():
             for k, c in self.basis_bracket(i, j).items():
                 out[k] = out.get(k, 0) + ci * c
         return {k: c for k, c in out.items() if c}
 
-    def bracket(self, x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+    def bracket(self, x: Element, y: Element) -> Element:
         """[x, y], bilinear over the basis brackets."""
-        out: dict[int, Fraction] = {}
+        out: Element = {}
         for j, cj in y.items():
             for k, c in self.ad_column(x, j).items():
                 out[k] = out.get(k, 0) + cj * c
@@ -230,7 +250,9 @@ def build_chevalley(rs: RootSystem) -> ChevalleyTable:
     return ChevalleyTable(rs)
 
 
-def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> dict[int, Fraction]:
-    """The Cartan element with pairings a_i(v) = diagram_i, over the coroot basis."""
+def cartan_lie_element(table: ChevalleyTable, diagram: CartanElement) -> Element:
+    """The Cartan element with pairings a_i(v) = diagram_i, over the coroot
+    basis; a coefficient is an int wherever it is integral, as on the
+    coroot lattice, where every characteristic of an sl2-triple lies."""
     coords = cartan_solve(table.rs, diagram)
-    return {table.index[H(i)]: c for i, c in enumerate(coords) if c}
+    return {table.index[H(i)]: _linalg.integral(c) for i, c in enumerate(coords) if c}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -78,7 +79,8 @@ def _diagram_from_json(obj, family: str, rank: int) -> tuple[Fraction, ...]:
     if family == "E":
         if top is None:
             raise InvalidRecord("E-series diagram needs a branch-node value")
-        flat = [row[0], rat_from_json(top)] + row[1:]
+        # row[:1], not row[0]: an empty row fails the length check below
+        flat = row[:1] + [rat_from_json(top)] + row[1:]
     else:
         if top is not None:
             raise InvalidRecord(f"type {family} has no branch node")
@@ -250,6 +252,8 @@ class ClassicalPartition(NamedTuple):
         self = cls(family=family, pairs=tuple(pairs), singles=tuple(singles))
         if family == "sp" and self.size % 2:
             raise InvalidPartition("sp needs an even total size")
+        if self.size > sys.maxsize:
+            raise InvalidPartition(f"partition size {self.size} is past the index range")
         return self
 
     @property

@@ -116,21 +116,16 @@ def _verdict(rows, witnesses, method: str, slot_rule: str) -> ConditionVerdict:
     return ConditionVerdict(status, tuple(rows), tuple(witnesses), method, slot_rule)
 
 
-def _integral(x):
-    """x as an int when it is integral; `_linalg.rank` is faster on ints."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _dot(weight, t):
     """A torus element t, given by its coordinate values, on a weight given
     as sparse (coordinate, coefficient) pairs."""
     return sum(c * t[k] for k, c in weight)
 
 
-def _over_common(rows, base: int = 1) -> tuple[list[list[int]], int]:
+def _over_common(rows) -> tuple[list[list[int]], int]:
     """(integer rows, den): rational rows times den, their least common
-    denominator that is a multiple of base."""
-    den = lcm(base, *(x.denominator for r in rows for x in r))
+    denominator."""
+    den = lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
 
@@ -157,13 +152,15 @@ class _GradedOperator(NamedTuple):
 def _chevalley_operator(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
-    f: dict[int, Fraction],
+    f: liealg.Element,
     triple: gr.Sl2Triple | None = None,
 ) -> _GradedOperator:
     """The operator on the Chevalley basis.  The torus coordinates are the
-    simple-root pairings a_i(.), so e_a has weight a and f_a weight -a.
-    triple is f's sl2-triple on this grading from `complete_sl2`, or None;
-    h^f centralizes its e too, as e is the only partner of h and f."""
+    simple-root pairings a_i(.), so e_a has weight a and f_a weight -a, as
+    in `table.weights`; the degrees are the grading's.  triple is f's
+    sl2-triple on this grading from `complete_sl2`, or None; h^f
+    centralizes its e too, as e is the only partner of h and f.  A column
+    of ad(f) is int when f's coefficients are, as a record's are."""
     a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
     hk = [table.index[liealg.H(k)] for k in range(len(a))]
     if triple is not None and (
@@ -173,23 +170,19 @@ def _chevalley_operator(
     ):
         raise ValueError("the sl2-triple is not the triple of f on this grading")
 
-    def column(j: int) -> dict[int, int | Fraction]:
-        return {k: _integral(x) for k, x in table.ad_column(f, j).items()}
+    def column(j: int) -> liealg.Element:
+        return table.ad_column(f, j)
 
-    sign = {"e": 1, "f": -1}
-    weights = tuple(
-        tuple((k, sign[b.kind] * c) for k, c in enumerate(b.key) if c) if b.kind in sign else ()
-        for b in table.basis
-    )
     cartan = tuple((i, tuple(r[k] for r in a)) for k, i in enumerate(hk))
-    (degrees,), den = _over_common([grading.degrees], 2)
-    return _GradedOperator(tuple(degrees), den, weights, column, cartan, triple is not None)
+    return _GradedOperator(
+        grading.degree_nums, grading.degree_den, table.weights, column, cartan, triple is not None
+    )
 
 
 def _units(elt) -> list[tuple[int, int, int | Fraction]]:
     """A symmetrized unit E_ij + c * E_i'j' as (row, column, coefficient) terms."""
     (i, j), partner, c = elt
-    return [(i, j, 1)] + ([(*partner, _integral(c))] if partner else [])
+    return [(i, j, 1)] + ([(*partner, _linalg.integral(c))] if partner else [])
 
 
 def _classical_sl2(real: ClassicalRealization) -> bool:
@@ -209,8 +202,9 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     by_col: list[list] = [[] for _ in range(real.size)]
     by_row: list[list] = [[] for _ in range(real.size)]
     for (r, s), x in real.f.items():
-        by_col[s].append((r, _integral(x)))
-        by_row[r].append((s, _integral(x)))
+        x = _linalg.integral(x)
+        by_col[s].append((r, x))
+        by_row[r].append((s, x))
 
     def column(j: int) -> dict[int, int | Fraction]:
         # f E_ab has f's column a in column b, and E_ab f has f's row b in
@@ -319,12 +313,12 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     return _linalg.rank(m + [row]) == _linalg.rank(m)
 
 
-def _support_roots(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
+def _support_roots(table: liealg.ChevalleyTable, f: liealg.Element) -> list[tuple[int, ...]]:
     return [table.basis[i].key for i in f if table.basis[i].kind != "h"]
 
 
 def _require_centralizing(
-    table: liealg.ChevalleyTable, f: dict[int, Fraction], v: CartanElement
+    table: liealg.ChevalleyTable, f: liealg.Element, v: CartanElement
 ) -> None:
     for c in _support_roots(table, f):
         if pairing(table.rs, c, v) != 0:
@@ -334,7 +328,7 @@ def _require_centralizing(
 def exact_condition(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
-    f: dict[int, Fraction],
+    f: liealg.Element,
     v: CartanElement,
     triple: gr.Sl2Triple | None = None,
 ) -> ConditionVerdict:
@@ -352,7 +346,7 @@ def exact_condition(
 def fast_condition(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
-    f: dict[int, Fraction],
+    f: liealg.Element,
     v: CartanElement,
     triple: gr.Sl2Triple | None = None,
 ) -> ConditionVerdict:
@@ -402,12 +396,10 @@ def fast_condition(
     return _verdict(rows, witnesses, "fast", "none")
 
 
-def h0f_space(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[CartanElement]:
+def h0f_space(table: liealg.ChevalleyTable, f: liealg.Element) -> list[CartanElement]:
     """Basis of the Cartan elements annihilating every root in the support of f."""
     roots = _support_roots(table, f)
-    n = table.rs.rank
-    m = [[Fraction(c) for c in r] for r in roots]
-    return [CartanElement.of(vec) for vec in _linalg.nullspace(m, n)]
+    return [CartanElement(tuple(vec)) for vec in _linalg.nullspace(roots, table.rs.rank)]
 
 
 def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -417,7 +409,7 @@ def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _hf_basis(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[tuple[int, ...]]:
+def _hf_basis(table: liealg.ChevalleyTable, f: liealg.Element) -> list[tuple[int, ...]]:
     """`h0f_space` as primitive integer pairing vectors."""
     return [_primitive(w.pairings) for w in h0f_space(table, f)]
 
@@ -425,7 +417,7 @@ def _hf_basis(table: liealg.ChevalleyTable, f: dict[int, Fraction]) -> list[tupl
 def search_v(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
-    f: dict[int, Fraction],
+    f: liealg.Element,
     config: SearchConfig = SearchConfig(),
     triple: gr.Sl2Triple | None = None,
 ):
@@ -498,7 +490,7 @@ def verify_good_even_shortcut(
         if pairing(rs, c, x0) != 1:
             raise GradingNotGood(f"root {c} is not in degree -1 for the x0 grading")
     aux = gr.grade_by_weights(table, x0)
-    f = {table.index[liealg.F(c)]: Fraction(1) for c in f_roots}
+    f = {table.index[liealg.F(c)]: 1 for c in f_roots}
     if not gr.verify_good_grading(aux, f):
         raise GradingNotGood("the x0 grading is not good for f")
     if not gr.is_even_grading(aux):
@@ -518,7 +510,7 @@ def verify_good_even_shortcut(
 def verify_self_contragredient(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
-    f: dict[int, Fraction],
+    f: liealg.Element,
     triple: gr.Sl2Triple | None = None,
 ) -> bool:
     """`_self_contragredient` on the Chevalley basis; given f's sl2-triple
@@ -559,7 +551,7 @@ def realize_record(record: OrbitRecord):
 def check_realized(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
-    f: dict[int, Fraction],
+    f: liealg.Element,
     v: CartanElement,
     method: str,
     triple: gr.Sl2Triple | None = None,

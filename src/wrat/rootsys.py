@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._linalg import mat, solve_unique
+from ._linalg import solve_unique
 
 
 class IllegalType(ValueError):
@@ -181,10 +181,10 @@ class RootSystem(NamedTuple):
             return True
         return tuple(-c for c in coeffs) in self.positive_set
 
-    def norm2(self, coeffs: tuple[int, ...]) -> Fraction:
-        """<b, b> for a root given by its coefficient vector."""
-        s, form = self.scaled_form
-        return Fraction(_quadratic(form, coeffs), s)
+    def scaled_norm2(self, coeffs: tuple[int, ...]) -> int:
+        """s<b, b> for a root given by its coefficient vector, s the scale
+        of `scaled_form`."""
+        return _quadratic(self.scaled_form[1], coeffs)
 
     def coroot_pairing(self, coeffs: tuple[int, ...], i: int) -> int:
         """<b, a_i^v> for a root b: the Cartan-matrix root-string pairing."""
@@ -206,22 +206,21 @@ def _quadratic(form, coeffs) -> int:
 def _enumerate_positive(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     """Closure of the simple roots under root-string addition."""
     n = len(cartan)
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     known: set[tuple[int, ...]] = set(simples)
     level = list(simples)
     while level:
         nxt: set[tuple[int, ...]] = set()
         for beta in level:
-            for i in range(n):
+            for i, column in enumerate(columns):
                 # p = how far the string extends downward from beta along a_i
+                head, x, tail = beta[:i], beta[i], beta[i + 1:]
                 p = 0
-                probe = tuple(b - int(i == j) for j, b in enumerate(beta))
-                while probe in known:
+                while head + (x - p - 1,) + tail in known:
                     p += 1
-                    probe = tuple(b - int(i == j) for j, b in enumerate(probe))
-                pair = sum(beta[j] * cartan[j][i] for j in range(n))
-                if p - pair > 0:
-                    up = tuple(b + int(i == j) for j, b in enumerate(beta))
+                if p > sum(b * c for b, c in zip(beta, column) if b):
+                    up = head + (x + 1,) + tail
                     if up not in known:
                         nxt.add(up)
         known |= nxt
@@ -272,7 +271,8 @@ def build(simple_type: SimpleType) -> RootSystem:
 
 
 def pairing(rs: RootSystem, root: Root, v: CartanElement) -> Fraction:
-    """a(v) for a root a = sum n_i a_i: the linear functional at v."""
+    """a(v) for a root a = sum n_i a_i: the linear functional at v, summed
+    in integers over the common denominator of v's pairings."""
     if len(v.pairings) != rs.rank:
         raise DimensionMismatch(
             f"Cartan element of rank {len(v.pairings)} against {rs.simple_type}"
@@ -280,15 +280,16 @@ def pairing(rs: RootSystem, root: Root, v: CartanElement) -> Fraction:
     coeffs = root.coeffs if isinstance(root, Root) else root
     if len(coeffs) != rs.rank:
         raise DimensionMismatch("root coefficient vector has wrong length")
-    return sum((c * p for c, p in zip(coeffs, v.pairings)), Fraction(0))
+    den = lcm(*(p.denominator for p in v.pairings))
+    num = sum(c * p.numerator * (den // p.denominator) for c, p in zip(coeffs, v.pairings) if c)
+    return Fraction(num, den)
 
 
 def cartan_solve(rs: RootSystem, diagram: CartanElement) -> list[Fraction]:
     """Coordinates s over the simple coroots of the element with a_i(v) = diagram_i."""
     if len(diagram.pairings) != rs.rank:
         raise DimensionMismatch("diagram has wrong rank")
-    a = mat(rs.cartan_matrix)
-    return solve_unique(a, list(diagram.pairings))
+    return solve_unique(rs.cartan_matrix, list(diagram.pairings))
 
 
 def is_admissible_level(rs: RootSystem, p: int, q: int) -> bool:

@@ -1,0 +1,102 @@
+"""Chevalley structure constants over Fraction: the reference for `wrat.liealg`.
+
+These are the rational formulas of the structure constants, with the root
+norms <a, a> taken straight from the Fraction form on the simple roots:
+N(a, b) from the extraspecial pairs and the Jacobi identity with its
+invariant-form ratios, N(a, -b) from one such ratio, and a^v over the simple
+coroots as n_i <a_i, a_i> / <a, a>.  The package computes the same numbers in
+integers over the scaled norms s<a, a>; every bracket it returns must equal
+`bracket` here.  The root-string combinatorics (extraspecial pairs, string
+lengths, the (height, lex) order) are read from the table.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from wrat.liealg import E, F, ChevalleyTable
+
+
+class ReferenceConstants:
+    def __init__(self, table: ChevalleyTable):
+        self.table = table
+        self.rs = table.rs
+        self.pos = self.rs.positive_set
+        self.memo: dict = {}
+        self.norms: dict = {}
+
+    def norm2(self, c) -> Fraction:
+        """<c, c> on the Fraction form on the simple roots."""
+        got = self.norms.get(c)
+        if got is None:
+            form = self.rs.form_on_simple_roots
+            n = len(c)
+            got = sum((c[i] * c[j] * form[i][j] for i in range(n) for j in range(n)), Fraction(0))
+            self.norms[c] = got
+        return got
+
+    def n_constant(self, a, b) -> Fraction:
+        """N(a, b) for positive roots a, b with a + b a positive root."""
+        key = (a, b)
+        if key in self.memo:
+            return self.memo[key]
+        t = self.table
+        g = tuple(x + y for x, y in zip(a, b))
+        a1, b1 = t.extraspecial_pair(g)
+        if (a, b) == (a1, b1):
+            val = Fraction(t.string_down_length(a1, b1) + 1)
+        elif (b, a) == (a1, b1):
+            val = -Fraction(t.string_down_length(a1, b1) + 1)
+        elif t._order[a] > t._order[b]:
+            val = -self.n_constant(b, a)
+        else:
+            n2 = self.norm2
+            s = tuple(x - y for x, y in zip(a, a1))
+            u = tuple(x - y for x, y in zip(b, a1))
+            total = Fraction(0)
+            if s in self.pos:
+                total += n2(s) / (n2(a) * n2(b1)) * self.n_constant(a1, s) * self.n_constant(b, s)
+            if u in self.pos:
+                total -= n2(u) / (n2(b1) * n2(b)) * self.n_constant(a, u) * self.n_constant(a1, u)
+            val = -n2(g) * total / self.n_constant(a1, b1)
+        self.memo[key] = val
+        return val
+
+    def n_mixed(self, a, b) -> Fraction:
+        """N(a, -b) for positive roots a != b with a - b a root."""
+        n2 = self.norm2
+        diff = tuple(x - y for x, y in zip(a, b))
+        if diff in self.pos:
+            return -n2(diff) / n2(a) * self.n_constant(b, diff)
+        neg = tuple(-x for x in diff)
+        return -n2(neg) / n2(b) * self.n_constant(a, neg)
+
+    def coroot_coords(self, a) -> dict[int, Fraction]:
+        form = self.rs.form_on_simple_roots
+        return {i: n * form[i][i] / self.norm2(a) for i, n in enumerate(a) if n}
+
+    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+        """[basis[i], basis[j]] from the formulas above, with no stored zeros."""
+        t = self.table
+        x, y = t.basis[i], t.basis[j]
+        if i == j or x.kind == y.kind == "h":
+            return {}
+        if x.kind == "h" or (y.kind != "h" and (x.kind, y.kind) == ("f", "e")):
+            return {k: -c for k, c in self.bracket(j, i).items()}
+        if y.kind == "h":
+            c = Fraction(self.rs.coroot_pairing(x.key, y.key))
+            out = {i: -c if x.kind == "e" else c}
+        elif x.kind == y.kind:
+            s = tuple(p + q for p, q in zip(x.key, y.key))
+            if s not in self.pos:
+                return {}
+            n = self.n_constant(x.key, y.key)
+            out = {t.index[E(s)]: n} if x.kind == "e" else {t.index[F(s)]: -n}
+        elif x.key == y.key:
+            out = self.coroot_coords(x.key)
+        else:
+            diff = tuple(p - q for p, q in zip(x.key, y.key))
+            if not self.rs.is_root(diff):
+                return {}
+            target = E(diff) if diff in self.pos else F(tuple(-c for c in diff))
+            out = {t.index[target]: self.n_mixed(x.key, y.key)}
+        return {k: c for k, c in out.items() if c}

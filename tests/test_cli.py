@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import series_oracle
 import wrat
 from wrat import frobenius as fr, ratcheck
-from wrat.cli import main
+from wrat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -217,6 +217,15 @@ def test_check_classical_v_zero(capsys):
 def test_check_classical_bad_partition_text(capsys):
     rc, _, err = run(capsys, "check-classical", "--family", "C", "--partition", "a,b")
     assert rc == 3 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["check-classical", "verify-contragredient"])
+def test_partition_past_the_index_range_exits_3(capsys, command):
+    """A part too large for a list index is an invalid partition, not an
+    OverflowError from building the matrices."""
+    rc, out, err = run(capsys, command, "--family", "C", "--partition", "10000000000000000000")
+    assert (rc, out) == (3, "")
+    assert err == "error: partition size 10000000000000000000 is past the index range\n"
 
 
 def test_search_v_found(capsys):
@@ -859,6 +868,27 @@ def test_report_non_integer_record_field_exits_3(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("v", {"top": 1, "row": [0, 0, "1/0", 0, 0]}, "malformed record: zero denominator in '1/0'"),
+        ("h", {"top": 0, "row": []}, "diagram has 1 values, expected 6"),
+        ("h", {"top": 0, "row": {}}, "diagram has 1 values, expected 6"),
+    ],
+    ids=["zero-denominator", "empty-e-row", "empty-e-row-object"],
+)
+def test_report_malformed_record_diagram_exits_3(capsys, tmp_path, monkeypatch, key, value, message):
+    """A zero denominator is a malformed rational, and an E-type row is
+    checked before its first value is read: both exit 3 with one line."""
+    obj = json.loads((Path(wrat.__file__).parent / "data" / "e6_q2.json").read_text())
+    obj[key] = value
+    (tmp_path / "e6_q2.json").write_text(json.dumps(obj))
+    monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+    rc, out, err = run(capsys, "report", "--all")
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_plain_value_errors_propagate(capsys, monkeypatch, tmp_path):
     def broken(*args, **kwargs):
         raise ValueError("not a data defect")
@@ -914,6 +944,35 @@ def test_report_empty_data_dir(capsys, tmp_path, monkeypatch):
 def test_unknown_subcommand_is_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# `wrat --help`, each `<command> --help`, and usage errors at the top level
+# and in each subcommand, as the parser with all six subparsers printed them
+# at 80 columns
+CLI_USAGE = json.loads((Path(__file__).resolve().parent / "golden" / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout,stderr", CLI_USAGE, ids=[" ".join(c[0]) or "no-arguments" for c in CLI_USAGE]
+)
+def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, stdout, stderr)
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return list(action.choices)
+
+
+def test_parser_for_a_named_subcommand_builds_only_it():
+    assert _subcommands(build_parser("report")) == ["report"]
+    everything = _subcommands(build_parser())
+    assert len(everything) == 6 and everything[-1] == "report"
+    for other in (None, "--help", "no-such-command"):
+        assert _subcommands(build_parser(other)) == everything
 
 
 # -- start-up: a fresh process runs only the modules its subcommand calls -------
@@ -981,6 +1040,35 @@ def test_check_classical_request_never_runs_frobenius():
 def test_start_up_never_imports_dataclasses(argv):
     got = executed_modules(*argv)
     assert got["exit"] == 0 and not got["dataclasses"]
+
+
+# counts Fraction.__new__ over one in-process `report --all`
+FRACTION_COUNT_PROBE = """
+import contextlib, io
+from fractions import Fraction
+count = 0
+new = Fraction.__new__
+def counted(cls, *args, **kwargs):
+    global count
+    count += 1
+    return new(cls, *args, **kwargs)
+Fraction.__new__ = counted
+from wrat.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["report", "--all"])
+print(code, count)
+"""
+
+
+def test_report_all_makes_few_fractions():
+    """The exceptional pipeline holds integers from the structure constants
+    to the slot table and makes a Fraction only for a real rational or for
+    output: 4,002 per `report --all` in a fresh process, against 24,126
+    with Fraction constants, degrees and pairings.  The bound allows half
+    again."""
+    out = fresh_python("-c", FRACTION_COUNT_PROBE)
+    code, count = map(int, out.stdout.split())
+    assert code == 0 and count <= 6000, count
 
 
 def test_module_help_writes_nothing_to_stderr():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import euclid_model as em
+from chevalley_oracle import ReferenceConstants
 from linalg_oracle import ad_matrix, centralizer, mat_mul
 from wrat.liealg import E, F, H, build_chevalley, cartan_lie_element
 from wrat.rootsys import CartanElement, SimpleType, build
@@ -109,6 +110,19 @@ def test_g2_known_constants():
     assert t.n_constant((1, 0), (0, 1)) == -1
     # the magnitude-3 constant of the short-root string
     assert abs(t.n_constant((1, 1), (1, 2))) == 3
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_integer_brackets_match_the_fraction_formulas(name):
+    """Every basis bracket, computed in integers over the scaled norms,
+    equals the Fraction formulas of `chevalley_oracle`, and is an int."""
+    t = table_for(name)
+    ref = ReferenceConstants(t)
+    for i in range(t.dimension):
+        for j in range(t.dimension):
+            got = t.basis_bracket(i, j)
+            assert got == ref.bracket(i, j), (name, t.basis[i], t.basis[j])
+            assert all(type(c) is int for c in got.values())
 
 
 def unit(t, label, c=1):
