@@ -9,7 +9,8 @@ Fraction with the free variables fixed (to 0 for `solve`, to a unit vector
 per free column for `nullspace`).  Fixed free variables leave the pivot
 variables unique, so both return the vectors Gauss-Jordan would.  All of
 them take int or Fraction entries and return Fraction entries; `integral`
-turns an integral one back into an int.  `block` places sparse columns into
+turns an integral one back into an int, and `over_common` puts rationals
+over their least common denominator.  `block` places sparse columns into
 a dense matrix.
 """
 from __future__ import annotations
@@ -29,6 +30,13 @@ def mat(rows) -> Matrix:
 
 def zeros(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
+
+
+def over_common(xs) -> tuple[list[int], int]:
+    """(ints, den): the rationals xs times den, their least common
+    denominator."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def integral(x):

@@ -34,7 +34,6 @@ sum_t |c_t| eps^t <= sum_m |q_m| (eps + |b|)^m for q(w) = p(a + w), so
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 from typing import Mapping, NamedTuple
@@ -93,10 +92,8 @@ def p_trim(p) -> Poly:
     return _dot([(([1], 1), _ints([Fraction(c) for c in p]))])
 
 
-def _ints(p) -> tuple[list[int], int]:
-    """p as integer numerators over the least common denominator."""
-    den = lcm(*[c.denominator for c in p])
-    return [c.numerator * (den // c.denominator) for c in p], den
+# p as integer numerators over the least common denominator
+_ints = _linalg.over_common
 
 
 def _dot(pairs) -> Poly:
@@ -419,6 +416,8 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> 
     majorant constant C (computed here unless given as c), so that both the
     resonance range and the contraction requirement C/N < 1 are cleared.
     """
+    import cmath  # only here and in `evaluate`: the float sites of the package
+
     a0 = a.a0()
     k_bound = 0.0
     z0 = complex(domain.z0)
@@ -647,6 +646,8 @@ def system_from_json(obj: dict) -> dict:
 
 def evaluate(solution: LogSeriesSolution, z, q: complex, log_q: complex) -> list[complex]:
     """Numeric value of the log-series at (z, q), on the branch fixed by log_q."""
+    import cmath
+
     if abs(cmath.exp(log_q) - q) > 1e-12:
         raise BranchMismatch(f"exp(L) = {cmath.exp(log_q)} but q = {q}")
     if not (0 < abs(q) < float(solution.radius)):

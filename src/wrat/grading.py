@@ -9,7 +9,6 @@ surjective for j <= 1/2; it is *even* when every degree is an integer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import _linalg
@@ -69,8 +68,7 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
         raise DimensionMismatch(
             f"Cartan element of rank {len(pairings)} against {table.rs.simple_type}"
         )
-    den = lcm(*(p.denominator for p in pairings))
-    scaled = [p.numerator * (den // p.denominator) for p in pairings]
+    scaled, den = _linalg.over_common(pairings)
     nums = tuple(sum([c * scaled[k] for k, c in w]) for w in table.weights)
     by_num: dict[int, list[int]] = {}
     for i, n in enumerate(nums):

@@ -10,13 +10,13 @@ minimal gets N(a1, b1) = +(p + 1), and every other constant is forced from
 these by the Jacobi identity and the invariant-form relations
 N(a,b)/<c,c> = N(b,c)/<a,a> = N(c,a)/<b,b> for a + b + c = 0.
 
-Every structure constant is an int: the table holds the root norms scaled
-to integers, s<a, a>, and every division in the recursion is an exact
-integer division, asserted as such.  An element of the algebra is a sparse
-dict {basis index: int | Fraction} over `ChevalleyTable.basis`, with no
-stored zeros and never a float, so two elements are equal exactly when
-their dicts are (1 == Fraction(1)).  Elements with int coefficients bracket
-in int.
+Every structure constant is an int: the table holds the root norms <a, a>
+on the integer form, short roots of norm 2, and every division in the
+recursion is an exact integer division, asserted as such.  An element of
+the algebra is a sparse dict {basis index: int | Fraction} over
+`ChevalleyTable.basis`, with no stored zeros and never a float, so two
+elements are equal exactly when their dicts are (1 == Fraction(1)).
+Elements with int coefficients bracket in int.
 """
 from __future__ import annotations
 
@@ -78,9 +78,9 @@ class ChevalleyTable:
         self.weights: tuple[tuple[tuple[int, int], ...], ...] = (
             ((),) * rs.rank + up + tuple(tuple((k, -c) for k, c in w) for w in up)
         )
-        # s<a, a> for s the scale of rs.scaled_form: the invariant-form
-        # relations only take ratios of norms
-        self._norm2 = {c: rs.scaled_norm2(c) for c in pos}
+        # <a, a> on the integer form of rs: the invariant-form relations
+        # only take ratios of norms
+        self._norm2 = {r.coeffs: r.norm2 for r in rs.positive_roots}
         self._by_height = sorted(pos, key=lambda c: (sum(c), c))
         self._order = {c: k for k, c in enumerate(self._by_height)}
         self._ex: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -167,11 +167,11 @@ class ChevalleyTable:
 
     def coroot_coords(self, a: tuple[int, ...]) -> dict[int, int]:
         """a^v over the simple coroots: coefficients n_i <a_i,a_i> / <a,a>."""
-        simple = self.rs.scaled_form[1]
+        d = self.rs.half_norms
         out = {}
         for i, n in enumerate(a):
             if n:
-                c, rem = divmod(n * simple[i][i], self._norm2[a])
+                c, rem = divmod(2 * n * d[i], self._norm2[a])
                 assert not rem, "coroot must be an integer vector"
                 out[i] = c
         return out

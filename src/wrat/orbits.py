@@ -252,7 +252,8 @@ class ClassicalPartition(NamedTuple):
         self = cls(family=family, pairs=tuple(pairs), singles=tuple(singles))
         if family == "sp" and self.size % 2:
             raise InvalidPartition("sp needs an even total size")
-        if self.size > sys.maxsize:
+        # the realization indexes about size**2 / 2 matrix units
+        if self.size * self.size > sys.maxsize:
             raise InvalidPartition(f"partition size {self.size} is past the index range")
         return self
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from . import _linalg, grading as gr, liealg
@@ -120,13 +120,6 @@ def _dot(weight, t):
     """A torus element t, given by its coordinate values, on a weight given
     as sparse (coordinate, coefficient) pairs."""
     return sum(c * t[k] for k, c in weight)
-
-
-def _over_common(rows) -> tuple[list[list[int]], int]:
-    """(integer rows, den): rational rows times den, their least common
-    denominator."""
-    den = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
 
 class _GradedOperator(NamedTuple):
@@ -218,7 +211,7 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
                     out[k] = out.get(k, 0) + coeff * x
         return {k: x for k, x in out.items() if x}
 
-    (hd,), den = _over_common([real.h_diag])
+    hd, den = _linalg.over_common(real.h_diag)
     degrees, weights, cartan = [], [], []
     for k, elt in enumerate(basis):
         (i, j), _, _ = elt
@@ -239,7 +232,9 @@ def _group(op: _GradedOperator, torus: list) -> tuple[dict[tuple, list[int]], in
     a torus given as a list of elements by their coordinate values (v alone,
     or the h^f basis of `search_v`).  The weights are taken on den times the
     torus, den the common denominator, so every key is integers."""
-    ints, den = _over_common(torus)
+    flat, den = _linalg.over_common([x for t in torus for x in t])
+    rows = iter(flat)
+    ints = [[next(rows) for _ in t] for t in torus]
     mus = [[sum([c * t[k] for k, c in w]) for w in op.weights] for t in ints]
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(zip(op.degrees, zip(*mus))):
@@ -404,7 +399,7 @@ def h0f_space(table: liealg.ChevalleyTable, f: liealg.Element) -> list[CartanEle
 
 def _primitive(vec: tuple[Fraction, ...]) -> tuple[int, ...]:
     """The integer vector on vec's ray with coprime entries, first nonzero > 0."""
-    (ints,), _ = _over_common([vec])
+    ints, _ = _linalg.over_common(vec)
     g = gcd(*ints) * next((1 if x > 0 else -1 for x in ints if x), 1) or 1
     return tuple(x // g for x in ints)
 

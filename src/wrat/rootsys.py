@@ -6,15 +6,18 @@ Bourbaki tables, with the branch node of the E series at index 2, and the
 diagrams of F4 and G2 oriented so the first simple roots are the long ones.
 The Cartan matrix convention is ``a[i][j] = 2<a_i, a_j> / <a_j, a_j>``, i.e.
 ``a[i][j]`` pairs the i-th simple root against the j-th simple coroot.
+The invariant form is held once, as the integer form, short roots of norm 2:
+the half norms d_i = <a_i, a_i>/2 give <a_i, a_j> = d_j a[i][j], and every
+positive root carries its norm <b, b> from the root-string closure.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
-from ._linalg import solve_unique
+from ._linalg import over_common, solve_unique
 
 
 class IllegalType(ValueError):
@@ -70,7 +73,7 @@ class Root(NamedTuple):
     """A root, as its coefficient vector over the simple roots."""
 
     coeffs: tuple[int, ...]
-    length_class: str  # "long" or "short"
+    norm2: int  # <b, b> on the integer form: 2 on a short root
 
     @property
     def height(self) -> int:
@@ -139,37 +142,35 @@ def _cartan_matrix(st: SimpleType) -> list[list[int]]:
     return a
 
 
-def _half_norms(st: SimpleType) -> list[Fraction]:
-    """d_i = <a_i, a_i>/2 with long roots normalized to <a,a> = 2."""
+def _half_norms(st: SimpleType) -> list[int]:
+    """d_i = <a_i, a_i>/2 on the integer form, short roots normalized to
+    <a, a> = 2; d_j a_ij = <a_i, a_j> is integral and symmetric."""
     n = st.rank
-    d = [Fraction(1)] * n
+    d = [1] * n
     if st.family == "B":
-        d[n - 1] = Fraction(1, 2)
+        d[:n - 1] = [2] * (n - 1)
     elif st.family == "C":
-        for i in range(n - 1):
-            d[i] = Fraction(1, 2)
+        d[n - 1] = 2
     elif st.family == "F":
-        d[2] = d[3] = Fraction(1, 2)
+        d[0] = d[1] = 2
     elif st.family == "G":
-        d[1] = Fraction(1, 3)
+        d[0] = 3
     return d
 
 
 class RootSystem(NamedTuple):
-    """A root system; `half_norms` (<a_i, a_i>/2), `positive_set` and
-    `scaled_form` (s and s times the form, integral) are derived in `_build`."""
+    """A root system; `half_norms` (<a_i, a_i>/2 on the integer form) and
+    `positive_set` are derived in `_build`."""
 
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     highest_root: Root
-    form_on_simple_roots: tuple[tuple[Fraction, ...], ...]
     coxeter_number: int
     dual_coxeter_number: int
     lacety: int
-    half_norms: tuple[Fraction, ...]
+    half_norms: tuple[int, ...]
     positive_set: frozenset[tuple[int, ...]]
-    scaled_form: tuple[int, tuple[tuple[int, ...], ...]]
 
     @property
     def rank(self) -> int:
@@ -181,37 +182,21 @@ class RootSystem(NamedTuple):
             return True
         return tuple(-c for c in coeffs) in self.positive_set
 
-    def scaled_norm2(self, coeffs: tuple[int, ...]) -> int:
-        """s<b, b> for a root given by its coefficient vector, s the scale
-        of `scaled_form`."""
-        return _quadratic(self.scaled_form[1], coeffs)
-
     def coroot_pairing(self, coeffs: tuple[int, ...], i: int) -> int:
         """<b, a_i^v> for a root b: the Cartan-matrix root-string pairing."""
         return sum(c * self.cartan_matrix[j][i] for j, c in enumerate(coeffs) if c)
 
 
-def _scaled(form) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(s, s * form) with s the least scale making the form integral."""
-    s = lcm(*(x.denominator for row in form for x in row))
-    return s, tuple(tuple(int(x * s) for x in row) for row in form)
-
-
-def _quadratic(form, coeffs) -> int:
-    """sum_ij c_i c_j form_ij over the support of an integer vector c."""
-    support = [(i, c) for i, c in enumerate(coeffs) if c]
-    return sum(ci * cj * form[i][j] for i, ci in support for j, cj in support)
-
-
-def _enumerate_positive(cartan: list[list[int]]) -> list[tuple[int, ...]]:
-    """Closure of the simple roots under root-string addition."""
+def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int, ...], int]:
+    """Closure of the simple roots under root-string addition, as {root:
+    <b, b>}: each step b -> b + a_i carries the norm along as
+    <b, b> + 2 d_i (<b, a_i^v> + 1)."""
     n = len(cartan)
     columns = [tuple(row[i] for row in cartan) for i in range(n)]
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    known: set[tuple[int, ...]] = set(simples)
-    level = list(simples)
+    known = {tuple(int(i == j) for j in range(n)): 2 * d[i] for i in range(n)}
+    level = list(known)
     while level:
-        nxt: set[tuple[int, ...]] = set()
+        nxt: dict[tuple[int, ...], int] = {}
         for beta in level:
             for i, column in enumerate(columns):
                 # p = how far the string extends downward from beta along a_i
@@ -219,48 +204,41 @@ def _enumerate_positive(cartan: list[list[int]]) -> list[tuple[int, ...]]:
                 p = 0
                 while head + (x - p - 1,) + tail in known:
                     p += 1
-                if p > sum(b * c for b, c in zip(beta, column) if b):
+                q = sum(b * c for b, c in zip(beta, column) if b)
+                if p > q:
                     up = head + (x + 1,) + tail
                     if up not in known:
-                        nxt.add(up)
-        known |= nxt
+                        nxt[up] = known[beta] + 2 * d[i] * (q + 1)
+        known.update(nxt)
         level = sorted(nxt)
-    return sorted(known)
+    return known
 
 
 def _build(st: SimpleType) -> RootSystem:
     cartan = _cartan_matrix(st)
     d = _half_norms(st)
     n = st.rank
-    form = [[d[j] * cartan[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            assert form[i][j] == form[j][i], "form must be symmetric"
-
-    # long roots have <b, b> = 2, i.e. 2s on the form scaled by s
-    s, scaled = _scaled(form)
-    roots = tuple(
-        Root(c, "long" if _quadratic(scaled, c) == 2 * s else "short")
-        for c in _enumerate_positive(cartan)
-    )
+    assert all(
+        d[j] * cartan[i][j] == d[i] * cartan[j][i] for i in range(n) for j in range(n)
+    ), "form must be symmetric"
+    norms = _enumerate_positive(cartan, d)
+    roots = tuple(Root(c, norms[c]) for c in sorted(norms))
     highest = max(roots, key=lambda r: (r.height, r.coeffs))
     marks = highest.coeffs
-    h = 1 + sum(marks)
-    hv = 1 + sum(Fraction(m) * d[i] for i, m in enumerate(marks))
-    assert hv.denominator == 1, "comarks must sum to an integer"
-    lacety = int(1 / min(d))
+    # long roots have <b, b> = 2 * lacety; the comarks are m_i d_i / lacety
+    lacety = max(d)
+    comarks, rem = divmod(sum(m * d[i] for i, m in enumerate(marks)), lacety)
+    assert not rem, "comarks must sum to an integer"
     return RootSystem(
         simple_type=st,
         cartan_matrix=tuple(tuple(row) for row in cartan),
         positive_roots=roots,
         highest_root=highest,
-        form_on_simple_roots=tuple(tuple(row) for row in form),
-        coxeter_number=h,
-        dual_coxeter_number=int(hv),
+        coxeter_number=1 + sum(marks),
+        dual_coxeter_number=1 + comarks,
         lacety=lacety,
         half_norms=tuple(d),
-        positive_set=frozenset(r.coeffs for r in roots),
-        scaled_form=(s, scaled),
+        positive_set=frozenset(norms),
     )
 
 
@@ -280,9 +258,8 @@ def pairing(rs: RootSystem, root: Root, v: CartanElement) -> Fraction:
     coeffs = root.coeffs if isinstance(root, Root) else root
     if len(coeffs) != rs.rank:
         raise DimensionMismatch("root coefficient vector has wrong length")
-    den = lcm(*(p.denominator for p in v.pairings))
-    num = sum(c * p.numerator * (den // p.denominator) for c, p in zip(coeffs, v.pairings) if c)
-    return Fraction(num, den)
+    ints, den = over_common(v.pairings)
+    return Fraction(sum(c * x for c, x in zip(coeffs, ints) if c), den)
 
 
 def cartan_solve(rs: RootSystem, diagram: CartanElement) -> list[Fraction]:

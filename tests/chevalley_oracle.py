@@ -1,13 +1,15 @@
 """Chevalley structure constants over Fraction: the reference for `wrat.liealg`.
 
 These are the rational formulas of the structure constants, with the root
-norms <a, a> taken straight from the Fraction form on the simple roots:
+norms <a, a> taken from a Fraction form on the simple roots built here from
+the Cartan matrix and the half norms, <a_i, a_j> = d_j a_ij:
 N(a, b) from the extraspecial pairs and the Jacobi identity with its
 invariant-form ratios, N(a, -b) from one such ratio, and a^v over the simple
 coroots as n_i <a_i, a_i> / <a, a>.  The package computes the same numbers in
-integers over the scaled norms s<a, a>; every bracket it returns must equal
-`bracket` here.  The root-string combinatorics (extraspecial pairs, string
-lengths, the (height, lex) order) are read from the table.
+integers over the root norms on the integer form, short roots of norm 2,
+which it carries through the root-string closure; every bracket it returns
+must equal `bracket` here.  The root-string combinatorics (extraspecial
+pairs, string lengths, the (height, lex) order) are read from the table.
 """
 from __future__ import annotations
 
@@ -23,12 +25,15 @@ class ReferenceConstants:
         self.pos = self.rs.positive_set
         self.memo: dict = {}
         self.norms: dict = {}
+        d, a = self.rs.half_norms, self.rs.cartan_matrix
+        n = len(d)
+        self.form = [[Fraction(d[j] * a[i][j]) for j in range(n)] for i in range(n)]
 
     def norm2(self, c) -> Fraction:
         """<c, c> on the Fraction form on the simple roots."""
         got = self.norms.get(c)
         if got is None:
-            form = self.rs.form_on_simple_roots
+            form = self.form
             n = len(c)
             got = sum((c[i] * c[j] * form[i][j] for i in range(n) for j in range(n)), Fraction(0))
             self.norms[c] = got
@@ -71,7 +76,7 @@ class ReferenceConstants:
         return -n2(neg) / n2(b) * self.n_constant(a, neg)
 
     def coroot_coords(self, a) -> dict[int, Fraction]:
-        form = self.rs.form_on_simple_roots
+        form = self.form
         return {i: n * form[i][i] / self.norm2(a) for i, n in enumerate(a) if n}
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:

@@ -51,7 +51,7 @@ def self_contragredient(table, grading, f) -> bool:
     n = rs.rank
     h_coords = cartan_solve(rs, grading.characteristic)
     d = rs.half_norms
-    # <h_i, h_j> = a_ij / d_i
+    # <h_i, h_j> = a_ij / d_i, the form dual to the integer form of rs
     metric = [[Fraction(rs.cartan_matrix[i][j]) / d[i] for j in range(n)] for i in range(n)]
 
     pos_idx = [i for i, deg in enumerate(grading.degrees) if deg > 0]
@@ -147,7 +147,8 @@ def self_contragredient_classical(real) -> bool:
 
 def pairing_row(table, grading):
     """<h/2, w> as a row over the g_0 basis, from the coroot coordinates of h
-    and the form <h_i, h_j> = a_ij / d_i."""
+    and the form <h_i, h_j> = a_ij / d_i dual to the integer form of rs; the
+    rank checks that read it need it only up to scale."""
     rs = table.rs
     h_coords = cartan_solve(rs, grading.characteristic)
     row = []

@@ -219,13 +219,22 @@ def test_check_classical_bad_partition_text(capsys):
     assert rc == 3 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["check-classical", "verify-contragredient"])
-def test_partition_past_the_index_range_exits_3(capsys, command):
-    """A part too large for a list index is an invalid partition, not an
-    OverflowError from building the matrices."""
-    rc, out, err = run(capsys, command, "--family", "C", "--partition", "10000000000000000000")
+@pytest.mark.parametrize(
+    "command,size",
+    [
+        pytest.param("check-classical", "10000000000000000000", id="check-classical"),
+        pytest.param("verify-contragredient", "10000000000000000000", id="verify-contragredient"),
+        pytest.param("check-classical", "2000000000000000000", id="check-classical-2e18"),
+        pytest.param("check-classical", "4000000000", id="check-classical-4e9"),
+    ],
+)
+def test_partition_past_the_index_range_exits_3(capsys, command, size):
+    """A size whose square is past the index range is an invalid partition:
+    the realization indexes about size**2 / 2 matrix units, so building it
+    would end in an OverflowError or a MemoryError."""
+    rc, out, err = run(capsys, command, "--family", "C", "--partition", size)
     assert (rc, out) == (3, "")
-    assert err == "error: partition size 10000000000000000000 is past the index range\n"
+    assert err == f"error: partition size {size} is past the index range\n"
 
 
 def test_search_v_found(capsys):

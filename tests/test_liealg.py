@@ -114,7 +114,7 @@ def test_g2_known_constants():
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_integer_brackets_match_the_fraction_formulas(name):
-    """Every basis bracket, computed in integers over the scaled norms,
+    """Every basis bracket, computed in integers over the integer root norms,
     equals the Fraction formulas of `chevalley_oracle`, and is an int."""
     t = table_for(name)
     ref = ReferenceConstants(t)

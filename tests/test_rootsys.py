@@ -22,6 +22,12 @@ FAMILIES = [
     "E6", "E7", "E8",
 ]
 
+# every classical type through rank 8, and the exceptional ones
+NORM_TYPES = sorted(
+    {f"{f}{n}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lo, 9)}
+    | set(FAMILIES)
+)
+
 
 def test_parse_and_str():
     st = SimpleType.parse("e7")
@@ -36,18 +42,20 @@ def test_illegal_types(bad):
         SimpleType.parse(bad)
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", NORM_TYPES)
 def test_positive_roots_match_euclidean_model(name):
+    """The roots, and each root's norm as the model's times one scale per
+    type, short roots at 2; the long roots are exactly those of norm
+    2 * lacety."""
     st = SimpleType.parse(name)
     rs = build(st)
     oracle = em.positive_root_coeffs(st.family, st.rank)
-    ours = {r.coeffs for r in rs.positive_roots}
-    assert ours == set(oracle)
-    # length classes: long <=> maximal norm in the model
-    max_norm = max(oracle.values())
+    assert {r.coeffs for r in rs.positive_roots} == set(oracle)
+    scale = Fraction(2) / min(oracle.values())
+    long_norm = max(oracle.values())
     for r in rs.positive_roots:
-        expect = "long" if oracle[r.coeffs] == max_norm else "short"
-        assert r.length_class == expect, r
+        assert r.norm2 == scale * oracle[r.coeffs], r
+        assert (r.norm2 == 2 * rs.lacety) == (oracle[r.coeffs] == long_norm), r
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -70,16 +78,18 @@ def test_form_and_invariants_against_model(name):
     oracle = em.positive_root_coeffs(st.family, st.rank)
     theta = max(oracle, key=lambda c: sum(c))
     norm_theta = oracle[theta]
-    # bilinear form normalized so the highest root has squared length 2
-    scale = Fraction(2) / norm_theta
+    # the integer form <a_i, a_j> = d_j a_ij, normalized so short roots
+    # have squared length 2
+    scale = Fraction(2) / min(em.dot(s, s) for s in simples)
     for i in range(st.rank):
         for j in range(st.rank):
-            assert rs.form_on_simple_roots[i][j] == scale * em.dot(simples[i], simples[j])
+            form_ij = rs.half_norms[j] * rs.cartan_matrix[i][j]
+            assert form_ij == scale * em.dot(simples[i], simples[j])
     assert rs.highest_root.coeffs == theta
+    assert rs.highest_root.norm2 == scale * norm_theta
     assert rs.coxeter_number == 1 + sum(theta)
-    hvee = 1 + sum(
-        m * (scale * em.dot(s, s) / 2) for m, s in zip(theta, simples)
-    )
+    # comarks m_i <a_i, a_i> / <theta, theta>
+    hvee = 1 + sum(m * em.dot(s, s) / norm_theta for m, s in zip(theta, simples))
     assert rs.dual_coxeter_number == hvee
     assert rs.lacety == norm_theta / min(em.dot(s, s) for s in simples)
 
