@@ -1,20 +1,28 @@
 """Rational-number JSON conventions shared by the data files and the CLI.
 
 Integers are stored as JSON numbers; every other rational is the string
-"num/den" in lowest terms (e.g. "-3/2").  Floats are rejected on input so
-that exactness is never silently lost, and so is a zero denominator, as a
-ValueError like every other malformed value.
+"num/den" in lowest terms (e.g. "-3/2").  Floats are rejected on input and
+on output so that exactness is never silently lost, and so is a zero
+denominator on input, as a ValueError like every other malformed value.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
-def rat_to_json(x: Fraction) -> int | str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+def rat_to_json(x: int | Fraction) -> int | str:
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"expected an int or a Fraction, got {x!r}")
+    return ratio_to_json(x.numerator, x.denominator)
+
+
+def ratio_to_json(num: int, den: int) -> int | str:
+    """num / den, for den > 0, in lowest terms as `rat_to_json` writes it."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return num if den == 1 else f"{num}/{den}"
 
 
 def rat_from_json(v) -> Fraction:

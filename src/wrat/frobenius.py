@@ -1,8 +1,11 @@
 """Power-series solutions of regular-singular systems q (d/dq) u = A(z, q) u + f.
 
 A is an ell x ell matrix whose q-coefficients have polynomial entries in an
-auxiliary parameter z; everything is exact over Fraction.  Two independent
-routes compute the solution:
+auxiliary parameter z; everything is exact.  Each series coefficient is held
+once, as a `Form`: integer numerators over one denominator, in lowest terms,
+which the integer kernel `_kernel` reads and the CLI prints directly.
+`VectorSeries.coeffs` is their Fraction view.  Two independent routes
+compute the solution:
 
 * `recursion_solve` peels coefficients off the defining relation
   [n I - A_0(z)] u_n = f_n + sum_{m<n} A_{n-m} u_m, validating the supplied
@@ -42,6 +45,15 @@ from . import _linalg
 from ._serde import rat_from_json, rat_to_json
 
 Poly = tuple[Fraction, ...]  # coefficients, constant term first, no trailing zeros
+
+
+class Form(NamedTuple):
+    """A polynomial as integer numerators, constant term first, over one
+    denominator: den > 0, no factor common to den and every numerator, no
+    trailing zero.  So it is canonical: `_linalg.over_common` of the Poly."""
+
+    nums: list[int]
+    den: int
 
 
 class Resonance(ValueError):
@@ -94,12 +106,33 @@ def p_trim(p) -> Poly:
 
 # p as integer numerators over the least common denominator
 _ints = _linalg.over_common
+_ONE = ([1], 1)
+
+
+def _reduced(nums: list[int], den: int) -> Form:
+    """nums / den as a Form: trailing zeros dropped, then one gcd."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    return Form(nums, den) if g == 1 else Form([x // g for x in nums], den // g)
+
+
+def _form(p) -> Form:
+    """A Poly (or int coefficients) as a Form; a Form is returned as it is."""
+    return p if type(p) is Form else _reduced(*_ints(p))
+
+
+def _poly(form) -> Poly:
+    """The Fraction view of (numerators, denominator)."""
+    nums, den = form
+    return tuple(Fraction(c, den) for c in nums)
 
 
 def _dot(pairs) -> Poly:
     """`_kernel` as a Poly: each output coefficient becomes one Fraction."""
-    out, den = _kernel(pairs)
-    return tuple(Fraction(c, den) for c in out)
+    return _poly(_kernel(pairs))
 
 
 def _kernel(pairs) -> tuple[list[int], int]:
@@ -140,13 +173,15 @@ def p_mul(a: Poly, b: Poly) -> Poly:
 
 def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a by a nonzero b, exactly."""
-    return _divmod(_ints(a), _ints(b))
+    quot, rem = _divmod(_ints(a), _ints(b))
+    return _poly(quot), _poly(rem)
 
 
-def _divmod(a, b) -> tuple[Poly, Poly]:
-    """`p_divmod` on (numerators, denominator) forms: the pseudo-division
-    lead^k na = q nb + r of integer numerators, with nb over its content so
-    that a constant b, or any b / b[-1] in Z[z], has lead +-1."""
+def _divmod(a, b) -> tuple[Form, Form]:
+    """`p_divmod` on (numerators, denominator) pairs, returning Forms: the
+    pseudo-division lead^k na = q nb + r of integer numerators, with nb over
+    its content so that a constant b, or any b / b[-1] in Z[z], has lead
+    +-1."""
     (na, da), (nb, db) = a, b
     g = gcd(*nb)
     nb = [y // g for y in nb]
@@ -157,7 +192,7 @@ def _divmod(a, b) -> tuple[Poly, Poly]:
         for i, y in enumerate(nb, t):
             rem[i] -= q * y
     den = da * nb[-1] ** k
-    return _dot([(([db], g), (quot, den))]), _dot([(([1], 1), (rem, den))])
+    return _reduced([x * db for x in quot], g * den), _reduced(rem, den)
 
 
 def p_eval(p: Poly, x):
@@ -186,10 +221,6 @@ def p_majorant(p: Poly, eps: Fraction, z0: Fraction) -> Fraction:
 
 
 # -- series containers -------------------------------------------------------
-
-
-def _zero_vec(ell: int) -> list[Poly]:
-    return [() for _ in range(ell)]
 
 
 class _Series(NamedTuple):
@@ -236,10 +267,20 @@ class AnalyticMatrixSeries(_Series):
 
 
 class VectorSeries(NamedTuple):
-    """u(z, q) = sum_n u_n(z) q^n, coefficients stored densely from n = 0."""
+    """u(z, q) = sum_n u_n(z) q^n, coefficients stored densely from n = 0
+    as Forms; `coeffs` is their Fraction view."""
 
     ell: int
-    coeffs: list[list[Poly]]
+    forms: list[list[Form]]
+
+    @classmethod
+    def of(cls, ell: int, coeffs) -> "VectorSeries":
+        """The series of the Poly vectors coeffs."""
+        return cls(ell, [[_form(p) for p in vec] for vec in coeffs])
+
+    @property
+    def coeffs(self) -> list[list[Poly]]:
+        return [[_poly(x) for x in vec] for vec in self.forms]
 
 
 class DomainParams(NamedTuple):
@@ -325,20 +366,27 @@ def _char_expansion(a0: list[list[Poly]]):
     return [_ints(c) for c in cs], [[[_ints(e) for e in row] for row in b] for b in bs[:ell]]
 
 
-def _rhs(
-    a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list[Poly]],
-    u: list[list[Poly]],
-    n: int,
-    stop: int,
-) -> list[list]:
-    """b_n = f_n + sum_{m < stop} A_{n-m} u_m as one list of `_dot` terms per
-    row, the right-hand side of the recursion (stop = n) and of the clamped
-    operator and residual (stop = n + 1)."""
-    prods = [(a.term(n - m), [_ints(x) for x in u[m]]) for m in range(stop) if a.term(n - m)]
+def _int_system(a: AnalyticMatrixSeries, f_terms: Mapping[int, list]):
+    """(ell, A's terms, f's vectors) with every polynomial a Form, made
+    once per solve for `_rhs`; f's entries may be Polys or Forms."""
+    return (
+        a.ell,
+        {n: [[_form(e) for e in row] for row in m] for n, m in a.terms.items()},
+        {n: [_form(p) for p in vec] for n, vec in f_terms.items()},
+    )
+
+
+def _rhs(system, u: list[list[Form]], n: int, stop: int) -> list[list]:
+    """b_n = f_n + sum_{m < stop} A_{n-m} u_m as one list of `_kernel` terms
+    per row, over the Forms of `_int_system` and of the u_m: the right-hand
+    side of the recursion (stop = n) and of the clamped operator and
+    residual (stop = n + 1)."""
+    ell, a, f = system
+    prods = [(a[n - m], u[m]) for m in range(stop) if n - m in a]
+    fn = f.get(n)
     return [
-        [(([1], 1), _ints(f))] + [(_ints(e), x) for an, v in prods for e, x in zip(an[i], v)]
-        for i, f in enumerate(f_terms.get(n, _zero_vec(a.ell)))
+        ([(_ONE, fn[i])] if fn else []) + [(e, x) for an, v in prods for e, x in zip(an[i], v)]
+        for i in range(ell)
     ]
 
 
@@ -349,31 +397,32 @@ def recursion_solve(
     n_max: int,
     layer: tuple[int, int] | None = None,
 ) -> VectorSeries:
-    """Coefficients u_0 .. u_{n_max-1} from the exact recursion.
+    """Coefficients u_0 .. u_{n_max-1} from the exact recursion; the
+    entries of f_terms may be Polys or Forms.
 
     The first len(seeds) coefficients are dictated by the seeds and verified
     against the recursion: a violated relation raises SeedInconsistent when
     some polynomial solution exists and Resonance when none does.  Beyond the
     seeds, u_n = adj(nI - A_0) b_n / chi(n) with chi(n) = det(nI - A_0), by
-    exact division of `_kernel` integer forms, so that only the quotient's
-    coefficients become Fractions; chi(n) = 0 in Q[z] or a nonzero remainder
-    raises Resonance (the module docstring says why this matches a linear
-    solve).
+    exact division of `_kernel` integer forms into a Form, with no Fraction;
+    chi(n) = 0 in Q[z] or a nonzero remainder raises Resonance (the module
+    docstring says why this matches a linear solve).
     """
     ell = a.ell
     n_seeds = len(seeds)
     a0 = a.a0()
+    system = _int_system(a, f_terms)
     cs, bs = _char_expansion(a0)
-    u: list[list[Poly]] = []
+    u: list[list[Form]] = []
     for n in range(n_max):
-        rhs = [_kernel(terms) for terms in _rhs(a, f_terms, u, n, n)]
+        rhs = [_kernel(terms) for terms in _rhs(system, u, n, n)]
         if n < n_seeds:
-            rhs = [_dot([(([1], 1), y)]) for y in rhs]
+            rhs = [_poly(y) for y in rhs]
             mm = [[p_sub((Fraction(n),) if i == j else (), e) for j, e in enumerate(row)]
                   for i, row in enumerate(a0)]
             cand = [p_trim(c) for c in seeds[n]]
             if _mat_vec(mm, cand) == rhs:
-                u.append(cand)
+                u.append([_form(c) for c in cand])
                 continue
             raise (SeedInconsistent if _poly_solvable(mm, rhs) else Resonance)(n, layer)
         chi = _kernel((([n ** (ell - k)], 1), c) for k, c in enumerate(cs))
@@ -382,7 +431,7 @@ def recursion_solve(
         adj = [[_kernel((([n ** (ell - 1 - k)], 1), b[i][j]) for k, b in enumerate(bs))
                 for j in range(ell)] for i in range(ell)]
         divided = [_divmod(_kernel(zip(row, rhs)), chi) for row in adj]
-        if any(rem for _, rem in divided):
+        if any(rem.nums for _, rem in divided):
             raise Resonance(n, layer)
         u.append([quot for quot, _ in divided])
     return VectorSeries(ell, u)
@@ -396,11 +445,12 @@ def residual_norm(
 ):
     """Majorant norm of q u' - A u - f over the computed coefficient range:
     b_n - n u_n (the majorant of n u_n - b_n) weighed by delta^n."""
-    u = series.coeffs
+    system = _int_system(a, f_terms)
+    u = series.forms
 
     def block(n: int):
-        rows = zip(_rhs(a, f_terms, u, n, n + 1), u[n])
-        return _majorant((_dot(terms + [(([-n], 1), _ints(x))]) for terms, x in rows), domain)
+        rows = zip(_rhs(system, u, n, n + 1), u[n])
+        return _majorant((_dot(terms + [(([-n], 1), x)]) for terms, x in rows), domain)
 
     return _weighted(((n, block(n)) for n in range(len(u))), domain)
 
@@ -454,30 +504,30 @@ def contraction_solve(
     if ratio >= 1:
         raise ContractionFails(f"C/N = {ratio} >= 1")
     n_clamped = min(n_cap, n_max)
-    clamped = recursion_solve(a, f_terms, seeds[:n_clamped], n_clamped).coeffs
+    clamped = recursion_solve(a, f_terms, seeds[:n_clamped], n_clamped).forms
+    system = _int_system(a, f_terms)
 
     # ||T 0||: the clamped block plus the divided inhomogeneity tail
     f_norm = _weighted(
-        [(n, _majorant(vec, domain)) for n, vec in enumerate(clamped)]
+        [(n, _majorant(map(_poly, vec), domain)) for n, vec in enumerate(clamped)]
         + [(n, _majorant(f, domain) / n) for n, f in sorted(f_terms.items()) if n_cap <= n < n_max],
         domain,
     )
 
-    def apply_t(cur: list[list[Poly]]) -> list[list[Poly]]:
+    def apply_t(cur: list[list[Form]]) -> list[list[Form]]:
         return clamped + [
-            [p_scale(Fraction(1, n), _dot(terms)) for terms in _rhs(a, f_terms, cur, n, n + 1)]
+            [_reduced(nums, den * n) for nums, den in map(_kernel, _rhs(system, cur, n, n + 1))]
             for n in range(n_clamped, n_max)
         ]
 
-    u = clamped + [_zero_vec(ell) for _ in range(n_clamped, n_max)]
+    def moved(new: list[Form], old: list[Form]):
+        return _majorant((_dot([(_ONE, x), (([-1], 1), y)]) for x, y in zip(new, old)), domain)
+
+    u = clamped + [[Form([], 1)] * ell for _ in range(n_clamped, n_max)]
     distances = []
     for _ in range(iterations):
         nxt = apply_t(u)
-        distances.append(
-            _weighted(
-                ((n, _majorant(map(p_sub, nxt[n], u[n]), domain)) for n in range(n_max)), domain
-            )
-        )
+        distances.append(_weighted(((n, moved(nxt[n], u[n])) for n in range(n_max)), domain))
         u = nxt
 
     bound = (1 / (1 - ratio)) * ratio**iterations * f_norm
@@ -505,7 +555,8 @@ def log_system_solve(
 
     Exponents must be pairwise non-congruent mod 1 so the blocks do not
     interact.  For each exponent h_j the layers k = log_order .. 0 satisfy
-    the shifted recursion with inhomogeneity -(k+1) phi_{j,k+1}.
+    the shifted recursion with inhomogeneity -(k+1) phi_{j,k+1}, handed
+    down as Forms.
     """
     exps = [Fraction(h) for h in exponents]
     for i in range(len(exps)):
@@ -520,11 +571,11 @@ def log_system_solve(
         above: VectorSeries | None = None
         for k in range(log_order, -1, -1):
             if above is None:
-                f_terms: dict[int, list[Poly]] = {}
+                f_terms: dict[int, list[Form]] = {}
             else:
                 f_terms = {
-                    n: [p_scale(-(k + 1), e) for e in above.coeffs[n]]
-                    for n in range(len(above.coeffs))
+                    n: [_reduced([-(k + 1) * x for x in nums], den) for nums, den in vec]
+                    for n, vec in enumerate(above.forms)
                 }
             layer_seeds = [list(vec) for vec in seeds.get((j, k), [])]
             series = recursion_solve(shifted, f_terms, layer_seeds, n_max, layer=(j, k))

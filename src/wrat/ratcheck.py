@@ -420,11 +420,13 @@ def search_v(
     `exact_condition`, or NOT_FOUND; triple as there.
 
     Candidates are v = sum k_i b_i / den over the primitive basis b of h^f,
-    with |k_i| <= coefficient_bound and den <= denominator_bound, taken in
-    order of the least common denominator of v, then lexicographically.
-    The kernel slot table is built once; on slot (d, mu) v acts by
-    sum k_i mu_i / den, so each candidate is checked against the occupied
-    slots with integer sums, stopping at the first inadmissible slot.
+    with |k_i| <= coefficient_bound and den <= denominator_bound; the one
+    returned is the least passing v in order of its least common
+    denominator, then lexicographically.  The kernel slot table is built
+    once; on slot (d, mu) v acts by sum k_i mu_i / den, so each (den, k) is
+    checked against the occupied slots with integer sums, stopping at the
+    first inadmissible slot.  Passing depends on v alone, so only the
+    passing candidates are reduced and compared.
 
     Even gradings need no search: v = 0 always works there.
     """
@@ -444,26 +446,26 @@ def search_v(
     ]
 
     B = config.coefficient_bound
-    candidates: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+    # (reduced denominator, numerators) orders exactly as (lcm, v) does
+    best = None
     for den in range(1, config.denominator_bound + 1):
         for ks in product(range(-B, B + 1), repeat=len(basis)):
             if not any(ks):
                 continue
-            ints = [sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank)]
-            g = gcd(den, *ints)
-            candidates.setdefault((den // g, tuple(x // g for x in ints)), (den, ks))
-
-    # (reduced denominator, numerators) orders exactly as (lcm, v) does
-    for key in sorted(candidates):
-        den, ks = candidates[key]
-        for mu, p, q in checks:
-            n = sum(k * m for k, m in zip(ks, mu)) * q + den * p
-            if n < 0 or n % (den * q):
-                break
-        else:
-            lcd, ints = key
-            return CartanElement(tuple(Fraction(x, lcd) for x in ints))
-    return NOT_FOUND
+            for mu, p, q in checks:
+                n = sum(k * m for k, m in zip(ks, mu)) * q + den * p
+                if n < 0 or n % (den * q):
+                    break
+            else:
+                ints = [sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank)]
+                g = gcd(den, *ints)
+                key = (den // g, tuple(x // g for x in ints))
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return NOT_FOUND
+    lcd, ints = best
+    return CartanElement(tuple(Fraction(x, lcd) for x in ints))
 
 
 def verify_good_even_shortcut(

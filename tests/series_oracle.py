@@ -19,6 +19,7 @@ from typing import Mapping
 from wrat import _linalg
 from wrat.frobenius import (
     AnalyticMatrixSeries,
+    Form,
     Poly,
     Resonance,
     SeedInconsistent,
@@ -34,6 +35,15 @@ def p_trim(p) -> Poly:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def as_poly(p) -> Poly:
+    """p, or a `frobenius.Form` (numerators, denominator), as a Poly; the
+    log route hands each layer's inhomogeneity down as Forms."""
+    if isinstance(p, Form):
+        nums, den = p
+        p = [Fraction(c, den) for c in nums]
+    return p_trim(p)
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
@@ -136,7 +146,7 @@ def recursion_solve(
     a0 = a.a0()
     u: list[list[Poly]] = []
     for n in range(n_max):
-        rhs = [p_trim(e) for e in f_terms.get(n, [()] * ell)]
+        rhs = [as_poly(e) for e in f_terms.get(n, [()] * ell)]
         for m_idx in range(n):
             an = a.term(n - m_idx)
             if an is not None and any(u[m_idx][j] for j in range(ell)):
@@ -163,7 +173,7 @@ def recursion_solve(
         if sol is None or not unique:
             raise Resonance(n, layer)
         u.append(sol)
-    return VectorSeries(ell, u)
+    return VectorSeries.of(ell, u)
 
 
 # -- systems shaped like the benchmark's `series` inputs -----------------------

@@ -11,12 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import series_oracle
 import wrat
-from wrat import frobenius as fr, ratcheck
+from wrat import _linalg, cli, frobenius as fr, orbits, ratcheck
 from wrat.cli import build_parser, main
 
 
@@ -606,6 +608,116 @@ def test_frobenius_exit_contract_under_mutation(obj, route, order):
         assert out == "" and err.startswith("error:")
 
 
+BUNDLED = sorted(orbits.data_dir().glob("*.json"))
+
+
+@st.composite
+def mutated_record_dirs(draw):
+    """(files, record): the bundled record files by name, one of them
+    (record, as loaded) with one to three mutations as `mutated_systems`
+    makes them, an integer one setting any integer in it."""
+    path = draw(st.sampled_from(BUNDLED))
+    obj = json.loads(path.read_text())
+    record = (obj["algebra"], obj["q"][0])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(obj) if p]
+        kind = draw(st.sampled_from(["drop", "retype", "resize", "integer"]))
+        if kind == "integer":
+            paths = [p for p in paths if type(_at(obj, p)) is int]
+        elif kind == "resize":
+            paths = [p for p in paths if isinstance(_at(obj, p), list)]
+        if not paths:
+            continue
+        path_ = draw(st.sampled_from(paths))
+        parent, key = _at(obj, path_[:-1]), path_[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(_retype(parent[key]))
+        elif kind == "integer":
+            parent[key] = draw(st.integers(-2, 4))
+        elif parent[key] and draw(st.booleans()):
+            parent[key].pop()
+        else:
+            parent[key].append(copy.deepcopy(parent[key][-1]) if parent[key] else 0)
+    files = {p.name: p.read_text() for p in BUNDLED}
+    files[path.name] = json.dumps(obj)
+    return files, record
+
+
+def _quiet_main(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_record_dirs())
+def test_record_mutation_exit_contract(case):
+    """A WRAT_DATA_DIR with one mutated record: every record subcommand
+    ends in a documented exit code with no traceback.  search-v runs at
+    bounds 1/1, since a mutated f may leave h^f large."""
+    files, (algebra, q) = case
+    record = ["--algebra", str(algebra), "--q", str(q)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        try:
+            with mock.patch.dict(os.environ, {"WRAT_DATA_DIR": tmp}):
+                for argv in (
+                    ["report", "--all"],
+                    ["check-exceptional", *record],
+                    ["search-v", *record, "--denominator-bound", "1", "--coefficient-bound", "1"],
+                    ["verify-contragredient", *record],
+                ):
+                    rc, out, err = _quiet_main(*argv)
+                    assert rc in (0, 2, 3, 4), (argv, rc, err)
+                    assert "Traceback" not in err
+                    if rc == 3 or rc == 4:
+                        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        finally:
+            orbits._load_dir.cache_clear()
+
+
+PARTITION_CHARS = "0123456789,, -+_ \u0663\uff15"
+FAMILIES = sorted(cli._FAMILY_TO_SERIES) + ["b", "c", "E", "SP", "so ", "", "D4", "sp2"]
+BIG_PARTS = [4 * 10**9, 10**10, 2 * 10**18, 10**19, 10**30]
+
+
+def _partition_size(text: str) -> int | None:
+    """sum |part| of text if every part parses as an int, else None."""
+    try:
+        return sum(abs(int(x)) for x in text.split(","))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(PARTITION_CHARS, max_size=14),
+        st.lists(st.one_of(st.integers(-3, 40), st.sampled_from(BIG_PARTS)), max_size=6).map(
+            lambda parts: ",".join(map(str, parts))
+        ),
+    ),
+    st.sampled_from(FAMILIES),
+    st.sampled_from(["check-classical", "verify-contragredient"]),
+)
+def test_classical_argv_exit_contract(text, family, command):
+    """Odd partition text and near-miss families end in a documented exit
+    code with no traceback.  Legal sizes past 200 are left out: below the
+    index range they ask for about n^2/2 matrix units."""
+    size = _partition_size(text)
+    assume(size is None or size <= 200 or size * size > sys.maxsize)
+    try:
+        rc, out, err = _quiet_main(command, "--family", family, "--partition", text)
+    except SystemExit as exc:  # argparse rejects the family
+        rc, out, err = exc.code, "", ""
+    assert rc in (0, 2, 3, 4), (text, family, rc, err)
+    assert "Traceback" not in err
+
+
 RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 RADII = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
 
@@ -637,6 +749,15 @@ def contraction_systems(draw):
     }
 
 
+def _solve_outcome(solve, *args):
+    """The layers of a solve by route, or (exception type, n, layer)."""
+    try:
+        res = solve(*args)
+    except (fr.Resonance, fr.SeedInconsistent) as exc:
+        return type(exc), exc.n, exc.layer
+    return res.layers if isinstance(res, fr.LogSeriesSolution) else {None: res}
+
+
 FRACTION_TEXT = re.compile(r"\d+(/\d+)?")
 
 
@@ -665,6 +786,71 @@ def perturbed_seed_systems(draw):
         perturbed = False
     obj["seeds"] = [[[_rat(c) for c in p] for p in vec] for vec in seeds]
     return obj, k, perturbed
+
+
+@st.composite
+def log_systems(draw):
+    """A contraction system made log-shaped as `series_oracle.log_system`
+    is: A_0 = [[0, p(z)], [0, 0]], exponents 0 and a non-integer h, and
+    the seeds c p(z) e_1 on layer (0, 1) and (t, c) on layer (0, 0) that
+    solve n = 0; for ell = 1, A_0 = 0, K = 0 and a seed c + t z."""
+    obj = draw(contraction_systems())
+    p = [draw(RATIONALS) for _ in range(2)]
+    c, t = draw(RATIONALS), draw(RATIONALS)
+    if obj["ell"] == 2:
+        a0 = [[[], [_rat(x) for x in p]], [[], []]]
+        obj["K"] = 1
+        obj["seeds"] = {
+            "0:1": [[[_rat(c * x) for x in p], []]],
+            "0:0": [[[_rat(t)], [_rat(c)]]],
+        }
+    else:
+        a0 = [[[]]]
+        obj["K"] = 0
+        obj["seeds"] = {"0:0": [[[_rat(c), _rat(t)]]]}
+    obj["A"] = [[0, a0]] + [[n, m] for n, m in obj["A"] if n]
+    obj["exponents"] = [0, _rat(draw(NON_INTEGERS))]
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        contraction_systems(),
+        perturbed_seed_systems().map(lambda case: case[0]),
+        log_systems(),
+    ),
+    st.integers(1, 6),
+)
+# A_0 = z, f_1 = 1 - z: u_1 = (1 - z) / (1 - z) divides by a negative lead
+@example({"ell": 1, "A": [[0, [[[0, 1]]]]], "f": [[1, [[1, -1]]]], "seeds": []}, 3)
+def test_series_forms_are_the_reduced_view(obj, order):
+    """Every stored coefficient is `_linalg.over_common` of its Fraction
+    view, the JSON read from the forms is `poly_to_json` of the view, and
+    the series is the oracle's, on the recursion and the log route."""
+    system = fr.system_from_json(obj)
+    a, seeds = system["a"], system["seeds"]
+    if system["exponents"]:
+        args = (a, system["exponents"], system["log_order"], seeds, order, system["radius"])
+        with mock.patch.object(fr, "recursion_solve", series_oracle.recursion_solve):
+            want = _solve_outcome(fr.log_system_solve, *args)
+        got = _solve_outcome(fr.log_system_solve, *args)
+    else:
+        args = (a, system["f"], seeds, order)
+        want = _solve_outcome(series_oracle.recursion_solve, *args)
+        got = _solve_outcome(fr.recursion_solve, *args)
+    if isinstance(got, tuple):
+        assert got == want
+        return
+    assert {key: series.coeffs for key, series in got.items()} == {
+        key: series.coeffs for key, series in want.items()
+    }
+    for series in got.values():
+        view = series.coeffs
+        assert len(series.forms) == len(view) == order
+        for forms, polys in zip(series.forms, view):
+            assert forms == [_linalg.over_common(p) for p in polys]
+        assert cli._series_json(series) == [[fr.poly_to_json(p) for p in vec] for vec in view]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1051,9 +1237,9 @@ def test_start_up_never_imports_dataclasses(argv):
     assert got["exit"] == 0 and not got["dataclasses"]
 
 
-# counts Fraction.__new__ over one in-process `report --all`
+# counts Fraction.__new__ over one in-process request, argv as JSON in argv[1]
 FRACTION_COUNT_PROBE = """
-import contextlib, io
+import contextlib, io, json, sys
 from fractions import Fraction
 count = 0
 new = Fraction.__new__
@@ -1064,7 +1250,7 @@ def counted(cls, *args, **kwargs):
 Fraction.__new__ = counted
 from wrat.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["report", "--all"])
+    code = main(json.loads(sys.argv[1]))
 print(code, count)
 """
 
@@ -1075,9 +1261,25 @@ def test_report_all_makes_few_fractions():
     output: 4,002 per `report --all` in a fresh process, against 24,126
     with Fraction constants, degrees and pairings.  The bound allows half
     again."""
-    out = fresh_python("-c", FRACTION_COUNT_PROBE)
+    out = fresh_python("-c", FRACTION_COUNT_PROBE, json.dumps(["report", "--all"]))
     code, count = map(int, out.stdout.split())
     assert code == 0 and count <= 6000, count
+
+
+@pytest.mark.parametrize(
+    "system,order",
+    [(series_oracle.recursion_system(), 36), (series_oracle.log_system(), 28)],
+    ids=["recursion", "log"],
+)
+def test_series_requests_make_few_fractions(tmp_path, system, order):
+    """The series path holds every coefficient as an integer form from the
+    recursion to the JSON: 393 Fractions for the bench recursion file and
+    160 for the log file in a fresh process, against 5,503 and 4,352 with
+    Fraction coefficients between kernel calls."""
+    argv = ["frobenius", write_system(tmp_path, "s.json", system), "--order", str(order)]
+    out = fresh_python("-c", FRACTION_COUNT_PROBE, json.dumps(argv))
+    code, count = map(int, out.stdout.split())
+    assert code == 0 and count <= 1000, count
 
 
 def test_module_help_writes_nothing_to_stderr():

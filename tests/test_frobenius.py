@@ -197,6 +197,39 @@ def test_recursion_z_dependent_a0():
     assert sol.coeffs[2] == [(), ()]
 
 
+@pytest.mark.parametrize("route", ["recursion", "log"])
+def test_series_steps_make_no_fraction(monkeypatch, route):
+    """Past the seeds every step reads and writes integer forms only, so
+    the Fractions a solve makes (input, A_0's expansion, seed checks) do
+    not grow with its order."""
+    made = []
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    if route == "recursion":
+        s = fr.system_from_json(oracle.recursion_system())
+
+        def solve(order):
+            fr.recursion_solve(s["a"], s["f"], s["seeds"], order)
+    else:
+        s = fr.system_from_json(oracle.log_system())
+
+        def solve(order):
+            fr.log_system_solve(s["a"], s["exponents"], s["log_order"], s["seeds"], order, s["radius"])
+
+    monkeypatch.setattr(Q, "__new__", counted)
+    counts = []
+    for order in (4, 36):
+        made.clear()
+        solve(order)
+        counts.append(len(made))
+    monkeypatch.undo()
+    assert counts[0] == counts[1] > 0, counts
+
+
 def test_residual_vanishes_on_recursion_output():
     a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(0, 1)], [(), ()]]})
     f = {1: [poly(1), poly(1)]}
@@ -344,12 +377,12 @@ def residual_blocks(a, f, u):
 def test_residual_norm_of_a_perturbed_solution(system, dom, n_max, data):
     a, f = system
     u = [list(vec) for vec in fr.recursion_solve(a, f, [], n_max).coeffs]
-    assert fr.residual_norm(a, f, fr.VectorSeries(a.ell, u), dom) == 0
+    assert fr.residual_norm(a, f, fr.VectorSeries.of(a.ell, u), dom) == 0
     n = data.draw(st.integers(0, n_max - 1))
     i = data.draw(st.integers(0, a.ell - 1))
     bump = data.draw(small_poly.filter(bool))
     u[n][i] = fr.p_add(u[n][i], bump)
-    got = fr.residual_norm(a, f, fr.VectorSeries(a.ell, u), dom)
+    got = fr.residual_norm(a, f, fr.VectorSeries.of(a.ell, u), dom)
     want = weighted_majorant(residual_blocks(a, f, u), dom)
     assert got == want, (got, want)
     # nI - A_0 is invertible, so the bumped index leaves a residual

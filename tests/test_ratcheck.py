@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import search_oracle
 from contragredient_oracle import dense
 from wrat.liealg import build_chevalley
 from wrat.orbits import (
@@ -167,6 +168,24 @@ def test_search_v_goldens(alg, q, want):
     v = search_v(table, grading, f)
     assert tuple(str(p) for p in v.pairings) == want
     assert exact_condition(table, grading, f, v).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(rec, SearchConfig()) for rec in load_records()]
+    + [
+        (lookup_exceptional("E8", 2), SearchConfig(denominator_bound=4, coefficient_bound=6)),
+        (lookup_exceptional("E8", 5), SearchConfig(denominator_bound=1, coefficient_bound=4)),
+    ],
+    ids=lambda x: f"{x[0].algebra}-{x[0].label}-{x[1].denominator_bound}/{x[1].coefficient_bound}",
+)
+def test_search_v_matches_the_sorted_oracle(case):
+    """Testing each candidate before reducing it returns what sorting every
+    reduced candidate and testing them in order returns."""
+    rec, config = case
+    table, grading, f, triple = realize_record(rec)
+    want = search_oracle.search_v(table, grading, f, config, triple)
+    assert search_v(table, grading, f, config, triple) == want
 
 
 def test_search_even_grading_returns_zero():

@@ -1,0 +1,39 @@
+"""The rational JSON conventions of `_serde`, on output as on input."""
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wrat._serde import rat_from_json, rat_to_json, ratio_to_json
+
+
+@pytest.mark.parametrize(
+    "x,want",
+    [(0, 0), (-3, -3), (Fraction(4, 2), 2), (Fraction(-3, 6), "-1/2"), (Fraction(7, 3), "7/3")],
+)
+def test_rat_to_json_writes_lowest_terms(x, want):
+    assert rat_to_json(x) == want
+    assert type(rat_to_json(x)) is type(want)
+
+
+@pytest.mark.parametrize(
+    "x", [0.1, 2.0, True, False, "3/6", "2", None, Decimal("0.5"), 1j, [1]], ids=repr
+)
+def test_rat_to_json_rejects_anything_but_a_rational(x):
+    """A float would print its binary expansion and a string would be
+    re-read as a rational; both are rejected as `rat_from_json` rejects
+    them on input."""
+    with pytest.raises(ValueError):
+        rat_to_json(x)
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_json_round_trip(x):
+    assert rat_from_json(rat_to_json(x)) == x
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_ratio_to_json_is_rat_to_json_of_the_quotient(num, den):
+    assert ratio_to_json(num, den) == rat_to_json(Fraction(num, den))
