@@ -163,25 +163,11 @@ def p_sub(a: Poly, b: Poly) -> Poly:
     return _dot([(([1], 1), _ints(a)), (([-1], 1), _ints(b))])
 
 
-def p_scale(c, a: Poly) -> Poly:
-    return _dot([(_ints((c,)), _ints(a))])
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    return _dot([(_ints(a), _ints(b))])
-
-
-def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by a nonzero b, exactly."""
-    quot, rem = _divmod(_ints(a), _ints(b))
-    return _poly(quot), _poly(rem)
-
-
 def _divmod(a, b) -> tuple[Form, Form]:
-    """`p_divmod` on (numerators, denominator) pairs, returning Forms: the
-    pseudo-division lead^k na = q nb + r of integer numerators, with nb over
-    its content so that a constant b, or any b / b[-1] in Z[z], has lead
-    +-1."""
+    """Quotient and remainder of a by a nonzero b, exactly, on (numerators,
+    denominator) pairs, returning Forms: the pseudo-division
+    lead^k na = q nb + r of integer numerators, with nb over its content so
+    that a constant b, or any b / b[-1] in Z[z], has lead +-1."""
     (na, da), (nb, db) = a, b
     g = gcd(*nb)
     nb = [y // g for y in nb]

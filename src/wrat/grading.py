@@ -60,8 +60,8 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
     """Grade the basis by half the characteristic pairing on each root.
 
     The pairings are scaled once to integers over their common denominator
-    den, so each basis vector takes one integer dot product n with its
-    torus weight and sits in degree n / (2 den).
+    den, and `ChevalleyTable.weigh` evaluates them on every basis vector:
+    a basis vector of weight n sits in degree n / (2 den).
     """
     pairings = characteristic.pairings
     if len(pairings) != table.rs.rank:
@@ -69,7 +69,7 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
             f"Cartan element of rank {len(pairings)} against {table.rs.simple_type}"
         )
     scaled, den = _linalg.over_common(pairings)
-    nums = tuple(sum([c * scaled[k] for k, c in w]) for w in table.weights)
+    nums = table.weigh(scaled)
     by_num: dict[int, list[int]] = {}
     for i, n in enumerate(nums):
         by_num.setdefault(n, []).append(i)

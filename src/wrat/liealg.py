@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import _linalg
@@ -59,8 +60,8 @@ def H(i: int) -> BasisElement:
 class ChevalleyTable:
     """Structure constants of the simple Lie algebra over a root system.
 
-    weights[i] is the torus weight of basis[i] as sparse (simple root,
-    coefficient) pairs: a on e_a, -a on f_a, none on the Cartan basis.
+    `weigh` evaluates a torus element on every basis vector at once: a on
+    e_a, -a on f_a, 0 on the Cartan basis.
     """
 
     def __init__(self, rs: RootSystem):
@@ -74,10 +75,8 @@ class ChevalleyTable:
         )
         self.dimension = len(self.basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
-        up = tuple(tuple((k, c) for k, c in enumerate(a) if c) for a in pos)
-        self.weights: tuple[tuple[tuple[int, int], ...], ...] = (
-            ((),) * rs.rank + up + tuple(tuple((k, -c) for k, c in w) for w in up)
-        )
+        # root -> basis index of e_a; f_a sits len(pos) further on
+        self._e = {c: rs.rank + k for k, c in enumerate(pos)}
         # <a, a> on the integer form of rs: the invariant-form relations
         # only take ratios of norms
         self._norm2 = {r.coeffs: r.norm2 for r in rs.positive_roots}
@@ -88,15 +87,22 @@ class ChevalleyTable:
         # (i, j) -> sparse coords of [basis_i, basis_j]; filled on demand
         self.brackets: dict[tuple[int, int], dict[int, int]] = {}
 
+    def weigh(self, t) -> tuple[int, ...]:
+        """The torus element with simple-root values t on each basis vector:
+        one dot product per positive root a gives a(t) on e_a and -a(t) on
+        f_a; the Cartan vectors weigh 0."""
+        up = [sum(map(mul, a, t)) for a in self.positive]
+        return (0,) * self.rs.rank + tuple(up) + tuple([-x for x in up])
+
     # -- root-level helpers -------------------------------------------------
 
     def string_down_length(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """p = largest k >= 0 such that b - k*a is a root."""
         k = 0
-        probe = tuple(x - y for x, y in zip(b, a))
+        probe = tuple([x - y for x, y in zip(b, a)])
         while self.rs.is_root(probe):
             k += 1
-            probe = tuple(x - y for x, y in zip(probe, a))
+            probe = tuple([x - y for x, y in zip(probe, a)])
         return k
 
     def extraspecial_pair(self, g: tuple[int, ...]):
@@ -107,7 +113,7 @@ class ChevalleyTable:
             for a in self._by_height:
                 if 2 * sum(a) > ht:
                     break
-                rem = tuple(x - y for x, y in zip(g, a))
+                rem = tuple([x - y for x, y in zip(g, a)])
                 if rem in self.rs.positive_set:
                     got = (a, rem)
                     break
@@ -122,7 +128,7 @@ class ChevalleyTable:
         val = self._npp.get(key)
         if val is not None:
             return val
-        g = tuple(x + y for x, y in zip(a, b))
+        g = tuple([x + y for x, y in zip(a, b)])
         a1, b1 = self.extraspecial_pair(g)
         if (a, b) == (a1, b1):
             val = self.string_down_length(a1, b1) + 1
@@ -137,8 +143,8 @@ class ChevalleyTable:
             # N(a, b) = -<g,g> (<s,s> <b,b> N(a1,s) N(b,s)
             #           - <t,t> <a,a> N(a,t) N(a1,t)) / (den N(a1, b1))
             n2 = self._norm2
-            s = tuple(x - y for x, y in zip(a, a1))   # a - a1 = b1 - b
-            t = tuple(x - y for x, y in zip(b, a1))   # b - a1 = b1 - a
+            s = tuple([x - y for x, y in zip(a, a1)])   # a - a1 = b1 - b
+            t = tuple([x - y for x, y in zip(b, a1)])   # b - a1 = b1 - a
             total = 0
             if s in self.rs.positive_set:
                 total += n2[s] * n2[b] * self.n_constant(a1, s) * self.n_constant(b, s)
@@ -148,21 +154,6 @@ class ChevalleyTable:
             val, rem = divmod(-n2[g] * total, den)
             assert not rem, "structure constant must be integral"
         self._npp[key] = val
-        return val
-
-    def _n_mixed(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """N(a, -b) for positive roots a != b with a - b a root."""
-        n2 = self._norm2
-        diff = tuple(x - y for x, y in zip(a, b))
-        if diff in self.rs.positive_set:
-            # b + diff = a: N(a, -b) = -<diff,diff>/<a,a> N(b, diff)
-            num, den = -n2[diff] * self.n_constant(b, diff), n2[a]
-        else:
-            # a + neg = b: N(a, -b) = -<neg,neg>/<b,b> N(a, neg)
-            neg = tuple(-x for x in diff)
-            num, den = -n2[neg] * self.n_constant(a, neg), n2[b]
-        val, rem = divmod(num, den)
-        assert not rem, "structure constant must be integral"
         return val
 
     def coroot_coords(self, a: tuple[int, ...]) -> dict[int, int]:
@@ -180,50 +171,57 @@ class ChevalleyTable:
 
     def basis_bracket(self, i: int, j: int) -> dict[int, int]:
         """Sparse coordinates of [basis[i], basis[j]]."""
-        if i == j:
-            return {}
         got = self.brackets.get((i, j))
-        if got is not None:
-            return got
-        if j < i:
-            out = {k: -c for k, c in self.basis_bracket(j, i).items()}
-            self.brackets[(i, j)] = out
-            return out
-        out = self._compute_bracket(self.basis[i], self.basis[j])
-        self.brackets[(i, j)] = out
-        return out
+        if got is None:
+            if i == j:
+                return {}
+            if j < i:
+                got = {k: -c for k, c in self.basis_bracket(j, i).items()}
+            else:
+                got = self._compute_bracket(i, j)
+            self.brackets[(i, j)] = got
+        return got
 
-    def _compute_bracket(self, x: BasisElement, y: BasisElement) -> dict[int, int]:
-        rs, idx = self.rs, self.index
-        if x.kind == "h" and y.kind == "h":
+    def _compute_bracket(self, i: int, j: int) -> dict[int, int]:
+        """[basis[i], basis[j]] for i < j.  The basis runs h, e, f, so the
+        kind of basis[i] comes no later than that of basis[j]."""
+        rank, npos = self.rs.rank, len(self.positive)
+        if j < rank:
             return {}
-        if x.kind == "h":
-            c = rs.coroot_pairing(y.key, x.key)
+        b = self.positive[(j - rank) % npos]
+        j_is_e = j < rank + npos
+        if i < rank:  # [h_i, e_b] = <b, a_i^v> e_b, [h_i, f_b] = -<b, a_i^v> f_b
+            c = self.rs.coroot_pairing(b, i)
             if not c:
                 return {}
-            return {idx[y]: c if y.kind == "e" else -c}
-        if y.kind == "h":
-            return {k: -c for k, c in self._compute_bracket(y, x).items()}
-        a, b = x.key, y.key
-        if x.kind == y.kind:
-            s = tuple(p + q for p, q in zip(a, b))
-            if s not in self.rs.positive_set:
+            return {j: c if j_is_e else -c}
+        a = self.positive[(i - rank) % npos]
+        if (i < rank + npos) == j_is_e:
+            k = self._e.get(tuple([p + q for p, q in zip(a, b)]))
+            if k is None:
                 return {}
             n = self.n_constant(a, b)
-            if x.kind == "e":
-                return {idx[E(s)]: n}
-            return {idx[F(s)]: -n}
-        if x.kind == "f":  # [f_a, e_b] = -[e_b, f_a]
-            return {k: -c for k, c in self._compute_bracket(y, x).items()}
-        # [e_a, f_b]
+            return {k: n} if j_is_e else {k + npos: -n}
+        # [e_a, f_b] = N(a, -b) e_(a-b) or f_(b-a), when a - b is a root
         if a == b:
             return self.coroot_coords(a)
-        diff = tuple(p - q for p, q in zip(a, b))
-        if not self.rs.is_root(diff):
-            return {}
-        n = self._n_mixed(a, b)
-        target = E(diff) if diff in self.rs.positive_set else F(tuple(-c for c in diff))
-        return {idx[target]: n}
+        n2 = self._norm2
+        diff = tuple([p - q for p, q in zip(a, b)])
+        k = self._e.get(diff)
+        if k is not None:
+            # b + diff = a: N(a, -b) = -<diff,diff>/<a,a> N(b, diff)
+            num, den = -n2[diff] * self.n_constant(b, diff), n2[a]
+        else:
+            neg = tuple([-x for x in diff])
+            k = self._e.get(neg)
+            if k is None:
+                return {}
+            k += npos
+            # a + neg = b: N(a, -b) = -<neg,neg>/<b,b> N(a, neg)
+            num, den = -n2[neg] * self.n_constant(a, neg), n2[b]
+        val, rem = divmod(num, den)
+        assert not rem, "structure constant must be integral"
+        return {k: val}
 
     # -- brackets of elements -----------------------------------------------
 

@@ -6,11 +6,12 @@ the piece of the centralizer of f in degree -j lies in -j - 1 + {0, 1, 2, ...}.
 
 Both realizations (the Chevalley basis of an exceptional record, the
 symmetrized matrix units of a classical partition) are read through one
-graded operator, `_GradedOperator`: per basis vector a degree and an integer
-torus weight (signed root coefficients, resp. e_i - e_j), on which a torus
-element given by its coordinate values acts by the dot product; the columns
-[f, b_j] of ad(f), built on demand; the Cartan basis vectors with their
-torus coordinates; and whether f sits in a verified sl2-triple (e, h, f).
+graded operator, `_GradedOperator`: per basis vector a degree; the torus
+weights of all basis vectors at once, at a torus element given by its
+integer coordinate values (a(t) and -a(t) on e_a and f_a, resp. t_i - t_j
+on E_ij); the columns [f, b_j] of ad(f), built on demand; the Cartan basis
+vectors with their torus coordinates; and whether f sits in a verified
+sl2-triple (e, h, f).
 
 * `exact_condition` and `check_classical` read the evidence off the kernel
   slot table.  ad(f) maps the (degree d, torus weight mu) span into the
@@ -18,7 +19,10 @@ torus coordinates; and whether f sits in a verified sl2-triple (e, h, f).
   and for a partition alike the torus is v itself, so a slot is a pair
   (d, eigenvalue of v) and gives one evidence row.  On a verified triple
   each slot is counted (Kostant), reading only degrees and weights; without
-  one it takes one exact rank.
+  one it takes one exact rank.  A row is decided in integers: its degree
+  and eigenvalue are integer numerators over two positive denominators
+  fixed per table, so the rows sort and test admissibility on those
+  numerators, and each row's two Fractions are made once, for the output.
 
 * `fast_condition` looks only at the spectrum of ad(v) on the degree-0 and
   degree -1/2 blocks, which controls the spectrum everywhere else.  The only
@@ -105,38 +109,40 @@ class SearchConfig(NamedTuple):
     coefficient_bound: int = 4
 
 
-def _admissible(j: Fraction, lam: Fraction) -> bool:
-    t = lam + j + 1
-    return t.denominator == 1 and t >= 0
-
-
-def _verdict(rows, witnesses, method: str, slot_rule: str) -> ConditionVerdict:
-    rows = sorted(rows, key=lambda r: (r.j, r.eigenvalue))
+def _verdict(
+    slots, degree_den: int, den: int, witnesses, method: str, slot_rule: str
+) -> ConditionVerdict:
+    """The verdict on integer slots (d, n, mult): mult kernel vectors of
+    eigenvalue lam = n / den in degree j = -d / degree_den.  Both
+    denominators are positive, so (-d, n) sorts as (j, lam) does; a row is
+    admissible when lam + j + 1 = t / (den degree_den) is a nonnegative
+    integer, t = n degree_den - d den + den degree_den."""
+    scale = den * degree_den
+    rows = []
+    for d, n, mult in sorted(slots, key=lambda s: (-s[0], s[1])):
+        t = n * degree_den - d * den + scale
+        ok = t >= 0 and not t % scale
+        rows.append(EvidenceEntry(Fraction(-d, degree_den), Fraction(n, den), mult, ok))
     status = "pass" if all(r.admissible for r in rows) else "fail"
     return ConditionVerdict(status, tuple(rows), tuple(witnesses), method, slot_rule)
-
-
-def _dot(weight, t):
-    """A torus element t, given by its coordinate values, on a weight given
-    as sparse (coordinate, coefficient) pairs."""
-    return sum(c * t[k] for k, c in weight)
 
 
 class _GradedOperator(NamedTuple):
     """ad(f) on a graded basis b_0, b_1, ... on which a torus acts diagonally.
 
     b_i sits in degree degrees[i] / degree_den, integers over one even
-    denominator, so that degree -1/2 has a key as well; weights[i] is the
-    torus weight of b_i as sparse (coordinate, integer) pairs; column(j) is
-    [f, b_j] as {i: coefficient}, built on each call; cartan holds (i, torus
-    coordinates of b_i) per Cartan basis vector b_i; sl2 says that f sits
+    denominator, so that degree -1/2 has a key as well; weigh(t) is the
+    tuple of torus weights of all b_i at the torus element with integer
+    coordinate values t; column(j) is [f, b_j] as {i: coefficient}, built
+    on each call; cartan holds (i, torus coordinates of b_i) per Cartan
+    basis vector b_i; sl2 says that f sits
     in a verified sl2-triple (e, h, f), h giving the degrees, and that the
     torus centralizes it.
     """
 
     degrees: tuple[int, ...]
     degree_den: int
-    weights: tuple[tuple[tuple[int, int], ...], ...]
+    weigh: Callable[[list[int]], tuple[int, ...]]
     column: Callable[[int], dict[int, int | Fraction]]
     cartan: tuple[tuple[int, tuple], ...]
     sl2: bool
@@ -150,8 +156,8 @@ def _chevalley_operator(
 ) -> _GradedOperator:
     """The operator on the Chevalley basis.  The torus coordinates are the
     simple-root pairings a_i(.), so e_a has weight a and f_a weight -a, as
-    in `table.weights`; the degrees are the grading's.  triple is f's
-    sl2-triple on this grading from `complete_sl2`, or None; h^f
+    `table.weigh` evaluates them; the degrees are the grading's.  triple is
+    f's sl2-triple on this grading from `complete_sl2`, or None; h^f
     centralizes its e too, as e is the only partner of h and f.  A column
     of ad(f) is int when f's coefficients are, as a record's are."""
     a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
@@ -168,7 +174,7 @@ def _chevalley_operator(
 
     cartan = tuple((i, tuple(r[k] for r in a)) for k, i in enumerate(hk))
     return _GradedOperator(
-        grading.degree_nums, grading.degree_den, table.weights, column, cartan, triple is not None
+        grading.degree_nums, grading.degree_den, table.weigh, column, cartan, triple is not None
     )
 
 
@@ -212,18 +218,21 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
         return {k: x for k, x in out.items() if x}
 
     hd, den = _linalg.over_common(real.h_diag)
-    degrees, weights, cartan = [], [], []
+    degrees, cartan = [], []
     for k, elt in enumerate(basis):
         (i, j), _, _ = elt
         degrees.append(hd[i] - hd[j])
-        weights.append(((i, 1), (j, -1)) if i != j else ())
         if i == j:
             coords = [0] * real.size
             for a, _, c in _units(elt):
                 coords[a] = c
             cartan.append((k, tuple(coords)))
+
+    def weigh(t) -> tuple[int, ...]:
+        return tuple([t[i] - t[j] for ((i, j), _, _) in basis])
+
     return _GradedOperator(
-        tuple(degrees), 2 * den, tuple(weights), column, tuple(cartan), _classical_sl2(real)
+        tuple(degrees), 2 * den, weigh, column, tuple(cartan), _classical_sl2(real)
     )
 
 
@@ -235,18 +244,18 @@ def _group(op: _GradedOperator, torus: list) -> tuple[dict[tuple, list[int]], in
     flat, den = _linalg.over_common([x for t in torus for x in t])
     rows = iter(flat)
     ints = [[next(rows) for _ in t] for t in torus]
-    mus = [[sum([c * t[k] for k, c in w]) for w in op.weights] for t in ints]
+    mus = [op.weigh(t) for t in ints]
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(zip(op.degrees, zip(*mus))):
         groups.setdefault(key, []).append(i)
     return groups, den
 
 
-def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[Fraction, tuple, int]]:
+def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[int, tuple, int]]:
     """ker ad(f) split into the (degree, torus weight) slots of `_group`.
 
     Returns one (degree, weight, multiplicity) tuple per occupied slot, the
-    degree a Fraction.
+    degree as its numerator over op.degree_den.
 
     With op.sl2 the weight-mu spans form an sl2-module (h acts by 2d), so a
     slot holds dim g_(d, mu) - dim g_(d-1, mu) at d <= 0 and none at d > 0;
@@ -260,18 +269,16 @@ def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[Fraction, tup
         else:
             mult = len(src) - _linalg.rank(_linalg.block(op.column, src, dst))
         if mult:
-            slots.append((Fraction(d, op.degree_den), mu, mult))
+            slots.append((d, mu, mult))
     return slots
 
 
 def _slot_verdict(op: _GradedOperator, groups: dict, den: int) -> ConditionVerdict:
     """One evidence row per occupied slot of `_group`'s table with v alone
-    as the torus: slot (d, (n,)) holds eigenvalue n / den in degree j = -d."""
-    rows = []
-    for d, (n,), mult in _kernel_slots(op, groups):
-        lam = Fraction(n, den)
-        rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
-    return _verdict(rows, (), "exact", "counting" if op.sl2 else "rank")
+    as the torus: slot (d, (n,)) holds eigenvalue n / den in degree
+    j = -d / op.degree_den."""
+    slots = [(d, n, mult) for d, (n,), mult in _kernel_slots(op, groups)]
+    return _verdict(slots, op.degree_den, den, (), "exact", "counting" if op.sl2 else "rank")
 
 
 def _self_contragredient(op: _GradedOperator) -> bool:
@@ -296,15 +303,10 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     # negative part is minus its trace on the positive part and needs no row
     # of its own.  A basis vector of nonzero weight shifts every weight, so
     # only Cartan vectors enter the trace, acting on b_j by weight_j.
-    positive: dict[int, int] = {}
-    for d, w in zip(op.degrees, op.weights):
-        if d > 0:
-            for k, c in w:
-                positive[k] = positive.get(k, 0) + c
     col = {i: c for c, i in enumerate(g0)}
     row = [0] * len(g0)
     for i, coords in op.cartan:
-        row[col[i]] = _dot(positive.items(), coords)
+        row[col[i]] = sum([w for d, w in zip(op.degrees, op.weigh(coords)) if d > 0])
     return _linalg.rank(m + [row]) == _linalg.rank(m)
 
 
@@ -351,29 +353,33 @@ def fast_condition(
     op = _chevalley_operator(table, grading, f, triple)
     groups, den = _group(op, [v.pairings])
 
-    rows: list[EvidenceEntry] = []
+    D = op.degree_den
+    scale = den * D
+    defects: list[tuple[int, int, int]] = []
     witnesses: list[FallbackWitness] = []
 
-    def analyze(d: int, boundary: Fraction) -> bool:
-        """One graded block, degree d / op.degree_den; returns False when the
-        hand-off is needed."""
-        special = boundary - 1  # -2 on the integer block, -5/2 on the half block
+    def analyze(d: int) -> bool:
+        """One graded block, degree d / D, j = -d / D; returns False when
+        the hand-off is needed.  Eigenvalue lam = n / den there is tame when
+        lam + j + 1 = t / scale is an integer >= 0, as in `_verdict`; the
+        one extra injectivity-resolvable value is t / scale = -1, and
+        lam = j + 2 gets the same treatment."""
         for n in sorted({n for (dd, (n,)) in groups if dd == d}):
-            lam = Fraction(n, den)
+            t = n * D - d * den + scale
             # off the tame lattice, or below its one resolvable value
-            if (lam - boundary).denominator != 1 or lam < special:
+            if t % scale or t < -scale:
                 return False
-            if lam not in (special, -special):
+            if t != -scale and n * D != (2 * D - d) * den:
                 continue
             # rank defect of ad(f) on the (d, lam) eigenspace; witnesses
             # (each image's support) when it is injective
             src = groups[(d, (n,))]
-            m = _linalg.block(op.column, src, groups.get((d - op.degree_den, (n,)), []))
+            m = _linalg.block(op.column, src, groups.get((d - D, (n,)), []))
             defect = len(src) - _linalg.rank(m)
             if defect:
-                j = Fraction(-d, op.degree_den)
-                rows.append(EvidenceEntry(j, lam, defect, _admissible(j, lam)))
+                defects.append((d, n, defect))
                 continue
+            lam = Fraction(n, den)
             for i in src:
                 support = sorted(
                     (table.basis[k] for k in op.column(i)), key=lambda b: (b.kind, b.key)
@@ -384,11 +390,11 @@ def fast_condition(
     # degree 0: tame eigenvalues are the integers >= -1, the one extra
     # injectivity-resolvable value is -2 (and +2 gets the same treatment);
     # degree -1/2: shift everything down by a half.
-    if not (analyze(0, Fraction(-1)) and analyze(-op.degree_den // 2, Fraction(-3, 2))):
+    if not (analyze(0) and analyze(-D // 2)):
         return _slot_verdict(op, groups, den)
 
     witnesses.sort(key=lambda w: (w.eigenvalue, w.element.kind, w.element.key))
-    return _verdict(rows, witnesses, "fast", "none")
+    return _verdict(defects, D, den, witnesses, "fast", "none")
 
 
 def h0f_space(table: liealg.ChevalleyTable, f: liealg.Element) -> list[CartanElement]:
@@ -436,14 +442,13 @@ def search_v(
     basis = _hf_basis(table, f)
     if not basis:
         return NOT_FOUND
-    # slot (d, mu) is admissible at v iff t = mu(v) + 1 - d is a
-    # nonnegative integer; with 1 - d = p/q and mu(v) = s/den that is
-    # s*q + den*p being a nonnegative multiple of den*q
+    # slot (d, mu) is admissible at v iff t = mu(v) + 1 - d / q is a
+    # nonnegative integer, q = op.degree_den; with 1 - d / q = p / q and
+    # mu(v) = s / den that is s*q + den*p being a nonnegative multiple of
+    # den*q
     op = _chevalley_operator(table, grading, f, triple)
-    checks = [
-        (mu, (1 - d).numerator, (1 - d).denominator)
-        for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])
-    ]
+    q = op.degree_den
+    checks = [(mu, q - d) for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])]
 
     B = config.coefficient_bound
     # (reduced denominator, numerators) orders exactly as (lcm, v) does
@@ -452,7 +457,7 @@ def search_v(
         for ks in product(range(-B, B + 1), repeat=len(basis)):
             if not any(ks):
                 continue
-            for mu, p, q in checks:
+            for mu, p in checks:
                 n = sum(k * m for k, m in zip(ks, mu)) * q + den * p
                 if n < 0 or n % (den * q):
                     break

@@ -9,6 +9,10 @@ The Cartan matrix convention is ``a[i][j] = 2<a_i, a_j> / <a_j, a_j>``, i.e.
 The invariant form is held once, as the integer form, short roots of norm 2:
 the half norms d_i = <a_i, a_i>/2 give <a_i, a_j> = d_j a[i][j], and every
 positive root carries its norm <b, b> from the root-string closure.
+The closure runs on integer-coded roots: b = sum c_i a_i is the integer
+sum c_i R^i with R = 8.  No root coefficient exceeds 6 (E8), so no digit
+of a root's code reaches R - 1; adding a simple root never carries, and a
+downward probe that borrows lands on a digit R - 1, which no root has.
 """
 from __future__ import annotations
 
@@ -187,31 +191,48 @@ class RootSystem(NamedTuple):
         return sum(c * self.cartan_matrix[j][i] for j, c in enumerate(coeffs) if c)
 
 
+# radix of the root codes (module docstring): any R >= 8 keeps every digit
+# of a root's code below R - 1
+_R = 8
+
+
 def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int, ...], int]:
     """Closure of the simple roots under root-string addition, as {root:
     <b, b>}: each step b -> b + a_i carries the norm along as
-    <b, b> + 2 d_i (<b, a_i^v> + 1)."""
+    <b, b> + 2 d_i (<b, a_i^v> + 1), and the coroot pairings <b, a_j^v> as
+    a vector that gains row i of the Cartan matrix.  Roots are held by
+    their integer codes (see _R) and decoded once at the end."""
     n = len(cartan)
-    columns = [tuple(row[i] for row in cartan) for i in range(n)]
-    known = {tuple(int(i == j) for j in range(n)): 2 * d[i] for i in range(n)}
-    level = list(known)
+    steps = [_R ** i for i in range(n)]
+    norm = {steps[i]: 2 * d[i] for i in range(n)}
+    pairings = {steps[i]: cartan[i] for i in range(n)}
+    level = steps
     while level:
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: dict[int, int] = {}
         for beta in level:
-            for i, column in enumerate(columns):
-                # p = how far the string extends downward from beta along a_i
-                head, x, tail = beta[:i], beta[i], beta[i + 1:]
-                p = 0
-                while head + (x - p - 1,) + tail in known:
-                    p += 1
-                q = sum(b * c for b, c in zip(beta, column) if b)
-                if p > q:
-                    up = head + (x + 1,) + tail
-                    if up not in known:
-                        nxt[up] = known[beta] + 2 * d[i] * (q + 1)
-        known.update(nxt)
-        level = sorted(nxt)
-    return known
+            q_beta = pairings[beta]
+            for i, step in enumerate(steps):
+                up = beta + step
+                if up in norm or up in nxt:
+                    continue
+                # b + a_i is a root iff the string through b along a_i
+                # reaches more than q = <b, a_i^v> steps below b
+                q = q_beta[i]
+                probe = beta - step
+                while q >= 0 and probe in norm:
+                    q -= 1
+                    probe -= step
+                if q < 0:
+                    nxt[up] = norm[beta] + 2 * d[i] * (q_beta[i] + 1)
+                    pairings[up] = [x + y for x, y in zip(q_beta, cartan[i])]
+        norm.update(nxt)
+        level = list(nxt)
+    out = {}
+    for code, b in norm.items():
+        digits = tuple([code // step % _R for step in steps])
+        assert max(digits) < _R - 1, "a root coefficient reached the code radix"
+        out[digits] = b
+    return out
 
 
 def _build(st: SimpleType) -> RootSystem:

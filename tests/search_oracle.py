@@ -32,10 +32,10 @@ def search_v(table, grading, f, config: SearchConfig = SearchConfig(), triple=No
     if not basis:
         return NOT_FOUND
     op = _chevalley_operator(table, grading, f, triple)
-    checks = [
-        (mu, (1 - d).numerator, (1 - d).denominator)
-        for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])
-    ]
+    checks = []
+    for d, mu, _ in _kernel_slots(op, _group(op, basis)[0]):
+        t = 1 - Fraction(d, op.degree_den)
+        checks.append((mu, t.numerator, t.denominator))
     B = config.coefficient_bound
     candidates = {}
     for den in range(1, config.denominator_bound + 1):

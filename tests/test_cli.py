@@ -1257,13 +1257,40 @@ print(code, count)
 
 def test_report_all_makes_few_fractions():
     """The exceptional pipeline holds integers from the structure constants
-    to the slot table and makes a Fraction only for a real rational or for
-    output: 4,002 per `report --all` in a fresh process, against 24,126
-    with Fraction constants, degrees and pairings.  The bound allows half
-    again."""
-    out = fresh_python("-c", FRACTION_COUNT_PROBE, json.dumps(["report", "--all"]))
-    code, count = map(int, out.stdout.split())
-    assert code == 0 and count <= 6000, count
+    to the evidence rows and makes a Fraction only for a real rational or
+    for output: 2,115 per `report --all` in a fresh process, against 3,566
+    with each row decided in Fractions and 24,126 with Fraction constants,
+    degrees and pairings.  `check-classical` on the bench C partition makes
+    181, against 369.  Each bound allows about half again and fails with
+    rows decided in Fractions."""
+    for argv, bound in [
+        (["report", "--all"], 3000),
+        (["check-classical", "--family", "C", "--partition", "13,13,10,10,6,4,2,2"], 270),
+    ]:
+        out = fresh_python("-c", FRACTION_COUNT_PROBE, json.dumps(argv))
+        code, count = map(int, out.stdout.split())
+        assert code == 0 and count <= bound, (argv, count)
+
+
+BRACKETS_CACHED_PROBE = """
+from wrat import cli, liealg, orbits, rootsys
+cli._report_rows()
+tables = {}
+for rec in orbits.load_records():
+    table = liealg.build_chevalley(rootsys.build(rec.algebra))
+    tables[id(table)] = table
+print(sum(len(t.brackets) for t in tables.values()))
+"""
+
+
+def test_report_rows_cache_the_traced_brackets():
+    """The basis brackets a cold `report --all` caches, summed over its
+    Chevalley tables: the figure `bench/tracer.py` reports as
+    `liealg.brackets_cached`.  A change to what `table.brackets` stores
+    shows up here, not as a silent move in that counter."""
+    out = fresh_python("-c", BRACKETS_CACHED_PROBE)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == 2897
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from wrat.orbits import ClassicalPartition, InvalidPartition, build_classical, l
 from wrat.ratcheck import (
     _chevalley_operator,
     _classical_operator,
-    _dot,
     _self_contragredient,
     realize_record,
     verify_self_contragredient,
@@ -94,8 +93,10 @@ def assert_functionals_match(op, g0, pair, pos, neg):
     appending it never raises the rank.  Returns whether that row is
     nonzero, so callers can tell that the rank test had something to see."""
     assert neg == [-x for x in pos]
-    positive = [w for w, d in zip(op.weights, op.degrees) if d > 0]
-    cartan = {i: sum(_dot(w, coords) for w in positive) for i, coords in op.cartan}
+    cartan = {
+        i: sum(w for w, d in zip(op.weigh(coords), op.degrees) if d > 0)
+        for i, coords in op.cartan
+    }
     assert {i: x for i, x in zip(g0, pos) if x or i in cartan} == cartan
     m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -op.degree_den])
     assert len(rref(m + [pair])[1]) == len(rref(m)[1])

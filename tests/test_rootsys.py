@@ -7,6 +7,9 @@ from wrat.rootsys import (
     CartanElement,
     IllegalType,
     SimpleType,
+    _cartan_matrix,
+    _enumerate_positive,
+    _half_norms,
     build,
     cartan_solve,
     is_admissible_level,
@@ -27,6 +30,62 @@ NORM_TYPES = sorted(
     {f"{f}{n}" for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for n in range(lo, 9)}
     | set(FAMILIES)
 )
+
+
+# every type through rank 9 that the coded closure must match
+CLOSURE_TYPES = (
+    [("A", n) for n in range(1, 10)]
+    + [(f, n) for f in "BC" for n in range(2, 10)]
+    + [("D", n) for n in range(4, 10)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def positive_root_count(family: str, n: int) -> int:
+    counts = {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}
+    if family == "A":
+        return n * (n + 1) // 2
+    if family in "BC":
+        return n * n
+    if family == "D":
+        return n * (n - 1)
+    return counts[f"{family}{n}"]
+
+
+def tuple_closure(cartan, d):
+    """The root-string closure on coefficient tuples, as {root: <b, b>}:
+    every probe is a tuple hashed against the roots found so far, and the
+    coroot pairing <b, a_i^v> is summed afresh at every step."""
+    n = len(cartan)
+    columns = [tuple(row[i] for row in cartan) for i in range(n)]
+    known = {tuple(int(i == j) for j in range(n)): 2 * d[i] for i in range(n)}
+    level = list(known)
+    while level:
+        nxt = {}
+        for beta in level:
+            for i, column in enumerate(columns):
+                head, x, tail = beta[:i], beta[i], beta[i + 1:]
+                p = 0
+                while head + (x - p - 1,) + tail in known:
+                    p += 1
+                q = sum(b * c for b, c in zip(beta, column))
+                up = head + (x + 1,) + tail
+                if p > q and up not in known:
+                    nxt[up] = known[beta] + 2 * d[i] * (q + 1)
+        known.update(nxt)
+        level = sorted(nxt)
+    return known
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_TYPES, ids=[f"{f}{n}" for f, n in CLOSURE_TYPES])
+def test_coded_closure_matches_tuple_closure(family, rank):
+    """The integer-coded closure gives the tuple closure's roots and norms,
+    and the classification's number of positive roots."""
+    st = SimpleType(family, rank)
+    cartan, d = _cartan_matrix(st), _half_norms(st)
+    got = _enumerate_positive(cartan, d)
+    assert got == tuple_closure(cartan, d)
+    assert len(got) == positive_root_count(family, rank)
 
 
 def test_parse_and_str():

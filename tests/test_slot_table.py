@@ -14,31 +14,48 @@ torus of its slot table: ranked without a triple, counted with one.
 `search_v` groups once per f by (degree, h^f-weight) and reads each
 candidate v off those finer slots.  Summing the h^f slots by (j, eigenvalue
 of v) must give `exact_condition`'s evidence rows for every v in h^f.
+
+The package decides each row in integers (degree and eigenvalue numerators
+over two denominators fixed per table); the oracles here make every degree
+and eigenvalue a Fraction, sort on Fractions and test admissibility with
+`_admissible`, one Fraction sum per row.  The same check runs on the matrix
+realizations of so/sp partitions, with their own v and with v = 0.
 """
 import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from contragredient_oracle import ad_block
+from contragredient_oracle import _ad_f, ad_block, dense
 from linalg_oracle import rref
-from wrat.orbits import load_records
+from test_contragredience import legal_partitions
+from wrat.orbits import build_classical, classical_basis, load_records
 from wrat.ratcheck import (
     EvidenceEntry,
-    _admissible,
     _chevalley_operator,
+    _classical_operator,
     _group,
     _hf_basis,
     _kernel_slots,
+    _slot_verdict,
+    check_classical,
     exact_condition,
+    fast_condition,
     realize_record,
 )
 from wrat.rootsys import CartanElement, pairing
 
 RECORDS = load_records()
 IDS = [f"{rec.algebra}-{rec.label}" for rec in RECORDS]
+
+
+def _admissible(j: Fraction, lam: Fraction) -> bool:
+    """The condition on one row, in Fractions: lam + j + 1 is a
+    nonnegative integer."""
+    t = lam + j + 1
+    return t.denominator == 1 and t >= 0
 
 
 def eigenvalue(table, i, v):
@@ -50,21 +67,50 @@ def eigenvalue(table, i, v):
     return val if b.kind == "e" else -val
 
 
-def blockwise_condition(table, grading, f, v):
-    """(status, evidence rows) from one rank per (degree, eigenvalue) block."""
-    blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i in range(table.dimension):
-        blocks.setdefault((grading.degrees[i], eigenvalue(table, i, v)), []).append(i)
+def fraction_verdict(blocks, ad):
+    """(status, evidence rows) from one rank per (degree, eigenvalue) block,
+    given the blocks keyed by Fraction (degree, eigenvalue) and ad(src, dst),
+    the matrix of ad(f) between two blocks."""
     rows = []
     for (d, lam), src in blocks.items():
         dst = blocks.get((d - 1, lam), [])
-        m = ad_block(table, f, tuple(src), tuple(dst))
-        mult = len(src) - len(rref(m)[1])
+        mult = len(src) - len(rref(ad(src, dst))[1])
         if mult:
             rows.append(EvidenceEntry(-d, lam, mult, _admissible(-d, lam)))
     rows.sort(key=lambda r: (r.j, r.eigenvalue))
     status = "pass" if all(r.admissible for r in rows) else "fail"
     return status, tuple(rows)
+
+
+def blockwise_condition(table, grading, f, v):
+    """`fraction_verdict` on the Chevalley basis."""
+    blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for i in range(table.dimension):
+        blocks.setdefault((grading.degrees[i], eigenvalue(table, i, v)), []).append(i)
+    return fraction_verdict(blocks, lambda src, dst: ad_block(table, f, tuple(src), tuple(dst)))
+
+
+def blockwise_classical(real):
+    """`fraction_verdict` on the symmetrized matrix units: E_ij + c E_i'j'
+    sits in degree (h_i - h_j) / 2 with eigenvalue v_i - v_j, and [f, B] is
+    read at the representatives from the dense f (`contragredient_oracle`)."""
+    h, v = real.h_diag, real.v_diag
+    f = dense(real, real.f)
+    blocks: dict[tuple[Fraction, Fraction], list] = {}
+    for elt in classical_basis(real):
+        (i, j), _, _ = elt
+        blocks.setdefault((Fraction(h[i] - h[j], 2), Fraction(v[i] - v[j])), []).append(elt)
+
+    def ad(src, dst):
+        row_of = {elt[0]: r for r, elt in enumerate(dst)}
+        m = [[Fraction(0)] * len(src) for _ in dst]
+        for c, elt in enumerate(src):
+            for pos, x in _ad_f(f, elt).items():
+                if pos in row_of:
+                    m[row_of[pos]][c] = x
+        return m
+
+    return fraction_verdict(blocks, ad)
 
 
 @functools.cache
@@ -75,10 +121,12 @@ def realized(k):
 
 @functools.cache
 def hf_slots(k):
-    """The (degree, h^f-weight, multiplicity) slots `search_v` checks."""
+    """The (degree, h^f-weight, multiplicity) slots `search_v` checks, the
+    degree as a Fraction."""
     table, grading, f, triple, basis = realized(k)
     op = _chevalley_operator(table, grading, f, triple)
-    return _kernel_slots(op, _group(op, basis)[0])
+    slots = _kernel_slots(op, _group(op, basis)[0])
+    return [(Fraction(d, op.degree_den), mu, mult) for d, mu, mult in slots]
 
 
 def draw_v(data, table, basis):
@@ -132,3 +180,69 @@ def test_hf_slots_summed_at_v_equal_exact_evidence(k, data):
     got = exact_condition(table, grading, f, v, triple)
     assert {(r.j, r.eigenvalue): r.multiplicity for r in got.evidence} == mults
     assert all(r.admissible == _admissible(r.j, r.eigenvalue) for r in got.evidence)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_rows_match_the_fraction_oracle(data):
+    """The slot table's rows, their order, admissibility and status, counted
+    and ranked, equal the Fraction oracle's for a record and a v drawn from
+    h^f (most of which make `fast_condition` hand off) or the record's own
+    v.  The fast route agrees on the status; it hands off to the same rows,
+    or gives some of them as its defect rows, in the same order."""
+    k = data.draw(st.integers(0, len(RECORDS) - 1), label="record")
+    table, grading, f, triple, basis = realized(k)
+    if data.draw(st.booleans(), label="own v"):
+        v = RECORDS[k].v
+    else:
+        v, _, _ = draw_v(data, table, basis)
+    want = blockwise_condition(table, grading, f, v)
+    op = _chevalley_operator(table, grading, f, triple)
+    for o in (op, op._replace(sl2=False)):
+        got = _slot_verdict(o, *_group(o, [v.pairings]))
+        assert (got.status, got.evidence) == want
+    fast = fast_condition(table, grading, f, v, triple)
+    event(f"fast route: {fast.method}")
+    assert fast.status == want[0]
+    if fast.method == "exact":
+        assert fast.evidence == want[1]
+    else:
+        rows = list(fast.evidence)
+        assert set(rows) <= set(want[1])
+        assert rows == sorted(rows, key=lambda r: (r.j, r.eigenvalue))
+
+
+CLASSICAL = legal_partitions(range(1, 11))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(CLASSICAL), st.booleans())
+def test_classical_integer_rows_match_the_fraction_oracle(partition, v_zero):
+    """`check_classical`'s rows against the Fraction oracle on the matrix
+    realization, with the partition's own v or with v = 0 (`--v-zero`),
+    counted and ranked."""
+    real = build_classical(partition)
+    if v_zero:
+        real = real._replace(v_diag=(Fraction(0),) * real.size)
+    want = blockwise_classical(real)
+    got = check_classical(real)
+    assert (got.status, got.evidence) == want
+    op = _classical_operator(real)._replace(sl2=False)
+    ranked = _slot_verdict(op, *_group(op, [real.v_diag]))
+    assert (ranked.status, ranked.evidence) == want
+
+
+@pytest.mark.parametrize("name", ["G2 A1~", "E6 3A1"])
+@pytest.mark.parametrize("k", [3, -3])
+def test_fast_route_hands_off_below_its_resolvable_value(name, k):
+    """At v = k/2 times the first primitive h^f vector, degree 0 holds the
+    eigenvalue -3, below -2, the one value an injectivity check resolves
+    there; a kernel vector sits in that slot.  The fast route must hand
+    off and fail with the exact route."""
+    (idx,) = [i for i, rec in enumerate(RECORDS) if f"{rec.algebra} {rec.label}" == name]
+    table, grading, f, triple, basis = realized(idx)
+    v = CartanElement(tuple(Fraction(k * x, 2) for x in basis[0]))
+    fast = fast_condition(table, grading, f, v, triple)
+    assert (fast.method, fast.status) == ("exact", "fail")
+    assert (fast.status, fast.evidence) == blockwise_condition(table, grading, f, v)
+    assert EvidenceEntry(Fraction(0), Fraction(-3), 1, False) in fast.evidence
