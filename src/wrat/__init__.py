@@ -31,6 +31,7 @@ _PUBLIC = {
     "check_classical": "ratcheck",
     "check_record": "ratcheck",
     "complete_sl2": "grading",
+    "evaluate": "frobenius",
     "exact_condition": "ratcheck",
     "fast_condition": "ratcheck",
     "grade": "grading",

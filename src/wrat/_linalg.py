@@ -23,11 +23,6 @@ Matrix = list[list[Fraction]]
 Pivots = dict[int, dict[int, int]]
 
 
-def mat(rows) -> Matrix:
-    """A fresh Fraction matrix; Fraction entries are kept, others converted."""
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
-
-
 def zeros(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
 

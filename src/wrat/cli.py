@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import frobenius as fr, grading, orbits, ratcheck, rootsys
-from ._serde import rat_to_json, ratio_to_json
+from ._serde import rat_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -176,9 +176,8 @@ def _cmd_verify_contragredient(args) -> int:
 
 
 def _series_json(series: fr.VectorSeries) -> list:
-    """The coefficients of series as `poly_to_json` writes them, read from
-    their integer forms."""
-    return [[[ratio_to_json(c, den) for c in nums] for nums, den in vec] for vec in series.forms]
+    """The coefficients of series, each Form written by `poly_to_json`."""
+    return [[fr.poly_to_json(x) for x in vec] for vec in series.forms]
 
 
 def _cmd_frobenius(args) -> int:

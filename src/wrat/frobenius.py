@@ -1,15 +1,19 @@
 """Power-series solutions of regular-singular systems q (d/dq) u = A(z, q) u + f.
 
 A is an ell x ell matrix whose q-coefficients have polynomial entries in an
-auxiliary parameter z; everything is exact.  Each series coefficient is held
-once, as a `Form`: integer numerators over one denominator, in lowest terms,
-which the integer kernel `_kernel` reads and the CLI prints directly.
-`VectorSeries.coeffs` is their Fraction view.  Two independent routes
-compute the solution:
+auxiliary parameter z; everything is exact.  Every polynomial is a `Form`,
+integer numerators over one denominator in lowest terms, from the JSON read
+by `poly_from_json` to the JSON written by `poly_to_json`: A's terms, f, the
+seeds and each series coefficient, held once.  The integer kernel `_kernel`
+does all their arithmetic and `_majorant` all their bounds.  The Fraction
+view `Poly` is only `VectorSeries.coeffs`, the two float sites and the
+linearized error path of the seed check.  Two independent routes compute
+the solution:
 
 * `recursion_solve` peels coefficients off the defining relation
   [n I - A_0(z)] u_n = f_n + sum_{m<n} A_{n-m} u_m, validating the supplied
-  seed coefficients at the resonant indices n < N and solving exactly above.
+  seed coefficients at the resonant indices n < N (their `_defect`, the
+  residual's step, must vanish) and solving exactly above.
   chi(lam) = det(lam I - A_0) and adj(lam I - A_0) are expanded once per call
   (Faddeev-LeVerrier), and u_n = adj(nI - A_0) b_n / chi(n) by exact division
   in Q[z].  This agrees with solving for u_n as a linear system over its
@@ -28,12 +32,13 @@ Logarithmic solutions (nilpotent monodromy) are layered: the coefficient of
 an inhomogeneity fed by layer k+1, solved from the top layer down.
 
 Majorant convention: a polynomial p contributes sum_m |c_m| eps^m where the
-c_m are its Taylor coefficients at the rational expansion center z0, and a
-q-series weighs coefficient n by delta^n, so every bound is a Fraction.  A
-complex center a + ib is certified on the real disc |z - a| <= eps + |b|,
-which contains its disc: the Taylor coefficients c_t at a + ib satisfy
-sum_t |c_t| eps^t <= sum_m |q_m| (eps + |b|)^m for q(w) = p(a + w), so
-`system_from_json` folds [a, b] into z0 = a and epsilon + |b|.
+c_m are its Taylor coefficients at the rational expansion center z0, summed
+in integers, and a q-series weighs coefficient n by delta^n, so every bound
+is a Fraction.  A complex center a + ib is certified on the real disc
+|z - a| <= eps + |b|, which contains its disc: the Taylor coefficients c_t
+at a + ib satisfy sum_t |c_t| eps^t <= sum_m |q_m| (eps + |b|)^m for
+q(w) = p(a + w), so `system_from_json` folds [a, b] into z0 = a and
+epsilon + |b|.
 """
 from __future__ import annotations
 
@@ -42,9 +47,9 @@ from math import comb, floor, gcd, lcm
 from typing import Mapping, NamedTuple
 
 from . import _linalg
-from ._serde import rat_from_json, rat_to_json
+from ._serde import rat_from_json, ratio_to_json
 
-Poly = tuple[Fraction, ...]  # coefficients, constant term first, no trailing zeros
+Poly = tuple[Fraction, ...]  # the Fraction view of a Form: `VectorSeries.coeffs`, `p_eval`
 
 
 class Form(NamedTuple):
@@ -99,14 +104,8 @@ class OutOfRadius(ValueError):
 # -- polynomial helpers ------------------------------------------------------
 
 
-def p_trim(p) -> Poly:
-    """p as a Poly: where input enters, each coefficient made a Fraction."""
-    return _dot([(([1], 1), _ints([Fraction(c) for c in p]))])
-
-
-# p as integer numerators over the least common denominator
-_ints = _linalg.over_common
-_ONE = ([1], 1)
+_ONE = Form([1], 1)
+_ZERO = Form([], 1)
 
 
 def _reduced(nums: list[int], den: int) -> Form:
@@ -120,19 +119,15 @@ def _reduced(nums: list[int], den: int) -> Form:
 
 
 def _form(p) -> Form:
-    """A Poly (or int coefficients) as a Form; a Form is returned as it is."""
-    return p if type(p) is Form else _reduced(*_ints(p))
+    """p as a Form: a Form as it is, or a sequence of ints and Fractions,
+    constant term first, where input enters."""
+    return p if type(p) is Form else _reduced(*_linalg.over_common(p))
 
 
 def _poly(form) -> Poly:
     """The Fraction view of (numerators, denominator)."""
     nums, den = form
     return tuple(Fraction(c, den) for c in nums)
-
-
-def _dot(pairs) -> Poly:
-    """`_kernel` as a Poly: each output coefficient becomes one Fraction."""
-    return _poly(_kernel(pairs))
 
 
 def _kernel(pairs) -> tuple[list[int], int]:
@@ -153,14 +148,6 @@ def _kernel(pairs) -> tuple[list[int], int]:
     while out and not out[-1]:
         out.pop()
     return out, den
-
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    return _dot([(([1], 1), _ints(a)), (([1], 1), _ints(b))])
-
-
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return _dot([(([1], 1), _ints(a)), (([-1], 1), _ints(b))])
 
 
 def _divmod(a, b) -> tuple[Form, Form]:
@@ -188,60 +175,40 @@ def p_eval(p: Poly, x):
     return out
 
 
-def p_shift(p: Poly, z0: Fraction) -> Poly:
-    """Coefficients of p(z0 + w) as a polynomial in w (binomial expansion)."""
-    out = [Fraction(0)] * len(p)
-    for m, c in enumerate(p):
-        if not c:
-            continue
-        zp = Fraction(1)
-        for k in range(m + 1):
-            out[m - k] += comb(m, k) * c * zp
-            zp *= z0
-    return tuple(out)
-
-
-def p_majorant(p: Poly, eps: Fraction, z0: Fraction) -> Fraction:
-    """sum_t |c_t| eps^t for the Taylor coefficients of p at z0."""
-    return sum((abs(c) * eps**t for t, c in enumerate(p_shift(p, z0))), Fraction(0))
-
-
 # -- series containers -------------------------------------------------------
 
 
 class _Series(NamedTuple):
     ell: int
-    terms: dict[int, list[list[Poly]]]
+    terms: dict[int, list[list[Form]]]
 
 
 class AnalyticMatrixSeries(_Series):
     """A(z, q) = sum_n A_n(z) q^n with polynomial-in-z entries; building one
-    trims every entry and drops the zero A_n."""
+    makes every entry a Form and drops the zero A_n."""
 
     __slots__ = ()
 
-    def __new__(cls, ell: int, terms: dict[int, list[list[Poly]]]):
+    def __new__(cls, ell: int, terms: dict[int, list[list]]):
         clean = {}
         for n, m in terms.items():
-            mm = [[p_trim(e) for e in row] for row in m]
-            if any(any(e for e in row) for row in mm):
-                clean[int(n)] = mm
+            forms = [[_form(e) for e in row] for row in m]
+            if any(e.nums for row in forms for e in row):
+                clean[int(n)] = forms
         return super().__new__(cls, ell, clean)
 
-    def a0(self) -> list[list[Poly]]:
-        return self.terms.get(0, [[() for _ in range(self.ell)] for _ in range(self.ell)])
+    def a0(self) -> list[list[Form]]:
+        return self.terms.get(0, [[_ZERO] * self.ell for _ in range(self.ell)])
 
-    def term(self, n: int) -> list[list[Poly]] | None:
+    def term(self, n: int) -> list[list[Form]] | None:
         return self.terms.get(n)
 
     def shifted(self, h: Fraction) -> "AnalyticMatrixSeries":
         """Replace A_0 by A_0 - h I (for the exponent-shifted recursion)."""
-        a0 = [row[:] for row in self.a0()]
+        a0, minus_h = [row[:] for row in self.a0()], ([-h.numerator], h.denominator)
         for i in range(self.ell):
-            a0[i][i] = p_add(a0[i][i], (-Fraction(h),))
-        terms = dict(self.terms)
-        terms[0] = a0
-        return AnalyticMatrixSeries(self.ell, terms)
+            a0[i][i] = _reduced(*_kernel([(_ONE, a0[i][i]), (minus_h, _ONE)]))
+        return AnalyticMatrixSeries(self.ell, {**self.terms, 0: a0})
 
     def majorant_norm(self, domain: "DomainParams"):
         """C = sum_n (sum_ij maj(A_n[i][j])) delta^n: the constant controlling
@@ -277,9 +244,28 @@ class DomainParams(NamedTuple):
     delta: Fraction
 
 
-def _majorant(polys, domain: DomainParams):
-    """sum of maj(p) over the polynomials of one block."""
-    return sum(p_majorant(p, domain.epsilon, domain.z0) for p in polys)
+def _majorant(forms, domain: DomainParams) -> Fraction:
+    """sum_t |c_t| eps^t over the Taylor coefficients c_t at z0 of each
+    polynomial of one block, summed in integers into one Fraction.  With
+    z0 = zn/zd and eps = en/ed, a polynomial nums/d of degree top has
+    d zd^top c_t = sum_{m >= t} nums[m] C(m, t) zn^(m-t) zd^(top-m+t) (at
+    z0 = 0 the shift is the identity and is skipped), and its majorant is
+    sum_t |d zd^top c_t| en^t ed^(top-t) over d zd^top ed^top."""
+    zn, zd = domain.z0.numerator, domain.z0.denominator
+    en, ed = domain.epsilon.numerator, domain.epsilon.denominator
+    parts = []
+    for nums, d in forms:
+        if not nums:
+            continue
+        top = len(nums) - 1
+        if zn:
+            nums = [sum(a * comb(m, t) * zn ** (m - t) * zd ** (top - m + t)
+                        for m, a in enumerate(nums[t:], t)) for t in range(top + 1)]
+            d *= zd**top
+        s = sum(abs(c) * en**t * ed ** (top - t) for t, c in enumerate(nums))
+        parts.append((s, d * ed**top))
+    den = lcm(*[d for _, d in parts])
+    return Fraction(sum(s * (den // d) for s, d in parts), den)
 
 
 def _weighted(blocks, domain: DomainParams) -> Fraction:
@@ -308,16 +294,16 @@ class LogSeriesSolution(NamedTuple):
 # -- exact coefficient recursion ---------------------------------------------
 
 
-def _mat_vec(m: list[list[Poly]], v: list[Poly]) -> list[Poly]:
-    iv = [_ints(x) for x in v]
-    return [_dot(zip(map(_ints, row), iv)) for row in m]
-
-
-def _poly_solvable(m: list[list[Poly]], b: list[Poly]) -> bool:
-    """Whether M(z) x(z) = b(z) has a polynomial solution x, linearized over the
-    coefficients of x up to the degree bound (ell - 1) * deg M + deg b, which
-    covers every polynomial solution that can exist."""
-    ell = len(m)
+def _poly_solvable(a0: list[list[Form]], n: int, b) -> bool:
+    """Whether [n I - A_0(z)] x(z) = b(z) has a polynomial solution x,
+    linearized over the coefficients of x up to the degree bound
+    (ell - 1) * deg M + deg b, which covers every polynomial solution that
+    can exist.  b is a list of (numerators, denominator) pairs; this error
+    path of the seed check is the one place it takes their Fraction view."""
+    ell = len(a0)
+    m = [[_poly(_kernel([(_ONE, ([n] if i == j else [], 1)), (([-1], 1), e)]))
+          for j, e in enumerate(row)] for i, row in enumerate(a0)]
+    b = [_poly(x) for x in b]
     deg_m = max((len(e) - 1 for row in m for e in row if e), default=0)
     deg_b = max((len(e) - 1 for e in b if e), default=0)
     width = (ell - 1) * deg_m + deg_b + 1
@@ -337,36 +323,31 @@ def _poly_solvable(m: list[list[Poly]], b: list[Poly]) -> bool:
     return _linalg.solve(big, rhs) is not None
 
 
-def _char_expansion(a0: list[list[Poly]]):
+def _char_expansion(a0: list[list[Form]]):
     """Faddeev-LeVerrier over Q[z]: c_0..c_ell and B_0..B_{ell-1} with
     det(lam I - A_0) = sum_k c_k lam^(ell-k), adj(lam I - A_0) = sum_k B_k lam^(ell-1-k),
-    each polynomial as (numerators, denominator) for `_dot`."""
+    each polynomial a Form: c_k = -tr(A_0 B_{k-1}) / k, B_k = A_0 B_{k-1} + c_k I."""
     ell = len(a0)
-    cs: list[Poly] = [(Fraction(1),)]
-    bs = [[[(Fraction(1),) if i == j else () for j in range(ell)] for i in range(ell)]]
+    cs = [_ONE]
+    bs = [[[_ONE if i == j else _ZERO for j in range(ell)] for i in range(ell)]]
     for k in range(1, ell + 1):
-        ab = [_mat_vec(a0, col) for col in zip(*bs[-1])]  # columns of A_0 B_{k-1}
-        cs.append(_dot((([-1], k), _ints(ab[i][i])) for i in range(ell)))
-        bs.append([[p_add(ab[j][i], cs[k] if i == j else ()) for j in range(ell)]
-                   for i in range(ell)])
-    return [_ints(c) for c in cs], [[[_ints(e) for e in row] for row in b] for b in bs[:ell]]
+        ab = [[_kernel(zip(row, col)) for col in zip(*bs[-1])] for row in a0]  # A_0 B_{k-1}
+        cs.append(_reduced(*_kernel((([-1], k), ab[i][i]) for i in range(ell))))
+        bs.append([[_reduced(*_kernel([(_ONE, x)] + ([(_ONE, cs[k])] if i == j else [])))
+                    for j, x in enumerate(row)] for i, row in enumerate(ab)])
+    return cs, bs[:ell]
 
 
 def _int_system(a: AnalyticMatrixSeries, f_terms: Mapping[int, list]):
     """(ell, A's terms, f's vectors) with every polynomial a Form, made
     once per solve for `_rhs`; f's entries may be Polys or Forms."""
-    return (
-        a.ell,
-        {n: [[_form(e) for e in row] for row in m] for n, m in a.terms.items()},
-        {n: [_form(p) for p in vec] for n, vec in f_terms.items()},
-    )
+    return a.ell, a.terms, {n: [_form(p) for p in vec] for n, vec in f_terms.items()}
 
 
 def _rhs(system, u: list[list[Form]], n: int, stop: int) -> list[list]:
     """b_n = f_n + sum_{m < stop} A_{n-m} u_m as one list of `_kernel` terms
     per row, over the Forms of `_int_system` and of the u_m: the right-hand
-    side of the recursion (stop = n) and of the clamped operator and
-    residual (stop = n + 1)."""
+    side of the recursion (stop = n) and of the clamped operator (stop = n + 1)."""
     ell, a, f = system
     prods = [(a[n - m], u[m]) for m in range(stop) if n - m in a]
     fn = f.get(n)
@@ -376,41 +357,46 @@ def _rhs(system, u: list[list[Form]], n: int, stop: int) -> list[list]:
     ]
 
 
+def _defect(system, u: list[list[Form]], n: int) -> list[tuple[list[int], int]]:
+    """f_n + sum_{m <= n} A_{n-m} u_m - n u_n per row as `_kernel` forms:
+    all zero exactly when u_n satisfies the recursion, which is the seed
+    check, and the residual's block at n otherwise."""
+    rows = zip(_rhs(system, u, n, n + 1), u[n])
+    return [_kernel(terms + [(([-n], 1), x)]) for terms, x in rows]
+
+
 def recursion_solve(
     a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list[Poly]],
-    seeds: list[list[Poly]],
+    f_terms: Mapping[int, list],
+    seeds: list[list],
     n_max: int,
     layer: tuple[int, int] | None = None,
 ) -> VectorSeries:
     """Coefficients u_0 .. u_{n_max-1} from the exact recursion; the
-    entries of f_terms may be Polys or Forms.
+    entries of f_terms and of the seeds may be Polys or Forms.
 
     The first len(seeds) coefficients are dictated by the seeds and verified
-    against the recursion: a violated relation raises SeedInconsistent when
-    some polynomial solution exists and Resonance when none does.  Beyond the
-    seeds, u_n = adj(nI - A_0) b_n / chi(n) with chi(n) = det(nI - A_0), by
-    exact division of `_kernel` integer forms into a Form, with no Fraction;
-    chi(n) = 0 in Q[z] or a nonzero remainder raises Resonance (the module
-    docstring says why this matches a linear solve).
+    against the recursion by `_defect`: a violated relation raises
+    SeedInconsistent when some polynomial solution exists and Resonance when
+    none does.  Beyond the seeds, u_n = adj(nI - A_0) b_n / chi(n) with
+    chi(n) = det(nI - A_0), by exact division of `_kernel` integer forms
+    into a Form, with no Fraction; chi(n) = 0 in Q[z] or a nonzero remainder
+    raises Resonance (the module docstring says why this matches a linear
+    solve).
     """
     ell = a.ell
     n_seeds = len(seeds)
-    a0 = a.a0()
     system = _int_system(a, f_terms)
-    cs, bs = _char_expansion(a0)
+    cs, bs = _char_expansion(a.a0())
     u: list[list[Form]] = []
     for n in range(n_max):
-        rhs = [_kernel(terms) for terms in _rhs(system, u, n, n)]
         if n < n_seeds:
-            rhs = [_poly(y) for y in rhs]
-            mm = [[p_sub((Fraction(n),) if i == j else (), e) for j, e in enumerate(row)]
-                  for i, row in enumerate(a0)]
-            cand = [p_trim(c) for c in seeds[n]]
-            if _mat_vec(mm, cand) == rhs:
-                u.append([_form(c) for c in cand])
+            u.append([_form(c) for c in seeds[n]])
+            if not any(nums for nums, _ in _defect(system, u, n)):
                 continue
-            raise (SeedInconsistent if _poly_solvable(mm, rhs) else Resonance)(n, layer)
+            b = [_kernel(terms) for terms in _rhs(system, u, n, n)]
+            raise (SeedInconsistent if _poly_solvable(a.a0(), n, b) else Resonance)(n, layer)
+        rhs = [_kernel(terms) for terms in _rhs(system, u, n, n)]
         chi = _kernel((([n ** (ell - k)], 1), c) for k, c in enumerate(cs))
         if not chi[0]:
             raise Resonance(n, layer)
@@ -425,20 +411,14 @@ def recursion_solve(
 
 def residual_norm(
     a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list[Poly]],
+    f_terms: Mapping[int, list],
     series: VectorSeries,
     domain: DomainParams,
 ):
     """Majorant norm of q u' - A u - f over the computed coefficient range:
-    b_n - n u_n (the majorant of n u_n - b_n) weighed by delta^n."""
-    system = _int_system(a, f_terms)
-    u = series.forms
-
-    def block(n: int):
-        rows = zip(_rhs(system, u, n, n + 1), u[n])
-        return _majorant((_dot(terms + [(([-n], 1), x)]) for terms, x in rows), domain)
-
-    return _weighted(((n, block(n)) for n in range(len(u))), domain)
+    the majorant of each `_defect` block weighed by delta^n."""
+    system, u = _int_system(a, f_terms), series.forms
+    return _weighted(((n, _majorant(_defect(system, u, n), domain)) for n in range(len(u))), domain)
 
 
 # -- certified contraction route ---------------------------------------------
@@ -454,12 +434,12 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> 
     """
     import cmath  # only here and in `evaluate`: the float sites of the package
 
-    a0 = a.a0()
+    a0 = [_poly(e) for row in a.a0() for e in row]
     k_bound = 0.0
     z0 = complex(domain.z0)
     for k in range(64):
         z = z0 + complex(domain.epsilon) * cmath.exp(2j * cmath.pi * k / 64)
-        s = sum(abs(p_eval(e, z)) for row in a0 for e in row)
+        s = sum(abs(p_eval(e, z)) for e in a0)
         k_bound = max(k_bound, 2.0 * float(abs(s)))
     c = a.majorant_norm(domain) if c is None else c
     return 1 + floor(max(k_bound, float(c)))
@@ -467,8 +447,8 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> 
 
 def contraction_solve(
     a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list[Poly]],
-    seeds: list[list[Poly]],
+    f_terms: Mapping[int, list],
+    seeds: list[list],
     domain: DomainParams,
     n_max: int,
     iterations: int = 25,
@@ -495,8 +475,8 @@ def contraction_solve(
 
     # ||T 0||: the clamped block plus the divided inhomogeneity tail
     f_norm = _weighted(
-        [(n, _majorant(map(_poly, vec), domain)) for n, vec in enumerate(clamped)]
-        + [(n, _majorant(f, domain) / n) for n, f in sorted(f_terms.items()) if n_cap <= n < n_max],
+        [(n, _majorant(vec, domain)) for n, vec in enumerate(clamped)]
+        + [(n, _majorant(f, domain) / n) for n, f in system[2].items() if n_cap <= n < n_max],
         domain,
     )
 
@@ -507,9 +487,9 @@ def contraction_solve(
         ]
 
     def moved(new: list[Form], old: list[Form]):
-        return _majorant((_dot([(_ONE, x), (([-1], 1), y)]) for x, y in zip(new, old)), domain)
+        return _majorant((_kernel([(_ONE, x), (([-1], 1), y)]) for x, y in zip(new, old)), domain)
 
-    u = clamped + [[Form([], 1)] * ell for _ in range(n_clamped, n_max)]
+    u = clamped + [[_ZERO] * ell for _ in range(n_clamped, n_max)]
     distances = []
     for _ in range(iterations):
         nxt = apply_t(u)
@@ -533,7 +513,7 @@ def log_system_solve(
     a: AnalyticMatrixSeries,
     exponents: list[Fraction],
     log_order: int,
-    seeds: Mapping[tuple[int, int], list[list[Poly]]],
+    seeds: Mapping[tuple[int, int], list[list]],
     n_max: int,
     radius: Fraction,
 ) -> LogSeriesSolution:
@@ -556,15 +536,11 @@ def log_system_solve(
         shifted = a.shifted(h)
         above: VectorSeries | None = None
         for k in range(log_order, -1, -1):
-            if above is None:
-                f_terms: dict[int, list[Form]] = {}
-            else:
-                f_terms = {
-                    n: [_reduced([-(k + 1) * x for x in nums], den) for nums, den in vec]
-                    for n, vec in enumerate(above.forms)
-                }
-            layer_seeds = [list(vec) for vec in seeds.get((j, k), [])]
-            series = recursion_solve(shifted, f_terms, layer_seeds, n_max, layer=(j, k))
+            f_terms = {} if above is None else {
+                n: [_reduced([-(k + 1) * x for x in nums], den) for nums, den in vec]
+                for n, vec in enumerate(above.forms)
+            }
+            series = recursion_solve(shifted, f_terms, seeds.get((j, k), []), n_max, layer=(j, k))
             layers[(j, k)] = series
             above = series
     return LogSeriesSolution(
@@ -576,14 +552,14 @@ def log_system_solve(
     )
 
 
-def poly_from_json(v) -> Poly:
-    if isinstance(v, list):
-        return p_trim([rat_from_json(c) for c in v])
-    return p_trim([rat_from_json(v)])
+def poly_from_json(v) -> Form:
+    return _form([rat_from_json(c) for c in (v if isinstance(v, list) else [v])])
 
 
-def poly_to_json(p: Poly) -> list:
-    return [rat_to_json(c) for c in p]
+def poly_to_json(p: Form) -> list:
+    """A Form's coefficients in the rational JSON convention, each in lowest terms."""
+    nums, den = p
+    return [ratio_to_json(c, den) for c in nums]
 
 
 def _int_at_least(v, name: str, low: int) -> int:
@@ -598,7 +574,7 @@ def _list(v, name: str) -> list:
     return v
 
 
-def _vector(v, name: str) -> list[Poly]:
+def _vector(v, name: str) -> list[Form]:
     return [poly_from_json(e) for e in _list(v, name)]
 
 
@@ -633,7 +609,7 @@ def system_from_json(obj: dict) -> dict:
         log_order = _int_at_least(obj.get("K", 0), "K", 0)
         raw_seeds = obj.get("seeds", [])
         if isinstance(raw_seeds, dict):
-            seeds: dict[tuple[int, int], list[list[Poly]]] = {}
+            seeds: dict[tuple[int, int], list[list[Form]]] = {}
             for key, vecs in raw_seeds.items():
                 j, k = (int(x) for x in key.split(":"))
                 if not (0 <= j < len(exponents) and 0 <= k <= log_order):

@@ -24,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from ._serde import rat_from_json, rat_to_json
+from ._serde import rat_from_json
 from .rootsys import CartanElement, RootSystem, SimpleType, build, pairing
 
 
@@ -90,13 +90,6 @@ def _diagram_from_json(obj, family: str, rank: int) -> tuple[Fraction, ...]:
     return tuple(flat)
 
 
-def _diagram_to_json(values, family: str) -> dict:
-    vals = [rat_to_json(x) for x in values]
-    if family == "E":
-        return {"top": vals[1], "row": [vals[0]] + vals[2:]}
-    return {"row": vals}
-
-
 def _json_int(x, name: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise InvalidRecord(f"{name} must be a JSON integer, got {x!r}")
@@ -135,18 +128,6 @@ def record_from_json(obj: dict) -> OrbitRecord:
         f_roots=f_roots,
         v=CartanElement.of(v),
     )
-
-
-def record_to_json(rec: OrbitRecord) -> dict:
-    fam = rec.algebra.family
-    return {
-        "algebra": str(rec.algebra),
-        "label": rec.label,
-        "q": list(rec.q),
-        "h": _diagram_to_json(rec.h.pairings, fam),
-        "f_roots": [list(r) for r in rec.f_roots],
-        "v": _diagram_to_json(rec.v.pairings, fam),
-    }
 
 
 def validate_record(rec: OrbitRecord) -> None:

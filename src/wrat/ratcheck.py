@@ -317,8 +317,12 @@ def _support_roots(table: liealg.ChevalleyTable, f: liealg.Element) -> list[tupl
 def _require_centralizing(
     table: liealg.ChevalleyTable, f: liealg.Element, v: CartanElement
 ) -> None:
+    """a(v) = 0 at every support root a of f, decided in integers on v's
+    pairings over their common denominator; `pairing` only words the error,
+    and raises DimensionMismatch first on a v of the wrong rank."""
+    ints, _ = _linalg.over_common(v.pairings)
     for c in _support_roots(table, f):
-        if pairing(table.rs, c, v) != 0:
+        if len(ints) != table.rs.rank or sum(a * x for a, x in zip(c, ints)):
             raise VNotInCentralizer(f"a(v) = {pairing(table.rs, c, v)} != 0 at root {c}")
 
 

@@ -5,8 +5,9 @@ every pivot row by its pivot, so it shares nothing with the fraction-free
 sparse elimination of the package.  `solve` and `nullspace` read their
 answers straight off the RREF, with the free variables 0 and one unit
 vector per free column; `_linalg.solve` and `_linalg.nullspace` must return
-exactly these lists.  Also here: the dense matrix product and the ad(x)
-matrix and centralizer of a Chevalley element, which only tests use.
+exactly these lists.  Also here: `mat`, the fresh Fraction copy `rref`
+works on, the dense matrix product and the ad(x) matrix and centralizer of
+a Chevalley element, which only tests use.
 """
 from __future__ import annotations
 
@@ -17,9 +18,14 @@ from wrat import _linalg
 Matrix = _linalg.Matrix
 
 
+def mat(rows) -> Matrix:
+    """A fresh Fraction matrix; Fraction entries are kept, others converted."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+
+
 def rref(a) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column indices)."""
-    m = _linalg.mat(a)
+    m = mat(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []

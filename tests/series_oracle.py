@@ -6,14 +6,19 @@ over the Taylor coefficients of u_n, up to the degree bound
 solution is not unique.  `frobenius.recursion_solve` computes the same step
 as adj(nI - A_0) b / det(nI - A_0) and must agree with this one on every
 input: the same coefficients, or the same exception type, index and layer.
-Its polynomial arithmetic is schoolbook Fraction code of its own, so a fault
-in the integer kernel of `frobenius` cannot pass through its own reference.
+Its polynomial arithmetic is schoolbook Fraction code of its own, and it
+reads A's terms, f and the seeds (Forms or Polys) through `as_poly`, so a
+fault in the integer kernel of `frobenius` cannot pass through its own
+reference.
 
-Also here: systems shaped like the benchmark's two `series` inputs.
+Also here: the Fraction Taylor shift and majorant, the reference for
+`frobenius._majorant`, and systems shaped like the benchmark's two
+`series` inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from wrat import _linalg
@@ -38,8 +43,9 @@ def p_trim(p) -> Poly:
 
 
 def as_poly(p) -> Poly:
-    """p, or a `frobenius.Form` (numerators, denominator), as a Poly; the
-    log route hands each layer's inhomogeneity down as Forms."""
+    """p, or a `frobenius.Form` (numerators, denominator), as a Poly: A's
+    terms are Forms, and so are f and the seeds read from JSON and each
+    log layer's inhomogeneity."""
     if isinstance(p, Form):
         nums, den = p
         p = [Fraction(c, den) for c in nums]
@@ -77,13 +83,30 @@ def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return p_trim(quot), p_trim(rem)
 
 
+def p_shift(p: Poly, z0: Fraction) -> Poly:
+    """Coefficients of p(z0 + w) as a polynomial in w (binomial expansion)."""
+    out = [Fraction(0)] * len(p)
+    for m, c in enumerate(p):
+        zp = Fraction(1)
+        for k in range(m + 1):
+            out[m - k] += comb(m, k) * c * zp
+            zp *= z0
+    return tuple(out)
+
+
+def p_majorant(p: Poly, eps: Fraction, z0: Fraction) -> Fraction:
+    """sum_t |c_t| eps^t for the Taylor coefficients of p at z0."""
+    return sum((abs(c) * eps**t for t, c in enumerate(p_shift(p, z0))), Fraction(0))
+
+
 def mat_vec(m: list[list[Poly]], v: list[Poly]) -> list[Poly]:
-    """M v, each entry summed one product at a time."""
+    """M v, each entry summed one product at a time; entries and v may be
+    Forms or Polys."""
     out = []
     for row in m:
         acc: Poly = ()
         for e, x in zip(row, v):
-            acc = p_add(acc, p_mul(e, x))
+            acc = p_add(acc, p_mul(as_poly(e), as_poly(x)))
         out.append(acc)
     return out
 
@@ -143,7 +166,7 @@ def recursion_solve(
     """The recursion with one linearized solve per coefficient."""
     ell = a.ell
     n_seeds = len(seeds)
-    a0 = a.a0()
+    a0 = [[as_poly(e) for e in row] for row in a.a0()]
     u: list[list[Poly]] = []
     for n in range(n_max):
         rhs = [as_poly(e) for e in f_terms.get(n, [()] * ell)]
@@ -160,7 +183,7 @@ def recursion_solve(
             for i in range(ell)
         ]
         if n < n_seeds:
-            cand = [p_trim(c) for c in seeds[n]]
+            cand = [as_poly(c) for c in seeds[n]]
             lhs = mat_vec(mm, cand)
             if lhs == [p_trim(r) for r in rhs]:
                 u.append(cand)

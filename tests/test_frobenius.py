@@ -9,25 +9,36 @@ from hypothesis import strategies as st
 
 import series_oracle as oracle
 from wrat import frobenius as fr
+from wrat._linalg import over_common
 
 
 def poly(*cs):
-    return fr.p_trim(cs)
+    return oracle.p_trim(cs)
+
+
+def kernel(*pairs):
+    """sum_k a_k b_k over pairs of Polys through the integer kernel
+    `_kernel`, each operand over its least common denominator, as a Poly."""
+    return fr._poly(fr._kernel([(over_common(a), over_common(b)) for a, b in pairs]))
 
 
 def mul(a, b):
-    """a b through the integer kernel `_dot`."""
-    return fr._dot([(fr._ints(a), fr._ints(b))])
+    return kernel((a, b))
 
 
 def scale(c, a):
-    return mul((c,), a)
+    return kernel(((c,), a))
 
 
 def divide(a, b):
     """`_divmod` on two Polys, with the quotient and remainder as Polys."""
-    quot, rem = fr._divmod(fr._ints(a), fr._ints(b))
+    quot, rem = fr._divmod(over_common(a), over_common(b))
     return fr._poly(quot), fr._poly(rem)
+
+
+def majorant(p, z0, eps):
+    """`_majorant` of the one polynomial p (a Poly) at z0 with radius eps."""
+    return fr._majorant([fr._form(p)], fr.DomainParams(Q(z0), Q(eps), Q(1)))
 
 
 DOM = fr.DomainParams(z0=Q(0), epsilon=Q(1, 2), delta=Q(1, 2))
@@ -39,10 +50,12 @@ DOM = fr.DomainParams(z0=Q(0), epsilon=Q(1, 2), delta=Q(1, 2))
 def test_poly_arithmetic():
     a = poly(1, 2)       # 1 + 2z
     b = poly(0, 0, 3)    # 3z^2
-    assert fr.p_add(a, b) == (Q(1), Q(2), Q(3))
+    assert kernel(((1,), a), ((1,), b)) == (Q(1), Q(2), Q(3))
     assert mul(a, a) == (Q(1), Q(4), Q(4))
     assert scale(0, a) == ()
-    assert fr.p_trim((Q(1), Q(0), Q(0))) == (Q(1),)
+    assert fr._form((Q(1), Q(0), Q(0))) == fr.Form([1], 1)
+    assert fr._form((Q(2, 3), Q(0), Q(-4, 9))) == fr.Form([6, 0, -4], 9)
+    assert fr._form(()) == fr.Form([], 1)
     assert fr.p_eval(poly(1, 0, 1), Q(2)) == 5
 
 
@@ -63,12 +76,12 @@ def assert_same_poly(got, want):
 @settings(max_examples=300, deadline=None)
 @given(kernel_poly, kernel_poly, kernel_poly, st.booleans(), st.fractions(max_denominator=7))
 def test_kernel_matches_schoolbook_arithmetic(a, b, low, cancel, c):
-    """p_add, p_sub, and scaling and multiplying through `_dot`, against
+    """Sums, differences, scaling and products through `_kernel`, against
     one-Fraction-at-a-time arithmetic; with cancel, b = low - a, so a + b cancels down to low."""
     if cancel:
         b = oracle.p_add(low, oracle.p_scale(-1, a))
-    assert_same_poly(fr.p_add(a, b), oracle.p_add(a, b))
-    assert_same_poly(fr.p_sub(a, b), oracle.p_add(a, oracle.p_scale(-1, b)))
+    assert_same_poly(kernel(((1,), a), ((1,), b)), oracle.p_add(a, b))
+    assert_same_poly(kernel(((1,), a), ((-1,), b)), oracle.p_add(a, oracle.p_scale(-1, b)))
     assert_same_poly(scale(c, a), oracle.p_scale(c, a))
     assert_same_poly(mul(a, b), oracle.p_mul(a, b))
 
@@ -80,12 +93,12 @@ def test_kernel_matches_schoolbook_arithmetic(a, b, low, cancel, c):
     st.booleans(),
 )
 def test_mat_vec_matches_schoolbook(entries, v, cancel):
-    """One kernel call per row of three products; with cancel, v = (e, -d, 0)
-    against the row (d, e, f), whose products cancel to zero."""
+    """M v as one `_kernel` call per row of three products; with cancel,
+    v = (e, -d, 0) against the row (d, e, f), whose products cancel to zero."""
     m = [entries[:3], entries[3:6], entries[6:]]
     if cancel:
         v = [m[0][1], oracle.p_scale(-1, m[0][0]), ()]
-    got = fr._mat_vec(m, v)
+    got = [kernel(*zip(row, v)) for row in m]
     for g, w in zip(got, oracle.mat_vec(m, v)):
         assert_same_poly(g, w)
     if cancel:
@@ -108,25 +121,35 @@ def test_divmod_matches_schoolbook(a, b, q, exact):
 
 
 def test_taylor_shift_exact():
-    # (z - 1)^2 expanded at z0 = 1 is w^2
+    # at eps = 1000 the majorant spells the |Taylor coefficients| as digit
+    # groups: (z - 1)^2 expanded at z0 = 1 is w^2
     p = poly(1, -2, 1)
-    assert fr.p_shift(p, Q(1)) == (Q(0), Q(0), Q(1))
-    # shifting by 0 is the identity
-    assert fr.p_shift(p, Q(0)) == p
+    assert majorant(p, 1, 1000) == 1_000_000
+    # shifting by 0 is the identity: 1, 2, 1
+    assert majorant(p, 0, 1000) == 1_002_001
+    # (z + 1/2)^2 at z0 = -1/2 and at z0 = 3/2 (coefficients 4, 4, 1)
+    q = poly(Q(1, 4), 1, 1)
+    assert majorant(q, Q(-1, 2), 1000) == 1_000_000
+    assert majorant(q, Q(3, 2), 1000) == 1_004_004
 
 
 def test_majorant_values():
     # |1| + |-2| eps + |1| eps^2 at eps = 1/2
     p = poly(1, -2, 1)
-    assert fr.p_majorant(p, Q(1, 2), Q(0)) == 1 + 1 + Q(1, 4)
+    assert majorant(p, 0, Q(1, 2)) == 1 + 1 + Q(1, 4)
     # after shifting to the double root the majorant collapses
-    assert fr.p_majorant(p, Q(1, 2), Q(1)) == Q(1, 4)
+    assert majorant(p, 1, Q(1, 2)) == Q(1, 4)
+    # a block sums its polynomials; the zero polynomial adds nothing
+    dom = fr.DomainParams(Q(0), Q(1, 2), Q(1))
+    block = [fr._form(p), fr.Form([], 1), fr.Form([3], 4)]
+    assert fr._majorant(block, dom) == Q(9, 4) + Q(3, 4)
+    assert fr._majorant([], dom) == 0
 
 
 def test_majorant_complex_center():
     # z at the center i has Taylor coefficients i, 1: |i| + 1/2 = 3/2, which
     # the real disc |z| <= 1/2 + |1| bounds exactly here
-    out = fr.p_majorant(poly(0, 1), Q(1, 2) + 1, Q(0))
+    out = majorant(poly(0, 1), 0, Q(1, 2) + 1)
     assert isinstance(out, Q) and out == Q(3, 2)
     obj = {"ell": 1, "domain": {"z0": ["1/3", "-1/5"], "epsilon": "1/2", "delta": "1/4"}}
     assert fr.system_from_json(obj)["domain"] == fr.DomainParams(Q(1, 3), Q(7, 10), Q(1, 4))
@@ -140,13 +163,39 @@ def test_majorant_complex_center():
     st.fractions(min_value=Q(1, 8), max_value=2, max_denominator=8),
 )
 def test_majorant_on_the_containing_real_disc_bounds_a_gaussian_center(cs, a, b, eps):
-    """sum_t |c_t(a + ib)| eps^t <= p_majorant(p, eps + |b|, a), the right
-    side exact and the left in complex floats, with room for their rounding."""
-    p = fr.p_trim(cs)
-    bound = fr.p_majorant(p, eps + abs(b), a)
+    """sum_t |c_t(a + ib)| eps^t <= `_majorant` of p at a with radius
+    eps + |b|, the right side exact and the left in complex floats, with
+    room for their rounding."""
+    p = oracle.p_trim(cs)
+    bound = majorant(p, a, eps + abs(b))
     assert isinstance(bound, Q)
     want = sum(abs(c) * float(eps) ** t for t, c in enumerate(taylor(p, complex(a, b))))
     assert want <= float(bound) * (1 + 1e-9) + 1e-12
+
+
+majorant_poly = st.lists(
+    st.one_of(st.just(Q(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+    max_size=5,
+).map(oracle.p_trim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(majorant_poly, st.integers(1, 6)), max_size=4),
+    st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+    st.fractions(min_value=Q(1, 9), max_value=3, max_denominator=9),
+)
+def test_integer_majorant_matches_the_fraction_reference(block, z0, eps):
+    """`_majorant` of a block, in integers, against the Fraction Taylor shift
+    and majorant of `series_oracle`: negative, zero and non-integer z0,
+    non-integer eps, constant and zero polynomials, and forms not in lowest
+    terms (numerators and denominator scaled by k, as `_kernel` leaves them)."""
+    dom = fr.DomainParams(z0, eps, Q(1, 2))
+    forms = [([k * x for x in nums], k * den) for (nums, den), k in
+             ((over_common(p), k) for p, k in block)]
+    got = fr._majorant(forms, dom)
+    assert type(got) is Q
+    assert got == sum((oracle.p_majorant(p, eps, z0) for p, _ in block), Q(0))
 
 
 # -- exact recursion ----------------------------------------------------------
@@ -199,7 +248,7 @@ def test_recursion_with_z_dependent_tail():
     sol = fr.recursion_solve(a, {}, [[poly(1)]], 5)
     for n in range(5):
         expect = tuple([Q(0)] * n + [Q(1, math.factorial(n))])
-        assert sol.coeffs[n] == [fr.p_trim(expect)]
+        assert sol.coeffs[n] == [oracle.p_trim(expect)]
 
 
 def test_recursion_z_dependent_a0():
@@ -214,9 +263,10 @@ def test_recursion_z_dependent_a0():
 
 @pytest.mark.parametrize("route", ["recursion", "log"])
 def test_series_steps_make_no_fraction(monkeypatch, route):
-    """Past the seeds every step reads and writes integer forms only, so
-    the Fractions a solve makes (input, A_0's expansion, seed checks) do
-    not grow with its order."""
+    """A solve on Form input makes no Fraction: A's terms, f, the seeds,
+    A_0's expansion, the seed checks and every step are integer forms.
+    The log route makes only its exponents' and radius's Fractions, the
+    same few at every order."""
     made = []
     new = Q.__new__
 
@@ -242,7 +292,10 @@ def test_series_steps_make_no_fraction(monkeypatch, route):
         solve(order)
         counts.append(len(made))
     monkeypatch.undo()
-    assert counts[0] == counts[1] > 0, counts
+    if route == "recursion":
+        assert counts == [0, 0]
+    else:
+        assert counts[0] == counts[1] <= 6, counts
 
 
 def test_residual_vanishes_on_recursion_output():
@@ -349,7 +402,7 @@ def weighted_majorant(blocks, dom):
 
 
 small_rat = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-small_poly = st.lists(small_rat, max_size=2).map(fr.p_trim)
+small_poly = st.lists(small_rat, max_size=2).map(oracle.p_trim)
 domains = st.builds(
     fr.DomainParams,
     z0=small_rat,
@@ -370,8 +423,7 @@ def nonresonant_systems(draw):
     for n in draw(st.sets(st.integers(1, 2), max_size=2)):
         terms[n] = [[draw(small_poly) for _ in range(ell)] for _ in range(ell)]
     f = {n: [draw(small_poly) for _ in range(ell)] for n in draw(st.sets(st.integers(0, 6), max_size=3))}
-    return fr.AnalyticMatrixSeries(ell, {n: [[fr.p_trim(e) for e in row] for row in m]
-                                         for n, m in terms.items()}), f
+    return fr.AnalyticMatrixSeries(ell, terms), f
 
 
 def residual_blocks(a, f, u):
@@ -396,7 +448,7 @@ def test_residual_norm_of_a_perturbed_solution(system, dom, n_max, data):
     n = data.draw(st.integers(0, n_max - 1))
     i = data.draw(st.integers(0, a.ell - 1))
     bump = data.draw(small_poly.filter(bool))
-    u[n][i] = fr.p_add(u[n][i], bump)
+    u[n][i] = oracle.p_add(u[n][i], bump)
     got = fr.residual_norm(a, f, fr.VectorSeries.of(a.ell, u), dom)
     want = weighted_majorant(residual_blocks(a, f, u), dom)
     assert got == want, (got, want)
@@ -412,7 +464,7 @@ def test_contraction_bound_is_the_a_priori_estimate(system, dom, n_max, iteratio
     n_cap = res.truncation
     clamped = oracle.recursion_solve(a, f, [], min(n_cap, n_max)).coeffs
     assert res.series.coeffs[: len(clamped)] == clamped
-    c = weighted_majorant(((n, [e for row in m for e in row]) for n, m in a.terms.items()), dom)
+    c = weighted_majorant(((n, [oracle.as_poly(e) for row in m for e in row]) for n, m in a.terms.items()), dom)
     assert res.ratio == c / n_cap
     # ||T 0||: the clamped block, then each f_n past the clamp divided by n
     t0 = weighted_majorant(enumerate(clamped), dom) + sum(
@@ -510,9 +562,9 @@ def test_system_from_json_plain():
         "seeds": [[[0]], [[2]]],
     }
     sysd = fr.system_from_json(obj)
-    assert sysd["a"].a0() == [[(Q(1, 2),)]]
-    assert sysd["f"] == {1: [(Q(1),)]}
-    assert sysd["seeds"] == [[()], [(Q(2),)]]
+    assert sysd["a"].a0() == [[fr.Form([1], 2)]]
+    assert sysd["f"] == {1: [fr.Form([1], 1)]}
+    assert sysd["seeds"] == [[fr.Form([], 1)], [fr.Form([2], 1)]]
     assert sysd["exponents"] == [] and sysd["domain"] is None
 
 
@@ -539,5 +591,8 @@ def test_json_rejects_floats():
 
 
 def test_poly_json_round_trip():
-    p = poly(1, "1/3", 0, -2)
+    p = fr.poly_from_json([1, "1/3", 0, -2, 0])
+    assert p == fr.Form([3, 1, 0, -6], 3)
+    assert fr.poly_to_json(p) == [1, "1/3", 0, -2]
     assert fr.poly_from_json(fr.poly_to_json(p)) == p
+    assert fr.poly_from_json("-5/10") == fr.Form([-1], 2)

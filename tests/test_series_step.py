@@ -12,7 +12,7 @@ from wrat import frobenius as fr
 
 
 def poly(*cs):
-    return fr.p_trim(cs)
+    return oracle.p_trim(cs)
 
 
 def outcome(solve, *args, **kwargs):
@@ -43,7 +43,7 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 def polys(max_deg=2):
-    return st.lists(small, max_size=max_deg + 1).map(fr.p_trim)
+    return st.lists(small, max_size=max_deg + 1).map(oracle.p_trim)
 
 
 @st.composite
@@ -58,7 +58,7 @@ def systems(draw):
             for j in range(i):
                 a0[i][j] = ()
             z_part = draw(st.sampled_from([(), poly(0, 1), poly(0, 0, -1)]))
-            a0[i][i] = fr.p_add((Q(draw(st.integers(0, 4))),), z_part)
+            a0[i][i] = oracle.p_add((Q(draw(st.integers(0, 4))),), z_part)
     terms = {0: a0, 1: [[draw(polys(1)) for _ in range(ell)] for _ in range(ell)]}
     f = {
         n: [draw(polys(1)) for _ in range(ell)]
