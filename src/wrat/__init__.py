@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "CartanElement": "rootsys",
     "ChevalleyTable": "liealg",
-    "ClassicalPartition": "orbits",
-    "ConditionVerdict": "ratcheck",
+    "ClassicalPartition": "classical",
+    "ConditionVerdict": "slots",
     "DynkinGrading": "grading",
     "EVEN_OR_EXTERNAL": "orbits",
     "NOT_FOUND": "ratcheck",
@@ -27,8 +27,8 @@ _PUBLIC = {
     "Sl2Triple": "grading",
     "build": "rootsys",
     "build_chevalley": "liealg",
-    "build_classical": "orbits",
-    "check_classical": "ratcheck",
+    "build_classical": "classical",
+    "check_classical": "classical",
     "check_record": "ratcheck",
     "complete_sl2": "grading",
     "evaluate": "frobenius",
@@ -57,7 +57,8 @@ def _lazy(name: str) -> None:
 
 
 for _name in (
-    "_linalg", "_serde", "rootsys", "liealg", "grading", "orbits", "ratcheck", "frobenius"
+    "_linalg", "_serde", "rootsys", "liealg", "grading", "slots", "orbits", "ratcheck",
+    "classical", "frobenius",
 ):
     _lazy(_name)
 

@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import frobenius as fr, grading, orbits, ratcheck, rootsys
+from . import classical, frobenius as fr, grading, orbits, ratcheck, rootsys, slots
 from ._serde import rat_to_json
 
 EXIT_OK = 0
@@ -43,29 +43,30 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _partition_label(partition: orbits.ClassicalPartition) -> str:
+def _partition_label(partition: classical.ClassicalPartition) -> str:
     parts = sorted(
         list(partition.pairs) * 2 + list(partition.singles), reverse=True
     )
     return f"{partition.family}[{','.join(str(p) for p in parts)}]"
 
 
-def _algebra_label(partition: orbits.ClassicalPartition) -> str:
-    """The simple type, e.g. "C3" for sp(6); so(3) = sp(2) = A1, so(6) = A3,
-    and the non-simple so(1), so(2), so(4) get family and size: "so4"."""
-    key = (partition.letter, partition.size // 2)
-    try:
-        return str(rootsys.SimpleType(*key))
-    except rootsys.IllegalType:
-        low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
-        return low.get(key, f"{partition.family}{partition.size}")
+def _algebra_label(partition: classical.ClassicalPartition) -> str:
+    """The simple type, e.g. "C3" for sp(6), from the least ranks of the
+    classical types (B2, C2, D4); below them so(3) = sp(2) = A1,
+    so(6) = A3, and the non-simple so(1), so(2), so(4) get family and size:
+    "so4"."""
+    letter, rank = partition.letter, partition.size // 2
+    if rank >= (4 if letter == "D" else 2):
+        return f"{letter}{rank}"
+    low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
+    return low.get((letter, rank), f"{partition.family}{partition.size}")
 
 
 def _parse_partition(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise orbits.InvalidPartition(
+        raise classical.InvalidPartition(
             f"partition must be comma-separated integers: {text!r}"
         )
 
@@ -73,12 +74,12 @@ def _parse_partition(text: str) -> list[int]:
 _FAMILY_TO_SERIES = {"B": "so", "D": "so", "C": "sp", "so": "so", "sp": "sp"}
 
 
-def _build_partition(family: str, text: str) -> orbits.ClassicalPartition:
-    partition = orbits.ClassicalPartition.from_parts(
+def _build_partition(family: str, text: str) -> classical.ClassicalPartition:
+    partition = classical.ClassicalPartition.from_parts(
         _FAMILY_TO_SERIES[family], _parse_partition(text)
     )
     if family in ("B", "C", "D") and partition.letter != family:
-        raise orbits.InvalidPartition(
+        raise classical.InvalidPartition(
             f"partition of {partition.size} is type {partition.letter}, not {family}"
         )
     return partition
@@ -113,7 +114,7 @@ def _cmd_check_exceptional(args) -> int:
     if rec is orbits.EVEN_OR_EXTERNAL:
         return _even_or_external(st, args.q)
     verdict = ratcheck.check_record(rec, args.method)
-    d = ratcheck.verdict_to_json(str(st), rec.label, verdict)
+    d = slots.verdict_to_json(str(st), rec.label, verdict)
     out = {"algebra": d["algebra"], "label": d["label"], "q": list(rec.q)}
     out.update({k: d[k] for k in ("status", "evidence", "fallbacks")})
     _emit(out)
@@ -122,12 +123,12 @@ def _cmd_check_exceptional(args) -> int:
 
 def _cmd_check_classical(args) -> int:
     partition = _build_partition(args.family, args.partition)
-    real = orbits.build_classical(partition)
+    real = classical.build_classical(partition)
     if args.v_zero:
         real = real._replace(v_diag=(Fraction(0),) * real.size)
-    verdict = ratcheck.check_classical(real)
+    verdict = classical.check_classical(real)
     _emit(
-        ratcheck.verdict_to_json(
+        slots.verdict_to_json(
             _algebra_label(partition), _partition_label(partition), verdict
         )
     )
@@ -155,10 +156,10 @@ def _cmd_search_v(args) -> int:
 def _cmd_verify_contragredient(args) -> int:
     if args.family is not None:
         if args.partition is None:
-            raise orbits.InvalidPartition("--family needs --partition")
+            raise classical.InvalidPartition("--family needs --partition")
         partition = _build_partition(args.family, args.partition)
-        real = orbits.build_classical(partition)
-        ok = ratcheck.verify_self_contragredient_classical(real)
+        real = classical.build_classical(partition)
+        ok = classical.verify_self_contragredient_classical(real)
         label = _partition_label(partition)
         algebra = _algebra_label(partition)
     else:
@@ -287,7 +288,7 @@ def _report_tsv(rows) -> str:
 def _report_json(rows) -> str:
     out = []
     for rec, q, verdict, contra in rows:
-        d = ratcheck.verdict_to_json(str(rec.algebra), rec.label, verdict)
+        d = slots.verdict_to_json(str(rec.algebra), rec.label, verdict)
         d = {"algebra": d["algebra"], "label": d["label"], "q": q, **d}
         d["self_contragredient"] = contra
         out.append(d)
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
     except (
         rootsys.IllegalType,
         orbits.NotExceptionalType,
-        orbits.InvalidPartition,
+        classical.InvalidPartition,
         orbits.InvalidRecord,
         orbits.UnknownRoot,
         fr.InvalidSystem,

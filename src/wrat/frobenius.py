@@ -200,9 +200,6 @@ class AnalyticMatrixSeries(_Series):
     def a0(self) -> list[list[Form]]:
         return self.terms.get(0, [[_ZERO] * self.ell for _ in range(self.ell)])
 
-    def term(self, n: int) -> list[list[Form]] | None:
-        return self.terms.get(n)
-
     def shifted(self, h: Fraction) -> "AnalyticMatrixSeries":
         """Replace A_0 by A_0 - h I (for the exponent-shifted recursion)."""
         a0, minus_h = [row[:] for row in self.a0()], ([-h.numerator], h.denominator)
@@ -225,11 +222,6 @@ class VectorSeries(NamedTuple):
 
     ell: int
     forms: list[list[Form]]
-
-    @classmethod
-    def of(cls, ell: int, coeffs) -> "VectorSeries":
-        """The series of the Poly vectors coeffs."""
-        return cls(ell, [[_form(p) for p in vec] for vec in coeffs])
 
     @property
     def coeffs(self) -> list[list[Poly]]:
@@ -269,8 +261,17 @@ def _majorant(forms, domain: DomainParams) -> Fraction:
 
 
 def _weighted(blocks, domain: DomainParams) -> Fraction:
-    """sum_n block_n delta^n over (n, block) pairs, exactly."""
-    return sum((block * domain.delta**n for n, block in blocks), Fraction(0))
+    """sum_n block_n delta^n over (n, block) pairs, exactly, in integers:
+    with delta = dn/dd, top the largest n and D the lcm of the blocks'
+    denominators, block b/d adds b (D/d) dn^n dd^(top-n) over D dd^top."""
+    blocks = [(n, block.numerator, block.denominator) for n, block in blocks]
+    if not blocks:
+        return Fraction(0)
+    dn, dd = domain.delta.numerator, domain.delta.denominator
+    top = max(n for n, _, _ in blocks)
+    den = lcm(*[d for _, _, d in blocks])
+    num = sum(b * (den // d) * dn**n * dd ** (top - n) for n, b, d in blocks)
+    return Fraction(num, den * dd**top)
 
 
 class ContractionResult(NamedTuple):

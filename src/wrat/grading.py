@@ -44,9 +44,6 @@ class DynkinGrading(NamedTuple):
     def block(self, j) -> tuple[int, ...]:
         return self.by_degree.get(Fraction(j), ())
 
-    def block_dims(self) -> dict[Fraction, int]:
-        return {j: len(ix) for j, ix in sorted(self.by_degree.items())}
-
 
 class Sl2Triple(NamedTuple):
     """Elements e, h, f of the algebra with [e, f] = h, [h, e] = 2e, [h, f] = -2f."""

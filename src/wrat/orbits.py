@@ -1,4 +1,4 @@
-"""Bundled nilpotent-orbit data and the classical matrix realizations.
+"""Bundled nilpotent-orbit data.
 
 The package ships one JSON record per exceptional pairing (algebra, level
 denominator q) for which the relevant grading has half-integer steps.  Each
@@ -9,16 +9,19 @@ splits a diagram into the branch-node value ("top", node 2) and the chain
 values ("row", nodes 1,3,4,...), which flatten back to coefficient order
 1..n.
 
-The classical side (types B, C, D) is realized directly with matrices:
-a partition describes lower Jordan blocks, the bilinear form is the
-alternating antidiagonal one per block, and paired blocks carry the
-+1/2 / -1/2 split of the Cartan element v.
+The classical side (types B, C, D) is realized with matrices in
+`classical`, which a classical request loads instead of this module.
+`build_classical`, `ClassicalPartition` and `InvalidPartition` still
+resolve here, through the module `__getattr__`, to the `classical` objects
+themselves: views kept for the benchmark's files, whose tracer names the
+layer `orbits.build_classical` and whose self-tests import the three from
+here, until ROADMAP item 1 settles the layer names, as `grading.ad_block`
+is kept.  Importing this module does not load `classical`.
 """
 from __future__ import annotations
 
 import json
 import os
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -38,10 +41,6 @@ class UnknownRoot(ValueError):
 
 class InvalidRecord(ValueError):
     """A data record is structurally or arithmetically inconsistent."""
-
-
-class InvalidPartition(ValueError):
-    """The parts cannot be arranged into a nilpotent of the requested type."""
 
 
 class _EvenOrExternal:
@@ -190,213 +189,9 @@ def lookup_exceptional(algebra, q: int):
     return EVEN_OR_EXTERNAL
 
 
-# ---------------------------------------------------------------------------
-# Classical realizations
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    if name in ("build_classical", "ClassicalPartition", "InvalidPartition"):
+        from . import classical
 
-
-class ClassicalPartition(NamedTuple):
-    """Jordan data for a nilpotent in so/sp, split into paired and single parts.
-
-    Parity does the splitting: orthogonal types pair the even parts and keep
-    odd parts single, symplectic types pair the odd parts and keep even parts
-    single.  A multiset of parts violating that (an odd multiplicity where
-    pairing is forced) is rejected.
-    """
-
-    family: str  # "so" or "sp"
-    pairs: tuple[int, ...]
-    singles: tuple[int, ...]
-
-    @classmethod
-    def from_parts(cls, family: str, parts) -> "ClassicalPartition":
-        if family not in ("so", "sp"):
-            raise InvalidPartition(f"family must be 'so' or 'sp', got {family!r}")
-        parts = sorted((int(p) for p in parts), reverse=True)
-        if not parts or any(p < 1 for p in parts):
-            raise InvalidPartition("parts must be positive integers")
-        pair_parity = 0 if family == "so" else 1  # residue of parts that must pair
-        counts: dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        pairs, singles = [], []
-        for p in sorted(counts, reverse=True):
-            c = counts[p]
-            if p % 2 == pair_parity:
-                if c % 2:
-                    raise InvalidPartition(
-                        f"part {p} must occur an even number of times in {family}"
-                    )
-                pairs.extend([p] * (c // 2))
-            else:
-                singles.extend([p] * c)
-        self = cls(family=family, pairs=tuple(pairs), singles=tuple(singles))
-        if family == "sp" and self.size % 2:
-            raise InvalidPartition("sp needs an even total size")
-        # the realization indexes about size**2 / 2 matrix units
-        if self.size * self.size > sys.maxsize:
-            raise InvalidPartition(f"partition size {self.size} is past the index range")
-        return self
-
-    @property
-    def size(self) -> int:
-        return 2 * sum(self.pairs) + sum(self.singles)
-
-    @property
-    def letter(self) -> str:
-        if self.family == "sp":
-            return "C"
-        return "B" if self.size % 2 else "D"
-
-    def is_even(self) -> bool:
-        return not self.pairs or not self.singles
-
-
-class ClassicalRealization(NamedTuple):
-    """A partition's matrices, held sparse: the nilpotent f and its sl2
-    partner e as {(row, column): entry} with no stored zeros, the diagonals
-    of h and v, and the monomial form S as sigma and c (row i of S holds its
-    only nonzero c(i) = +-1 in column sigma(i))."""
-
-    partition: ClassicalPartition
-    size: int
-    f: dict[tuple[int, int], int | Fraction]
-    e: dict[tuple[int, int], int | Fraction]
-    h_diag: tuple[int | Fraction, ...]
-    v_diag: tuple[int | Fraction, ...]
-    sigma: tuple[int, ...]
-    form_coeff: tuple[int, ...]
-
-    def involution_of(self, i: int, j: int) -> tuple[int, int, int]:
-        """X -> -S^{-1} X^T S on a matrix unit: E_ij maps to c * E_i'j' with
-        c = -c(i) / c(j) = -c(i) c(j), as c(j) = +-1."""
-        c = self.form_coeff
-        return self.sigma[j], self.sigma[i], -c[i] * c[j]
-
-
-def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
-    """Assemble S (as sigma and c), f, e, h, v from the block data.
-
-    With S_m the alternating antidiagonal form (row i holds (-1)^i in
-    column m - 1 - i), paired parts contribute two adjacent lower Jordan
-    blocks coupled by the form [[0, S_m], [-S_m, 0]], and single parts carry
-    S_m on their own block.  h is the usual sl2 weight diagonal m-1, m-3,
-    ..., 1-m on every block, e is the upper partner with entries
-    (i + 1)(m - 1 - i), and v is +1/2 on the first copy of each pair, -1/2
-    on the second, 0 on singles.  f, e, h and c are ints, v Fractions.  A
-    failure of the triple check is a bug and raises AssertionError.
-    """
-    n = partition.size
-    f: dict[tuple[int, int], int] = {}
-    e: dict[tuple[int, int], int] = {}
-    h = [0] * n
-    v = [Fraction(0)] * n
-    sigma = [-1] * n
-    coeff = [0] * n
-
-    def place_jordan(start: int, m: int):
-        for i in range(m - 1):
-            f[start + i + 1, start + i] = 1
-            e[start + i, start + i + 1] = (i + 1) * (m - 1 - i)
-        for i in range(m):
-            h[start + i] = m - 1 - 2 * i
-
-    def place_form(row: int, col: int, c: int):
-        sigma[row], coeff[row] = col, c
-
-    off = 0
-    for m in partition.pairs:
-        for i in range(m):
-            place_form(off + i, off + 2 * m - 1 - i, (-1) ** i)
-            place_form(off + m + i, off + m - 1 - i, -((-1) ** i))
-            v[off + i], v[off + m + i] = Fraction(1, 2), Fraction(-1, 2)
-        place_jordan(off, m)
-        place_jordan(off + m, m)
-        off += 2 * m
-    for m in partition.singles:
-        for i in range(m):
-            place_form(off + i, off + m - 1 - i, (-1) ** i)
-        place_jordan(off, m)
-        off += m
-
-    real = ClassicalRealization(
-        partition=partition,
-        size=n,
-        f=f,
-        e=e,
-        h_diag=tuple(h),
-        v_diag=tuple(v),
-        sigma=tuple(sigma),
-        form_coeff=tuple(coeff),
-    )
-    _verify_membership(real)
-    if not is_sl2_triple(real):
-        raise AssertionError(f"the Jordan e of {partition} is not an sl2 partner of f")
-    return real
-
-
-def _verify_membership(real: ClassicalRealization) -> None:
-    """sigma is a permutation, f and e lie in g, and the diagonals h, v
-    satisfy d(sigma(i)) = -d(i).
-
-    S is monomial by construction, so X lies in g iff the involution
-    X -> -S^{-1} X^T S, which maps E_ij to c * E_i'j' (`involution_of`),
-    fixes it: X[i'][j'] = c * X[i][j], checked at each nonzero of X.
-    """
-    n = real.size
-    if sorted(real.sigma) != list(range(n)):
-        raise InvalidPartition("the form is not monomial")
-    for x in (real.f, real.e):
-        for (i, j), a in x.items():
-            ip, jp, cc = real.involution_of(i, j)
-            if x.get((ip, jp), 0) != cc * a:
-                raise InvalidPartition("nilpotent fell outside the algebra")
-    for diag in (real.h_diag, real.v_diag):
-        for i in range(n):
-            if diag[real.sigma[i]] != -diag[i]:
-                raise InvalidPartition("diagonal element fell outside the algebra")
-
-
-def is_sl2_triple(real: ClassicalRealization) -> bool:
-    """[e, f] = h, [h, e] = 2e and [h, f] = -2f, over nonzero entries only;
-    h is diagonal, so [h, X] = 2X says h_i - h_j = 2 at each nonzero X_ij."""
-    hd = real.h_diag
-    e, f = real.e, real.f
-    ef = {(i, i): -x for i, x in enumerate(hd) if x}  # [e, f] - h
-    for x, y, sign in ((e, f, 1), (f, e, -1)):
-        rows: dict[int, list] = {}
-        for (k, j), b in y.items():
-            rows.setdefault(k, []).append((j, b))
-        for (i, k), a in x.items():
-            for j, b in rows.get(k, ()):
-                ef[i, j] = ef.get((i, j), 0) + sign * a * b
-    return (
-        not any(ef.values())
-        and all(hd[i] - hd[j] == 2 for i, j in e)
-        and all(hd[i] - hd[j] == -2 for i, j in f)
-    )
-
-
-def classical_basis(real: ClassicalRealization):
-    """Basis of the algebra as sparse symmetrized matrix units.
-
-    Each entry is ((i, j), partner, c) meaning E_ij + c * E_partner, or
-    ((i, j), None, None) for a matrix unit fixed by the involution with
-    sign +1.  Representatives are chosen once per two-cycle, so supports of
-    distinct basis elements are disjoint and coordinates of any algebra
-    element can be read straight off its matrix entries at representatives.
-    """
-    sigma = real.sigma
-    out = []
-    for i in range(real.size):
-        # E_ij maps to c E_(sigma(j), sigma(i)), so it comes first in its
-        # two-cycle or is fixed when sigma(j) >= i; sigma is an involution,
-        # so those j are the values sigma[i:]
-        for j in sorted(sigma[i:]):
-            ip, jp, c = real.involution_of(i, j)
-            if (ip, jp) != (i, j):
-                out.append(((i, j), (ip, jp), c))
-            elif c == 1:
-                out.append(((i, j), None, None))
-            # a fixed unit with c == -1 lies in the -1 eigenspace; not in g
-    return out
+        return getattr(classical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

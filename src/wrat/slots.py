@@ -1,0 +1,190 @@
+"""The kernel slot table both realizations share, and its verdict.
+
+For a nilpotent f of degree -1 and a degree-0 Cartan element v with
+[v, f] = 0, the question is whether every ad(v)-eigenvalue on the piece of
+the centralizer of f in degree -j lies in -j - 1 + {0, 1, 2, ...}.
+
+Both realizations (the Chevalley basis of an exceptional record in
+`ratcheck`, the symmetrized matrix units of a classical partition in
+`classical`) are read through one graded operator, `_GradedOperator`: per
+basis vector a degree; the torus weights of all basis vectors at once, at a
+torus element given by its integer coordinate values (a(t) and -a(t) on e_a
+and f_a, resp. t_i - t_j on E_ij); the columns [f, b_j] of ad(f), built on
+demand; the Cartan basis vectors with their torus coordinates; and whether
+f sits in a verified sl2-triple (e, h, f).
+
+ad(f) maps the (degree d, torus weight mu) span into the (d - 1, mu) span,
+so ker ad(f) splits into slots (d, mu).  For a record and for a partition
+alike the torus is v itself, so a slot is a pair (d, eigenvalue of v) and
+gives one evidence row.  On a verified triple each slot is counted
+(Kostant), reading only degrees and weights; without one it takes one
+exact rank.  A row is decided in integers: its degree and eigenvalue are
+integer numerators over two positive denominators fixed per table, so the
+rows sort and test admissibility on those numerators, and each row's two
+Fractions are made once, for the output.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from . import _linalg, liealg
+
+
+class EvidenceEntry(NamedTuple):
+    j: Fraction
+    eigenvalue: Fraction
+    multiplicity: int
+    admissible: bool
+
+
+class FallbackWitness(NamedTuple):
+    eigenvalue: Fraction
+    element: liealg.BasisElement
+    image_support: tuple[liealg.BasisElement, ...]
+
+
+class ConditionVerdict(NamedTuple):
+    status: str  # "pass" | "fail"
+    evidence: tuple[EvidenceEntry, ...]
+    fallbacks: tuple[FallbackWitness, ...]
+    method: str
+    slot_rule: str  # "counting" (verified sl2-triple), "rank", or "none" (no slot table)
+
+
+def _verdict(
+    slots, degree_den: int, den: int, witnesses, method: str, slot_rule: str
+) -> ConditionVerdict:
+    """The verdict on integer slots (d, n, mult): mult kernel vectors of
+    eigenvalue lam = n / den in degree j = -d / degree_den.  Both
+    denominators are positive, so (-d, n) sorts as (j, lam) does; a row is
+    admissible when lam + j + 1 = t / (den degree_den) is a nonnegative
+    integer, t = n degree_den - d den + den degree_den."""
+    scale = den * degree_den
+    rows = []
+    for d, n, mult in sorted(slots, key=lambda s: (-s[0], s[1])):
+        t = n * degree_den - d * den + scale
+        ok = t >= 0 and not t % scale
+        rows.append(EvidenceEntry(Fraction(-d, degree_den), Fraction(n, den), mult, ok))
+    status = "pass" if all(r.admissible for r in rows) else "fail"
+    return ConditionVerdict(status, tuple(rows), tuple(witnesses), method, slot_rule)
+
+
+class _GradedOperator(NamedTuple):
+    """ad(f) on a graded basis b_0, b_1, ... on which a torus acts diagonally.
+
+    b_i sits in degree degrees[i] / degree_den, integers over one even
+    denominator, so that degree -1/2 has a key as well; weigh(t) is the
+    tuple of torus weights of all b_i at the torus element with integer
+    coordinate values t; column(j) is [f, b_j] as {i: coefficient}, built
+    on each call; cartan holds (i, torus coordinates of b_i) per Cartan
+    basis vector b_i; sl2 says that f sits
+    in a verified sl2-triple (e, h, f), h giving the degrees, and that the
+    torus centralizes it.
+    """
+
+    degrees: tuple[int, ...]
+    degree_den: int
+    weigh: Callable[[list[int]], tuple[int, ...]]
+    column: Callable[[int], dict[int, int | Fraction]]
+    cartan: tuple[tuple[int, tuple], ...]
+    sl2: bool
+
+
+def _group(op: _GradedOperator, torus: list) -> tuple[dict[tuple, list[int]], int]:
+    """(groups, den): basis indices by (degree numerator, torus weight), for
+    a torus given as a list of elements by their coordinate values (v alone,
+    or the h^f basis of `search_v`).  The weights are taken on den times the
+    torus, den the common denominator, so every key is integers."""
+    flat, den = _linalg.over_common([x for t in torus for x in t])
+    rows = iter(flat)
+    ints = [[next(rows) for _ in t] for t in torus]
+    mus = [op.weigh(t) for t in ints]
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(op.degrees, zip(*mus))):
+        groups.setdefault(key, []).append(i)
+    return groups, den
+
+
+def _kernel_slots(op: _GradedOperator, groups: dict) -> list[tuple[int, tuple, int]]:
+    """ker ad(f) split into the (degree, torus weight) slots of `_group`.
+
+    Returns one (degree, weight, multiplicity) tuple per occupied slot, the
+    degree as its numerator over op.degree_den.
+
+    With op.sl2 the weight-mu spans form an sl2-module (h acts by 2d), so a
+    slot holds dim g_(d, mu) - dim g_(d-1, mu) at d <= 0 and none at d > 0;
+    otherwise dim g_(d, mu) - rank(ad(f): g_(d, mu) -> g_(d-1, mu)).
+    """
+    slots = []
+    for (d, mu), src in groups.items():
+        dst = groups.get((d - op.degree_den, mu), [])
+        if op.sl2:
+            mult = len(src) - len(dst) if d <= 0 else 0
+        else:
+            mult = len(src) - _linalg.rank(_linalg.block(op.column, src, dst))
+        if mult:
+            slots.append((d, mu, mult))
+    return slots
+
+
+def _slot_verdict(op: _GradedOperator, groups: dict, den: int) -> ConditionVerdict:
+    """One evidence row per occupied slot of `_group`'s table with v alone
+    as the torus: slot (d, (n,)) holds eigenvalue n / den in degree
+    j = -d / op.degree_den."""
+    slots = [(d, n, mult) for d, (n,), mult in _kernel_slots(op, groups)]
+    return _verdict(slots, op.degree_den, den, (), "exact", "counting" if op.sl2 else "rank")
+
+
+def _self_contragredient(op: _GradedOperator) -> bool:
+    """Each centralizer vector w in degree 0 has traceless adjoint action on
+    the positive part (and so on the negative part): the trace is a linear
+    functional L on g_0, zero on the kernel of M = ad(f): g_0 -> g_-1
+    exactly when rank(M + [L]) == rank(M).
+
+    When f is in an sl2-triple (e, h, f) with h giving the degrees, this
+    restates the triple.  Such a w spans a trivial sl2 summand, so it
+    commutes with e, and ad(e)^(2d): g_-d -> g_d is w-equivariant; the
+    Killing form makes g_-d dual to g_d, so tr(w|g_d) = -tr(w|g_d) = 0.
+    The pairing with h/2 needs no row either, as it vanishes on the kernel:
+    <h, w> = <[e, f], w> = <e, [f, w]> = 0.  The rank test is for an f in
+    no triple (f = 0, a dropped root), where the trace row is what fails.
+    """
+    if op.sl2:
+        return True
+    g0 = [i for i, d in enumerate(op.degrees) if d == 0]
+    m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -op.degree_den])
+    # ad(w) is traceless on g and on g_0 for w in g_0, so its trace on the
+    # negative part is minus its trace on the positive part and needs no row
+    # of its own.  A basis vector of nonzero weight shifts every weight, so
+    # only Cartan vectors enter the trace, acting on b_j by weight_j.
+    col = {i: c for c, i in enumerate(g0)}
+    row = [0] * len(g0)
+    for i, coords in op.cartan:
+        row[col[i]] = sum([w for d, w in zip(op.degrees, op.weigh(coords)) if d > 0])
+    return _linalg.rank(m + [row]) == _linalg.rank(m)
+
+
+def verdict_to_json(algebra: str, label: str, verdict: ConditionVerdict) -> dict:
+    return {
+        "algebra": algebra,
+        "label": label,
+        "status": verdict.status,
+        "evidence": [
+            {
+                "j": str(r.j),
+                "lambda": str(r.eigenvalue),
+                "mult": r.multiplicity,
+                "admissible": r.admissible,
+            }
+            for r in verdict.evidence
+        ],
+        "fallbacks": [
+            {
+                "eigenvalue": str(w.eigenvalue),
+                "element": str(w.element),
+                "image_support": [str(b) for b in w.image_support],
+            }
+            for w in verdict.fallbacks
+        ],
+    }

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import linalg_oracle
 from wrat import _linalg
-from wrat.orbits import classical_basis
+from wrat.classical import classical_basis
 from wrat.rootsys import cartan_solve
 
 

@@ -13,15 +13,9 @@ from itertools import product
 from math import gcd
 
 from wrat import grading as gr
-from wrat.ratcheck import (
-    NOT_FOUND,
-    SearchConfig,
-    _chevalley_operator,
-    _group,
-    _hf_basis,
-    _kernel_slots,
-)
+from wrat.ratcheck import NOT_FOUND, SearchConfig, _chevalley_operator, _hf_basis
 from wrat.rootsys import CartanElement
+from wrat.slots import _group, _kernel_slots
 
 
 def search_v(table, grading, f, config: SearchConfig = SearchConfig(), triple=None):

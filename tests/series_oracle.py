@@ -18,7 +18,7 @@ Also here: the Fraction Taylor shift and majorant, the reference for
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
 from wrat import _linalg
@@ -40,6 +40,21 @@ def p_trim(p) -> Poly:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def vector_series(ell: int, coeffs) -> VectorSeries:
+    """The series of the Poly vectors coeffs: each entry held as the Form
+    of its Fractions over their least common denominator, which is reduced
+    as they are."""
+    forms = []
+    for vec in coeffs:
+        row = []
+        for p in vec:
+            p = p_trim(p)
+            den = lcm(1, *[c.denominator for c in p])
+            row.append(Form([int(c * den) for c in p], den))
+        forms.append(row)
+    return VectorSeries(ell, forms)
 
 
 def as_poly(p) -> Poly:
@@ -171,7 +186,7 @@ def recursion_solve(
     for n in range(n_max):
         rhs = [as_poly(e) for e in f_terms.get(n, [()] * ell)]
         for m_idx in range(n):
-            an = a.term(n - m_idx)
+            an = a.terms.get(n - m_idx)
             if an is not None and any(u[m_idx][j] for j in range(ell)):
                 prod = mat_vec(an, u[m_idx])
                 rhs = [p_add(rhs[i], prod[i]) for i in range(ell)]
@@ -196,7 +211,7 @@ def recursion_solve(
         if sol is None or not unique:
             raise Resonance(n, layer)
         u.append(sol)
-    return VectorSeries.of(ell, u)
+    return vector_series(ell, u)
 
 
 # -- systems shaped like the benchmark's `series` inputs -----------------------

@@ -18,19 +18,20 @@ from fractions import Fraction as Q
 
 from contragredient_oracle import dense
 from linalg_oracle import centralizer, rref
+from test_grading import block_dims
 import series_oracle as oracle
-from wrat.cli import main as cli_main
-from wrat.grading import verify_good_grading
-from wrat.liealg import build_chevalley
-from wrat.orbits import (
+from wrat.classical import (
     ClassicalPartition,
     InvalidPartition,
     build_classical,
+    check_classical,
     classical_basis,
-    load_records,
-    lookup_exceptional,
 )
-from wrat.ratcheck import check_classical, check_record, realize_record
+from wrat.cli import main as cli_main
+from wrat.grading import verify_good_grading
+from wrat.liealg import build_chevalley
+from wrat.orbits import load_records, lookup_exceptional
+from wrat.ratcheck import check_record, realize_record
 from wrat.rootsys import SimpleType, build, is_admissible_level, pairing
 from wrat import frobenius as fr
 
@@ -90,7 +91,7 @@ def test_criterion_2():
         key = (str(rec.algebra), rec.label)
         if key in HALF_BLOCK_DIMS:
             _, grading, _, _ = realize_record(rec)
-            seen[key] = grading.block_dims().get(Q(-1, 2), 0)
+            seen[key] = block_dims(grading).get(Q(-1, 2), 0)
     assert seen == HALF_BLOCK_DIMS
 
 
@@ -222,10 +223,8 @@ def _legal_partitions(max_size):
 @criterion(5, "self-contragredience holds for all records and all classical "
              "realizations of size <= 10")
 def test_criterion_5():
-    from wrat.ratcheck import (
-        verify_self_contragredient,
-        verify_self_contragredient_classical,
-    )
+    from wrat.classical import verify_self_contragredient_classical
+    from wrat.ratcheck import verify_self_contragredient
 
     for rec in load_records():
         table, grading, f, _ = realize_record(rec)
@@ -302,7 +301,7 @@ def test_criterion_7():
     for rec in load_records():
         table, grading, f, _ = realize_record(rec)
         assert verify_good_grading(grading, f)
-        dims = grading.block_dims()
+        dims = block_dims(grading)
         expect = dims.get(Q(0), 0) + dims.get(Q(1, 2), 0)
         assert len(centralizer(table, f)) == expect, rec.label
 

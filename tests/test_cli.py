@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import series_oracle
 import wrat
 from wrat import _linalg, cli, frobenius as fr, orbits, ratcheck
+from wrat.classical import ClassicalPartition
 from wrat._serde import rat_to_json
 from wrat.cli import build_parser, main
 
@@ -207,6 +208,38 @@ def test_classical_algebra_labels_name_the_algebra(capsys):
             assert st == SimpleType(p.letter, n // 2)
         except IllegalType:
             pass
+
+
+def _simple_type_label(partition) -> str:
+    """The label as read off `rootsys.SimpleType`, which raises on the
+    ranks below each classical type's least one."""
+    from wrat.rootsys import IllegalType, SimpleType
+
+    key = (partition.letter, partition.size // 2)
+    try:
+        return str(SimpleType(*key))
+    except IllegalType:
+        low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
+        return low.get(key, f"{partition.family}{partition.size}")
+
+
+def test_algebra_label_matches_the_simple_type_rule():
+    """`cli._algebra_label` reads the least classical ranks without
+    `rootsys`; at every legal size 1-64 of so and sp it names what
+    `SimpleType` names, the low ranks included."""
+    seen = {}
+    for n in range(1, 65):
+        parts = {"so": [n] if n % 2 else [n - 1, 1], "sp": [n]}
+        for family in ("so", "sp") if n % 2 == 0 else ("so",):
+            p = ClassicalPartition.from_parts(family, parts[family])
+            assert p.size == n
+            seen[family, n] = cli._algebra_label(p)
+            assert seen[family, n] == _simple_type_label(p), (family, n)
+    assert len(seen) == 64 + 32
+    assert [seen["so", n] for n in range(1, 9)] == [
+        "so1", "so2", "A1", "so4", "B2", "A3", "B3", "D4"
+    ]
+    assert [seen["sp", n] for n in (2, 4, 6)] == ["A1", "C2", "C3"]
 
 
 def test_check_classical_v_zero(capsys):
@@ -1190,7 +1223,8 @@ except SystemExit as exc:
 defines = {
     "rootsys": "build", "liealg": "build_chevalley", "grading": "grade",
     "orbits": "load_records", "ratcheck": "check_record",
-    "frobenius": "recursion_solve",
+    "frobenius": "recursion_solve", "slots": "_kernel_slots",
+    "classical": "build_classical",
 }
 ran = [
     name for name, attr in defines.items()
@@ -1224,13 +1258,74 @@ def test_frobenius_request_runs_only_frobenius(tmp_path):
 
 
 def test_check_classical_request_never_runs_frobenius():
-    """The matrix route needs neither the Chevalley table nor the gradings."""
-    for command in ("check-classical", "verify-contragredient"):
-        got = executed_modules(command, "--family", "C", "--partition", "3,3,2")
+    """The matrix route needs neither the Chevalley table nor the gradings:
+    it runs `classical` and the shared slot table, and none of the
+    Chevalley route's modules."""
+    for argv in (
+        ["check-classical", "--partition", "3,3,2"],
+        ["check-classical", "--partition", "3,3", "--v-zero"],
+        ["verify-contragredient", "--partition", "3,3,2"],
+    ):
+        got = executed_modules(*argv, "--family", "C")
         assert got["exit"] == 0
-        assert "ratcheck" in got["ran"]
-        assert not {"frobenius", "liealg", "grading"} & set(got["ran"]), command
+        assert "ratcheck" not in got["ran"]
+        assert not {"frobenius", "liealg", "grading"} & set(got["ran"]), argv
+        assert not {"rootsys", "orbits"} & set(got["ran"]), argv
+        assert {"classical", "slots"} <= set(got["ran"]), argv
         assert not got["dataclasses"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--all"],
+        ["check-exceptional", "--algebra", "G2", "--q", "3"],
+        ["search-v", "--algebra", "G2", "--q", "3"],
+        ["verify-contragredient", "--algebra", "G2", "--q", "3"],
+    ],
+    ids=["report", "check-exceptional", "search-v", "verify-contragredient"],
+)
+def test_exceptional_requests_never_run_classical(argv):
+    """The Chevalley route reads the slot table but never the matrix route."""
+    got = executed_modules(*argv)
+    assert got["exit"] == 0
+    assert {"ratcheck", "slots"} <= set(got["ran"])
+    assert "classical" not in got["ran"]
+
+
+# loads orbits and ratcheck, then reports whether classical executed, and
+# whether the views the benchmark's files read are classical's own objects
+VIEWS_PROBE = """
+import json, sys
+from wrat import orbits, ratcheck
+orbits.load_records, ratcheck.check_record
+before = "build_classical" in object.__getattribute__(sys.modules["wrat.classical"], "__dict__")
+from wrat import classical
+views = [
+    orbits.build_classical is classical.build_classical,
+    orbits.ClassicalPartition is classical.ClassicalPartition,
+    orbits.InvalidPartition is classical.InvalidPartition,
+    ratcheck.check_classical is classical.check_classical,
+    ratcheck.verify_self_contragredient_classical
+    is classical.verify_self_contragredient_classical,
+]
+print(json.dumps({"before": before, "views": views}))
+"""
+
+
+def test_tracer_views_are_the_classical_functions():
+    """`orbits.build_classical`, `ratcheck.check_classical` and
+    `ratcheck.verify_self_contragredient_classical` are the names
+    `bench/tracer.py` wraps, and `bench/test_bench.py` imports
+    `ClassicalPartition` and `InvalidPartition` from `orbits`; each
+    resolves to the `classical` object itself, and loading `orbits` and
+    `ratcheck` does not run `classical`."""
+    out = fresh_python("-c", VIEWS_PROBE)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"before": False, "views": [True] * 5}
+    for module in (orbits, ratcheck):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            module.no_such_name
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["report", "--all"]], ids=["help", "report"])
@@ -1298,17 +1393,18 @@ def test_report_rows_cache_the_traced_brackets():
 
 @pytest.mark.parametrize(
     "system,order,bound",
-    [(series_oracle.recursion_system(), 36, 190), (series_oracle.log_system(), 28, 22)],
+    [(series_oracle.recursion_system(), 36, 62), (series_oracle.log_system(), 28, 22)],
     ids=["recursion", "log"],
 )
 def test_series_requests_make_few_fractions(tmp_path, system, order, bound):
     """The series path holds every polynomial as an integer form from the
-    JSON to the JSON: 160 Fractions for the bench recursion file (input
-    rationals and the residual's weighted sum) and 18 for the log file in a
-    fresh process, against 393 and 160 with Fraction polynomials for input,
-    A_0's expansion, the seed check and the majorants, and 5,503 and 4,352
-    with Fraction coefficients between kernel calls.  Each bound allows
-    about a fifth more."""
+    JSON to the JSON: 52 Fractions for the bench recursion file (input
+    rationals, one majorant per residual block and one weighted sum) and 18
+    for the log file in a fresh process.  The recursion file made 160 with
+    three Fractions per block in the weighted sum; the two made 393 and 160
+    with Fraction polynomials for input, A_0's expansion, the seed check
+    and the majorants, and 5,503 and 4,352 with Fraction coefficients
+    between kernel calls.  Each bound allows about a fifth more."""
     argv = ["frobenius", write_system(tmp_path, "s.json", system), "--order", str(order)]
     out = fresh_python("-c", FRACTION_COUNT_PROBE, json.dumps(argv))
     code, count = map(int, out.stdout.split())

@@ -26,15 +26,16 @@ import contragredient_oracle as oracle
 from linalg_oracle import rref
 from wrat import _linalg
 from wrat.liealg import F
-from wrat.orbits import ClassicalPartition, InvalidPartition, build_classical, load_records
-from wrat.ratcheck import (
-    _chevalley_operator,
+from wrat.classical import (
+    ClassicalPartition,
+    InvalidPartition,
     _classical_operator,
-    _self_contragredient,
-    realize_record,
-    verify_self_contragredient,
+    build_classical,
     verify_self_contragredient_classical,
 )
+from wrat.orbits import load_records
+from wrat.ratcheck import _chevalley_operator, realize_record, verify_self_contragredient
+from wrat.slots import _self_contragredient
 
 RECORDS = load_records()
 IDS = [f"{rec.algebra}-{rec.label}" for rec in RECORDS]

@@ -21,14 +21,17 @@ from hypothesis import strategies as st
 from test_contragredience import legal_partitions
 from wrat.grading import grade
 from wrat.liealg import F
-from wrat.orbits import ClassicalPartition, build_classical, is_sl2_triple, load_records
+from wrat.classical import (
+    ClassicalPartition,
+    _classical_operator,
+    build_classical,
+    check_classical,
+    is_sl2_triple,
+)
+from wrat.orbits import load_records
 from wrat.ratcheck import (
     _chevalley_operator,
-    _classical_operator,
-    _group,
     _hf_basis,
-    _slot_verdict,
-    check_classical,
     check_realized,
     check_record,
     exact_condition,
@@ -37,6 +40,7 @@ from wrat.ratcheck import (
     search_v,
 )
 from wrat.rootsys import CartanElement
+from wrat.slots import _group, _slot_verdict
 
 RECORDS = load_records()
 IDS = [f"{rec.algebra}-{rec.label}" for rec in RECORDS]

@@ -411,6 +411,29 @@ domains = st.builds(
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.fractions(min_value=0, max_value=50)), max_size=8),
+    st.sampled_from([Q(0), Q(1, 8), Q(2, 3), Q(1), Q(7, 5)]),
+)
+def test_weighted_sum_in_integers(blocks, delta):
+    """`_weighted` sums over one common denominator and makes one Fraction;
+    its value is the Fraction sum of block * delta^n, repeats of n and an
+    empty list included."""
+    dom = fr.DomainParams(Q(0), Q(1), delta)
+    made = []
+    new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Q, "__new__", counted):
+        got = fr._weighted(iter(blocks), dom)
+    assert got == sum((b * delta**n for n, b in blocks), Q(0))
+    assert type(got) is Q and len(made) == 1
+
+
 @st.composite
 def nonresonant_systems(draw):
     """1x1 or 2x2: A_0 constant upper triangular with non-integer diagonal, so
@@ -444,12 +467,12 @@ def residual_blocks(a, f, u):
 def test_residual_norm_of_a_perturbed_solution(system, dom, n_max, data):
     a, f = system
     u = [list(vec) for vec in fr.recursion_solve(a, f, [], n_max).coeffs]
-    assert fr.residual_norm(a, f, fr.VectorSeries.of(a.ell, u), dom) == 0
+    assert fr.residual_norm(a, f, oracle.vector_series(a.ell, u), dom) == 0
     n = data.draw(st.integers(0, n_max - 1))
     i = data.draw(st.integers(0, a.ell - 1))
     bump = data.draw(small_poly.filter(bool))
     u[n][i] = oracle.p_add(u[n][i], bump)
-    got = fr.residual_norm(a, f, fr.VectorSeries.of(a.ell, u), dom)
+    got = fr.residual_norm(a, f, oracle.vector_series(a.ell, u), dom)
     want = weighted_majorant(residual_blocks(a, f, u), dom)
     assert got == want, (got, want)
     # nI - A_0 is invertible, so the bumped index leaves a residual

@@ -5,33 +5,32 @@ import sympy
 
 import search_oracle
 from contragredient_oracle import dense
-from wrat.liealg import build_chevalley
-from wrat.orbits import (
+from wrat.classical import (
     ClassicalPartition,
     build_classical,
+    check_classical,
     classical_basis,
-    load_records,
-    lookup_exceptional,
+    verify_self_contragredient_classical,
 )
+from wrat.liealg import build_chevalley
+from wrat.orbits import load_records, lookup_exceptional
 from wrat.ratcheck import (
     NOT_FOUND,
     GradingNotEven,
     GradingNotGood,
     SearchConfig,
     VNotInCentralizer,
-    check_classical,
     check_record,
     exact_condition,
     fast_condition,
     h0f_space,
     realize_record,
     search_v,
-    verdict_to_json,
     verify_good_even_shortcut,
     verify_self_contragredient,
-    verify_self_contragredient_classical,
 )
 from wrat.rootsys import CartanElement, DimensionMismatch, SimpleType, build
+from wrat.slots import verdict_to_json
 
 # the four bundled records whose fast route needs explicit injectivity
 # witnesses, with the eigenvalue sets they must report

@@ -31,21 +31,17 @@ from hypothesis import strategies as st
 from contragredient_oracle import _ad_f, ad_block, dense
 from linalg_oracle import rref
 from test_contragredience import legal_partitions
-from wrat.orbits import build_classical, classical_basis, load_records
+from wrat.classical import _classical_operator, build_classical, check_classical, classical_basis
+from wrat.orbits import load_records
 from wrat.ratcheck import (
-    EvidenceEntry,
     _chevalley_operator,
-    _classical_operator,
-    _group,
     _hf_basis,
-    _kernel_slots,
-    _slot_verdict,
-    check_classical,
     exact_condition,
     fast_condition,
     realize_record,
 )
 from wrat.rootsys import CartanElement, pairing
+from wrat.slots import EvidenceEntry, _group, _kernel_slots, _slot_verdict
 
 RECORDS = load_records()
 IDS = [f"{rec.algebra}-{rec.label}" for rec in RECORDS]
