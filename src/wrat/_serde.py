@@ -4,11 +4,19 @@ Integers are stored as JSON numbers; every other rational is the string
 "num/den" in lowest terms (e.g. "-3/2").  Floats are rejected on input and
 on output so that exactness is never silently lost, and so is a zero
 denominator on input, as a ValueError like every other malformed value.
+
+`json_text` writes the CLI's output: the bytes of `json.dumps(obj,
+indent=2)`, whose encoder is the pure-Python one whenever it indents.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+try:  # the C function json.encoder uses, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def rat_to_json(x: int | Fraction) -> int | str:
@@ -36,3 +44,30 @@ def rat_from_json(v) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r} (ZeroDivisionError)") from None
     raise ValueError(f"expected an int or 'num/den' string, got {v!r}")
+
+
+def json_text(obj, nl: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)` for obj built of dicts with str keys,
+    lists, str, int, bool and None; anything else raises TypeError.  nl is
+    the newline and indent the enclosing container's items sit at."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is list or t is dict:
+        if not obj:
+            return "[]" if t is list else "{}"
+        inner = nl + "  "
+        if t is list:
+            items, ends = [json_text(x, inner) for x in obj], "[]"
+        elif all(type(k) is str for k in obj):
+            items, ends = [f"{_quote(k)}: {json_text(x, inner)}" for k, x in obj.items()], "{}"
+        else:
+            raise TypeError(f"JSON keys here must be str, got {list(obj)!r}")
+        return ends[0] + inner + ("," + inner).join(items) + nl + ends[1]
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"cannot write {obj!r} as JSON")

@@ -21,12 +21,11 @@ partitions, no bundled record, resonance), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import classical, frobenius as fr, grading, orbits, ratcheck, rootsys, slots
-from ._serde import rat_to_json
+from . import classical, frobenius as fr, orbits, ratcheck, rootsys, slots
+from ._serde import json_text, rat_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -35,7 +34,7 @@ EXIT_IO = 4
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json_text(obj))
 
 
 def _fail(msg: str, code: int) -> int:
@@ -182,6 +181,8 @@ def _series_json(series: fr.VectorSeries) -> list:
 
 
 def _cmd_frobenius(args) -> int:
+    import json  # the one subcommand that reads JSON; output is `json_text`
+
     with open(args.system) as fh:
         try:
             obj = json.load(fh)
@@ -264,10 +265,11 @@ def _report_rows():
     all_pass = True
     for rec in orbits.load_records():
         table, grading, f, triple = ratcheck.realize_record(rec)
-        verdict = ratcheck.check_realized(table, grading, f, rec.v, "both", triple)
+        op = ratcheck._chevalley_operator(table, grading, f, triple)
+        verdict = ratcheck.check_realized(table, grading, f, rec.v, "both", triple, op=op)
         if verdict.status != "pass":
             all_pass = False
-        contra = ratcheck.verify_self_contragredient(table, grading, f, triple)
+        contra = ratcheck.verify_self_contragredient(table, grading, f, triple, op=op)
         for q in rec.q:
             rows.append(
                 ((rec.algebra.family, rec.algebra.rank, q), rec, q, verdict, contra)
@@ -292,7 +294,7 @@ def _report_json(rows) -> str:
         d = {"algebra": d["algebra"], "label": d["label"], "q": q, **d}
         d["self_contragredient"] = contra
         out.append(d)
-    return json.dumps({"rows": out}, indent=2) + "\n"
+    return json_text({"rows": out}) + "\n"
 
 
 def _cmd_report(args) -> int:
@@ -421,29 +423,46 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# exit code -> the exceptions mapped to it, as "module.Class" within the
+# package, in the order they are tried.  A request can raise a class only
+# from a module it ran, so an exception is matched on the names along its
+# MRO and no module is read that the request did not load.
+_EXIT_CODES = (
+    (
+        EXIT_BAD_INPUT,
+        {
+            "rootsys.IllegalType", "orbits.NotExceptionalType", "orbits.InvalidRecord",
+            "orbits.UnknownRoot", "classical.InvalidPartition", "grading.NoSl2Completion",
+            "frobenius.InvalidSystem", "frobenius.Resonance", "frobenius.SeedInconsistent",
+            "frobenius.ContractionFails",
+        },
+    ),
+    # a mathematical failure, not bad input
+    (EXIT_FAIL, {"ratcheck.RoutesDisagree"}),
+    (EXIT_IO, {"builtins.OSError"}),
+)
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code `_EXIT_CODES` gives exc, or None when it names no
+    class exc is an instance of."""
+    prefix = f"{__package__}."
+    names = {
+        f"{c.__module__.removeprefix(prefix)}.{c.__qualname__}" for c in type(exc).__mro__
+    }
+    return next((code for code, wanted in _EXIT_CODES if names & wanted), None)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (
-        rootsys.IllegalType,
-        orbits.NotExceptionalType,
-        classical.InvalidPartition,
-        orbits.InvalidRecord,
-        orbits.UnknownRoot,
-        fr.InvalidSystem,
-        fr.Resonance,
-        fr.SeedInconsistent,
-        fr.ContractionFails,
-        grading.NoSl2Completion,
-    ) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except ratcheck.RoutesDisagree as exc:
-        # a mathematical failure, not bad input
-        return _fail(str(exc), EXIT_FAIL)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        return _fail(str(exc), code)
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ class DynkinGrading(NamedTuple):
     degree_den: int
     by_degree: dict[Fraction, tuple[int, ...]]
 
-    @property
-    def degrees(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.degree_den) for n in self.degree_nums)
-
     def block(self, j) -> tuple[int, ...]:
         return self.by_degree.get(Fraction(j), ())
 

@@ -12,7 +12,10 @@ N(a,b)/<c,c> = N(b,c)/<a,a> = N(c,a)/<b,b> for a + b + c = 0.
 
 Every structure constant is an int: the table holds the root norms <a, a>
 on the integer form, short roots of norm 2, and every division in the
-recursion is an exact integer division, asserted as such.  An element of
+recursion is an exact integer division, asserted as such.  The recursion
+runs on integer root codes (`ChevalleyTable`): a root is one int, so a
+root sum or difference is one int `+` or `-` and a root test one set
+lookup; the basis labels keep the coefficient tuples.  An element of
 the algebra is a sparse dict {basis index: int | Fraction} over
 `ChevalleyTable.basis`, with no stored zeros and never a float, so two
 elements are equal exactly when their dicts are (1 == Fraction(1)).
@@ -60,6 +63,16 @@ def H(i: int) -> BasisElement:
 class ChevalleyTable:
     """Structure constants of the simple Lie algebra over a root system.
 
+    The root arithmetic runs on integer codes: sum c_i a_i is coded as
+    sum c_i R^i with R = 2m + 1, m the largest coefficient of the highest
+    root, so a negative root has the negative code, and root sums,
+    differences and membership are int `+`, `-` and set lookups.  Each
+    code looked up is a + b or a - b for positive a, b, or p - a for a
+    root p.  Its digits are within 2m < R of those of each root it could
+    equal (a + b, and p - a for a negative p, have digits of one sign, so
+    they can equal only roots of that sign), and two vectors whose digits
+    differ by less than R have equal codes only when they are equal.
+
     `weigh` evaluates a torus element on every basis vector at once: a on
     e_a, -a on f_a, 0 on the Cartan basis.
     """
@@ -75,15 +88,22 @@ class ChevalleyTable:
         )
         self.dimension = len(self.basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
-        # root -> basis index of e_a; f_a sits len(pos) further on
-        self._e = {c: rs.rank + k for k, c in enumerate(pos)}
+        radix = 2 * max(rs.highest_root.coeffs) + 1
+        steps = [radix ** i for i in range(rs.rank)]
+        # positive root -> code; the codes in the order of `positive`
+        self.code = {c: sum(map(mul, c, steps)) for c in pos}
+        self._codes = list(self.code.values())
+        # signed code -> basis index: e_a at a's code, f_a at its negative
+        npos = len(pos)
+        self._at = {x: rs.rank + k for k, x in enumerate(self._codes)}
+        self._at.update({-x: i + npos for x, i in self._at.items()})
         # <a, a> on the integer form of rs: the invariant-form relations
         # only take ratios of norms
-        self._norm2 = {r.coeffs: r.norm2 for r in rs.positive_roots}
-        self._by_height = sorted(pos, key=lambda c: (sum(c), c))
-        self._order = {c: k for k, c in enumerate(self._by_height)}
-        self._ex: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._npp: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        self._norm2 = {x: r.norm2 for x, r in zip(self._codes, rs.positive_roots)}
+        self._by_height = [self.code[c] for c in sorted(pos, key=lambda c: (sum(c), c))]
+        self._order = {x: k for k, x in enumerate(self._by_height)}
+        self._ex: dict[int, tuple[int, int]] = {}
+        self._npp: dict[tuple[int, int], int] = {}
         # (i, j) -> sparse coords of [basis_i, basis_j]; filled on demand
         self.brackets: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -94,45 +114,37 @@ class ChevalleyTable:
         up = [sum(map(mul, a, t)) for a in self.positive]
         return (0,) * self.rs.rank + tuple(up) + tuple([-x for x in up])
 
-    # -- root-level helpers -------------------------------------------------
+    # -- root-level helpers, on root codes -----------------------------------
 
-    def string_down_length(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    def string_down_length(self, a: int, b: int) -> int:
         """p = largest k >= 0 such that b - k*a is a root."""
         k = 0
-        probe = tuple([x - y for x, y in zip(b, a)])
-        while self.rs.is_root(probe):
+        probe = b - a
+        while probe in self._at:
             k += 1
-            probe = tuple([x - y for x, y in zip(probe, a)])
+            probe -= a
         return k
 
-    def extraspecial_pair(self, g: tuple[int, ...]):
+    def extraspecial_pair(self, g: int) -> tuple[int, int]:
         """The decomposition g = a1 + b1 with a1 minimal in (height, lex)."""
         got = self._ex.get(g)
         if got is None:
-            ht = sum(g)
-            for a in self._by_height:
-                if 2 * sum(a) > ht:
-                    break
-                rem = tuple([x - y for x, y in zip(g, a)])
-                if rem in self.rs.positive_set:
-                    got = (a, rem)
-                    break
-            if got is None:
-                raise ValueError(f"{g} is not a decomposable positive root")
-            self._ex[g] = got
+            a = next((a for a in self._by_height if g - a in self._norm2), None)
+            if a is None:
+                raise ValueError(f"{g} is not the code of a decomposable positive root")
+            got = self._ex[g] = (a, g - a)
         return got
 
-    def n_constant(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    def n_constant(self, a: int, b: int) -> int:
         """N(a, b) for positive roots a, b with a + b a positive root."""
         key = (a, b)
         val = self._npp.get(key)
         if val is not None:
             return val
-        g = tuple([x + y for x, y in zip(a, b)])
-        a1, b1 = self.extraspecial_pair(g)
-        if (a, b) == (a1, b1):
+        a1, b1 = self.extraspecial_pair(a + b)
+        if a == a1:
             val = self.string_down_length(a1, b1) + 1
-        elif (b, a) == (a1, b1):
+        elif b == a1:
             val = -(self.string_down_length(a1, b1) + 1)
         elif self._order[a] > self._order[b]:
             val = -self.n_constant(b, a)
@@ -143,26 +155,28 @@ class ChevalleyTable:
             # N(a, b) = -<g,g> (<s,s> <b,b> N(a1,s) N(b,s)
             #           - <t,t> <a,a> N(a,t) N(a1,t)) / (den N(a1, b1))
             n2 = self._norm2
-            s = tuple([x - y for x, y in zip(a, a1)])   # a - a1 = b1 - b
-            t = tuple([x - y for x, y in zip(b, a1)])   # b - a1 = b1 - a
+            s = a - a1   # = b1 - b
+            t = b - a1   # = b1 - a
             total = 0
-            if s in self.rs.positive_set:
+            if s in n2:
                 total += n2[s] * n2[b] * self.n_constant(a1, s) * self.n_constant(b, s)
-            if t in self.rs.positive_set:
+            if t in n2:
                 total -= n2[t] * n2[a] * self.n_constant(a, t) * self.n_constant(a1, t)
             den = n2[a] * n2[b1] * n2[b] * self.n_constant(a1, b1)
-            val, rem = divmod(-n2[g] * total, den)
+            val, rem = divmod(-n2[a + b] * total, den)
             assert not rem, "structure constant must be integral"
         self._npp[key] = val
         return val
 
-    def coroot_coords(self, a: tuple[int, ...]) -> dict[int, int]:
-        """a^v over the simple coroots: coefficients n_i <a_i,a_i> / <a,a>."""
+    def coroot_coords(self, k: int) -> dict[int, int]:
+        """a^v over the simple coroots for the k-th positive root a:
+        coefficients n_i <a_i,a_i> / <a,a>."""
         d = self.rs.half_norms
+        root = self.rs.positive_roots[k]
         out = {}
-        for i, n in enumerate(a):
+        for i, n in enumerate(root.coeffs):
             if n:
-                c, rem = divmod(2 * n * d[i], self._norm2[a])
+                c, rem = divmod(2 * n * d[i], root.norm2)
                 assert not rem, "coroot must be an integer vector"
                 out[i] = c
         return out
@@ -188,37 +202,35 @@ class ChevalleyTable:
         rank, npos = self.rs.rank, len(self.positive)
         if j < rank:
             return {}
-        b = self.positive[(j - rank) % npos]
+        kb = (j - rank) % npos
         j_is_e = j < rank + npos
         if i < rank:  # [h_i, e_b] = <b, a_i^v> e_b, [h_i, f_b] = -<b, a_i^v> f_b
-            c = self.rs.coroot_pairing(b, i)
+            c = self.rs.coroot_pairing(self.positive[kb], i)
             if not c:
                 return {}
             return {j: c if j_is_e else -c}
-        a = self.positive[(i - rank) % npos]
+        ka = (i - rank) % npos
+        a, b = self._codes[ka], self._codes[kb]
         if (i < rank + npos) == j_is_e:
-            k = self._e.get(tuple([p + q for p, q in zip(a, b)]))
+            k = self._at.get(a + b)
             if k is None:
                 return {}
             n = self.n_constant(a, b)
             return {k: n} if j_is_e else {k + npos: -n}
         # [e_a, f_b] = N(a, -b) e_(a-b) or f_(b-a), when a - b is a root
         if a == b:
-            return self.coroot_coords(a)
+            return self.coroot_coords(ka)
+        diff = a - b
+        k = self._at.get(diff)
+        if k is None:
+            return {}
         n2 = self._norm2
-        diff = tuple([p - q for p, q in zip(a, b)])
-        k = self._e.get(diff)
-        if k is not None:
+        if diff > 0:
             # b + diff = a: N(a, -b) = -<diff,diff>/<a,a> N(b, diff)
             num, den = -n2[diff] * self.n_constant(b, diff), n2[a]
         else:
-            neg = tuple([-x for x in diff])
-            k = self._e.get(neg)
-            if k is None:
-                return {}
-            k += npos
-            # a + neg = b: N(a, -b) = -<neg,neg>/<b,b> N(a, neg)
-            num, den = -n2[neg] * self.n_constant(a, neg), n2[b]
+            # a - diff = b: N(a, -b) = -<diff,diff>/<b,b> N(a, -diff)
+            num, den = -n2[-diff] * self.n_constant(a, -diff), n2[b]
         val, rem = divmod(num, den)
         assert not rem, "structure constant must be integral"
         return {k: val}

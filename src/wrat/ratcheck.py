@@ -19,6 +19,10 @@ a(t) and -a(t) on e_a and f_a, the columns of ad(f) from the table.
   images as witnesses) or exhibits a genuine violation.  Anything outside
   the tractable range hands off to the slot table wholesale.
 
+`check_realized` checks v against f and builds the operator and its
+grouping at v once for every route it runs; `report` hands it the operator
+it also reads for self-contragredience.
+
 `search_v`, the only user of h^f, builds a record's slot table once with h^f
 as the torus; h^f kills every root in the support of f and holds every v
 centralizing f.  Each v of a small rational lattice inside h^f is checked
@@ -140,22 +144,40 @@ def _require_centralizing(
             raise VNotInCentralizer(f"a(v) = {pairing(table.rs, c, v)} != 0 at root {c}")
 
 
+def _realize(
+    table: liealg.ChevalleyTable,
+    grading: gr.DynkinGrading,
+    f: liealg.Element,
+    v: CartanElement,
+    triple: gr.Sl2Triple | None,
+    op: _GradedOperator | None = None,
+) -> tuple[_GradedOperator, dict[tuple, list[int]], int]:
+    """(op, groups, den), the parts every route of one verdict reads: v
+    checked against f, then the operator (op, when given, is the one
+    `_chevalley_operator` built for these arguments) and its grouping at v."""
+    _require_centralizing(table, f, v)
+    if op is None:
+        op = _chevalley_operator(table, grading, f, triple)
+    return (op, *_group(op, [v.pairings]))
+
+
 def exact_condition(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
     f: liealg.Element,
     v: CartanElement,
     triple: gr.Sl2Triple | None = None,
+    *,
+    parts: tuple | None = None,
 ) -> ConditionVerdict:
     """Exact kernel computation; one evidence row per occupied (j, eigenvalue).
 
     The kernel slot table is built for f with v as the torus, so each slot
     is one (j, eigenvalue) pair.  Given f's sl2-triple the slots are
-    counted, else each takes one rank.
+    counted, else each takes one rank.  parts, when given, is `_realize`'s
+    result on these arguments.
     """
-    _require_centralizing(table, f, v)
-    op = _chevalley_operator(table, grading, f, triple)
-    return _slot_verdict(op, *_group(op, [v.pairings]))
+    return _slot_verdict(*(parts or _realize(table, grading, f, v, triple)))
 
 
 def fast_condition(
@@ -164,12 +186,13 @@ def fast_condition(
     f: liealg.Element,
     v: CartanElement,
     triple: gr.Sl2Triple | None = None,
+    *,
+    parts: tuple | None = None,
 ) -> ConditionVerdict:
     """Spectrum-on-two-blocks route; hands off wholesale on hard eigenvalues,
-    to `exact_condition`'s slot table (counted given triple) on its grouping."""
-    _require_centralizing(table, f, v)
-    op = _chevalley_operator(table, grading, f, triple)
-    groups, den = _group(op, [v.pairings])
+    to `exact_condition`'s slot table (counted given triple) on its grouping.
+    parts as there."""
+    op, groups, den = parts or _realize(table, grading, f, v, triple)
 
     D = op.degree_den
     scale = den * D
@@ -332,10 +355,13 @@ def verify_self_contragredient(
     grading: gr.DynkinGrading,
     f: liealg.Element,
     triple: gr.Sl2Triple | None = None,
+    *,
+    op: _GradedOperator | None = None,
 ) -> bool:
     """`_self_contragredient` on the Chevalley basis; given f's sl2-triple
-    from `complete_sl2` it holds without a rank."""
-    return _self_contragredient(_chevalley_operator(table, grading, f, triple))
+    from `complete_sl2` it holds without a rank.  op, when given, is the
+    operator `_chevalley_operator` built for these arguments."""
+    return _self_contragredient(op or _chevalley_operator(table, grading, f, triple))
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +384,24 @@ def check_realized(
     v: CartanElement,
     method: str,
     triple: gr.Sl2Triple | None = None,
+    *,
+    op: _GradedOperator | None = None,
 ) -> ConditionVerdict:
-    """`check_record` on the parts `realize_record` returns."""
-    if method == "exact":
-        return exact_condition(table, grading, f, v, triple)
-    if method == "fast":
-        return fast_condition(table, grading, f, v, triple)
-    if method != "both":
+    """`check_record` on the parts `realize_record` returns; op as in
+    `verify_self_contragredient`.  v is checked against f, and the
+    operator and its grouping at v are built, once for every route."""
+    if method not in ("exact", "fast", "both"):
         raise ValueError(f"unknown method {method!r}")
-    fast = fast_condition(table, grading, f, v, triple)
-    exact = exact_condition(table, grading, f, v, triple)
+    op, groups, den = parts = _realize(table, grading, f, v, triple, op)
+    if method == "exact":
+        return exact_condition(table, grading, f, v, triple, parts=parts)
+    fast = fast_condition(table, grading, f, v, triple, parts=parts)
+    if method == "fast":
+        return fast
+    if fast.method == "exact":
+        # the fast side is the counted table: rank the slots instead
+        parts = (op._replace(sl2=False), groups, den)
+    exact = exact_condition(table, grading, f, v, triple, parts=parts)
     if fast.status != exact.status:
         raise RoutesDisagree(
             f"routes disagree on {table.rs.simple_type} at v = {[str(x) for x in v.pairings]}: "
@@ -383,8 +417,10 @@ def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
     merged verdict carries the exact route's evidence and slot rule and the
     fast route's witnesses.  The exact route counts its slots on the
     verified triple and the fast route takes ranks of ad(f) columns, so the
-    two share only the degrees and the weights.  When the fast route hands
-    off (its method is "exact") both sides are the counted table.
+    two share only the degrees, the weights and the grouping.  When the
+    fast route hands off (its method is "exact") it returns the counted
+    table, and the exact side takes one rank per slot instead (slot rule
+    "rank"), so the gate still sets counts against ranks.
     """
     table, grading, f, triple = realize_record(record)
     return check_realized(table, grading, f, record.v, method, triple)

@@ -180,15 +180,9 @@ class RootSystem(NamedTuple):
     def rank(self) -> int:
         return self.simple_type.rank
 
-    def is_root(self, coeffs: tuple[int, ...]) -> bool:
-        """Membership for signed coefficient vectors."""
-        if coeffs in self.positive_set:
-            return True
-        return tuple(-c for c in coeffs) in self.positive_set
-
     def coroot_pairing(self, coeffs: tuple[int, ...], i: int) -> int:
         """<b, a_i^v> for a root b: the Cartan-matrix root-string pairing."""
-        return sum(c * self.cartan_matrix[j][i] for j, c in enumerate(coeffs) if c)
+        return sum([c * row[i] for c, row in zip(coeffs, self.cartan_matrix)])
 
 
 # radix of the root codes (module docstring): any R >= 8 keeps every digit

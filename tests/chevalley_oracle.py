@@ -7,9 +7,11 @@ N(a, b) from the extraspecial pairs and the Jacobi identity with its
 invariant-form ratios, N(a, -b) from one such ratio, and a^v over the simple
 coroots as n_i <a_i, a_i> / <a, a>.  The package computes the same numbers in
 integers over the root norms on the integer form, short roots of norm 2,
-which it carries through the root-string closure; every bracket it returns
-must equal `bracket` here.  The root-string combinatorics (extraspecial
-pairs, string lengths, the (height, lex) order) are read from the table.
+which it carries through the root-string closure, and on integer root
+codes; every bracket it returns must equal `bracket` here.  The root-string
+combinatorics (extraspecial pairs, string lengths, the (height, lex) order)
+are computed here on coefficient tuples, so nothing but the basis is read
+from the table.
 """
 from __future__ import annotations
 
@@ -23,6 +25,9 @@ class ReferenceConstants:
         self.table = table
         self.rs = table.rs
         self.pos = self.rs.positive_set
+        self.roots = self.pos | {tuple(-x for x in c) for c in self.pos}
+        self.by_height = sorted(self.pos, key=lambda c: (sum(c), c))
+        self.order = {c: k for k, c in enumerate(self.by_height)}
         self.memo: dict = {}
         self.norms: dict = {}
         d, a = self.rs.half_norms, self.rs.cartan_matrix
@@ -39,19 +44,33 @@ class ReferenceConstants:
             self.norms[c] = got
         return got
 
+    def string_down_length(self, a, b) -> int:
+        """p = largest k >= 0 such that b - k*a is a root."""
+        k = 1
+        while tuple(y - k * x for x, y in zip(a, b)) in self.roots:
+            k += 1
+        return k - 1
+
+    def extraspecial_pair(self, g):
+        """g = a1 + b1 with a1 least in (height, lex) among positive roots."""
+        for a in self.by_height:
+            b = tuple(x - y for x, y in zip(g, a))
+            if b in self.pos:
+                return a, b
+        raise ValueError(f"{g} is not a decomposable positive root")
+
     def n_constant(self, a, b) -> Fraction:
         """N(a, b) for positive roots a, b with a + b a positive root."""
         key = (a, b)
         if key in self.memo:
             return self.memo[key]
-        t = self.table
         g = tuple(x + y for x, y in zip(a, b))
-        a1, b1 = t.extraspecial_pair(g)
+        a1, b1 = self.extraspecial_pair(g)
         if (a, b) == (a1, b1):
-            val = Fraction(t.string_down_length(a1, b1) + 1)
+            val = Fraction(self.string_down_length(a1, b1) + 1)
         elif (b, a) == (a1, b1):
-            val = -Fraction(t.string_down_length(a1, b1) + 1)
-        elif t._order[a] > t._order[b]:
+            val = -Fraction(self.string_down_length(a1, b1) + 1)
+        elif self.order[a] > self.order[b]:
             val = -self.n_constant(b, a)
         else:
             n2 = self.norm2
@@ -100,7 +119,7 @@ class ReferenceConstants:
             out = self.coroot_coords(x.key)
         else:
             diff = tuple(p - q for p, q in zip(x.key, y.key))
-            if not self.rs.is_root(diff):
+            if diff not in self.roots:
                 return {}
             target = E(diff) if diff in self.pos else F(tuple(-c for c in diff))
             out = {t.index[target]: self.n_mixed(x.key, y.key)}

@@ -18,6 +18,11 @@ from wrat.classical import classical_basis
 from wrat.rootsys import cartan_solve
 
 
+def degrees(grading) -> tuple[Fraction, ...]:
+    """The degree of each basis vector of a `DynkinGrading`, as a Fraction."""
+    return tuple(Fraction(n, grading.degree_den) for n in grading.degree_nums)
+
+
 def dense(real, entries) -> list[list[Fraction]]:
     """The n x n matrix with the given {(row, column): entry} dict."""
     n = real.size
@@ -54,8 +59,8 @@ def self_contragredient(table, grading, f) -> bool:
     # <h_i, h_j> = a_ij / d_i, the form dual to the integer form of rs
     metric = [[Fraction(rs.cartan_matrix[i][j]) / d[i] for j in range(n)] for i in range(n)]
 
-    pos_idx = [i for i, deg in enumerate(grading.degrees) if deg > 0]
-    neg_idx = [i for i, deg in enumerate(grading.degrees) if deg < 0]
+    pos_idx = [i for i, deg in enumerate(degrees(grading)) if deg > 0]
+    neg_idx = [i for i, deg in enumerate(degrees(grading)) if deg < 0]
 
     for w in kernel:
         wh = [Fraction(0)] * n
@@ -181,7 +186,7 @@ def trace_rows(table, grading):
     g0 = grading.block(0)
     rows = []
     for sign in (1, -1):
-        side = [j for j, deg in enumerate(grading.degrees) if sign * deg > 0]
+        side = [j for j, deg in enumerate(degrees(grading)) if sign * deg > 0]
         rows.append(
             [sum(table.basis_bracket(i, j).get(j, Fraction(0)) for j in side) for i in g0]
         )

@@ -1,5 +1,7 @@
+import builtins
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -7,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -1293,6 +1296,91 @@ def test_exceptional_requests_never_run_classical(argv):
     assert "classical" not in got["ran"]
 
 
+@pytest.mark.parametrize(
+    "argv,code,stderr,ran",
+    [
+        (
+            ["frobenius", "/nonexistent.json"],
+            4,
+            "error: [Errno 2] No such file or directory: '/nonexistent.json'\n",
+            [],
+        ),
+        (
+            ["check-classical", "--family", "C", "--partition", "3,2"],
+            3,
+            "error: part 3 must occur an even number of times in sp\n",
+            ["slots", "classical"],
+        ),
+    ],
+    ids=["missing-series-file", "illegal-partition"],
+)
+def test_error_exits_run_only_what_the_request_ran(argv, code, stderr, ran):
+    """Mapping an exception to its exit code loads no module: a missing
+    series file runs none, an illegal partition only the matrix route."""
+    out = fresh_python("-c", EXECUTED_PROBE, json.dumps(argv))
+    assert out.stderr == stderr
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got == {"exit": code, "ran": ran, "dataclasses": False}
+
+
+def test_exit_code_names_are_exception_classes():
+    """Every name `cli._EXIT_CODES` maps is an exception class of its
+    module, so a renamed class cannot drop out of the mapping unseen."""
+    for _, names in cli._EXIT_CODES:
+        for name in names:
+            module, cls = name.rsplit(".", 1)
+            home = builtins if module == "builtins" else importlib.import_module(f"wrat.{module}")
+            got = getattr(home, cls)
+            assert isinstance(got, type) and issubclass(got, Exception), name
+            assert cli._exit_code(got("x")) == next(c for c, n in cli._EXIT_CODES if name in n)
+
+
+def test_report_all_realizes_each_record_once(capsys, monkeypatch):
+    """An in-process `report --all` checks v against f, builds the graded
+    operator and groups it once per record, for both routes and the
+    self-contragredience check together."""
+    calls = Counter()
+    for name in ("_chevalley_operator", "_group", "_require_centralizing"):
+
+        def counted(*args, _fn=getattr(ratcheck, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ratcheck, name, counted)
+    rc, out, _ = run(capsys, "report", "--all")
+    assert rc == 0 and len(json.loads(out)["rows"]) == 15
+    assert calls == {"_chevalley_operator": 15, "_group": 15, "_require_centralizing": 15}
+
+
+def test_both_gate_ranks_the_slots_on_a_handoff(capsys, tmp_path, monkeypatch):
+    """G2 A1~ with v = 3/2 times the first primitive h^f vector puts the
+    eigenvalue -3 in degree 0, so the fast route hands off to the counted
+    slot table.  The exact side of `--both` then ranks the slots instead of
+    counting them again, and the request prints and exits as `--exact`
+    does: 2, a failing row."""
+    (rec,) = [r for r in orbits.load_records() if (str(r.algebra), r.label) == ("G2", "A1~")]
+    table, _, f, _ = ratcheck.realize_record(rec)
+    first = ratcheck._hf_basis(table, f)[0]
+    obj = json.loads((Path(wrat.__file__).parent / "data" / "g2_q2.json").read_text())
+    obj["v"] = {"row": [rat_to_json(Fraction(3 * x, 2)) for x in first]}
+    (tmp_path / "g2_q2.json").write_text(json.dumps(obj))
+    monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+    counted = []
+    slot_verdict = ratcheck._slot_verdict
+
+    def spy(op, groups, den):
+        counted.append(op.sl2)
+        return slot_verdict(op, groups, den)
+
+    monkeypatch.setattr(ratcheck, "_slot_verdict", spy)
+    argv = ["check-exceptional", "--algebra", "G2", "--q", "2"]
+    both = run(capsys, *argv)
+    assert counted == [True, False]
+    assert ratcheck.check_record(orbits.load_records()[0]).slot_rule == "rank"
+    assert both == run(capsys, *argv, "--exact")
+    assert both[0] == 2 and '"admissible": false' in both[1]
+
+
 # loads orbits and ratcheck, then reports whether classical executed, and
 # whether the views the benchmark's files read are classical's own objects
 VIEWS_PROBE = """
@@ -1332,6 +1420,18 @@ def test_tracer_views_are_the_classical_functions():
 def test_start_up_never_imports_dataclasses(argv):
     got = executed_modules(*argv)
     assert got["exit"] == 0 and not got["dataclasses"]
+
+
+def test_classical_request_never_imports_json():
+    """A request that reads no JSON does not import the json package: the
+    output writer quotes strings with the C function json.encoder uses."""
+    probe = (
+        "import runpy, sys; sys.argv = ['wrat', *sys.argv[1:]]\n"
+        "try:\n    runpy.run_module('wrat.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    print(exc.code, 'json' in sys.modules)"
+    )
+    out = fresh_python("-c", probe, "check-classical", "--family", "C", "--partition", "3,3,2")
+    assert out.stdout.split("\n")[-2] == "0 False", out.stderr
 
 
 # counts Fraction.__new__ over one in-process request, argv as JSON in argv[1]

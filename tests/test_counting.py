@@ -167,7 +167,11 @@ def test_records_count_as_they_rank_on_sampled_v(k, data):
     if fast.method == "exact":
         assert fast == exact_condition(table, grading, f, v, triple)
     both = check_realized(table, grading, f, v, "both", triple)
-    assert (both.method, both.slot_rule) == ("both", "counting")
+    # on a hand-off the fast side is the counted table and the exact side
+    # ranks the slots, so the gate sets counts against ranks
+    rule = "rank" if fast.method == "exact" else "counting"
+    assert (both.method, both.slot_rule) == ("both", rule)
+    assert both.evidence == exact_condition(table, grading, f, v, triple).evidence
 
 
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)

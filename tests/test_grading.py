@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
-from contragredient_oracle import ad_block as bracket_block
+from contragredient_oracle import ad_block as bracket_block, degrees
 from wrat._linalg import rank as mat_rank, solve
 from wrat.grading import (
     NoSl2Completion,
@@ -31,7 +31,7 @@ def test_grade_halves_the_characteristic_values():
     t = table_for("A2")
     g = grade(t, CartanElement.of((2, 2)))
     # simple root vectors sit in degree 1, the highest root in degree 2
-    degs = {str(b): d for b, d in zip(t.basis, g.degrees)}
+    degs = {str(b): d for b, d in zip(t.basis, degrees(g))}
     assert degs["e(1,0)"] == 1 and degs["e(0,1)"] == 1
     assert degs["e(1,1)"] == 2
     assert degs["f(1,1)"] == -2
@@ -42,12 +42,12 @@ def test_grade_halves_the_characteristic_values():
 def test_grade_by_weights_does_not_halve():
     t = table_for("A2")
     g = grade_by_weights(t, CartanElement.of((1, 1)))
-    degs = {str(b): d for b, d in zip(t.basis, g.degrees)}
+    degs = {str(b): d for b, d in zip(t.basis, degrees(g))}
     assert degs["e(1,0)"] == 1 and degs["e(1,1)"] == 2
     # the grading is `grade` at 2 * x0, so that is the characteristic it keeps
     assert g.characteristic == CartanElement.of((2, 2))
     gh = grade(t, CartanElement.of((1, 1)))
-    degs_h = {str(b): d for b, d in zip(t.basis, gh.degrees)}
+    degs_h = {str(b): d for b, d in zip(t.basis, degrees(gh))}
     assert degs_h["e(1,0)"] == Fraction(1, 2)
 
 
@@ -201,7 +201,7 @@ def reference_degrees(t, characteristic):
 
 def assert_grading_matches_reference(t, g, characteristic):
     ref = reference_degrees(t, characteristic)
-    assert list(g.degrees) == ref
+    assert list(degrees(g)) == ref
     by_degree = {}
     for i, d in enumerate(ref):
         by_degree.setdefault(d, []).append(i)

@@ -98,24 +98,36 @@ def test_structure_constant_magnitude_is_string_length(name):
         s = tuple(x + y for x, y in zip(a, b))
         if s not in pos_set:
             continue
-        n_ab = t.n_constant(a, b)
+        n_ab = t.n_constant(t.code[a], t.code[b])
         p = _string_down_length_euclidean(st.family, st.rank, a, b)
         assert abs(n_ab) == p + 1, (a, b, n_ab, p)
 
 
 def test_g2_known_constants():
     t = table_for("G2")
+
+    def n(a, b):
+        return t.n_constant(t.code[a], t.code[b])
+
     # extraspecial base pair gets the +1; the reversed order flips the sign
-    assert t.n_constant((0, 1), (1, 0)) == 1
-    assert t.n_constant((1, 0), (0, 1)) == -1
+    assert n((0, 1), (1, 0)) == 1
+    assert n((1, 0), (0, 1)) == -1
     # the magnitude-3 constant of the short-root string
-    assert abs(t.n_constant((1, 1), (1, 2))) == 3
+    assert abs(n((1, 1), (1, 2))) == 3
 
 
-@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+CLASSICAL_TO_RANK_8 = [
+    f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for rank in range(low, 9)
+]
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", *CLASSICAL_TO_RANK_8])
 def test_integer_brackets_match_the_fraction_formulas(name):
-    """Every basis bracket, computed in integers over the integer root norms,
-    equals the Fraction formulas of `chevalley_oracle`, and is an int."""
+    """Every basis bracket, computed in integers over the integer root norms
+    and on integer root codes, equals the Fraction formulas of
+    `chevalley_oracle`, whose root-string combinatorics run on coefficient
+    tuples, and is an int."""
     t = table_for(name)
     ref = ReferenceConstants(t)
     for i in range(t.dimension):
@@ -123,6 +135,29 @@ def test_integer_brackets_match_the_fraction_formulas(name):
             got = t.basis_bracket(i, j)
             assert got == ref.bracket(i, j), (name, t.basis[i], t.basis[j])
             assert all(type(c) is int for c in got.values())
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", "A8", "B8", "C8", "D8"])
+def test_root_codes_decide_root_membership(name):
+    """Every code the table looks up is a + b or a - b for positive roots
+    a, b, or a string probe b - k a below a root b - (k - 1) a.  Each
+    lookup finds a root exactly when the coefficient vector is one, and
+    then the basis index of its e or f."""
+    t = table_for(name)
+    n = t.rs.rank
+    simple = [t.code[tuple(int(i == k) for i in range(n))] for k in range(n)]
+    signed = {c: t.index[E(c)] for c in t.positive}
+    signed.update({tuple(-x for x in c): t.index[F(c)] for c in t.positive})
+    for a in t.positive:
+        for b in t.positive:
+            probes = [tuple(x + y for x, y in zip(a, b))]
+            v = b
+            while v in signed:
+                v = tuple(y - x for x, y in zip(a, v))
+                probes.append(v)
+            for v in probes:
+                code = sum(c * s for c, s in zip(v, simple))
+                assert t._at.get(code) == signed.get(v), (name, a, b, v)
 
 
 def unit(t, label, c=1):

@@ -161,18 +161,6 @@ def test_counts_match_dimensions():
         assert rs.rank + 2 * len(rs.positive_roots) == d
 
 
-def test_is_root_signed_membership():
-    rs = build(SimpleType.parse("G2"))
-    assert rs.is_root((1, 0))
-    assert rs.is_root((-1, 0))
-    assert rs.is_root((1, 2)) and rs.is_root((-1, -2))
-    assert rs.is_root((2, 3)) and rs.is_root((-2, -3))
-    assert not rs.is_root((2, 0))
-    assert not rs.is_root((0, 0))
-    assert not rs.is_root((1, -1))
-    assert not rs.is_root((3, 1))
-
-
 def test_coroot_pairing_is_cartan_entry():
     rs = build(SimpleType.parse("F4"))
     n = rs.rank

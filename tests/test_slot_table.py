@@ -28,7 +28,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from contragredient_oracle import _ad_f, ad_block, dense
+from contragredient_oracle import _ad_f, ad_block, degrees, dense
 from linalg_oracle import rref
 from test_contragredience import legal_partitions
 from wrat.classical import _classical_operator, build_classical, check_classical, classical_basis
@@ -81,8 +81,8 @@ def fraction_verdict(blocks, ad):
 def blockwise_condition(table, grading, f, v):
     """`fraction_verdict` on the Chevalley basis."""
     blocks: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i in range(table.dimension):
-        blocks.setdefault((grading.degrees[i], eigenvalue(table, i, v)), []).append(i)
+    for i, deg in enumerate(degrees(grading)):
+        blocks.setdefault((deg, eigenvalue(table, i, v)), []).append(i)
     return fraction_verdict(blocks, lambda src, dst: ad_block(table, f, tuple(src), tuple(dst)))
 
 
