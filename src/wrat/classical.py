@@ -7,7 +7,8 @@ verifies the sl2-triple (e, h, f) from the Jordan blocks; `check_classical`
 and `verify_self_contragredient_classical` read the symmetrized matrix
 units through the kernel slot table of `slots`, with the diagonal v as
 the torus.  Nothing here touches root systems, Chevalley bases or
-gradings, so a classical request loads none of them.
+gradings, so a classical request loads none of them; `slots` is read at
+call time, so a verified self-contragredience request does not run it.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _linalg
-from .slots import ConditionVerdict, _GradedOperator, _group, _self_contragredient, _slot_verdict
+from . import _linalg, slots
 
 
 class InvalidPartition(ValueError):
@@ -247,7 +247,7 @@ def _classical_sl2(real: ClassicalRealization) -> bool:
     return is_sl2_triple(real) and all(v[r] == v[s] for r, s in real.f)
 
 
-def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
+def _classical_operator(real: ClassicalRealization) -> slots._GradedOperator:
     """The operator on the symmetrized matrix units of `classical_basis`.
     The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j."""
     basis = classical_basis(real)
@@ -285,18 +285,18 @@ def _classical_operator(real: ClassicalRealization) -> _GradedOperator:
     def weigh(t) -> tuple[int, ...]:
         return tuple([t[i] - t[j] for ((i, j), _, _) in basis])
 
-    return _GradedOperator(
+    return slots._GradedOperator(
         tuple(degrees), 2 * den, weigh, column, tuple(cartan), _classical_sl2(real)
     )
 
 
-def check_classical(real: ClassicalRealization) -> ConditionVerdict:
+def check_classical(real: ClassicalRealization) -> slots.ConditionVerdict:
     """Kernel slot table on the matrix realization, with v as the torus."""
     op = _classical_operator(real)
-    return _slot_verdict(op, *_group(op, [real.v_diag]))
+    return slots._slot_verdict(op, *slots._group(op, [real.v_diag]))
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
     """`_self_contragredient` on the matrix realization; on a verified triple
     it is True without building the operator."""
-    return _classical_sl2(real) or _self_contragredient(_classical_operator(real))
+    return _classical_sl2(real) or slots._self_contragredient(_classical_operator(real))

@@ -17,6 +17,9 @@ Subcommands:
 Exit codes: 0 pass/ok, 2 mathematical fail (or search miss, or
 `ratcheck.RoutesDisagree`), 3 invalid input/data (bad flags, illegal
 partitions, no bundled record, resonance), 4 I/O failure.
+
+`run` is the program entry (`python -m wrat.cli`, the `wrat` script);
+`main(argv)` is the in-process one, for tests and library callers.
 """
 from __future__ import annotations
 
@@ -465,5 +468,18 @@ def main(argv=None) -> int:
         return _fail(str(exc), code)
 
 
+def run() -> None:
+    """`main` on sys.argv, then exit with its code.  The output is written
+    by then, so the heap is first frozen into the permanent generation,
+    which the full collections of interpreter shutdown do not scan; atexit
+    handlers, stream flushing and module teardown still run.  `main` keeps
+    the heap collectable for callers that run many requests in-process."""
+    import gc  # only the program entry needs it, not `import wrat.cli`
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

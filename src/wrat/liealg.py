@@ -205,7 +205,7 @@ class ChevalleyTable:
         kb = (j - rank) % npos
         j_is_e = j < rank + npos
         if i < rank:  # [h_i, e_b] = <b, a_i^v> e_b, [h_i, f_b] = -<b, a_i^v> f_b
-            c = self.rs.coroot_pairing(self.positive[kb], i)
+            c = self.rs.positive_roots[kb].coroot_pairings[i]
             if not c:
                 return {}
             return {j: c if j_is_e else -c}

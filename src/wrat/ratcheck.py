@@ -398,16 +398,20 @@ def check_realized(
     fast = fast_condition(table, grading, f, v, triple, parts=parts)
     if method == "fast":
         return fast
-    if fast.method == "exact":
+    handoff = fast.method == "exact"
+    if handoff:
         # the fast side is the counted table: rank the slots instead
         parts = (op._replace(sl2=False), groups, den)
     exact = exact_condition(table, grading, f, v, triple, parts=parts)
     if fast.status != exact.status:
-        raise RoutesDisagree(
-            f"routes disagree on {table.rs.simple_type} at v = {[str(x) for x in v.pairings]}: "
-            f"fast={fast.status} exact={exact.status}"
-        )
-    return ConditionVerdict(exact.status, exact.evidence, fast.fallbacks, "both", exact.slot_rule)
+        why = f"fast={fast.status} exact={exact.status}"
+    elif handoff and fast.evidence != exact.evidence:
+        why = "the counted and the ranked slot tables differ"
+    else:
+        return ConditionVerdict(exact.status, exact.evidence, fast.fallbacks, "both", exact.slot_rule)
+    raise RoutesDisagree(
+        f"routes disagree on {table.rs.simple_type} at v = {[str(x) for x in v.pairings]}: {why}"
+    )
 
 
 def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
@@ -420,7 +424,8 @@ def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
     two share only the degrees, the weights and the grouping.  When the
     fast route hands off (its method is "exact") it returns the counted
     table, and the exact side takes one rank per slot instead (slot rule
-    "rank"), so the gate still sets counts against ranks.
+    "rank"), so the gate still sets counts against ranks; both sides are
+    then whole slot tables, and every evidence row must agree as well.
     """
     table, grading, f, triple = realize_record(record)
     return check_realized(table, grading, f, record.v, method, triple)

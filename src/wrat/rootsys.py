@@ -78,6 +78,7 @@ class Root(NamedTuple):
 
     coeffs: tuple[int, ...]
     norm2: int  # <b, b> on the integer form: 2 on a short root
+    coroot_pairings: tuple[int, ...]  # <b, a_i^v> for each simple root a_i
 
     @property
     def height(self) -> int:
@@ -180,22 +181,19 @@ class RootSystem(NamedTuple):
     def rank(self) -> int:
         return self.simple_type.rank
 
-    def coroot_pairing(self, coeffs: tuple[int, ...], i: int) -> int:
-        """<b, a_i^v> for a root b: the Cartan-matrix root-string pairing."""
-        return sum([c * row[i] for c, row in zip(coeffs, self.cartan_matrix)])
-
 
 # radix of the root codes (module docstring): any R >= 8 keeps every digit
 # of a root's code below R - 1
 _R = 8
 
 
-def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int, ...], int]:
-    """Closure of the simple roots under root-string addition, as {root:
-    <b, b>}: each step b -> b + a_i carries the norm along as
+def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int, ...], Root]:
+    """Closure of the simple roots under root-string addition, as {root
+    coefficients: Root}: each step b -> b + a_i carries the norm along as
     <b, b> + 2 d_i (<b, a_i^v> + 1), and the coroot pairings <b, a_j^v> as
-    a vector that gains row i of the Cartan matrix.  Roots are held by
-    their integer codes (see _R) and decoded once at the end."""
+    a vector that gains row i of the Cartan matrix; each Root keeps both.
+    Roots are held by their integer codes (see _R) and decoded once at the
+    end."""
     n = len(cartan)
     steps = [_R ** i for i in range(n)]
     norm = {steps[i]: 2 * d[i] for i in range(n)}
@@ -225,7 +223,7 @@ def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int
     for code, b in norm.items():
         digits = tuple([code // step % _R for step in steps])
         assert max(digits) < _R - 1, "a root coefficient reached the code radix"
-        out[digits] = b
+        out[digits] = Root(digits, b, tuple(pairings[code]))
     return out
 
 
@@ -236,8 +234,8 @@ def _build(st: SimpleType) -> RootSystem:
     assert all(
         d[j] * cartan[i][j] == d[i] * cartan[j][i] for i in range(n) for j in range(n)
     ), "form must be symmetric"
-    norms = _enumerate_positive(cartan, d)
-    roots = tuple(Root(c, norms[c]) for c in sorted(norms))
+    closure = _enumerate_positive(cartan, d)
+    roots = tuple(closure[c] for c in sorted(closure))
     highest = max(roots, key=lambda r: (r.height, r.coeffs))
     marks = highest.coeffs
     # long roots have <b, b> = 2 * lacety; the comarks are m_i d_i / lacety
@@ -253,7 +251,7 @@ def _build(st: SimpleType) -> RootSystem:
         dual_coxeter_number=1 + comarks,
         lacety=lacety,
         half_norms=tuple(d),
-        positive_set=frozenset(norms),
+        positive_set=frozenset(closure),
     )
 
 

@@ -4,8 +4,8 @@ These are the rational formulas of the structure constants, with the root
 norms <a, a> taken from a Fraction form on the simple roots built here from
 the Cartan matrix and the half norms, <a_i, a_j> = d_j a_ij:
 N(a, b) from the extraspecial pairs and the Jacobi identity with its
-invariant-form ratios, N(a, -b) from one such ratio, and a^v over the simple
-coroots as n_i <a_i, a_i> / <a, a>.  The package computes the same numbers in
+invariant-form ratios, N(a, -b) from one such ratio, a^v over the simple
+coroots as n_i <a_i, a_i> / <a, a>, and <b, a_i^v> from the Cartan matrix.  The package computes the same numbers in
 integers over the root norms on the integer form, short roots of norm 2,
 which it carries through the root-string closure, and on integer root
 codes; every bracket it returns must equal `bracket` here.  The root-string
@@ -18,6 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from wrat.liealg import E, F, ChevalleyTable
+
+
+def coroot_pairing(cartan, coeffs, i: int) -> int:
+    """<b, a_i^v> for the root b = sum c_j a_j: sum_j c_j a_ji, read off the
+    Cartan matrix rather than the pairings the closure stores."""
+    return sum(c * row[i] for c, row in zip(coeffs, cartan))
 
 
 class ReferenceConstants:
@@ -107,7 +113,7 @@ class ReferenceConstants:
         if x.kind == "h" or (y.kind != "h" and (x.kind, y.kind) == ("f", "e")):
             return {k: -c for k, c in self.bracket(j, i).items()}
         if y.kind == "h":
-            c = Fraction(self.rs.coroot_pairing(x.key, y.key))
+            c = Fraction(coroot_pairing(self.rs.cartan_matrix, x.key, y.key))
             out = {i: -c if x.kind == "e" else c}
         elif x.kind == y.kind:
             s = tuple(p + q for p, q in zip(x.key, y.key))

@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import copy
+import gc
 import importlib
 import io
 import json
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import series_oracle
 import wrat
-from wrat import _linalg, cli, frobenius as fr, orbits, ratcheck
+from wrat import _linalg, cli, frobenius as fr, orbits, ratcheck, slots
 from wrat.classical import ClassicalPartition
 from wrat._serde import rat_to_json
 from wrat.cli import build_parser, main
@@ -1262,19 +1263,23 @@ def test_frobenius_request_runs_only_frobenius(tmp_path):
 
 def test_check_classical_request_never_runs_frobenius():
     """The matrix route needs neither the Chevalley table nor the gradings:
-    it runs `classical` and the shared slot table, and none of the
-    Chevalley route's modules."""
-    for argv in (
-        ["check-classical", "--partition", "3,3,2"],
-        ["check-classical", "--partition", "3,3", "--v-zero"],
-        ["verify-contragredient", "--partition", "3,3,2"],
+    it runs `classical`, the check also the shared slot table, and none of
+    the Chevalley route's modules.  Self-contragredience on the verified
+    triple of a partition needs no slot table."""
+    for argv, slot_table in (
+        (["check-classical", "--partition", "3,3,2"], True),
+        (["check-classical", "--partition", "3,3", "--v-zero"], True),
+        (["verify-contragredient", "--partition", "3,3,2"], False),
+        (["check-classical", "--partition", "13,13,10,10,6,4,2,2"], True),
+        (["verify-contragredient", "--partition", "13,13,10,10,6,4,2,2"], False),
     ):
         got = executed_modules(*argv, "--family", "C")
         assert got["exit"] == 0
         assert "ratcheck" not in got["ran"]
         assert not {"frobenius", "liealg", "grading"} & set(got["ran"]), argv
         assert not {"rootsys", "orbits"} & set(got["ran"]), argv
-        assert {"classical", "slots"} <= set(got["ran"]), argv
+        assert "classical" in got["ran"], argv
+        assert ("slots" in got["ran"]) == slot_table, argv
         assert not got["dataclasses"]
 
 
@@ -1309,7 +1314,7 @@ def test_exceptional_requests_never_run_classical(argv):
             ["check-classical", "--family", "C", "--partition", "3,2"],
             3,
             "error: part 3 must occur an even number of times in sp\n",
-            ["slots", "classical"],
+            ["classical"],
         ),
     ],
     ids=["missing-series-file", "illegal-partition"],
@@ -1352,12 +1357,9 @@ def test_report_all_realizes_each_record_once(capsys, monkeypatch):
     assert calls == {"_chevalley_operator": 15, "_group": 15, "_require_centralizing": 15}
 
 
-def test_both_gate_ranks_the_slots_on_a_handoff(capsys, tmp_path, monkeypatch):
-    """G2 A1~ with v = 3/2 times the first primitive h^f vector puts the
-    eigenvalue -3 in degree 0, so the fast route hands off to the counted
-    slot table.  The exact side of `--both` then ranks the slots instead of
-    counting them again, and the request prints and exits as `--exact`
-    does: 2, a failing row."""
+def use_handoff_record(tmp_path, monkeypatch):
+    """Make G2 A1~, with v = 3/2 times the first primitive h^f vector, the
+    only bundled record, through a temporary WRAT_DATA_DIR."""
     (rec,) = [r for r in orbits.load_records() if (str(r.algebra), r.label) == ("G2", "A1~")]
     table, _, f, _ = ratcheck.realize_record(rec)
     first = ratcheck._hf_basis(table, f)[0]
@@ -1365,6 +1367,15 @@ def test_both_gate_ranks_the_slots_on_a_handoff(capsys, tmp_path, monkeypatch):
     obj["v"] = {"row": [rat_to_json(Fraction(3 * x, 2)) for x in first]}
     (tmp_path / "g2_q2.json").write_text(json.dumps(obj))
     monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+
+
+def test_both_gate_ranks_the_slots_on_a_handoff(capsys, tmp_path, monkeypatch):
+    """G2 A1~ with v = 3/2 times the first primitive h^f vector puts the
+    eigenvalue -3 in degree 0, so the fast route hands off to the counted
+    slot table.  The exact side of `--both` then ranks the slots instead of
+    counting them again, and the request prints and exits as `--exact`
+    does: 2, a failing row."""
+    use_handoff_record(tmp_path, monkeypatch)
     counted = []
     slot_verdict = ratcheck._slot_verdict
 
@@ -1379,6 +1390,108 @@ def test_both_gate_ranks_the_slots_on_a_handoff(capsys, tmp_path, monkeypatch):
     assert ratcheck.check_record(orbits.load_records()[0]).slot_rule == "rank"
     assert both == run(capsys, *argv, "--exact")
     assert both[0] == 2 and '"admissible": false' in both[1]
+
+
+def test_both_gate_compares_the_rows_on_a_handoff(capsys, tmp_path, monkeypatch):
+    """On a hand-off both sides of `--both` are whole slot tables, so a
+    counted table that miscounts one slot fails the gate even where the
+    two statuses agree: the request exits 2 with one error line and no
+    verdict, where the true tables print the failing verdict."""
+    use_handoff_record(tmp_path, monkeypatch)
+    argv = ["check-exceptional", "--algebra", "G2", "--q", "2"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (2, "") and '"evidence"' in out
+    kernel_slots = slots._kernel_slots
+
+    def miscounted(op, groups):
+        got = kernel_slots(op, groups)
+        if op.sl2:  # the counting branch: one kernel vector too many
+            d, mu, mult = got[0]
+            got[0] = (d, mu, mult + 1)
+        return got
+
+    monkeypatch.setattr(slots, "_kernel_slots", miscounted)
+    rec = orbits.load_records()[0]
+    table, grading, f, triple = ratcheck.realize_record(rec)
+    fast = ratcheck.fast_condition(table, grading, f, rec.v, triple)
+    exact = ratcheck.exact_condition(table, grading, f, rec.v)
+    assert fast.method == "exact" and fast.slot_rule == "counting"
+    assert exact.slot_rule == "rank"
+    assert fast.status == exact.status and fast.evidence != exact.evidence
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: routes disagree on G2") and err.count("\n") == 1
+    assert "slot tables differ" in err
+
+
+# -- the program entry: `run` freezes the heap after the output ---------------
+
+# runs one request as `python -m wrat.cli` would, then prints its exit code
+# and the number of objects in the permanent generation
+FREEZE_PROBE = """
+import gc, json, runpy, sys
+sys.argv = ["wrat", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("wrat.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "frozen": gc.get_freeze_count()}))
+"""
+
+
+def test_program_entry_freezes_the_heap_after_the_output():
+    argv = ["check-classical", "--family", "C", "--partition", "13,13,10,10,6,4,2,2"]
+    out = fresh_python("-c", FREEZE_PROBE, json.dumps(argv))
+    assert out.stderr == ""
+    *lines, last = out.stdout.splitlines(keepends=True)
+    got = json.loads(last)
+    assert got["exit"] == 0 and got["frozen"] > 0
+    golden = GOLDEN / "classical" / "check-classical_C_13-13-10-10-6-4-2-2.out"
+    assert "".join(lines).encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "workload,name,argv", GOLDEN_REQUESTS, ids=[f"{w}/{n}" for w, n, _ in GOLDEN_REQUESTS]
+)
+def test_program_entry_matches_golden_bytes(tmp_path, workload, name, argv):
+    """`python -m wrat.cli`, as the benchmark runs it, on every bench request."""
+    argv = [write_system(tmp_path, "system.json", a) if isinstance(a, dict) else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "wrat.cli", *argv], env=env, capture_output=True, timeout=120
+    )
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert out.stdout == (GOLDEN / workload / f"{name}.out").read_bytes()
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    """In-process callers (the tests, the bench tracer, library code) call
+    `main` many times and keep a heap that can still be collected."""
+    before = gc.get_freeze_count()
+    assert run(capsys, "check-exceptional", "--algebra", "G2", "--q", "3")[0] == 0
+    assert run(capsys, "check-classical", "--family", "C", "--partition", "3,3,2")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_script_is_the_program_entry():
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'wrat = "wrat.cli:run"'
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout,stderr", CLI_USAGE, ids=[" ".join(c[0]) or "no-arguments" for c in CLI_USAGE]
+)
+def test_help_and_usage_leave_run_before_the_freeze(capsys, monkeypatch, argv, code, stdout, stderr):
+    """--help and usage errors end in SystemExit inside `main`, with the
+    pinned bytes and exit codes, and so never reach the freeze."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["wrat", *argv])
+    before = gc.get_freeze_count()
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert (exc.value.code, *capsys.readouterr()) == (code, stdout, stderr)
+    assert gc.get_freeze_count() == before
 
 
 # loads orbits and ratcheck, then reports whether classical executed, and

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import euclid_model as em
-from chevalley_oracle import ReferenceConstants
+from chevalley_oracle import ReferenceConstants, coroot_pairing
 from linalg_oracle import ad_matrix, centralizer, mat_mul
 from wrat.liealg import E, F, H, build_chevalley, cartan_lie_element
 from wrat.rootsys import CartanElement, SimpleType, build
@@ -182,7 +182,7 @@ def test_h_acts_diagonally():
     for i in range(rs.rank):
         for r in rs.positive_roots:
             out = t.bracket(unit(t, H(i)), unit(t, E(r.coeffs)))
-            assert out == unit(t, E(r.coeffs), rs.coroot_pairing(r.coeffs, i))
+            assert out == unit(t, E(r.coeffs), coroot_pairing(rs.cartan_matrix, r.coeffs, i))
 
 
 def test_sl2_inside_each_row():

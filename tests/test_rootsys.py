@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import euclid_model as em
+from chevalley_oracle import coroot_pairing
 from wrat.rootsys import (
     CartanElement,
     IllegalType,
@@ -84,7 +85,8 @@ def test_coded_closure_matches_tuple_closure(family, rank):
     st = SimpleType(family, rank)
     cartan, d = _cartan_matrix(st), _half_norms(st)
     got = _enumerate_positive(cartan, d)
-    assert got == tuple_closure(cartan, d)
+    assert all(r.coeffs == c for c, r in got.items())
+    assert {c: r.norm2 for c, r in got.items()} == tuple_closure(cartan, d)
     assert len(got) == positive_root_count(family, rank)
 
 
@@ -162,12 +164,26 @@ def test_counts_match_dimensions():
 
 
 def test_coroot_pairing_is_cartan_entry():
+    """The i-th simple root carries row i of the Cartan matrix as its
+    coroot pairings."""
     rs = build(SimpleType.parse("F4"))
     n = rs.rank
     for i in range(n):
         simple = tuple(1 if k == i else 0 for k in range(n))
+        (root,) = [r for r in rs.positive_roots if r.coeffs == simple]
+        assert root.coroot_pairings == rs.cartan_matrix[i]
         for j in range(n):
-            assert rs.coroot_pairing(simple, j) == rs.cartan_matrix[i][j]
+            assert coroot_pairing(rs.cartan_matrix, simple, j) == rs.cartan_matrix[i][j]
+
+
+@pytest.mark.parametrize("name", NORM_TYPES)
+def test_closure_keeps_the_coroot_pairings(name):
+    """Every positive root b = sum c_j a_j carries the pairings the closure
+    computed, <b, a_i^v> = sum_j c_j a_ji."""
+    rs = build(SimpleType.parse(name))
+    for r in rs.positive_roots:
+        want = tuple(coroot_pairing(rs.cartan_matrix, r.coeffs, i) for i in range(rs.rank))
+        assert r.coroot_pairings == want, r
 
 
 def test_pairing_and_cartan_solve_inverse():
