@@ -23,10 +23,6 @@ Matrix = list[list[Fraction]]
 Pivots = dict[int, dict[int, int]]
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
 def over_common(xs) -> tuple[list[int], int]:
     """(ints, den): the rationals xs times den, their least common
     denominator."""

@@ -5,10 +5,8 @@ auxiliary parameter z; everything is exact.  Every polynomial is a `Form`,
 integer numerators over one denominator in lowest terms, from the JSON read
 by `poly_from_json` to the JSON written by `poly_to_json`: A's terms, f, the
 seeds and each series coefficient, held once.  The integer kernel `_kernel`
-does all their arithmetic and `_majorant` all their bounds.  The Fraction
-view `Poly` is only `VectorSeries.coeffs`, the two float sites and the
-linearized error path of the seed check.  Two independent routes compute
-the solution:
+does all their arithmetic and `_majorant` all their bounds.  Two
+independent routes compute the solution:
 
 * `recursion_solve` peels coefficients off the defining relation
   [n I - A_0(z)] u_n = f_n + sum_{m<n} A_{n-m} u_m, validating the supplied
@@ -49,7 +47,7 @@ from typing import Mapping, NamedTuple
 from . import _linalg
 from ._serde import rat_from_json, ratio_to_json
 
-Poly = tuple[Fraction, ...]  # the Fraction view of a Form: `VectorSeries.coeffs`, `p_eval`
+Poly = tuple[Fraction, ...]  # the Fraction view of a Form: `VectorSeries.coeffs`
 
 
 class Form(NamedTuple):
@@ -61,28 +59,31 @@ class Form(NamedTuple):
     den: int
 
 
-class Resonance(ValueError):
+class _StepFailure(ValueError):
+    """The recursion fails at index n, in a log layer (exponent, log power)
+    or in the plain recursion (layer None)."""
+
+    _message = ""
+
+    def __init__(self, n: int, layer: tuple[int, int] | None = None):
+        self.n = n
+        self.layer = layer
+        msg = self._message.format(n)
+        if layer is not None:
+            msg += f" in layer (exponent {layer[0]}, log power {layer[1]})"
+        super().__init__(msg)
+
+
+class Resonance(_StepFailure):
     """[n I - A_0] is singular at an index the seeds do not cover."""
 
-    def __init__(self, n: int, layer: tuple[int, int] | None = None):
-        self.n = n
-        self.layer = layer
-        msg = f"resonant index n = {n}"
-        if layer is not None:
-            msg += f" in layer (exponent {layer[0]}, log power {layer[1]})"
-        super().__init__(msg)
+    _message = "resonant index n = {}"
 
 
-class SeedInconsistent(ValueError):
+class SeedInconsistent(_StepFailure):
     """A seed coefficient fails its defining relation although solutions exist."""
 
-    def __init__(self, n: int, layer: tuple[int, int] | None = None):
-        self.n = n
-        self.layer = layer
-        msg = f"seed at n = {n} does not satisfy the recursion"
-        if layer is not None:
-            msg += f" in layer (exponent {layer[0]}, log power {layer[1]})"
-        super().__init__(msg)
+    _message = "seed at n = {} does not satisfy the recursion"
 
 
 class ContractionFails(ValueError):
@@ -124,12 +125,6 @@ def _form(p) -> Form:
     return p if type(p) is Form else _reduced(*_linalg.over_common(p))
 
 
-def _poly(form) -> Poly:
-    """The Fraction view of (numerators, denominator)."""
-    nums, den = form
-    return tuple(Fraction(c, den) for c in nums)
-
-
 def _kernel(pairs) -> tuple[list[int], int]:
     """sum_k a_k b_k over (numerators, denominator) pairs: every product is
     convolved and summed in int over one common denominator den; returns
@@ -168,10 +163,14 @@ def _divmod(a, b) -> tuple[Form, Form]:
     return _reduced([x * db for x in quot], g * den), _reduced(rem, den)
 
 
-def p_eval(p: Poly, x):
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
+def p_eval(p: Form, x):
+    """p(x) by Horner on the numerators, each divided by the denominator as
+    it enters: for a complex x the same float as Horner on the Fraction
+    coefficients."""
+    nums, den = p
+    out = 0
+    for c in reversed(nums):
+        out = out * x + c / den
     return out
 
 
@@ -218,14 +217,16 @@ class AnalyticMatrixSeries(_Series):
 
 class VectorSeries(NamedTuple):
     """u(z, q) = sum_n u_n(z) q^n, coefficients stored densely from n = 0
-    as Forms; `coeffs` is their Fraction view."""
+    as Forms; `coeffs` is their Fraction view, the one the library keeps
+    for its readers (no step of the solver reads it)."""
 
     ell: int
     forms: list[list[Form]]
 
     @property
     def coeffs(self) -> list[list[Poly]]:
-        return [[_poly(x) for x in vec] for vec in self.forms]
+        return [[tuple(Fraction(c, den) for c in nums) for nums, den in vec]
+                for vec in self.forms]
 
 
 class DomainParams(NamedTuple):
@@ -299,29 +300,21 @@ def _poly_solvable(a0: list[list[Form]], n: int, b) -> bool:
     """Whether [n I - A_0(z)] x(z) = b(z) has a polynomial solution x,
     linearized over the coefficients of x up to the degree bound
     (ell - 1) * deg M + deg b, which covers every polynomial solution that
-    can exist.  b is a list of (numerators, denominator) pairs; this error
-    path of the seed check is the one place it takes their Fraction view."""
-    ell = len(a0)
-    m = [[_poly(_kernel([(_ONE, ([n] if i == j else [], 1)), (([-1], 1), e)]))
+    can exist.  b is a list of (numerators, denominator) pairs; each
+    equation's rows are scaled to integers by the lcm of its denominators."""
+    m = [[_kernel([(_ONE, ([n] if i == j else [], 1)), (([-1], 1), e)])
           for j, e in enumerate(row)] for i, row in enumerate(a0)]
-    b = [_poly(x) for x in b]
-    deg_m = max((len(e) - 1 for row in m for e in row if e), default=0)
-    deg_b = max((len(e) - 1 for e in b if e), default=0)
-    width = (ell - 1) * deg_m + deg_b + 1
-    rows_per_eq = width + deg_m
-    big = _linalg.zeros(ell * rows_per_eq, ell * width)
-    rhs = [Fraction(0)] * (ell * rows_per_eq)
-    for r_i in range(ell):
-        for s in range(rows_per_eq):
-            row = big[r_i * rows_per_eq + s]
-            for c_j in range(ell):
-                e = m[r_i][c_j]
-                for t in range(width):
-                    if 0 <= s - t < len(e):
-                        row[c_j * width + t] += e[s - t]
-            bb = b[r_i]
-            rhs[r_i * rows_per_eq + s] = bb[s] if s < len(bb) else Fraction(0)
-    return _linalg.solve(big, rhs) is not None
+    deg_m = max((len(e) - 1 for row in m for e, _ in row if e), default=0)
+    deg_b = max((len(e) - 1 for e, _ in b if e), default=0)
+    width = (len(a0) - 1) * deg_m + deg_b + 1
+    rows, rhs = [], []
+    for row, (nb, db) in zip(m, b):
+        den = lcm(db, *[d for _, d in row])
+        for s in range(width + deg_m):
+            rows.append([nums[s - t] * (den // d) if 0 <= s - t < len(nums) else 0
+                         for nums, d in row for t in range(width)])
+            rhs.append(nb[s] * (den // db) if s < len(nb) else 0)
+    return _linalg.solve(rows, rhs) is not None
 
 
 def _char_expansion(a0: list[list[Form]]):
@@ -435,7 +428,7 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> 
     """
     import cmath  # only here and in `evaluate`: the float sites of the package
 
-    a0 = [_poly(e) for row in a.a0() for e in row]
+    a0 = [e for row in a.a0() for e in row]
     k_bound = 0.0
     z0 = complex(domain.z0)
     for k in range(64):
@@ -670,9 +663,9 @@ def evaluate(solution: LogSeriesSolution, z, q: complex, log_q: complex) -> list
     for (j, k), series in solution.layers.items():
         h = solution.exponents[j]
         lk = log_q**k
-        for n, vec in enumerate(series.coeffs):
+        for n, vec in enumerate(series.forms):
             scale = cmath.exp((float(h) + n) * log_q) * lk
             for i in range(solution.ell):
-                if vec[i]:
+                if vec[i].nums:
                     out[i] += complex(p_eval(vec[i], complex(z))) * scale
     return out

@@ -63,15 +63,10 @@ def H(i: int) -> BasisElement:
 class ChevalleyTable:
     """Structure constants of the simple Lie algebra over a root system.
 
-    The root arithmetic runs on integer codes: sum c_i a_i is coded as
-    sum c_i R^i with R = 2m + 1, m the largest coefficient of the highest
-    root, so a negative root has the negative code, and root sums,
-    differences and membership are int `+`, `-` and set lookups.  Each
-    code looked up is a + b or a - b for positive a, b, or p - a for a
-    root p.  Its digits are within 2m < R of those of each root it could
-    equal (a + b, and p - a for a negative p, have digits of one sign, so
-    they can equal only roots of that sign), and two vectors whose digits
-    differ by less than R have equal codes only when they are equal.
+    The root arithmetic runs on the integer codes of `rootsys`, whose
+    module docstring says why a code lookup decides root membership: a
+    negative root has the negative code, and root sums, differences and
+    membership are int `+`, `-` and set lookups.
 
     `weigh` evaluates a torus element on every basis vector at once: a on
     e_a, -a on f_a, 0 on the Cartan basis.
@@ -88,10 +83,8 @@ class ChevalleyTable:
         )
         self.dimension = len(self.basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
-        radix = 2 * max(rs.highest_root.coeffs) + 1
-        steps = [radix ** i for i in range(rs.rank)]
         # positive root -> code; the codes in the order of `positive`
-        self.code = {c: sum(map(mul, c, steps)) for c in pos}
+        self.code = {r.coeffs: r.code for r in rs.positive_roots}
         self._codes = list(self.code.values())
         # signed code -> basis index: e_a at a's code, f_a at its negative
         npos = len(pos)

@@ -9,10 +9,23 @@ The Cartan matrix convention is ``a[i][j] = 2<a_i, a_j> / <a_j, a_j>``, i.e.
 The invariant form is held once, as the integer form, short roots of norm 2:
 the half norms d_i = <a_i, a_i>/2 give <a_i, a_j> = d_j a[i][j], and every
 positive root carries its norm <b, b> from the root-string closure.
-The closure runs on integer-coded roots: b = sum c_i a_i is the integer
-sum c_i R^i with R = 8.  No root coefficient exceeds 6 (E8), so no digit
-of a root's code reaches R - 1; adding a simple root never carries, and a
-downward probe that borrows lands on a digit R - 1, which no root has.
+
+This module is the one place that codes roots as integers: b = sum c_i a_i
+is the int sum c_i R^i with R = 13, and each Root keeps its code.  No root
+coefficient exceeds m = 6 (E8), and that one bound carries both uses:
+
+* The closure adds and subtracts simple roots.  No digit of a root's code
+  reaches R - 1, so adding a simple root never carries, and a downward
+  probe that borrows lands on a digit R - 1, which no root has.
+* `liealg.ChevalleyTable` looks up codes that are a + b or a - b for
+  positive roots a, b, or p - a for a root p.  The digits of such a vector
+  are within 2m < R of those of each root it could equal (a + b, and p - a
+  for a negative p, have digits of one sign, so they can equal only roots
+  of that sign), and two vectors whose digits differ by less than R have
+  equal codes only when they are equal.  So a negative root has the
+  negative code, and a code lookup decides root membership.
+
+Up to rank 8, 13^8 < 2^30, so every code is a one-digit CPython int.
 """
 from __future__ import annotations
 
@@ -79,6 +92,7 @@ class Root(NamedTuple):
     coeffs: tuple[int, ...]
     norm2: int  # <b, b> on the integer form: 2 on a short root
     coroot_pairings: tuple[int, ...]  # <b, a_i^v> for each simple root a_i
+    code: int  # sum c_i R^i (module docstring)
 
     @property
     def height(self) -> int:
@@ -182,9 +196,8 @@ class RootSystem(NamedTuple):
         return self.simple_type.rank
 
 
-# radix of the root codes (module docstring): any R >= 8 keeps every digit
-# of a root's code below R - 1
-_R = 8
+# radix of the root codes (module docstring): R > 2m, m = 6
+_R = 13
 
 
 def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int, ...], Root]:
@@ -193,7 +206,7 @@ def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int
     <b, b> + 2 d_i (<b, a_i^v> + 1), and the coroot pairings <b, a_j^v> as
     a vector that gains row i of the Cartan matrix; each Root keeps both.
     Roots are held by their integer codes (see _R) and decoded once at the
-    end."""
+    end; each Root keeps its code."""
     n = len(cartan)
     steps = [_R ** i for i in range(n)]
     norm = {steps[i]: 2 * d[i] for i in range(n)}
@@ -223,7 +236,7 @@ def _enumerate_positive(cartan: list[list[int]], d: list[int]) -> dict[tuple[int
     for code, b in norm.items():
         digits = tuple([code // step % _R for step in steps])
         assert max(digits) < _R - 1, "a root coefficient reached the code radix"
-        out[digits] = Root(digits, b, tuple(pairings[code]))
+        out[digits] = Root(digits, b, tuple(pairings[code]), code)
     return out
 
 

@@ -13,7 +13,6 @@ code.
 from fractions import Fraction
 
 import linalg_oracle
-from wrat import _linalg
 from wrat.classical import classical_basis
 from wrat.rootsys import cartan_solve
 
@@ -37,7 +36,7 @@ def dense_form(real) -> list[list[Fraction]]:
 def ad_block(table, x, src, dst):
     """ad(x): span(src) -> span(dst), summed straight from the basis brackets."""
     pos_of = {k: r for r, k in enumerate(dst)}
-    out = _linalg.zeros(len(dst), len(src))
+    out = linalg_oracle.zeros(len(dst), len(src))
     for c, j in enumerate(src):
         for i, ci in x.items():
             for k, coef in table.basis_bracket(i, j).items():
@@ -114,7 +113,7 @@ def self_contragredient_classical(real) -> bool:
     g0 = [elt for elt in basis if real.h_diag[elt[0][0]] == real.h_diag[elt[0][1]]]
     gm1 = [elt for elt in basis if real.h_diag[elt[0][0]] - real.h_diag[elt[0][1]] == -2]
     reps = {elt[0]: r for r, elt in enumerate(gm1)}
-    m = _linalg.zeros(len(gm1), len(g0))
+    m = linalg_oracle.zeros(len(gm1), len(g0))
     f = dense(real, real.f)
     for col, elt in enumerate(g0):
         for pos, val in _ad_f(f, elt).items():

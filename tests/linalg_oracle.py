@@ -76,9 +76,13 @@ def solve(a, b) -> list[Fraction] | None:
     return x
 
 
+def zeros(m: int, n: int) -> Matrix:
+    return [[Fraction(0)] * n for _ in range(m)]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = _linalg.zeros(n, m)
+    out = zeros(n, m)
     for i in range(n):
         for t in range(k):
             c = a[i][t]

@@ -148,7 +148,7 @@ def poly_solve(m: list[list[Poly]], b: list[Poly], ell: int):
     d_bound = (ell - 1) * deg_m + deg_b
     width = d_bound + 1
     rows_per_eq = d_bound + deg_m + 1
-    big = _linalg.zeros(ell * rows_per_eq, ell * width)
+    big = [[Fraction(0)] * (ell * width) for _ in range(ell * rows_per_eq)]
     rhs = [Fraction(0)] * (ell * rows_per_eq)
     for r_i in range(ell):
         for s in range(rows_per_eq):

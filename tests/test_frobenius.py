@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -16,10 +17,16 @@ def poly(*cs):
     return oracle.p_trim(cs)
 
 
+def view(pair):
+    """The Fraction view of a (numerators, denominator) pair, as a Poly."""
+    nums, den = pair
+    return tuple(Q(c, den) for c in nums)
+
+
 def kernel(*pairs):
     """sum_k a_k b_k over pairs of Polys through the integer kernel
     `_kernel`, each operand over its least common denominator, as a Poly."""
-    return fr._poly(fr._kernel([(over_common(a), over_common(b)) for a, b in pairs]))
+    return view(fr._kernel([(over_common(a), over_common(b)) for a, b in pairs]))
 
 
 def mul(a, b):
@@ -33,7 +40,7 @@ def scale(c, a):
 def divide(a, b):
     """`_divmod` on two Polys, with the quotient and remainder as Polys."""
     quot, rem = fr._divmod(over_common(a), over_common(b))
-    return fr._poly(quot), fr._poly(rem)
+    return view(quot), view(rem)
 
 
 def majorant(p, z0, eps):
@@ -56,7 +63,65 @@ def test_poly_arithmetic():
     assert fr._form((Q(1), Q(0), Q(0))) == fr.Form([1], 1)
     assert fr._form((Q(2, 3), Q(0), Q(-4, 9))) == fr.Form([6, 0, -4], 9)
     assert fr._form(()) == fr.Form([], 1)
-    assert fr.p_eval(poly(1, 0, 1), Q(2)) == 5
+    assert fr.p_eval(fr.Form([1, 0, 1], 1), 2) == 5
+
+
+def fraction_horner(p, x):
+    """Horner on the Fraction coefficients of a Poly: the float reference
+    for `p_eval` on a Form."""
+    out = Q(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def bits(x):
+    x = complex(x)
+    return struct.pack("dd", x.real, x.imag)
+
+
+coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(-2**80, 2**80), max_size=6), st.integers(1, 2**60), coordinate, coordinate)
+def test_p_eval_matches_the_fraction_horner(nums, den, re, im):
+    """`p_eval` divides each numerator by the denominator as it enters; at
+    a complex point that is the same double pair, signed zeros included,
+    as Horner on the Fractions, numerators past 2**53 too."""
+    form = fr._reduced(list(nums), den)
+    x = complex(re, im)
+    assert bits(fr.p_eval(form, x)) == bits(fraction_horner(view(form), x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-2**60, 2**60), max_size=3), min_size=4, max_size=4),
+    st.integers(1, 2**20),
+    st.fractions(-3, 3, max_denominator=5),
+    st.fractions(-3, 3, max_denominator=5),
+)
+def test_truncation_samples_evaluate_as_the_fraction_horner(entries, den, re, im):
+    """Each of `choose_truncation`'s boundary samples, for a domain read
+    with a complex z0 = [re, im], evaluates A_0 bit for bit as the
+    Fraction Horner does."""
+    rows = [[[f"{c}/{den}" for c in e] for e in entries[i:i + 2]] for i in (0, 2)]
+    system = fr.system_from_json({
+        "ell": 2, "A": [[0, rows]],
+        "domain": {"z0": [str(re), str(im)], "epsilon": "1/2", "delta": "1/2"},
+    })
+    seen = []
+    p_eval = fr.p_eval
+
+    def checked(p, x):
+        got = p_eval(p, x)
+        assert bits(got) == bits(fraction_horner(view(p), x))
+        seen.append(x)
+        return got
+
+    with mock.patch.object(fr, "p_eval", checked):
+        fr.choose_truncation(system["a"], system["domain"])
+    assert len(seen) == 64 * 4 and all(type(x) is complex for x in seen)
 
 
 # mixed denominators, negative and zero coefficients; a drawn tuple may be

@@ -142,9 +142,12 @@ def test_root_codes_decide_root_membership(name):
     """Every code the table looks up is a + b or a - b for positive roots
     a, b, or a string probe b - k a below a root b - (k - 1) a.  Each
     lookup finds a root exactly when the coefficient vector is one, and
-    then the basis index of its e or f."""
+    then the basis index of its e or f.  The table's codes are the ones
+    `rootsys` gives each root, sum c_i 13^i."""
     t = table_for(name)
     n = t.rs.rank
+    for r in t.rs.positive_roots:
+        assert t.code[r.coeffs] == r.code == sum(c * 13**i for i, c in enumerate(r.coeffs))
     simple = [t.code[tuple(int(i == k) for i in range(n))] for k in range(n)]
     signed = {c: t.index[E(c)] for c in t.positive}
     signed.update({tuple(-x for x in c): t.index[F(c)] for c in t.positive})

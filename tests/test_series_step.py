@@ -126,8 +126,17 @@ def test_chi_depends_on_z_not_divisible():
     [
         ([[(), ()], [(), poly(1)]], [(), poly(5)], [(), poly(1)], [poly(1), ()]),
         ([[poly(0, 1), ()], [(), ()]], [poly(5), ()], [poly(0, 1), ()], [(), poly(1)]),
+        # row 2 of A_0 is 3/2 row 1; the denominators differ within each
+        # equation (2, 3 and 4, 2), between the equations, and between A_0
+        # and each right-hand side
+        (
+            [[poly(Q(1, 2)), poly(0, Q(1, 3))], [poly(Q(3, 4)), poly(0, Q(1, 2))]],
+            [poly(5), ()],
+            [poly(1), poly(Q(3, 2))],
+            [poly(Q(1, 7)), poly(0, Q(1, 5))],
+        ),
     ],
-    ids=["constant", "z-dependent"],
+    ids=["constant", "z-dependent", "mixed-denominators"],
 )
 def test_chi_zero_at_a_seeded_index(a0, seed, solvable, unsolvable):
     # chi(0) = det(-A_0) = 0 in Q[z], and the seed misses the n = 0 relation
