@@ -1,17 +1,17 @@
 """Exact linear algebra over Fraction, on lists of rows.
 
-There is one elimination, `_pivot_rows`: fraction-free on sparse integer
-rows.  It returns the pivot rows in echelon form, keyed by leading column;
-their leading columns are the pivot columns of the reduced row echelon
-form.  `rank` counts them.  `solve` eliminates the augmented rows a | b and
-`nullspace` the rows of a, and each back-substitutes once per vector in
-Fraction with the free variables fixed (to 0 for `solve`, to a unit vector
-per free column for `nullspace`).  Fixed free variables leave the pivot
-variables unique, so both return the vectors Gauss-Jordan would.  All of
-them take int or Fraction entries and return Fraction entries; `integral`
-turns an integral one back into an int, and `over_common` puts rationals
-over their least common denominator.  `block` places sparse columns into
-a dense matrix.
+There is one elimination step, `_clear`: p[c] * r - r[c] * p over its gcd
+content, on sparse integer rows.  `_pivot_rows` runs it forward to the
+echelon rows, keyed by leading column, and `rank` counts them.  `_reduce`
+runs it back, clearing each pivot row at every later pivot column, to the
+reduced echelon form in integers.  `solve` (on the augmented rows a | b)
+and `nullspace` read each answer entry off one reduced row p with pivot
+column c as Fraction(num, p[c]): num is p[b] with the free variables 0, and
+-p[fc] in the kernel vector of free column fc.  So they return the vectors
+Gauss-Jordan would, and no Fraction arithmetic runs.  All of them take int
+or Fraction entries and return Fraction entries; `integral` turns an
+integral one back into an int, `over_common` puts rationals over their
+least common denominator and `block` places sparse columns into a matrix.
 """
 from __future__ import annotations
 
@@ -36,16 +36,29 @@ def integral(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _clear(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """p[c] * r - r[c] * p divided by its gcd content: row r with column c
+    cleared by row p, which is nonzero there."""
+    pc, rc = p[c], r[c]
+    r = {k: pc * x for k, x in r.items()}
+    for k, x in p.items():
+        y = r.get(k, 0) - rc * x
+        if y:
+            r[k] = y
+        else:
+            del r[k]
+    g = gcd(*r.values())
+    if g > 1:
+        r = {k: x // g for k, x in r.items()}
+    return r
+
+
 def _pivot_rows(a) -> Pivots:
     """Echelon form of a list of equal-length Fraction or int rows, as
-    {leading column: sparse integer row}.
-
-    Each row is scaled by the lcm of its denominators to a sparse {column: int}
-    dict, reduced against the pivot rows (keyed by leading column c) with
-    p[c] * r - r[c] * p, and divided by its gcd content after each step.  A
-    row left nonzero becomes the pivot row of its leading column; no entry is
-    ever divided.
-    """
+    {leading column: sparse integer row}: each row is scaled by the lcm of
+    its denominators to a sparse {column: int} dict and `_clear`ed by the
+    pivot row of its leading column while there is one; a row left nonzero
+    becomes the pivot row there."""
     pivots: Pivots = {}
     for row in a:
         nz = [(c, x) for c, x in enumerate(row) if x]
@@ -57,17 +70,18 @@ def _pivot_rows(a) -> Pivots:
             if p is None:
                 pivots[c] = r
                 break
-            pc, rc = p[c], r[c]
-            r = {k: pc * x for k, x in r.items()}
-            for k, x in p.items():
-                y = r.get(k, 0) - rc * x
-                if y:
-                    r[k] = y
-                else:
-                    del r[k]
-            g = gcd(*r.values())
-            if g > 1:
-                r = {k: x // g for k, x in r.items()}
+            r = _clear(r, p, c)
+    return pivots
+
+
+def _reduce(pivots: Pivots) -> Pivots:
+    """The echelon rows in reduced form, in place: each pivot row `_clear`ed
+    at every later pivot column, whose rows are reduced first."""
+    cols = sorted(pivots)
+    for i, c in reversed(list(enumerate(cols))):
+        for d in cols[i + 1:]:
+            if d in pivots[c]:
+                pivots[c] = _clear(pivots[c], pivots[d], d)
     return pivots
 
 
@@ -75,25 +89,6 @@ def rank(a: Matrix) -> int:
     """Exact rank of a list of equal-length Fraction or int rows: the number
     of pivot rows of `_pivot_rows`."""
     return len(_pivot_rows(a))
-
-
-def _back_substitute(pivots: Pivots, x: list[Fraction], n: int) -> list[Fraction]:
-    """Fill in the pivot entries of x, whose other entries are fixed, so that
-    each pivot row p holds as sum_{k < n} p[k] x[k] = p.get(n, 0).
-
-    Rows are taken by decreasing leading column, so every later entry of a
-    row is known when the row is reached.
-    """
-    for c in sorted(pivots, reverse=True):
-        p = pivots[c]
-        s = p.get(n, 0)
-        for k, y in p.items():
-            if k != c and k != n:
-                xk = x[k]
-                if xk:
-                    s -= y * xk
-        x[c] = Fraction(s, p[c])
-    return x
 
 
 def block(column, src, dst) -> list[list]:
@@ -118,13 +113,15 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
     order, with 1 there and 0 in every other free column.  ncols gives the
     width when a has no rows."""
     n = len(a[0]) if a else ncols or 0
-    pivots = _pivot_rows(a)
+    pivots = _reduce(_pivot_rows(a))
     basis = []
     for fc in range(n):
         if fc not in pivots:
             x = [Fraction(0)] * n
             x[fc] = Fraction(1)
-            basis.append(_back_substitute(pivots, x, n))
+            for c, p in pivots.items():
+                x[c] = Fraction(-p.get(fc, 0), p[c])
+            basis.append(x)
     return basis
 
 
@@ -137,7 +134,10 @@ def _solve(a: Matrix, b: list[Fraction]) -> tuple[Pivots, list[Fraction] | None]
     pivots = _pivot_rows([[*row, bi] for row, bi in zip(a, b)])
     if n in pivots:
         return pivots, None
-    return pivots, _back_substitute(pivots, [Fraction(0)] * n, n)
+    x = [Fraction(0)] * n
+    for c, p in _reduce(pivots).items():
+        x[c] = Fraction(p.get(n, 0), p[c])
+    return pivots, x
 
 
 def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:

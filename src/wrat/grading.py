@@ -28,17 +28,17 @@ class DynkinGrading(NamedTuple):
     """Eigenspace decomposition of the algebra under a Cartan characteristic.
 
     Basis vector i sits in degree degree_nums[i] / degree_den, integers over
-    one even denominator; by_degree, derived from them, lists the indices
-    per degree."""
+    one even denominator; `block` lists the indices of one degree."""
 
     table: ChevalleyTable
     characteristic: CartanElement
     degree_nums: tuple[int, ...]
     degree_den: int
-    by_degree: dict[Fraction, tuple[int, ...]]
 
     def block(self, j) -> tuple[int, ...]:
-        return self.by_degree.get(Fraction(j), ())
+        """The indices in degree j, an int or a Fraction, in basis order."""
+        n, r = divmod(j.numerator * self.degree_den, j.denominator)
+        return () if r else tuple(i for i, d in enumerate(self.degree_nums) if d == n)
 
 
 class Sl2Triple(NamedTuple):
@@ -62,16 +62,11 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
             f"Cartan element of rank {len(pairings)} against {table.rs.simple_type}"
         )
     scaled, den = _linalg.over_common(pairings)
-    nums = table.weigh(scaled)
-    by_num: dict[int, list[int]] = {}
-    for i, n in enumerate(nums):
-        by_num.setdefault(n, []).append(i)
     return DynkinGrading(
         table=table,
         characteristic=characteristic,
-        degree_nums=nums,
+        degree_nums=table.weigh(scaled),
         degree_den=2 * den,
-        by_degree={Fraction(n, 2 * den): tuple(ix) for n, ix in by_num.items()},
     )
 
 
@@ -86,7 +81,7 @@ def grade_by_weights(table: ChevalleyTable, x0: CartanElement) -> DynkinGrading:
 
 
 def is_even_grading(grading: DynkinGrading) -> bool:
-    return all(d.denominator == 1 for d in grading.by_degree)
+    return all(n % grading.degree_den == 0 for n in grading.degree_nums)
 
 
 def ad_block(
@@ -106,17 +101,16 @@ def ad_block(
 
 def verify_good_grading(grading: DynkinGrading, f: Element) -> bool:
     """ad(f) injective on degrees >= 1/2 and surjective onto degrees <= -1/2."""
-    table = grading.table
-    half = Fraction(1, 2)
-    levels = set(grading.by_degree) | {j + 1 for j in grading.by_degree}
-    for j in levels:
-        src = grading.block(j)
-        dst = grading.block(j - 1)
-        m = ad_block(table, f, src, dst)
-        r = _linalg.rank(m)
-        if j >= half and r < len(src):
+    table, den = grading.table, grading.degree_den
+    # degree j = n / den runs over the occupied levels and one above each
+    levels = set(grading.degree_nums)
+    for n in levels | {n + den for n in levels}:
+        src = grading.block(Fraction(n, den))
+        dst = grading.block(Fraction(n - den, den))
+        r = _linalg.rank(ad_block(table, f, src, dst))
+        if 2 * n >= den and r < len(src):
             return False
-        if j <= half and r < len(dst):
+        if 2 * n <= den and r < len(dst):
             return False
     return True
 

@@ -1568,14 +1568,16 @@ print(code, count)
 def test_report_all_makes_few_fractions():
     """The exceptional pipeline holds integers from the structure constants
     to the evidence rows and makes a Fraction only for a real rational or
-    for output: 1,989 per `report --all` in a fresh process, against 2,115
-    with a Fraction a(v) per support root in the centralizer check, 3,566
+    for output: 1,412 per `report --all` in a fresh process, against 1,778
+    with `_linalg` back-substituting in Fraction, 1,623 with the degrees
+    kept also as a Fraction-keyed map, 1,989 with both, 2,115 with a
+    Fraction a(v) per support root in the centralizer check as well, 3,566
     with each row decided in Fractions and 24,126 with Fraction constants,
     degrees and pairings.  `check-classical` on the bench C partition makes
-    181, against 369.  The `report` bound fails with a Fraction a(v), the
+    181, against 369.  The `report` bound fails with any one of those, the
     `check-classical` one with rows decided in Fractions."""
     for argv, bound in [
-        (["report", "--all"], 2050),
+        (["report", "--all"], 1500),
         (["check-classical", "--family", "C", "--partition", "13,13,10,10,6,4,2,2"], 270),
     ]:
         out = fresh_python("-c", FRACTION_COUNT_PROBE, json.dumps(argv))

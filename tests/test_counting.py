@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_contragredience import legal_partitions
@@ -88,13 +88,19 @@ def test_partitions_up_to_14_count_as_they_rank():
 
 @st.composite
 def larger_partitions(draw):
-    """A legal so/sp partition of size 15-40: each part drawn for a family
-    that must pair it (even in so, odd in sp) enters twice."""
+    """A legal so/sp partition of size 15-40, built to a drawn size: a part
+    of 1-14 that the family must pair (even in so, odd in sp) enters twice
+    and counts twice, so an sp size is even."""
     family = draw(st.sampled_from(["so", "sp"]))
     paired = 0 if family == "so" else 1
-    drawn = draw(st.lists(st.integers(1, 14), min_size=1, max_size=14))
-    parts = [p for p in drawn for _ in range(2 if p % 2 == paired else 1)]
-    assume(15 <= sum(parts) <= 40)
+    left = draw(st.integers(15, 40)) if family == "so" else 2 * draw(st.integers(8, 20))
+    parts = []
+    while left:
+        fits = [p for p in range(1, 15) if p * (2 if p % 2 == paired else 1) <= left]
+        p = draw(st.sampled_from(fits))
+        times = 2 if p % 2 == paired else 1
+        parts += [p] * times
+        left -= p * times
     return family, parts
 
 

@@ -7,6 +7,13 @@ complex literal, a `float(...)` or `complex(...)` call, and any use of
 truncation index N that the contraction route then checks exactly (C/N < 1),
 and `evaluate`, which returns numbers for display.  Neither feeds a verdict
 or a certified bound.
+
+True division (`/` or `/=`) of two ints makes a float with none of those
+sites, so it is a site too, outside its own allow-list: `frobenius.p_eval`,
+the Horner step of the two numeric helpers; `choose_truncation`;
+`frobenius.contraction_solve`, whose divisions take `Fraction` operands; and
+`orbits.data_dir`, which joins paths.  Exact code divides with
+`Fraction(num, den)` or `//`.
 """
 import ast
 from pathlib import Path
@@ -15,6 +22,12 @@ import wrat
 
 SOURCE = Path(wrat.__file__).parent
 ALLOWED = {("frobenius.py", "choose_truncation"), ("frobenius.py", "evaluate")}
+DIVISION_ALLOWED = {
+    ("frobenius.py", "p_eval"),
+    ("frobenius.py", "choose_truncation"),
+    ("frobenius.py", "contraction_solve"),
+    ("orbits.py", "data_dir"),
+}
 
 
 def _inexact(node) -> str | None:
@@ -36,19 +49,28 @@ def _inexact(node) -> str | None:
     return None
 
 
+def _division(node) -> str | None:
+    """"true division" when node is a `/` or a `/=`, else None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    return None
+
+
 def _sites(path: Path):
-    """(line, what) for each float site in path outside the allowed functions."""
+    """(line, what) for each float site in path outside the functions allowed
+    for its kind."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = [
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and (path.name, node.name) in ALLOWED
-    ]
-    skip = {id(n) for fn in allowed for n in ast.walk(fn)}
-    for node in ast.walk(tree):
-        what = _inexact(node)
-        if what and id(node) not in skip:
-            yield node.lineno, what
+    for kind, allowed in ((_inexact, ALLOWED), (_division, DIVISION_ALLOWED)):
+        skip = {
+            id(n)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in allowed
+            for n in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            what = kind(node)
+            if what and id(node) not in skip:
+                yield node.lineno, what
 
 
 def test_no_float_outside_the_numeric_helpers():
@@ -71,3 +93,20 @@ def test_the_guard_sees_each_kind_of_site(tmp_path):
         "cmath", "cmath import", "complex(...) call", "float(...) call",
         "literal 0.5", "literal 1j",
     ]
+
+
+def test_the_guard_sees_true_division_outside_its_allow_list(tmp_path):
+    src = tmp_path / "frobenius.py"
+    src.write_text(
+        "def f(a, b):\n"
+        "    a /= b\n"
+        "    return a / b + a // b\n"
+        "def contraction_solve(a, b):\n"
+        "    return a / b\n"
+        "def evaluate(a, b):\n"
+        "    return a / b\n"
+    )
+    assert sorted(_sites(src)) == [(2, "true division"), (3, "true division"), (7, "true division")]
+    other = tmp_path / "slots.py"
+    other.write_text("def contraction_solve(a, b):\n    return a / b\n")
+    assert list(_sites(other)) == [(2, "true division")]

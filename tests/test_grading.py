@@ -53,7 +53,7 @@ def test_grade_by_weights_does_not_halve():
 
 def block_dims(g) -> dict[Fraction, int]:
     """The dimension of each degree's block of the grading g, by degree."""
-    return {j: len(ix) for j, ix in sorted(g.by_degree.items())}
+    return {j: len(g.block(j)) for j in sorted(set(degrees(g)))}
 
 
 def test_block_dims_sum_to_dimension():
@@ -205,7 +205,7 @@ def assert_grading_matches_reference(t, g, characteristic):
     by_degree = {}
     for i, d in enumerate(ref):
         by_degree.setdefault(d, []).append(i)
-    assert g.by_degree == {d: tuple(ix) for d, ix in by_degree.items()}
+    assert {d: g.block(d) for d in by_degree} == {d: tuple(ix) for d, ix in by_degree.items()}
 
 
 @pytest.mark.parametrize("k", range(len(load_records())))

@@ -2,6 +2,7 @@
 two independent references: sympy's `Matrix.rank`, and the dense
 Gauss-Jordan of `linalg_oracle`, whose `solve` and `nullspace` lists
 `_linalg.solve` and `_linalg.nullspace` must equal exactly."""
+from contextlib import contextmanager
 from fractions import Fraction
 
 import sympy
@@ -104,7 +105,7 @@ def shaped_systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(shaped_systems())
 def test_solve_and_nullspace_equal_the_oracle(system):
-    """The echelon rows and back-substitution give Gauss-Jordan's exact lists:
+    """The reduced integer rows give Gauss-Jordan's exact lists:
     the same solution (free variables 0), the same canonical kernel basis in
     the same order, all Fraction; solve_unique raises exactly on a singular
     or inconsistent system."""
@@ -124,6 +125,55 @@ def test_solve_and_nullspace_equal_the_oracle(system):
         assert bad
     else:
         assert not bad
+
+
+ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__neg__", "__pos__", "__abs__",
+)
+
+
+class FractionArithmetic(Exception):
+    """Raised by a Fraction operator inside `no_fraction_arithmetic`."""
+
+
+@contextmanager
+def no_fraction_arithmetic():
+    """Every arithmetic operator of Fraction raises while the block runs."""
+    saved = {name: Fraction.__dict__[name] for name in ARITHMETIC}
+
+    def refuse(*args):
+        raise FractionArithmetic
+
+    try:
+        for name in ARITHMETIC:
+            setattr(Fraction, name, refuse)
+        yield
+    finally:
+        for name, op in saved.items():
+            setattr(Fraction, name, op)
+
+
+def _answers(a, n, b):
+    try:
+        unique = _linalg.solve_unique(a, b)
+    except ArithmeticError as e:
+        unique = str(e)
+    return _linalg.rank(a), _linalg.solve(a, b), _linalg.nullspace(a, n), unique
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_systems())
+def test_elimination_runs_no_fraction_arithmetic(system):
+    """rank, solve, nullspace and solve_unique scale each row to integers,
+    eliminate in integers and make each answer entry as one Fraction(num,
+    den): with every Fraction operator raising they give the same answers."""
+    a, n, b = system
+    with no_fraction_arithmetic():
+        got = _answers(a, n, b)
+    assert got == _answers(a, n, b)
 
 
 def test_dense_routines_on_small_int_systems():
