@@ -1,14 +1,17 @@
 """The classical (matrix) route: so and sp partitions and their check.
 
-A partition describes lower Jordan blocks, the bilinear form is the
-alternating antidiagonal one per block, and paired blocks carry the
-+1/2 / -1/2 split of the Cartan element v.  `build_classical` builds and
-verifies the sl2-triple (e, h, f) from the Jordan blocks; `check_classical`
-and `verify_self_contragredient_classical` read the symmetrized matrix
-units through the kernel slot table of `slots`, with the diagonal v as
-the torus.  Nothing here touches root systems, Chevalley bases or
-gradings, so a classical request loads none of them; `slots` is read at
-call time, so a verified self-contragredience request does not run it.
+`ClassicalPartition.parse` reads a partition from its text in a family, a
+series (so, sp) or a type letter (B, D are so, C is sp); `label` and
+`algebra_label` name it and its simple type.  A partition describes lower
+Jordan blocks, the bilinear form is the alternating antidiagonal one per
+block, and paired blocks carry the +1/2 / -1/2 split of the Cartan element
+v.  `build_classical` builds and verifies the sl2-triple (e, h, f) from the
+Jordan blocks; `check_classical` and `verify_self_contragredient_classical`
+read the symmetrized matrix units through the kernel slot table of `slots`,
+with the diagonal v as the torus.  Nothing here touches root systems,
+Chevalley bases or gradings, so a classical request loads none of them;
+`slots` is read at call time, so a verified self-contragredience request
+does not run it.
 """
 from __future__ import annotations
 
@@ -21,6 +24,10 @@ from . import _linalg, slots
 
 class InvalidPartition(ValueError):
     """The parts cannot be arranged into a nilpotent of the requested type."""
+
+
+# a --family value: a type letter, which the parts must match, or a series
+_FAMILY_TO_SERIES = {"B": "so", "D": "so", "C": "sp", "so": "so", "sp": "sp"}
 
 
 class ClassicalPartition(NamedTuple):
@@ -66,6 +73,21 @@ class ClassicalPartition(NamedTuple):
             raise InvalidPartition(f"partition size {self.size} is past the index range")
         return self
 
+    @classmethod
+    def parse(cls, family: str, text: str) -> "ClassicalPartition":
+        """The partition of the comma-separated parts in text, in family:
+        a series (so, sp) or a type letter (B, C, D) the parts must match."""
+        try:
+            parts = [int(x) for x in text.split(",")]
+        except ValueError:
+            raise InvalidPartition(f"partition must be comma-separated integers: {text!r}")
+        self = cls.from_parts(_FAMILY_TO_SERIES.get(family, family), parts)
+        if family not in (self.family, self.letter):
+            raise InvalidPartition(
+                f"partition of {self.size} is type {self.letter}, not {family}"
+            )
+        return self
+
     @property
     def size(self) -> int:
         return 2 * sum(self.pairs) + sum(self.singles)
@@ -75,6 +97,24 @@ class ClassicalPartition(NamedTuple):
         if self.family == "sp":
             return "C"
         return "B" if self.size % 2 else "D"
+
+    @property
+    def label(self) -> str:
+        """Family and parts, largest first: "sp[3,3,2]"."""
+        parts = sorted(list(self.pairs) * 2 + list(self.singles), reverse=True)
+        return f"{self.family}[{','.join(str(p) for p in parts)}]"
+
+    @property
+    def algebra_label(self) -> str:
+        """The simple type, e.g. "C3" for sp(6), from the least ranks of the
+        classical types (B2, C2, D4); below them so(3) = sp(2) = A1,
+        so(6) = A3, and the non-simple so(1), so(2), so(4) get family and
+        size: "so4"."""
+        letter, rank = self.letter, self.size // 2
+        if rank >= (4 if letter == "D" else 2):
+            return f"{letter}{rank}"
+        low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
+        return low.get((letter, rank), f"{self.family}{self.size}")
 
 
 class ClassicalRealization(NamedTuple):

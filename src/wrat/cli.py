@@ -14,6 +14,13 @@ Subcommands:
 * report [--all] [--format json|tsv] [--output PATH] -- every bundled record,
   one row each, with self-contragredience; deterministic byte-identical output.
 
+The module only parses argv, calls one function per subcommand, prints
+and maps exceptions to exit codes.  Each rule lives with its data:
+`orbits.lookup_exceptional` picks the record (by --q, --label or both),
+`classical.ClassicalPartition.parse` reads the partition text and its
+type, and `frobenius.solve_json` picks the series route, solves and writes
+the result JSON.
+
 Exit codes: 0 pass/ok, 2 mathematical fail (or search miss, or
 `ratcheck.RoutesDisagree`), 3 invalid input/data (bad flags, illegal
 partitions, no bundled record, resonance), 4 I/O failure.
@@ -28,7 +35,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, frobenius as fr, orbits, ratcheck, rootsys, slots
-from ._serde import json_text, rat_to_json
+from ._serde import json_text
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -45,109 +52,48 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _partition_label(partition: classical.ClassicalPartition) -> str:
-    parts = sorted(
-        list(partition.pairs) * 2 + list(partition.singles), reverse=True
-    )
-    return f"{partition.family}[{','.join(str(p) for p in parts)}]"
-
-
-def _algebra_label(partition: classical.ClassicalPartition) -> str:
-    """The simple type, e.g. "C3" for sp(6), from the least ranks of the
-    classical types (B2, C2, D4); below them so(3) = sp(2) = A1,
-    so(6) = A3, and the non-simple so(1), so(2), so(4) get family and size:
-    "so4"."""
-    letter, rank = partition.letter, partition.size // 2
-    if rank >= (4 if letter == "D" else 2):
-        return f"{letter}{rank}"
-    low = {("B", 1): "A1", ("C", 1): "A1", ("D", 3): "A3"}
-    return low.get((letter, rank), f"{partition.family}{partition.size}")
-
-
-def _parse_partition(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise classical.InvalidPartition(
-            f"partition must be comma-separated integers: {text!r}"
-        )
-
-
-_FAMILY_TO_SERIES = {"B": "so", "D": "so", "C": "sp", "so": "so", "sp": "sp"}
-
-
-def _build_partition(family: str, text: str) -> classical.ClassicalPartition:
-    partition = classical.ClassicalPartition.from_parts(
-        _FAMILY_TO_SERIES[family], _parse_partition(text)
-    )
-    if family in ("B", "C", "D") and partition.letter != family:
-        raise classical.InvalidPartition(
-            f"partition of {partition.size} is type {partition.letter}, not {family}"
-        )
-    return partition
-
-
-def _find_record(algebra: str, q: int | None, label: str | None):
-    """Resolve a bundled record by (algebra, q), by (algebra, label), or both."""
-    st = rootsys.SimpleType.parse(algebra)
-    if q is None and label is None:
-        raise rootsys.IllegalType("need --q or --label to pick a record")
-    if label is not None:
-        for rec in orbits.load_records():
-            if rec.algebra == st and rec.label == label:
-                if q is not None and q not in rec.q:
-                    raise rootsys.IllegalType(
-                        f"record {st} {label} belongs to q = {rec.q}, not {q}"
-                    )
-                return st, rec
-        raise orbits.NotExceptionalType(f"no bundled record {st} with label {label!r}")
-    return st, orbits.lookup_exceptional(st, q)
-
-
-def _even_or_external(st: rootsys.SimpleType, q: int | None) -> int:
-    _emit({"algebra": str(st), "q": q, "status": "even-or-external"})
-    return _fail(
-        f"{st} at q = {q} is even or external: no bundled record", EXIT_BAD_INPUT
-    )
+def _record(args):
+    """The bundled record args name.  When its q names none, the
+    even-or-external status is reported and the result is None."""
+    rec = orbits.lookup_exceptional(args.algebra, args.q, args.label)
+    if rec is not orbits.EVEN_OR_EXTERNAL:
+        return rec
+    st = rootsys.SimpleType.parse(args.algebra)
+    _emit({"algebra": str(st), "q": args.q, "status": "even-or-external"})
+    _fail(f"{st} at q = {args.q} is even or external: no bundled record", EXIT_BAD_INPUT)
+    return None
 
 
 def _cmd_check_exceptional(args) -> int:
-    st, rec = _find_record(args.algebra, args.q, args.label)
-    if rec is orbits.EVEN_OR_EXTERNAL:
-        return _even_or_external(st, args.q)
+    rec = _record(args)
+    if rec is None:
+        return EXIT_BAD_INPUT
     verdict = ratcheck.check_record(rec, args.method)
-    d = slots.verdict_to_json(str(st), rec.label, verdict)
-    out = {"algebra": d["algebra"], "label": d["label"], "q": list(rec.q)}
-    out.update({k: d[k] for k in ("status", "evidence", "fallbacks")})
-    _emit(out)
+    _emit(slots.verdict_to_json(str(rec.algebra), rec.label, verdict, list(rec.q)))
     return EXIT_OK if verdict.status == "pass" else EXIT_FAIL
 
 
 def _cmd_check_classical(args) -> int:
-    partition = _build_partition(args.family, args.partition)
+    partition = classical.ClassicalPartition.parse(args.family, args.partition)
     real = classical.build_classical(partition)
     if args.v_zero:
         real = real._replace(v_diag=(Fraction(0),) * real.size)
     verdict = classical.check_classical(real)
-    _emit(
-        slots.verdict_to_json(
-            _algebra_label(partition), _partition_label(partition), verdict
-        )
-    )
+    _emit(slots.verdict_to_json(partition.algebra_label, partition.label, verdict))
     return EXIT_OK if verdict.status == "pass" else EXIT_FAIL
 
 
 def _cmd_search_v(args) -> int:
-    st, rec = _find_record(args.algebra, args.q, args.label)
-    if rec is orbits.EVEN_OR_EXTERNAL:
-        return _even_or_external(st, args.q)
+    rec = _record(args)
+    if rec is None:
+        return EXIT_BAD_INPUT
     table, grading, f, triple = ratcheck.realize_record(rec)
     config = ratcheck.SearchConfig(
         denominator_bound=args.denominator_bound,
         coefficient_bound=args.coefficient_bound,
     )
     v = ratcheck.search_v(table, grading, f, config, triple)
-    base = {"algebra": str(st), "label": rec.label, "q": list(rec.q)}
+    base = {"algebra": str(rec.algebra), "label": rec.label, "q": list(rec.q)}
     if v is ratcheck.NOT_FOUND:
         _emit({**base, "status": "not-found"})
         return EXIT_FAIL
@@ -159,28 +105,20 @@ def _cmd_verify_contragredient(args) -> int:
     if args.family is not None:
         if args.partition is None:
             raise classical.InvalidPartition("--family needs --partition")
-        partition = _build_partition(args.family, args.partition)
+        partition = classical.ClassicalPartition.parse(args.family, args.partition)
         real = classical.build_classical(partition)
         ok = classical.verify_self_contragredient_classical(real)
-        label = _partition_label(partition)
-        algebra = _algebra_label(partition)
+        algebra, label = partition.algebra_label, partition.label
     else:
         if args.algebra is None:
             raise rootsys.IllegalType("need --algebra/--q or --family/--partition")
-        st, rec = _find_record(args.algebra, args.q, args.label)
-        if rec is orbits.EVEN_OR_EXTERNAL:
-            return _even_or_external(st, args.q)
-        table, grading, f, triple = ratcheck.realize_record(rec)
-        ok = ratcheck.verify_self_contragredient(table, grading, f, triple)
-        label = rec.label
-        algebra = str(st)
+        rec = _record(args)
+        if rec is None:
+            return EXIT_BAD_INPUT
+        ok = ratcheck.verify_self_contragredient(*ratcheck.realize_record(rec))
+        algebra, label = str(rec.algebra), rec.label
     _emit({"algebra": algebra, "label": label, "self_contragredient": ok})
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _series_json(series: fr.VectorSeries) -> list:
-    """The coefficients of series, each Form written by `poly_to_json`."""
-    return [[fr.poly_to_json(x) for x in vec] for vec in series.forms]
 
 
 def _cmd_frobenius(args) -> int:
@@ -191,75 +129,7 @@ def _cmd_frobenius(args) -> int:
             obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return _fail(f"cannot parse system: {exc}", EXIT_BAD_INPUT)
-    sysd = fr.system_from_json(obj)
-    route = args.route
-    if route == "auto":
-        if sysd["exponents"] or isinstance(sysd["seeds"], dict):
-            route = "log"
-        elif sysd["domain"] is not None:
-            route = "contraction"
-        else:
-            route = "recursion"
-    if route == "log":
-        if not isinstance(sysd["seeds"], dict):
-            return _fail("log route needs seeds keyed as 'j:k'", EXIT_BAD_INPUT)
-        sol = fr.log_system_solve(
-            sysd["a"],
-            sysd["exponents"],
-            sysd["log_order"],
-            sysd["seeds"],
-            args.order,
-            sysd["radius"],
-        )
-        _emit(
-            {
-                "route": "log",
-                "exponents": [rat_to_json(h) for h in sol.exponents],
-                "K": sol.log_order,
-                "radius": rat_to_json(sol.radius),
-                "layers": {
-                    f"{j}:{k}": _series_json(series)
-                    for (j, k), series in sorted(sol.layers.items())
-                },
-            }
-        )
-        return EXIT_OK
-    if isinstance(sysd["seeds"], dict):
-        return _fail("plain routes need a seed list, not 'j:k' layers", EXIT_BAD_INPUT)
-    if route == "contraction":
-        if sysd["domain"] is None:
-            return _fail("contraction route needs a domain block", EXIT_BAD_INPUT)
-        res = fr.contraction_solve(
-            sysd["a"],
-            sysd["f"],
-            sysd["seeds"],
-            sysd["domain"],
-            args.order,
-            iterations=args.iterate,
-        )
-        _emit(
-            {
-                "route": "contraction",
-                "truncation": res.truncation,
-                "ratio": str(res.ratio),
-                "bound": str(res.bound),
-                "distances": [str(d) for d in res.distances],
-                "coefficients": _series_json(res.series),
-            }
-        )
-        return EXIT_OK
-    series = fr.recursion_solve(sysd["a"], sysd["f"], sysd["seeds"], args.order)
-    # exact residual weights: z0 = 0, epsilon = delta = 1 turns the majorant
-    # into the plain sum of absolute coefficient values
-    unit = fr.DomainParams(Fraction(0), Fraction(1), Fraction(1))
-    residual = fr.residual_norm(sysd["a"], sysd["f"], series, unit)
-    _emit(
-        {
-            "route": "recursion",
-            "residual": str(residual),
-            "coefficients": _series_json(series),
-        }
-    )
+    _emit(fr.solve_json(obj, args.route, args.order, args.iterate))
     return EXIT_OK
 
 
@@ -291,12 +161,13 @@ def _report_tsv(rows) -> str:
 
 
 def _report_json(rows) -> str:
-    out = []
-    for rec, q, verdict, contra in rows:
-        d = slots.verdict_to_json(str(rec.algebra), rec.label, verdict)
-        d = {"algebra": d["algebra"], "label": d["label"], "q": q, **d}
-        d["self_contragredient"] = contra
-        out.append(d)
+    out = [
+        {
+            **slots.verdict_to_json(str(rec.algebra), rec.label, verdict, q),
+            "self_contragredient": contra,
+        }
+        for rec, q, verdict, contra in rows
+    ]
     return json_text({"rows": out}) + "\n"
 
 
@@ -309,6 +180,11 @@ def _cmd_report(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
     return EXIT_OK if all_pass else EXIT_FAIL
+
+
+# the keys of `classical._FAMILY_TO_SERIES`, spelled out so that building a
+# parser loads no `classical`
+_FAMILIES = ["B", "C", "D", "so", "sp"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,7 +230,7 @@ def _check_exceptional_args(p) -> None:
 
 
 def _check_classical_args(p) -> None:
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_TO_SERIES))
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--partition", required=True, help="comma-separated parts")
     p.add_argument("--v-zero", action="store_true", help="force v = 0")
     p.set_defaults(func=_cmd_check_classical)
@@ -369,7 +245,7 @@ def _search_v_args(p) -> None:
 
 def _verify_contragredient_args(p) -> None:
     _record_flags(p, required=False)
-    p.add_argument("--family", choices=sorted(_FAMILY_TO_SERIES))
+    p.add_argument("--family", choices=_FAMILIES)
     p.add_argument("--partition")
     p.set_defaults(func=_cmd_verify_contragredient)
 

@@ -29,6 +29,10 @@ Logarithmic solutions (nilpotent monodromy) are layered: the coefficient of
 (log q)^k satisfies the same recursion with A_0 shifted by the exponent and
 an inhomogeneity fed by layer k+1, solved from the top layer down.
 
+`solve_json` picks the route of a system file (log layers, else the
+contraction when a domain is given, else the recursion) and writes the
+result as JSON.
+
 Majorant convention: a polynomial p contributes sum_m |c_m| eps^m where the
 c_m are its Taylor coefficients at the rational expansion center z0, summed
 in integers, and a q-series weighs coefficient n by delta^n, so every bound
@@ -45,7 +49,7 @@ from math import comb, floor, gcd, lcm
 from typing import Mapping, NamedTuple
 
 from . import _linalg
-from ._serde import rat_from_json, ratio_to_json
+from ._serde import rat_from_json, rat_to_json, ratio_to_json
 
 Poly = tuple[Fraction, ...]  # the Fraction view of a Form: `VectorSeries.coeffs`
 
@@ -556,6 +560,11 @@ def poly_to_json(p: Form) -> list:
     return [ratio_to_json(c, den) for c in nums]
 
 
+def _series_json(series: VectorSeries) -> list:
+    """The coefficients of series, each Form written by `poly_to_json`."""
+    return [[poly_to_json(x) for x in vec] for vec in series.forms]
+
+
 def _int_at_least(v, name: str, low: int) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < low:
         raise InvalidSystem(f"{name} must be at least {low} (a JSON integer), got {v!r}")
@@ -648,6 +657,59 @@ def system_from_json(obj: dict) -> dict:
         "log_order": log_order,
         "domain": domain,
         "radius": radius,
+    }
+
+
+def solve_json(obj: dict, route: str, order: int, iterations: int) -> dict:
+    """Decode obj (`system_from_json`), solve it to order on route and
+    return the result as JSON.  Route "auto" picks the log layers when the
+    system has exponents or keyed seeds, else the contraction when it has a
+    domain, else the recursion; a forced route the system does not fit
+    raises InvalidSystem.  The recursion's residual is weighed at z0 = 0,
+    epsilon = delta = 1: the plain sum of absolute coefficient values."""
+    system = system_from_json(obj)
+    a, seeds, domain = system["a"], system["seeds"], system["domain"]
+    keyed = isinstance(seeds, dict)
+    if route == "auto":
+        if system["exponents"] or keyed:
+            route = "log"
+        else:
+            route = "recursion" if domain is None else "contraction"
+    if route == "log":
+        if not keyed:
+            raise InvalidSystem("log route needs seeds keyed as 'j:k'")
+        sol = log_system_solve(
+            a, system["exponents"], system["log_order"], seeds, order, system["radius"]
+        )
+        return {
+            "route": "log",
+            "exponents": [rat_to_json(h) for h in sol.exponents],
+            "K": sol.log_order,
+            "radius": rat_to_json(sol.radius),
+            "layers": {
+                f"{j}:{k}": _series_json(series) for (j, k), series in sorted(sol.layers.items())
+            },
+        }
+    if keyed:
+        raise InvalidSystem("plain routes need a seed list, not 'j:k' layers")
+    if route == "contraction":
+        if domain is None:
+            raise InvalidSystem("contraction route needs a domain block")
+        res = contraction_solve(a, system["f"], seeds, domain, order, iterations=iterations)
+        return {
+            "route": "contraction",
+            "truncation": res.truncation,
+            "ratio": str(res.ratio),
+            "bound": str(res.bound),
+            "distances": [str(d) for d in res.distances],
+            "coefficients": _series_json(res.series),
+        }
+    series = recursion_solve(a, system["f"], seeds, order)
+    unit = DomainParams(Fraction(0), Fraction(1), Fraction(1))
+    return {
+        "route": "recursion",
+        "residual": str(residual_norm(a, system["f"], series, unit)),
+        "coefficients": _series_json(series),
     }
 
 

@@ -7,7 +7,8 @@ root vectors sum to the nilpotent f, and the distinguished Cartan element v
 centralizing f.  Records use Bourbaki numbering; for the E series the JSON
 splits a diagram into the branch-node value ("top", node 2) and the chain
 values ("row", nodes 1,3,4,...), which flatten back to coefficient order
-1..n.
+1..n.  `lookup_exceptional` is the one resolver of a record: by q, by
+orbit label, or by both, which must agree.
 
 The classical side (types B, C, D) is realized with matrices in
 `classical`, which a classical request loads instead of this module.
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._serde import rat_from_json
-from .rootsys import CartanElement, RootSystem, SimpleType, build, pairing
+from .rootsys import CartanElement, IllegalType, RootSystem, SimpleType, build, pairing
 
 
 class NotExceptionalType(ValueError):
@@ -174,19 +175,30 @@ def load_records() -> tuple[OrbitRecord, ...]:
     return _load_dir(str(data_dir()))
 
 
-def lookup_exceptional(algebra, q: int):
-    """The record for (algebra, q), or EVEN_OR_EXTERNAL when none applies.
+def lookup_exceptional(algebra, q: int | None = None, label: str | None = None):
+    """The bundled record of algebra with level denominator q, with orbit
+    label label, or with both; EVEN_OR_EXTERNAL when q alone names none.
 
-    Raises NotExceptionalType for classical families (use the partition
-    interface for those).
+    Raises IllegalType when neither is given or the label's record does not
+    belong to q, and NotExceptionalType for an unknown label or, by q, a
+    classical family (use the partition interface for those).
     """
     st = SimpleType.parse(algebra) if isinstance(algebra, str) else algebra
-    if st.family not in ("E", "F", "G"):
-        raise NotExceptionalType(f"{st} is classical; no bundled record applies")
+    if q is None and label is None:
+        raise IllegalType("need --q or --label to pick a record")
+    if label is None:
+        if st.family not in ("E", "F", "G"):
+            raise NotExceptionalType(f"{st} is classical; no bundled record applies")
+        return next(
+            (rec for rec in load_records() if rec.algebra == st and q in rec.q),
+            EVEN_OR_EXTERNAL,
+        )
     for rec in load_records():
-        if rec.algebra == st and q in rec.q:
+        if rec.algebra == st and rec.label == label:
+            if q is not None and q not in rec.q:
+                raise IllegalType(f"record {st} {label} belongs to q = {rec.q}, not {q}")
             return rec
-    return EVEN_OR_EXTERNAL
+    raise NotExceptionalType(f"no bundled record {st} with label {label!r}")
 
 
 def __getattr__(name: str):

@@ -165,10 +165,12 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     return _linalg.rank(m + [row]) == _linalg.rank(m)
 
 
-def verdict_to_json(algebra: str, label: str, verdict: ConditionVerdict) -> dict:
+def verdict_to_json(algebra: str, label: str, verdict: ConditionVerdict, q=None) -> dict:
+    """The verdict as JSON under algebra and label, and q after them when given."""
     return {
         "algebra": algebra,
         "label": label,
+        **({} if q is None else {"q": q}),
         "status": verdict.status,
         "evidence": [
             {

@@ -122,6 +122,75 @@ def test_check_exceptional_bad_inputs(capsys):
     assert rc == 3 and err.startswith("error:")
 
 
+PLAIN_SYSTEM = {"ell": 1, "A": [[0, [[0]]]], "seeds": [[[1]]]}
+KEYED_SYSTEM = {
+    "ell": 2,
+    "A": [[0, [[0, 1], [0, 0]]]],
+    "exponents": [0],
+    "K": 1,
+    "seeds": {"0:1": [[[3], [0]]], "0:0": [[[7], [3]]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check-exceptional", "--algebra", "E8"], "need --q or --label to pick a record"),
+        (
+            ["check-exceptional", "--algebra", "E8", "--label", "A7", "--q", "7"],
+            "record E8 A7 belongs to q = (8,), not 7",
+        ),
+        (
+            ["check-exceptional", "--algebra", "E8", "--label", "Zz"],
+            "no bundled record E8 with label 'Zz'",
+        ),
+        (
+            ["check-exceptional", "--algebra", "C3", "--label", "A1"],
+            "no bundled record C3 with label 'A1'",
+        ),
+        (
+            ["check-exceptional", "--algebra", "C3", "--q", "3"],
+            "C3 is classical; no bundled record applies",
+        ),
+        (
+            ["check-classical", "--family", "C", "--partition", "3,x"],
+            "partition must be comma-separated integers: '3,x'",
+        ),
+        (
+            ["check-classical", "--family", "B", "--partition", "4,4"],
+            "partition of 8 is type D, not B",
+        ),
+        (["frobenius", "{plain}", "--route", "log"], "log route needs seeds keyed as 'j:k'"),
+        (
+            ["frobenius", "{keyed}", "--route", "recursion"],
+            "plain routes need a seed list, not 'j:k' layers",
+        ),
+        (
+            ["frobenius", "{keyed}", "--route", "contraction"],
+            "plain routes need a seed list, not 'j:k' layers",
+        ),
+        (
+            ["frobenius", "{plain}", "--route", "contraction"],
+            "contraction route needs a domain block",
+        ),
+    ],
+    ids=[
+        "no-q-or-label", "q-off-label", "unknown-label", "classical-label", "classical-q",
+        "partition-text", "partition-letter", "log-on-plain", "recursion-on-keyed",
+        "contraction-on-keyed", "contraction-without-domain",
+    ],
+)
+def test_bad_input_messages_are_pinned(capsys, tmp_path, argv, message):
+    """The exact stderr of each record, partition and route refusal: one
+    line, exit 3, nothing on stdout."""
+    paths = {
+        "{plain}": write_system(tmp_path, "plain.json", PLAIN_SYSTEM),
+        "{keyed}": write_system(tmp_path, "keyed.json", KEYED_SYSTEM),
+    }
+    rc, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (rc, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_check_classical(capsys):
     rc, d, _ = run_json(
         capsys, "check-classical", "--family", "C", "--partition", "3,3,2"
@@ -228,7 +297,7 @@ def _simple_type_label(partition) -> str:
 
 
 def test_algebra_label_matches_the_simple_type_rule():
-    """`cli._algebra_label` reads the least classical ranks without
+    """`ClassicalPartition.algebra_label` reads the least classical ranks without
     `rootsys`; at every legal size 1-64 of so and sp it names what
     `SimpleType` names, the low ranks included."""
     seen = {}
@@ -237,13 +306,27 @@ def test_algebra_label_matches_the_simple_type_rule():
         for family in ("so", "sp") if n % 2 == 0 else ("so",):
             p = ClassicalPartition.from_parts(family, parts[family])
             assert p.size == n
-            seen[family, n] = cli._algebra_label(p)
+            seen[family, n] = p.algebra_label
             assert seen[family, n] == _simple_type_label(p), (family, n)
     assert len(seen) == 64 + 32
     assert [seen["so", n] for n in range(1, 9)] == [
         "so1", "so2", "A1", "so4", "B2", "A3", "B3", "D4"
     ]
     assert [seen["sp", n] for n in (2, 4, 6)] == ["A1", "C2", "C3"]
+
+
+def test_family_choices_are_the_families_classical_parses():
+    """The --family literal in `cli` names exactly the families
+    `ClassicalPartition.parse` reads, so the parser needs no `classical`."""
+    from wrat import classical
+
+    assert cli._FAMILIES == sorted(classical._FAMILY_TO_SERIES)
+    for family, parts in zip(cli._FAMILIES, ["3", "2", "3,1", "3", "2"]):
+        p = ClassicalPartition.parse(family, parts)
+        assert p.family == classical._FAMILY_TO_SERIES[family]
+    for family in ("b", "E", "so ", ""):
+        with pytest.raises(classical.InvalidPartition):
+            ClassicalPartition.parse(family, "2")
 
 
 def test_check_classical_v_zero(capsys):
@@ -719,7 +802,7 @@ def test_record_mutation_exit_contract(case):
 
 
 PARTITION_CHARS = "0123456789,, -+_ \u0663\uff15"
-FAMILIES = sorted(cli._FAMILY_TO_SERIES) + ["b", "c", "E", "SP", "so ", "", "D4", "sp2"]
+FAMILIES = cli._FAMILIES + ["b", "c", "E", "SP", "so ", "", "D4", "sp2"]
 BIG_PARTS = [4 * 10**9, 10**10, 2 * 10**18, 10**19, 10**30]
 
 
@@ -889,7 +972,7 @@ def test_series_forms_are_the_reduced_view(obj, order):
         assert len(series.forms) == len(view) == order
         for forms, polys in zip(series.forms, view):
             assert forms == [_linalg.over_common(p) for p in polys]
-        assert cli._series_json(series) == [[[rat_to_json(c) for c in p] for p in vec] for vec in view]
+        assert fr._series_json(series) == [[[rat_to_json(c) for c in p] for p in vec] for vec in view]
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,7 +26,7 @@ from wrat.orbits import (
     validate_record,
 )
 from wrat._serde import rat_to_json
-from wrat.rootsys import SimpleType
+from wrat.rootsys import IllegalType, SimpleType
 
 
 def _diagram_to_json(values, family: str) -> dict:
@@ -87,6 +87,33 @@ def test_lookup_table():
         lookup_exceptional("B4", 2)
     with pytest.raises(NotExceptionalType):
         lookup_exceptional("A1", 3)
+
+
+def test_lookup_by_label():
+    for (alg, q), label in EXPECTED_LOOKUP.items():
+        by_label = lookup_exceptional(alg, label=label)
+        assert by_label is lookup_exceptional(alg, q)
+        assert lookup_exceptional(alg, q, label) is by_label
+        assert lookup_exceptional(SimpleType.parse(alg), q=q, label=label) is by_label
+    assert lookup_exceptional("E8", 6) is EVEN_OR_EXTERNAL
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,error,message",
+    [
+        (("E8", 7), {"label": "A7"}, IllegalType, "record E8 A7 belongs to q = (8,), not 7"),
+        (("E8",), {"label": "Zz"}, NotExceptionalType, "no bundled record E8 with label 'Zz'"),
+        (("C3",), {"label": "A1"}, NotExceptionalType, "no bundled record C3 with label 'A1'"),
+        (("C3", 3), {}, NotExceptionalType, "C3 is classical; no bundled record applies"),
+        (("E8",), {}, IllegalType, "need --q or --label to pick a record"),
+        (("C3",), {}, IllegalType, "need --q or --label to pick a record"),
+    ],
+    ids=["q-off-label", "unknown-label", "classical-label", "classical-q", "neither", "neither-classical"],
+)
+def test_lookup_refusals(args, kwargs, error, message):
+    with pytest.raises(error) as info:
+        lookup_exceptional(*args, **kwargs)
+    assert str(info.value) == message
 
 
 def test_record_json_round_trip():
