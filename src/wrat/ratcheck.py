@@ -20,8 +20,8 @@ a(t) and -a(t) on e_a and f_a, the columns of ad(f) from the table.
   the tractable range hands off to the slot table wholesale.
 
 `check_realized` checks v against f and builds the operator and its
-grouping at v once for every route it runs; `report` hands it the operator
-it also reads for self-contragredience.
+grouping at v once for every route it runs; `verify_self_contragredient`
+answers a verified triple without one.
 
 `search_v`, the only user of h^f, builds a record's slot table once with h^f
 as the torus; h^f kills every root in the support of f and holds every v
@@ -29,11 +29,10 @@ centralizing f.  Each v of a small rational lattice inside h^f is checked
 against that table in integer arithmetic.  A record's triple is the one
 `complete_sl2` verifies in `realize_record`.
 
-Classical partitions (matrix units) are checked in `classical`.
+Classical partitions (matrix units) are checked in `classical`.  Its
 `check_classical` and `verify_self_contragredient_classical` still resolve
-here, through the module `__getattr__`, to the `classical` functions
-themselves: views kept for the benchmark's files, whose tracer names the
-layers `ratcheck.check_classical` and
+here, through the module `__getattr__`: views kept for the benchmark's
+files, whose tracer names the layers `ratcheck.check_classical` and
 `ratcheck.verify_self_contragredient_classical`, until ROADMAP item 1
 settles the layer names, as `grading.ad_block` is kept.  Importing this
 module does not load `classical`.
@@ -43,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import _linalg, grading as gr, liealg
@@ -52,9 +52,11 @@ from .slots import (
     ConditionVerdict,
     FallbackWitness,
     _GradedOperator,
+    _admissible,
     _group,
     _kernel_slots,
     _self_contragredient,
+    _shift,
     _slot_verdict,
     _verdict,
 )
@@ -98,6 +100,18 @@ class SearchConfig(NamedTuple):
     coefficient_bound: int = 4
 
 
+def _require_triple(
+    table: liealg.ChevalleyTable, grading: gr.DynkinGrading, f: liealg.Element, triple
+) -> None:
+    """triple, from `complete_sl2`, is f's sl2-triple on this grading: its f
+    is f and its h pairs with the simple roots as the grading's does."""
+    a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
+    h = [triple.h.get(table.index[liealg.H(k)], 0) for k in range(len(a))]
+    pairings = [sum(c * x for c, x in zip(r, h)) for r in a]
+    if triple.f != f or pairings != list(grading.characteristic.pairings):
+        raise ValueError("the sl2-triple is not the triple of f on this grading")
+
+
 def _chevalley_operator(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
@@ -110,19 +124,14 @@ def _chevalley_operator(
     f's sl2-triple on this grading from `complete_sl2`, or None; h^f
     centralizes its e too, as e is the only partner of h and f.  A column
     of ad(f) is int when f's coefficients are, as a record's are."""
-    a = table.rs.cartan_matrix  # a_i(h_k) = a_ik
-    hk = [table.index[liealg.H(k)] for k in range(len(a))]
-    if triple is not None and (
-        triple.f != f
-        or [sum(c * triple.h.get(i, 0) for i, c in zip(hk, r)) for r in a]
-        != list(grading.characteristic.pairings)
-    ):
-        raise ValueError("the sl2-triple is not the triple of f on this grading")
+    if triple is not None:
+        _require_triple(table, grading, f, triple)
+    a = table.rs.cartan_matrix
 
     def column(j: int) -> liealg.Element:
         return table.ad_column(f, j)
 
-    cartan = tuple((i, tuple(r[k] for r in a)) for k, i in enumerate(hk))
+    cartan = tuple((table.index[liealg.H(k)], tuple(r[k] for r in a)) for k in range(len(a)))
     return _GradedOperator(
         grading.degree_nums, grading.degree_den, table.weigh, column, cartan, triple is not None
     )
@@ -150,14 +159,11 @@ def _realize(
     f: liealg.Element,
     v: CartanElement,
     triple: gr.Sl2Triple | None,
-    op: _GradedOperator | None = None,
 ) -> tuple[_GradedOperator, dict[tuple, list[int]], int]:
     """(op, groups, den), the parts every route of one verdict reads: v
-    checked against f, then the operator (op, when given, is the one
-    `_chevalley_operator` built for these arguments) and its grouping at v."""
+    checked against f, then the operator and its grouping at v."""
     _require_centralizing(table, f, v)
-    if op is None:
-        op = _chevalley_operator(table, grading, f, triple)
+    op = _chevalley_operator(table, grading, f, triple)
     return (op, *_group(op, [v.pairings]))
 
 
@@ -202,13 +208,11 @@ def fast_condition(
     def analyze(d: int) -> bool:
         """One graded block, degree d / D, j = -d / D; returns False when
         the hand-off is needed.  Eigenvalue lam = n / den there is tame when
-        lam + j + 1 = t / scale is an integer >= 0, as in `_verdict`; the
-        one extra injectivity-resolvable value is t / scale = -1, and
-        lam = j + 2 gets the same treatment."""
+        it is `_admissible`; the one extra injectivity-resolvable value is
+        lam + j + 1 = -1, and lam = j + 2 gets the same treatment."""
         for n in sorted({n for (dd, (n,)) in groups if dd == d}):
-            t = n * D - d * den + scale
-            # off the tame lattice, or below its one resolvable value
-            if t % scale or t < -scale:
+            t = _shift(d, n, D, den)
+            if t != -scale and not _admissible(t, scale):
                 return False
             if t != -scale and n * D != (2 * D - d) * den:
                 continue
@@ -271,7 +275,7 @@ def search_v(
     returned is the least passing v in order of its least common
     denominator, then lexicographically.  The kernel slot table is built
     once; on slot (d, mu) v acts by sum k_i mu_i / den, so each (den, k) is
-    checked against the occupied slots with integer sums, stopping at the
+    checked against the occupied slots by `_admissible`, stopping at the
     first inadmissible slot.  Passing depends on v alone, so only the
     passing candidates are reduced and compared.
 
@@ -283,24 +287,20 @@ def search_v(
     basis = _hf_basis(table, f)
     if not basis:
         return NOT_FOUND
-    # slot (d, mu) is admissible at v iff t = mu(v) + 1 - d / q is a
-    # nonnegative integer, q = op.degree_den; with 1 - d / q = p / q and
-    # mu(v) = s / den that is s*q + den*p being a nonnegative multiple of
-    # den*q
     op = _chevalley_operator(table, grading, f, triple)
     q = op.degree_den
-    checks = [(mu, q - d) for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])]
+    checks = [(d, mu) for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])]
 
     B = config.coefficient_bound
     # (reduced denominator, numerators) orders exactly as (lcm, v) does
     best = None
     for den in range(1, config.denominator_bound + 1):
+        scale = den * q
         for ks in product(range(-B, B + 1), repeat=len(basis)):
             if not any(ks):
                 continue
-            for mu, p in checks:
-                n = sum(k * m for k, m in zip(ks, mu)) * q + den * p
-                if n < 0 or n % (den * q):
+            for d, mu in checks:
+                if not _admissible(_shift(d, sum(map(mul, ks, mu)), q, den), scale):
                     break
             else:
                 ints = [sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank)]
@@ -355,13 +355,14 @@ def verify_self_contragredient(
     grading: gr.DynkinGrading,
     f: liealg.Element,
     triple: gr.Sl2Triple | None = None,
-    *,
-    op: _GradedOperator | None = None,
 ) -> bool:
-    """`_self_contragredient` on the Chevalley basis; given f's sl2-triple
-    from `complete_sl2` it holds without a rank.  op, when given, is the
-    operator `_chevalley_operator` built for these arguments."""
-    return _self_contragredient(op or _chevalley_operator(table, grading, f, triple))
+    """Self-contragredience on the Chevalley basis: given f's sl2-triple
+    from `complete_sl2`, True once `_require_triple` passes, with no
+    operator; else `_self_contragredient`'s rank test."""
+    if triple is not None:
+        _require_triple(table, grading, f, triple)
+        return True
+    return _self_contragredient(_chevalley_operator(table, grading, f))
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +385,13 @@ def check_realized(
     v: CartanElement,
     method: str,
     triple: gr.Sl2Triple | None = None,
-    *,
-    op: _GradedOperator | None = None,
 ) -> ConditionVerdict:
-    """`check_record` on the parts `realize_record` returns; op as in
-    `verify_self_contragredient`.  v is checked against f, and the
-    operator and its grouping at v are built, once for every route."""
+    """`check_record` on the parts `realize_record` returns.  v is checked
+    against f, and the operator and its grouping at v are built, once for
+    every route."""
     if method not in ("exact", "fast", "both"):
         raise ValueError(f"unknown method {method!r}")
-    op, groups, den = parts = _realize(table, grading, f, v, triple, op)
+    op, groups, den = parts = _realize(table, grading, f, v, triple)
     if method == "exact":
         return exact_condition(table, grading, f, v, triple, parts=parts)
     fast = fast_condition(table, grading, f, v, triple, parts=parts)

@@ -20,8 +20,9 @@ gives one evidence row.  On a verified triple each slot is counted
 (Kostant), reading only degrees and weights; without one it takes one
 exact rank.  A row is decided in integers: its degree and eigenvalue are
 integer numerators over two positive denominators fixed per table, so the
-rows sort and test admissibility on those numerators, and each row's two
-Fractions are made once, for the output.
+rows sort on those numerators, and each row's two Fractions are made once,
+for the output.  Every admissibility decision reads `_admissible` on
+`_shift`.  `_self_contragredient` is the rank test for an f in no triple.
 """
 from __future__ import annotations
 
@@ -52,19 +53,27 @@ class ConditionVerdict(NamedTuple):
     slot_rule: str  # "counting" (verified sl2-triple), "rank", or "none" (no slot table)
 
 
+def _shift(d: int, n: int, degree_den: int, den: int) -> int:
+    """t = (lam + j + 1) den degree_den, lam = n / den, j = -d / degree_den."""
+    return n * degree_den - d * den + den * degree_den
+
+
+def _admissible(t: int, scale: int) -> bool:
+    """Whether t / scale (scale = den degree_den) is an integer >= 0."""
+    return t >= 0 and not t % scale
+
+
 def _verdict(
     slots, degree_den: int, den: int, witnesses, method: str, slot_rule: str
 ) -> ConditionVerdict:
     """The verdict on integer slots (d, n, mult): mult kernel vectors of
-    eigenvalue lam = n / den in degree j = -d / degree_den.  Both
-    denominators are positive, so (-d, n) sorts as (j, lam) does; a row is
-    admissible when lam + j + 1 = t / (den degree_den) is a nonnegative
-    integer, t = n degree_den - d den + den degree_den."""
+    eigenvalue n / den in degree -d / degree_den.  Both denominators are
+    positive, so (-d, n) sorts as (j, lam) does; each row is decided by
+    `_admissible` on its `_shift`."""
     scale = den * degree_den
     rows = []
     for d, n, mult in sorted(slots, key=lambda s: (-s[0], s[1])):
-        t = n * degree_den - d * den + scale
-        ok = t >= 0 and not t % scale
+        ok = _admissible(_shift(d, n, degree_den, den), scale)
         rows.append(EvidenceEntry(Fraction(-d, degree_den), Fraction(n, den), mult, ok))
     status = "pass" if all(r.admissible for r in rows) else "fail"
     return ConditionVerdict(status, tuple(rows), tuple(witnesses), method, slot_rule)
@@ -78,9 +87,8 @@ class _GradedOperator(NamedTuple):
     tuple of torus weights of all b_i at the torus element with integer
     coordinate values t; column(j) is [f, b_j] as {i: coefficient}, built
     on each call; cartan holds (i, torus coordinates of b_i) per Cartan
-    basis vector b_i; sl2 says that f sits
-    in a verified sl2-triple (e, h, f), h giving the degrees, and that the
-    torus centralizes it.
+    basis vector b_i; sl2 says that f sits in a verified sl2-triple
+    (e, h, f), h giving the degrees, and that the torus centralizes it.
     """
 
     degrees: tuple[int, ...]
@@ -142,22 +150,18 @@ def _self_contragredient(op: _GradedOperator) -> bool:
     functional L on g_0, zero on the kernel of M = ad(f): g_0 -> g_-1
     exactly when rank(M + [L]) == rank(M).
 
-    When f is in an sl2-triple (e, h, f) with h giving the degrees, this
-    restates the triple.  Such a w spans a trivial sl2 summand, so it
+    The rank test is for an f in no sl2-triple (f = 0, a dropped root).
+    On a verified triple (e, h, f), h giving the degrees, both realizations
+    answer True without it: such a w spans a trivial sl2 summand, so it
     commutes with e, and ad(e)^(2d): g_-d -> g_d is w-equivariant; the
     Killing form makes g_-d dual to g_d, so tr(w|g_d) = -tr(w|g_d) = 0.
-    The pairing with h/2 needs no row either, as it vanishes on the kernel:
-    <h, w> = <[e, f], w> = <e, [f, w]> = 0.  The rank test is for an f in
-    no triple (f = 0, a dropped root), where the trace row is what fails.
+    The h/2 pairing vanishes on the kernel: <h, w> = <e, [f, w]> = 0.
     """
-    if op.sl2:
-        return True
     g0 = [i for i, d in enumerate(op.degrees) if d == 0]
     m = _linalg.block(op.column, g0, [i for i, d in enumerate(op.degrees) if d == -op.degree_den])
-    # ad(w) is traceless on g and on g_0 for w in g_0, so its trace on the
-    # negative part is minus its trace on the positive part and needs no row
-    # of its own.  A basis vector of nonzero weight shifts every weight, so
-    # only Cartan vectors enter the trace, acting on b_j by weight_j.
+    # ad(w), w in g_0, is traceless on g and on g_0, so the negative part
+    # needs no row of its own.  Only Cartan vectors enter the trace (the
+    # others shift every weight), acting on b_j by weight_j.
     col = {i: c for c, i in enumerate(g0)}
     row = [0] * len(g0)
     for i, coords in op.cartan:

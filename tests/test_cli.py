@@ -1,3 +1,4 @@
+import ast
 import builtins
 import contextlib
 import copy
@@ -1421,6 +1422,30 @@ def test_exit_code_names_are_exception_classes():
             got = getattr(home, cls)
             assert isinstance(got, type) and issubclass(got, Exception), name
             assert cli._exit_code(got("x")) == next(c for c, n in cli._EXIT_CODES if name in n)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """`cli` reaches the rest of the package through public names only: no
+    `module._name` attribute of a module it imports, and no `_name` in a
+    `from .module import` list."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules |= {a.asname or a.name for a in node.names}
+            else:
+                private += [f"{node.module}.{a.name}" for a in node.names if a.name[0] == "_"]
+    assert {"ratcheck", "slots", "fr"} <= modules
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr[0] == "_"
+    ]
+    assert private == []
 
 
 def test_report_all_realizes_each_record_once(capsys, monkeypatch):

@@ -1,12 +1,13 @@
 """Self-contragredience as a rank test, against the kernel-walk oracles.
 
-On a verified sl2-triple the verdict is a theorem (`_self_contragredient`
-returns True without a rank); for an f in no triple
-`verify_self_contragredient` and `verify_self_contragredient_classical` ask
-whether the trace lies in the row space of ad(f): g_0 -> g_-1.  The triple
-path must equal that rank path on every bundled record and on every legal
+On a verified sl2-triple the verdict is a theorem, so
+`verify_self_contragredient` and `verify_self_contragredient_classical`
+return True there without building an operator; for an f in no triple they
+ask, through `_self_contragredient`, whether the trace lies in the row
+space of ad(f): g_0 -> g_-1.  That shortcut must equal the rank test on the
+same realization's operator on every bundled record and on every legal
 so/sp partition of size <= 12, and a record's triple is refused for any
-other f.  The oracles
+other f and for another grading.  The oracles
 in `contragredient_oracle.py` walk a nullspace basis instead, and also test
 the h/2 pairing.  Both must agree on every bundled record and on every legal
 so/sp partition, and both must return False on the negative controls: f = 0,
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import contragredient_oracle as oracle
 from linalg_oracle import rref
-from wrat import _linalg
+from wrat import _linalg, grading as gr, ratcheck, slots
 from wrat.liealg import F
 from wrat.classical import (
     ClassicalPartition,
@@ -71,10 +72,12 @@ def _zero_f(real):
     return real._replace(f={})
 
 
-def assert_triple_path_is_rank_path(op):
-    """The short cut on a verified triple against the rank test it skips."""
+def assert_triple_path_is_rank_path(shortcut, op):
+    """A realization's public answer on its verified triple, given as
+    shortcut, against the rank test it skips, on that realization's
+    operator."""
     assert op.sl2
-    assert _self_contragredient(op) == _self_contragredient(op._replace(sl2=False))
+    assert shortcut == _self_contragredient(op)
 
 
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
@@ -83,7 +86,34 @@ def test_record_matches_oracle(k):
     assert verify_self_contragredient(table, grading, f, triple)
     assert verify_self_contragredient(table, grading, f)
     assert oracle.self_contragredient(table, grading, f)
-    assert_triple_path_is_rank_path(_chevalley_operator(table, grading, f, triple))
+    assert_triple_path_is_rank_path(
+        verify_self_contragredient(table, grading, f, triple),
+        _chevalley_operator(table, grading, f, triple),
+    )
+
+
+@pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
+def test_record_triple_path_builds_no_operator(k, monkeypatch):
+    """Given the triple, `verify_self_contragredient` checks it against f
+    and the grading and answers without an operator or the rank test: True
+    on the record, ValueError for an f with one root vector dropped and for
+    the grading of another record of the same algebra."""
+    table, grading, f, triple = realized(k)
+    roots = RECORDS[k].f_roots
+    dropped = {table.index[F(c)]: 1 for c in roots[1:]}
+    other = next(r.h for r in RECORDS if r.algebra == RECORDS[k].algebra and r.h != RECORDS[k].h)
+    other_grading = gr.grade(table, other)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator or the rank test on the triple path")
+
+    for home in (ratcheck, slots):
+        monkeypatch.setattr(home, "_self_contragredient", refuse)
+    monkeypatch.setattr(ratcheck, "_chevalley_operator", refuse)
+    assert verify_self_contragredient(table, grading, f, triple) is True
+    for g, gd in ((dropped, grading), (f, other_grading)):
+        with pytest.raises(ValueError, match="not the triple of f"):
+            verify_self_contragredient(table, gd, g, triple)
 
 
 def assert_functionals_match(op, g0, pair, pos, neg):
@@ -151,7 +181,9 @@ def test_partitions_up_to_12_match_oracle():
     assert len(parts) > 200
     for p in parts:
         real = build_classical(p)
-        assert_triple_path_is_rank_path(_classical_operator(real))
+        assert_triple_path_is_rank_path(
+            verify_self_contragredient_classical(real), _classical_operator(real)
+        )
         assert verify_self_contragredient_classical(real), p
         assert oracle.self_contragredient_classical(real), p
         zero = _zero_f(real)

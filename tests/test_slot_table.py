@@ -32,6 +32,7 @@ from contragredient_oracle import _ad_f, ad_block, degrees, dense
 from linalg_oracle import rref
 from test_contragredience import legal_partitions
 from wrat.classical import _classical_operator, build_classical, check_classical, classical_basis
+from wrat import slots
 from wrat.orbits import load_records
 from wrat.ratcheck import (
     _chevalley_operator,
@@ -208,6 +209,37 @@ def test_integer_rows_match_the_fraction_oracle(data):
         assert rows == sorted(rows, key=lambda r: (r.j, r.eigenvalue))
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(-30, 30), st.integers(1, 6), st.integers(-30, 30), st.integers(1, 6))
+def test_shift_and_admissible_match_the_definition(n, den, d, degree_den):
+    """`slots._shift` is (lam + j + 1) den D for lam = n / den and
+    j = -d / D, and `slots._admissible` on it holds exactly when
+    lam + j + 1 is an integer >= 0."""
+    lam, j = Fraction(n, den), Fraction(-d, degree_den)
+    t = slots._shift(d, n, degree_den, den)
+    assert t == (lam + j + 1) * den * degree_den
+    assert slots._admissible(t, den * degree_den) == _admissible(j, lam)
+
+
+@pytest.mark.parametrize(
+    "d,n,degree_den,den,t,ok",
+    [
+        (2, 0, 2, 3, 0, True),  # lam + j + 1 = 0
+        (2, -3, 2, 3, -6, False),  # = -1: t = -den D
+        (1, 1, 2, 3, 5, False),  # one below den D
+        (1, 4, 2, 3, 11, False),  # one below 2 den D
+        (0, 0, 2, 3, 6, True),  # = 1
+        (1, 0, 1, 1, 0, True),  # D = den = 1: t is lam + j + 1 itself
+        (1, -1, 1, 1, -1, False),
+    ],
+)
+def test_admissible_at_the_boundary(d, n, degree_den, den, t, ok):
+    """The boundary cases of the admissibility test, each pinned to its t."""
+    assert slots._shift(d, n, degree_den, den) == t
+    assert slots._admissible(t, den * degree_den) is ok
+    assert _admissible(Fraction(-d, degree_den), Fraction(n, den)) is ok
+
+
 CLASSICAL = legal_partitions(range(1, 11))
 
 
@@ -219,7 +251,7 @@ def test_classical_integer_rows_match_the_fraction_oracle(partition, v_zero):
     counted and ranked."""
     real = build_classical(partition)
     if v_zero:
-        real = real._replace(v_diag=(Fraction(0),) * real.size)
+        real = real._replace(v_diag=(0,) * real.size)
     want = blockwise_classical(real)
     got = check_classical(real)
     assert (got.status, got.evidence) == want
