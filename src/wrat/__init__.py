@@ -5,11 +5,24 @@ Submodules load on first use.  `import wrat` registers each one in
 module's code runs on the first attribute read from it, and a request runs
 only the modules it calls.  The public names below resolve through the
 module `__getattr__`.
+
+Every refusal is one of two exception categories defined here, which a
+caller catches without loading the module that raised it: `BadInput` (the
+CLI's exit 3) and `RoutesDisagree` (exit 2).
 """
 import importlib.util
 import sys
 
 __version__ = "0.1.0"
+
+
+class BadInput(ValueError):
+    """The input is not an instance: no such type, partition, record or system."""
+
+
+class RoutesDisagree(RuntimeError):
+    """The fast and exact routes reach different verdicts on the same input."""
+
 
 # public name -> submodule defining it
 _PUBLIC = {
@@ -44,7 +57,7 @@ _PUBLIC = {
     "verify_self_contragredient": "ratcheck",
 }
 
-__all__ = [*_PUBLIC, "__version__"]
+__all__ = [*_PUBLIC, "BadInput", "RoutesDisagree", "__version__"]
 
 
 def _lazy(name: str) -> None:

@@ -19,10 +19,10 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _linalg, slots
+from . import BadInput, _linalg, slots
 
 
-class InvalidPartition(ValueError):
+class InvalidPartition(BadInput):
     """The parts cannot be arranged into a nilpotent of the requested type."""
 
 

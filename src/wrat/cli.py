@@ -21,9 +21,12 @@ and maps exceptions to exit codes.  Each rule lives with its data:
 type, and `frobenius.solve_json` picks the series route, solves and writes
 the result JSON.
 
-Exit codes: 0 pass/ok, 2 mathematical fail (or search miss, or
-`ratcheck.RoutesDisagree`), 3 invalid input/data (bad flags, illegal
-partitions, no bundled record, resonance), 4 I/O failure.
+Exit codes: 0 pass/ok, 2 mathematical fail (a fail verdict, a search miss,
+or `wrat.RoutesDisagree`), 3 invalid input/data (`wrat.BadInput`: bad
+flags, illegal partitions, no bundled record, resonance), 4 I/O failure
+(`OSError`, a closed output pipe included).  Every refusal leaves through
+`main`, which prints the one `error:` line; a failed write of that line
+keeps the request's code.
 
 `run` is the program entry (`python -m wrat.cli`, the `wrat` script);
 `main(argv)` is the in-process one, for tests and library callers.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import BadInput, RoutesDisagree
 from . import classical, frobenius as fr, orbits, ratcheck, rootsys, slots
 from ._serde import json_text
 
@@ -43,30 +47,26 @@ EXIT_IO = 4
 
 
 def _emit(obj: dict) -> None:
-    print(json_text(obj))
-
-
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+    print(json_text(obj), flush=True)  # a closed pipe fails here, not at exit
 
 
 def _record(args):
     """The bundled record args name.  When its q names none, the
-    even-or-external status is reported and the result is None."""
-    rec = orbits.lookup_exceptional(args.algebra, args.q, args.label)
-    if rec is not orbits.EVEN_OR_EXTERNAL:
-        return rec
+    even-or-external status is printed and BadInput raised."""
+    if args.algebra is None:
+        raise BadInput("need --algebra/--q or --family/--partition")
     st = rootsys.SimpleType.parse(args.algebra)
-    _emit({"algebra": str(st), "q": args.q, "status": "even-or-external"})
-    _fail(f"{st} at q = {args.q} is even or external: no bundled record", EXIT_BAD_INPUT)
-    return None
+    if args.q is None and args.label is None:
+        raise BadInput("need --q or --label to pick a record")
+    rec = orbits.lookup_exceptional(st, args.q, args.label)
+    if rec is orbits.EVEN_OR_EXTERNAL:
+        _emit({"algebra": str(st), "q": args.q, "status": "even-or-external"})
+        raise BadInput(f"{st} at q = {args.q} is even or external: no bundled record")
+    return rec
 
 
 def _cmd_check_exceptional(args) -> int:
     rec = _record(args)
-    if rec is None:
-        return EXIT_BAD_INPUT
     verdict = ratcheck.check_record(rec, args.method)
     _emit(slots.verdict_to_json(str(rec.algebra), rec.label, verdict, list(rec.q)))
     return EXIT_OK if verdict.status == "pass" else EXIT_FAIL
@@ -84,8 +84,6 @@ def _cmd_check_classical(args) -> int:
 
 def _cmd_search_v(args) -> int:
     rec = _record(args)
-    if rec is None:
-        return EXIT_BAD_INPUT
     table, grading, f, triple = ratcheck.realize_record(rec)
     config = ratcheck.SearchConfig(
         denominator_bound=args.denominator_bound,
@@ -101,21 +99,17 @@ def _cmd_search_v(args) -> int:
 
 
 def _cmd_verify_contragredient(args) -> int:
-    if args.family is not None:
-        if args.partition is None:
-            raise classical.InvalidPartition("--family needs --partition")
+    if args.family is None:
+        rec = _record(args)
+        ok = ratcheck.verify_self_contragredient(*ratcheck.realize_record(rec))
+        algebra, label = str(rec.algebra), rec.label
+    elif args.partition is None:
+        raise BadInput("--family needs --partition")
+    else:
         partition = classical.ClassicalPartition.parse(args.family, args.partition)
         real = classical.build_classical(partition)
         ok = classical.verify_self_contragredient_classical(real)
         algebra, label = partition.algebra_label, partition.label
-    else:
-        if args.algebra is None:
-            raise rootsys.IllegalType("need --algebra/--q or --family/--partition")
-        rec = _record(args)
-        if rec is None:
-            return EXIT_BAD_INPUT
-        ok = ratcheck.verify_self_contragredient(*ratcheck.realize_record(rec))
-        algebra, label = str(rec.algebra), rec.label
     _emit({"algebra": algebra, "label": label, "self_contragredient": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -127,7 +121,7 @@ def _cmd_frobenius(args) -> int:
         try:
             obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return _fail(f"cannot parse system: {exc}", EXIT_BAD_INPUT)
+            raise BadInput(f"cannot parse system: {exc}") from exc
     _emit(fr.solve_json(obj, args.route, args.order, args.iterate))
     return EXIT_OK
 
@@ -171,7 +165,7 @@ def _cmd_report(args) -> int:
     rows, all_pass = _report_rows()
     text = _report_tsv(rows) if args.format == "tsv" else _report_json(rows)
     if args.output is None:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
     else:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -195,6 +189,10 @@ class _Parser(argparse.ArgumentParser):
             build_parser().error(message)
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse would drop a failed write: a closed stdout exits 4
+        print(self.format_help(), end="", file=file, flush=True)
 
 
 def _int_at_least(lo: int):
@@ -298,46 +296,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# exit code -> the exceptions mapped to it, as "module.Class" within the
-# package, in the order they are tried.  A request can raise a class only
-# from a module it ran, so an exception is matched on the names along its
-# MRO and no module is read that the request did not load.
-_EXIT_CODES = (
-    (
-        EXIT_BAD_INPUT,
-        {
-            "rootsys.IllegalType", "orbits.NotExceptionalType", "orbits.InvalidRecord",
-            "orbits.UnknownRoot", "classical.InvalidPartition", "grading.NoSl2Completion",
-            "frobenius.InvalidSystem", "frobenius.Resonance", "frobenius.SeedInconsistent",
-            "frobenius.ContractionFails",
-        },
-    ),
-    # a mathematical failure, not bad input
-    (EXIT_FAIL, {"ratcheck.RoutesDisagree"}),
-    (EXIT_IO, {"builtins.OSError"}),
-)
-
-
-def _exit_code(exc: Exception) -> int | None:
-    """The exit code `_EXIT_CODES` gives exc, or None when it names no
-    class exc is an instance of."""
-    prefix = f"{__package__}."
-    names = {
-        f"{c.__module__.removeprefix(prefix)}.{c.__qualname__}" for c in type(exc).__mro__
-    }
-    return next((code for code, wanted in _EXIT_CODES if names & wanted), None)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
-    except Exception as exc:
-        code = _exit_code(exc)
-        if code is None:
-            raise
-        return _fail(str(exc), code)
+    except BadInput as exc:
+        code, message = EXIT_BAD_INPUT, str(exc)
+    except RoutesDisagree as exc:
+        code, message = EXIT_FAIL, str(exc)
+    except OSError as exc:
+        code, message = EXIT_IO, str(exc)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass  # a closed stderr: the request's code stands
+    return code
 
 
 def run() -> None:
@@ -345,10 +319,20 @@ def run() -> None:
     by then, so the heap is first frozen into the permanent generation,
     which the full collections of interpreter shutdown do not scan; atexit
     handlers, stream flushing and module teardown still run.  `main` keeps
-    the heap collectable for callers that run many requests in-process."""
-    import gc  # only the program entry needs it, not `import wrat.cli`
+    the heap collectable for callers that run many requests in-process.
+    What a closed pipe did not take is dropped: its stream is pointed at
+    os.devnull, so that shutdown flushes without error and the code stands."""
+    import gc  # only the program entry needs these, not `import wrat.cli`
+    import os
 
-    code = main()
+    try:
+        code = main()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     gc.freeze()
     sys.exit(code)
 

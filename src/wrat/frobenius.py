@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import comb, floor, gcd, lcm
 from typing import Mapping, NamedTuple
 
-from . import _linalg
+from . import BadInput, _linalg
 from ._serde import rat_from_json, rat_to_json, ratio_to_json
 
 Poly = tuple[Fraction, ...]  # the Fraction view of a Form: `VectorSeries.coeffs`
@@ -63,7 +63,7 @@ class Form(NamedTuple):
     den: int
 
 
-class _StepFailure(ValueError):
+class _StepFailure(BadInput):
     """The recursion fails at index n, in a log layer (exponent, log power)
     or in the plain recursion (layer None)."""
 
@@ -90,7 +90,7 @@ class SeedInconsistent(_StepFailure):
     _message = "seed at n = {} does not satisfy the recursion"
 
 
-class ContractionFails(ValueError):
+class ContractionFails(BadInput):
     """C/N >= 1: the clamped operator is not certified to contract."""
 
 
@@ -98,7 +98,7 @@ class BranchMismatch(ValueError):
     """The supplied log branch L does not satisfy exp(L) = q."""
 
 
-class InvalidSystem(ValueError):
+class InvalidSystem(BadInput):
     """A series-system file does not describe a system (bad shape or value)."""
 
 

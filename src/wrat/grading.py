@@ -11,12 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _linalg
+from . import BadInput, _linalg
 from .liealg import ChevalleyTable, Element, F, cartan_lie_element
 from .rootsys import CartanElement, DimensionMismatch, pairing
 
 
-class NoSl2Completion(ValueError):
+class NoSl2Completion(BadInput):
     """No degree-one partner e with [e, f] = h exists."""
 
 

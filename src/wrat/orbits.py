@@ -28,19 +28,20 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
+from . import BadInput
 from ._serde import rat_from_json
 from .rootsys import CartanElement, IllegalType, RootSystem, SimpleType, build, pairing
 
 
-class NotExceptionalType(ValueError):
+class NotExceptionalType(BadInput):
     """The algebra is not one of G2, F4, E6, E7, E8."""
 
 
-class UnknownRoot(ValueError):
+class UnknownRoot(BadInput):
     """A listed coefficient vector is not a positive root of the algebra."""
 
 
-class InvalidRecord(ValueError):
+class InvalidRecord(BadInput):
     """A data record is structurally or arithmetically inconsistent."""
 
 
@@ -185,7 +186,7 @@ def lookup_exceptional(algebra, q: int | None = None, label: str | None = None):
     """
     st = SimpleType.parse(algebra) if isinstance(algebra, str) else algebra
     if q is None and label is None:
-        raise IllegalType("need --q or --label to pick a record")
+        raise IllegalType("need q or label to pick a record")
     if label is None:
         if st.family not in ("E", "F", "G"):
             raise NotExceptionalType(f"{st} is classical; no bundled record applies")

@@ -45,7 +45,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from . import _linalg, grading as gr, liealg
+from . import RoutesDisagree, _linalg, grading as gr, liealg
 from .orbits import OrbitRecord
 from .rootsys import CartanElement, build, pairing
 from .slots import (
@@ -72,10 +72,6 @@ class GradingNotGood(ValueError):
 
 class GradingNotEven(ValueError):
     """The supplied grading has half-integer degrees where integers are required."""
-
-
-class RoutesDisagree(RuntimeError):
-    """The fast and exact routes reach different verdicts on the same input."""
 
 
 class _NotFound:
@@ -424,7 +420,8 @@ def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
     fast route hands off (its method is "exact") it returns the counted
     table, and the exact side takes one rank per slot instead (slot rule
     "rank"), so the gate still sets counts against ranks; both sides are
-    then whole slot tables, and every evidence row must agree as well.
+    then whole slot tables, and every evidence row must agree as well;
+    when they do not, `wrat.RoutesDisagree` is raised.
     """
     table, grading, f, triple = realize_record(record)
     return check_realized(table, grading, f, record.v, method, triple)

@@ -34,10 +34,11 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
+from . import BadInput
 from ._linalg import over_common, solve_unique
 
 
-class IllegalType(ValueError):
+class IllegalType(BadInput):
     """Family/rank combination outside the Cartan classification."""
 
 

@@ -1,9 +1,9 @@
 import ast
-import builtins
 import contextlib
 import copy
 import gc
 import importlib
+import inspect
 import io
 import json
 import os
@@ -1400,28 +1400,160 @@ def test_exceptional_requests_never_run_classical(argv):
             "error: part 3 must occur an even number of times in sp\n",
             ["classical"],
         ),
+        (
+            ["verify-contragredient"],
+            3,
+            "error: need --algebra/--q or --family/--partition\n",
+            [],
+        ),
+        (["verify-contragredient", "--family", "C"], 3, "error: --family needs --partition\n", []),
+        (
+            ["check-exceptional", "--algebra", "E8"],
+            3,
+            "error: need --q or --label to pick a record\n",
+            ["rootsys"],
+        ),
     ],
-    ids=["missing-series-file", "illegal-partition"],
+    ids=[
+        "missing-series-file", "illegal-partition", "no-target", "family-without-partition",
+        "no-q-or-label",
+    ],
 )
 def test_error_exits_run_only_what_the_request_ran(argv, code, stderr, ran):
     """Mapping an exception to its exit code loads no module: a missing
-    series file runs none, an illegal partition only the matrix route."""
+    series file runs none, an illegal partition only the matrix route.  The
+    CLI's own flag rules load nothing, and a record request without q or
+    label only parses the algebra."""
     out = fresh_python("-c", EXECUTED_PROBE, json.dumps(argv))
     assert out.stderr == stderr
     got = json.loads(out.stdout.splitlines()[-1])
     assert got == {"exit": code, "ran": ran, "dataclasses": False}
 
 
-def test_exit_code_names_are_exception_classes():
-    """Every name `cli._EXIT_CODES` maps is an exception class of its
-    module, so a renamed class cannot drop out of the mapping unseen."""
-    for _, names in cli._EXIT_CODES:
-        for name in names:
-            module, cls = name.rsplit(".", 1)
-            home = builtins if module == "builtins" else importlib.import_module(f"wrat.{module}")
-            got = getattr(home, cls)
-            assert isinstance(got, type) and issubclass(got, Exception), name
-            assert cli._exit_code(got("x")) == next(c for c, n in cli._EXIT_CODES if name in n)
+# every BadInput class the package defines, as "module.Class"
+BAD_INPUT_CLASSES = {
+    "rootsys.IllegalType", "orbits.NotExceptionalType", "orbits.InvalidRecord",
+    "orbits.UnknownRoot", "classical.InvalidPartition", "grading.NoSl2Completion",
+    "frobenius._StepFailure", "frobenius.InvalidSystem", "frobenius.Resonance",
+    "frobenius.SeedInconsistent", "frobenius.ContractionFails",
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _e6_record_with(f_roots):
+    """A set-up: the only record is E6 3A1 (e6_q2.json), its f_roots mapped
+    by f_roots."""
+
+    def setup(tmp_path, monkeypatch):
+        obj = json.loads((Path(wrat.__file__).parent / "data" / "e6_q2.json").read_text())
+        obj["f_roots"] = f_roots(obj["f_roots"])
+        (tmp_path / "e6_q2.json").write_text(json.dumps(obj))
+        monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+
+    return setup
+
+
+def _truncate_at_one(tmp_path, monkeypatch):
+    # the chosen truncation N always clears C/N < 1: a forced N = 1 does not
+    monkeypatch.setattr(fr, "choose_truncation", lambda *args: 1)
+
+
+# each BadInput class a request raises -> (the request, its set-up or None)
+REFUSALS = {
+    "rootsys.IllegalType": (["check-exceptional", "--algebra", "E9", "--q", "2"], None),
+    "orbits.NotExceptionalType": (["check-exceptional", "--algebra", "C3", "--q", "3"], None),
+    "orbits.InvalidRecord": (["report"], _e6_record_with(lambda roots: roots[:1] * 2)),
+    "orbits.UnknownRoot": (["report"], _e6_record_with(lambda roots: [[9] * 6])),
+    "classical.InvalidPartition": (["check-classical", "--family", "C", "--partition", "3,2"], None),
+    # two of the three root vectors of 3A1 have no sl2 through the h of 3A1
+    "grading.NoSl2Completion": (
+        ["check-exceptional", "--algebra", "E6", "--q", "2"],
+        _e6_record_with(lambda roots: roots[:2]),
+    ),
+    "frobenius.InvalidSystem": (["frobenius", PLAIN_SYSTEM, "--route", "log"], None),
+    "frobenius.Resonance": (
+        ["frobenius", {"ell": 1, "A": [[0, [[2]]]], "f": [[2, [[1]]]], "seeds": []}],
+        None,
+    ),
+    "frobenius.SeedInconsistent": (["frobenius", INCONSISTENT_SEED, "--route", "recursion"], None),
+    "frobenius.ContractionFails": (
+        ["frobenius", {**INCONSISTENT_SEED, "A": [[0, [[4]]]], "seeds": []}, "--route", "contraction"],
+        _truncate_at_one,
+    ),
+}
+
+
+def test_refusals_are_the_two_categories_at_the_package_root():
+    """`cli.main` maps `wrat.BadInput` to exit 3 and `wrat.RoutesDisagree`
+    to exit 2.  The package defines exactly these BadInput classes, each
+    still a ValueError, and RoutesDisagree is still a RuntimeError, bound in
+    `ratcheck` as well."""
+    for name in ("rootsys", "orbits", "classical", "grading", "frobenius", "ratcheck"):
+        importlib.import_module(f"wrat.{name}")
+    defined = {
+        f"{c.__module__.removeprefix('wrat.')}.{c.__qualname__}"
+        for c in _subclasses(wrat.BadInput)
+        if c.__module__.startswith("wrat.")
+    }
+    assert defined == BAD_INPUT_CLASSES == set(REFUSALS) | {"frobenius._StepFailure"}
+    assert issubclass(wrat.BadInput, ValueError)
+    assert issubclass(wrat.RoutesDisagree, RuntimeError)
+    assert not issubclass(wrat.RoutesDisagree, ValueError)
+    assert ratcheck.RoutesDisagree is wrat.RoutesDisagree
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_class_exits_through_main(capsys, tmp_path, monkeypatch, name):
+    """A request that raises the class exits 3 with one line."""
+    argv, setup = REFUSALS[name]
+    if setup is not None:
+        setup(tmp_path, monkeypatch)
+    argv = [write_system(tmp_path, "system.json", a) if isinstance(a, dict) else a for a in argv]
+    module, cls = name.split(".")
+    args = build_parser(argv[0]).parse_args(argv)
+    with pytest.raises(getattr(importlib.import_module(f"wrat.{module}"), cls)):
+        args.func(args)
+    capsys.readouterr()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _writes_to_stderr(node) -> bool:
+    """node is a call that writes to sys.stderr: print(..., file=sys.stderr),
+    sys.stderr.write(...), or sys.stderr handed to a call."""
+
+    def is_stderr(n):
+        return isinstance(n, ast.Attribute) and n.attr == "stderr" and getattr(n.value, "id", "") == "sys"
+
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (
+        any(is_stderr(a) for a in node.args)
+        or any(k.arg == "file" and is_stderr(k.value) for k in node.keywords)
+        or isinstance(func, ast.Attribute) and func.attr == "write" and is_stderr(func.value)
+    )
+
+
+def test_only_main_and_the_usage_path_write_to_stderr():
+    """`main` prints the one `error:` line; `_Parser.error` is argparse's
+    usage path.  Every other refusal reaches `main` as an exception."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers = set()
+    for top in tree.body:
+        scopes = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+        for name, fn in scopes:
+            if any(_writes_to_stderr(n) for n in ast.walk(fn)):
+                writers.add(name)
+    assert writers == {"main", "_Parser.error"}
 
 
 def test_cli_reads_no_private_name_of_another_module():
@@ -1759,3 +1891,61 @@ def test_error_paths_in_a_fresh_process(tmp_path, argv, code, message):
     assert out.returncode == code
     assert out.stdout == ""
     assert out.stderr.startswith(message) and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_keeps_the_exit_codes(tmp_path, unbuffered):
+    """stdout, or stdout and stderr, is a pipe whose reader is gone.  A
+    failed write to stdout exits 4, a failed write of the error line keeps
+    the request's code, and nothing prints an `Exception ignored` line or a
+    traceback, with or without PYTHONUNBUFFERED."""
+    system = write_system(tmp_path, "rec.json", {"ell": 1, "A": [[0, [["1/2"]]]], "seeds": []})
+    broken = "error: [Errno 32] Broken pipe\n"
+    usage = next(c for c in CLI_USAGE if c[0] == ["report", "--format", "xml"])
+    cases = [
+        (["--help"], 4, broken),
+        (["check-exceptional", "--algebra", "G2", "--q", "3"], 4, broken),
+        (["check-classical", "--family", "C", "--partition", "3,3,2"], 4, broken),
+        (["search-v", "--algebra", "G2", "--q", "3"], 4, broken),
+        (["verify-contragredient", "--algebra", "G2", "--q", "3"], 4, broken),
+        (["frobenius", system, "--order", "4"], 4, broken),
+        (["report", "--format", "tsv"], 4, broken),
+        (["check-exceptional", "--algebra", "E6", "--q", "5"], 4, broken),
+        (
+            ["check-classical", "--family", "C", "--partition", "3,2"],
+            3,
+            "error: part 3 must occur an even number of times in sp\n",
+        ),
+        (usage[0], 3, usage[3]),
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]), COLUMNS="80")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv, code, stderr in cases:
+        for both in (False, True):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                out = subprocess.run(
+                    [sys.executable, "-m", "wrat.cli", *argv],
+                    stdout=write_end,
+                    stderr=write_end if both else subprocess.PIPE,
+                    env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert out.returncode == code, (argv, both)
+            assert both or out.stderr.decode() == stderr, argv
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """The parser spells its defaults out so that building it loads no
+    module; they are the library's own."""
+    search = build_parser("search-v").parse_args(["search-v", "--algebra", "G2"])
+    config = ratcheck.SearchConfig(search.denominator_bound, search.coefficient_bound)
+    assert config == ratcheck.SearchConfig()
+    series = build_parser("frobenius").parse_args(["frobenius", "system.json"])
+    solve = inspect.signature(fr.contraction_solve)
+    assert series.iterate == solve.parameters["iterations"].default

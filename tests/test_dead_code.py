@@ -23,7 +23,7 @@ import wrat
 SOURCE = Path(wrat.__file__).parent
 EXEMPT = {"__getattr__", "__dir__"}
 # Class.method overrides that a base class outside the package calls
-HOOKS = {"_Parser.error"}  # argparse, on a usage error
+HOOKS = {"_Parser.error", "_Parser.print_help"}  # argparse, on a usage error and on --help
 
 
 def _is_dunder(name: str) -> bool:

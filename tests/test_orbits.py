@@ -105,8 +105,8 @@ def test_lookup_by_label():
         (("E8",), {"label": "Zz"}, NotExceptionalType, "no bundled record E8 with label 'Zz'"),
         (("C3",), {"label": "A1"}, NotExceptionalType, "no bundled record C3 with label 'A1'"),
         (("C3", 3), {}, NotExceptionalType, "C3 is classical; no bundled record applies"),
-        (("E8",), {}, IllegalType, "need --q or --label to pick a record"),
-        (("C3",), {}, IllegalType, "need --q or --label to pick a record"),
+        (("E8",), {}, IllegalType, "need q or label to pick a record"),
+        (("C3",), {}, IllegalType, "need q or label to pick a record"),
     ],
     ids=["q-off-label", "unknown-label", "classical-label", "classical-q", "neither", "neither-classical"],
 )
