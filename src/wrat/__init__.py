@@ -44,16 +44,13 @@ _PUBLIC = {
     "check_classical": "classical",
     "check_record": "ratcheck",
     "complete_sl2": "grading",
-    "evaluate": "frobenius",
     "exact_condition": "ratcheck",
     "fast_condition": "ratcheck",
     "grade": "grading",
-    "grade_by_weights": "grading",
     "is_admissible_level": "rootsys",
     "load_records": "orbits",
     "lookup_exceptional": "orbits",
     "search_v": "ratcheck",
-    "verify_good_even_shortcut": "ratcheck",
     "verify_self_contragredient": "ratcheck",
 }
 

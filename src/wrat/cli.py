@@ -297,7 +297,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """One request; returns its exit code.  An exact number has no length
+    limit: CPython's limit on int-to-decimal digits (3.10.7 and later) is
+    lifted for the request, and the caller's limit restored after it."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    set_digits = getattr(sys, "set_int_max_str_digits", None)  # no limit before 3.10.7
+    if set_digits is not None:
+        limit = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
@@ -307,6 +314,9 @@ def main(argv=None) -> int:
         code, message = EXIT_FAIL, str(exc)
     except OSError as exc:
         code, message = EXIT_IO, str(exc)
+    finally:
+        if set_digits is not None:
+            set_digits(limit)
     try:
         print(f"error: {message}", file=sys.stderr)
     except OSError:

@@ -94,16 +94,8 @@ class ContractionFails(BadInput):
     """C/N >= 1: the clamped operator is not certified to contract."""
 
 
-class BranchMismatch(ValueError):
-    """The supplied log branch L does not satisfy exp(L) = q."""
-
-
 class InvalidSystem(BadInput):
     """A series-system file does not describe a system (bad shape or value)."""
-
-
-class OutOfRadius(ValueError):
-    """Evaluation point outside 0 < |q| < radius."""
 
 
 # -- polynomial helpers ------------------------------------------------------
@@ -170,7 +162,7 @@ def _divmod(a, b) -> tuple[Form, Form]:
 def p_eval(p: Form, x):
     """p(x) by Horner on the numerators, each divided by the denominator as
     it enters: for a complex x the same float as Horner on the Fraction
-    coefficients."""
+    coefficients.  Only `choose_truncation`'s spectral proxy calls it."""
     nums, den = p
     out = 0
     for c in reversed(nums):
@@ -294,7 +286,6 @@ class LogSeriesSolution(NamedTuple):
     exponents: tuple[Fraction, ...]
     log_order: int
     layers: dict[tuple[int, int], VectorSeries]
-    radius: Fraction
 
 
 # -- exact coefficient recursion ---------------------------------------------
@@ -430,7 +421,7 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> 
     majorant constant C (computed here unless given as c), so that both the
     resonance range and the contraction requirement C/N < 1 are cleared.
     """
-    import cmath  # only here and in `evaluate`: the float sites of the package
+    import cmath  # only here: the one float site of the package
 
     a0 = [e for row in a.a0() for e in row]
     k_bound = 0.0
@@ -513,7 +504,6 @@ def log_system_solve(
     log_order: int,
     seeds: Mapping[tuple[int, int], list[list]],
     n_max: int,
-    radius: Fraction,
 ) -> LogSeriesSolution:
     """Homogeneous solutions with nilpotent log structure, layer by layer.
 
@@ -541,13 +531,7 @@ def log_system_solve(
             series = recursion_solve(shifted, f_terms, seeds.get((j, k), []), n_max, layer=(j, k))
             layers[(j, k)] = series
             above = series
-    return LogSeriesSolution(
-        ell=a.ell,
-        exponents=tuple(exps),
-        log_order=log_order,
-        layers=layers,
-        radius=Fraction(radius),
-    )
+    return LogSeriesSolution(ell=a.ell, exponents=tuple(exps), log_order=log_order, layers=layers)
 
 
 def poly_from_json(v) -> Form:
@@ -678,14 +662,12 @@ def solve_json(obj: dict, route: str, order: int, iterations: int) -> dict:
     if route == "log":
         if not keyed:
             raise InvalidSystem("log route needs seeds keyed as 'j:k'")
-        sol = log_system_solve(
-            a, system["exponents"], system["log_order"], seeds, order, system["radius"]
-        )
+        sol = log_system_solve(a, system["exponents"], system["log_order"], seeds, order)
         return {
             "route": "log",
             "exponents": [rat_to_json(h) for h in sol.exponents],
             "K": sol.log_order,
-            "radius": rat_to_json(sol.radius),
+            "radius": rat_to_json(system["radius"]),
             "layers": {
                 f"{j}:{k}": _series_json(series) for (j, k), series in sorted(sol.layers.items())
             },
@@ -711,23 +693,3 @@ def solve_json(obj: dict, route: str, order: int, iterations: int) -> dict:
         "residual": str(residual_norm(a, system["f"], series, unit)),
         "coefficients": _series_json(series),
     }
-
-
-def evaluate(solution: LogSeriesSolution, z, q: complex, log_q: complex) -> list[complex]:
-    """Numeric value of the log-series at (z, q), on the branch fixed by log_q."""
-    import cmath
-
-    if abs(cmath.exp(log_q) - q) > 1e-12:
-        raise BranchMismatch(f"exp(L) = {cmath.exp(log_q)} but q = {q}")
-    if not (0 < abs(q) < float(solution.radius)):
-        raise OutOfRadius(f"|q| = {abs(q)} outside (0, {solution.radius})")
-    out = [0j] * solution.ell
-    for (j, k), series in solution.layers.items():
-        h = solution.exponents[j]
-        lk = log_q**k
-        for n, vec in enumerate(series.forms):
-            scale = cmath.exp((float(h) + n) * log_q) * lk
-            for i in range(solution.ell):
-                if vec[i].nums:
-                    out[i] += complex(p_eval(vec[i], complex(z))) * scale
-    return out

@@ -8,7 +8,6 @@ surjective for j <= 1/2; it is *even* when every degree is an integer.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import BadInput, _linalg
@@ -70,16 +69,6 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
     )
 
 
-def grade_by_weights(table: ChevalleyTable, x0: CartanElement) -> DynkinGrading:
-    """Grade by a derivation element directly: e_a sits in degree a(x0).
-
-    x0 is the element whose ad eigenvalues ARE the degrees, as for a general
-    (not necessarily Dynkin) grading, so this is `grade` at 2 * x0, and the
-    stored characteristic is 2 * x0.
-    """
-    return grade(table, 2 * x0)
-
-
 def is_even_grading(grading: DynkinGrading) -> bool:
     return all(n % grading.degree_den == 0 for n in grading.degree_nums)
 
@@ -97,22 +86,6 @@ def ad_block(
     pass a dst block that actually contains the image.
     """
     return _linalg.block(lambda j: table.ad_column(x, j), src, dst)
-
-
-def verify_good_grading(grading: DynkinGrading, f: Element) -> bool:
-    """ad(f) injective on degrees >= 1/2 and surjective onto degrees <= -1/2."""
-    table, den = grading.table, grading.degree_den
-    # degree j = n / den runs over the occupied levels and one above each
-    levels = set(grading.degree_nums)
-    for n in levels | {n + den for n in levels}:
-        src = grading.block(Fraction(n, den))
-        dst = grading.block(Fraction(n - den, den))
-        r = _linalg.rank(ad_block(table, f, src, dst))
-        if 2 * n >= den and r < len(src):
-            return False
-        if 2 * n <= den and r < len(dst):
-            return False
-    return True
 
 
 def complete_sl2(

@@ -48,15 +48,11 @@ class InvalidRecord(BadInput):
 class _EvenOrExternal:
     """Sentinel: for this (algebra, q) the grading is even or outside the table."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "EvenOrExternal"
+
+    def __reduce__(self) -> str:
+        return "EVEN_OR_EXTERNAL"  # a copy or an unpickled one is the module's instance
 
 
 EVEN_OR_EXTERNAL = _EvenOrExternal()

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import RoutesDisagree, _linalg, grading as gr, liealg
 from .orbits import OrbitRecord
@@ -66,26 +66,14 @@ class VNotInCentralizer(ValueError):
     """The candidate v does not commute with the nilpotent f."""
 
 
-class GradingNotGood(ValueError):
-    """The supplied grading is not good for f (or f is not in degree -1)."""
-
-
-class GradingNotEven(ValueError):
-    """The supplied grading has half-integer degrees where integers are required."""
-
-
 class _NotFound:
     """Sentinel: no passing v exists within the searched lattice."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "NotFound"
+
+    def __reduce__(self) -> str:
+        return "NOT_FOUND"  # a copy or an unpickled one is the module's instance
 
 
 NOT_FOUND = _NotFound()
@@ -308,42 +296,6 @@ def search_v(
         return NOT_FOUND
     lcd, ints = best
     return CartanElement(tuple(Fraction(x, lcd) for x in ints))
-
-
-def verify_good_even_shortcut(
-    table: liealg.ChevalleyTable,
-    h: CartanElement,
-    f_roots: Iterable[tuple[int, ...]],
-    x0: CartanElement,
-) -> ConditionVerdict:
-    """Check the condition through an auxiliary even good grading.
-
-    x0 defines a grading with e_a in degree a(x0); f (the sum of root
-    vectors over f_roots) must be homogeneous of degree -1 there, the
-    grading must be good for f and even, and then v = h/2 - x0 is the
-    canonical candidate, checked exactly against the Dynkin grading of h.
-    """
-    f_roots = [tuple(c) for c in f_roots]
-    rs = table.rs
-    for c in f_roots:
-        if pairing(rs, c, x0) != 1:
-            raise GradingNotGood(f"root {c} is not in degree -1 for the x0 grading")
-    aux = gr.grade_by_weights(table, x0)
-    f = {table.index[liealg.F(c)]: 1 for c in f_roots}
-    if not gr.verify_good_grading(aux, f):
-        raise GradingNotGood("the x0 grading is not good for f")
-    if not gr.is_even_grading(aux):
-        raise GradingNotEven("the x0 grading has half-integer degrees")
-    v = Fraction(1, 2) * h - x0
-    for c in f_roots:
-        if pairing(rs, c, v) != 0:
-            raise VNotInCentralizer(f"h/2 - x0 does not centralize the root vector at {c}")
-    dynkin = gr.grade(table, h)
-    try:
-        triple = gr.complete_sl2(table, dynkin, f_roots)
-    except gr.NotDegreeMinusOne as exc:
-        raise GradingNotGood(str(exc)) from exc
-    return exact_condition(table, dynkin, f, v, triple)
 
 
 def verify_self_contragredient(

@@ -101,7 +101,8 @@ class Root(NamedTuple):
 
 
 class CartanElement(NamedTuple):
-    """Element v of the Cartan subalgebra, stored by its pairings a_i(v)."""
+    """Element v of the Cartan subalgebra, stored by its pairings a_i(v).
+    `+` and `*` are the tuple's: arithmetic on v goes through `pairings`."""
 
     pairings: tuple[Fraction, ...]
 
@@ -112,20 +113,6 @@ class CartanElement(NamedTuple):
     @classmethod
     def zero(cls, rank: int) -> "CartanElement":
         return cls((Fraction(0),) * rank)
-
-    def __add__(self, other: "CartanElement") -> "CartanElement":
-        if len(self.pairings) != len(other.pairings):
-            raise DimensionMismatch("rank mismatch in Cartan arithmetic")
-        return CartanElement(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
-
-    def __sub__(self, other: "CartanElement") -> "CartanElement":
-        if len(self.pairings) != len(other.pairings):
-            raise DimensionMismatch("rank mismatch in Cartan arithmetic")
-        return CartanElement(tuple(a - b for a, b in zip(self.pairings, other.pairings)))
-
-    def __rmul__(self, c) -> "CartanElement":
-        c = Fraction(c)
-        return CartanElement(tuple(c * a for a in self.pairings))
 
 
 def _cartan_matrix(st: SimpleType) -> list[list[int]]:

@@ -17,6 +17,7 @@ import time
 from fractions import Fraction as Q
 
 from contragredient_oracle import dense
+from good_grading import verify_good_grading
 from linalg_oracle import centralizer, rref
 from test_grading import block_dims
 import series_oracle as oracle
@@ -28,7 +29,6 @@ from wrat.classical import (
     classical_basis,
 )
 from wrat.cli import main as cli_main
-from wrat.grading import verify_good_grading
 from wrat.liealg import build_chevalley
 from wrat.orbits import load_records, lookup_exceptional
 from wrat.ratcheck import check_record, realize_record

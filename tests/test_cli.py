@@ -954,7 +954,7 @@ def test_series_forms_are_the_reduced_view(obj, order):
     system = fr.system_from_json(obj)
     a, seeds = system["a"], system["seeds"]
     if system["exponents"]:
-        args = (a, system["exponents"], system["log_order"], seeds, order, system["radius"])
+        args = (a, system["exponents"], system["log_order"], seeds, order)
         with mock.patch.object(fr, "recursion_solve", series_oracle.recursion_solve):
             want = _solve_outcome(fr.log_system_solve, *args)
         got = _solve_outcome(fr.log_system_solve, *args)
@@ -1949,3 +1949,89 @@ def test_cli_defaults_are_the_library_defaults():
     series = build_parser("frobenius").parse_args(["frobenius", "system.json"])
     solve = inspect.signature(fr.contraction_solve)
     assert series.iterate == solve.parameters["iterations"].default
+
+
+# -- exact numbers past CPython's int-to-decimal digit limit -------------------
+
+# 5,000 decimal digits, written out as text: past the 4,300-digit default
+HUGE = "7" + "3" * 4999
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # 3.10.7 and later
+
+
+@pytest.fixture
+def unlimited_digits():
+    """The test's own reading of huge outputs and references: the digit
+    limit lifted for the test, and restored after it."""
+    if not HAS_DIGIT_LIMIT:  # no limit to lift
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _series_reference(text: str, order: int) -> list:
+    """The coefficients `frobenius` must print for the system text, from the
+    Fraction oracle."""
+    system = fr.system_from_json(json.loads(text))
+    series = series_oracle.recursion_solve(system["a"], system["f"], system["seeds"], order)
+    return [[[rat_to_json(c) for c in p] for p in vec] for vec in series.coeffs]
+
+
+def test_numbers_past_the_digit_limit_are_exact(tmp_path, unlimited_digits):
+    """A 5,000-digit A_0 in a system file, a 5,000-digit q in a record and
+    a series whose coefficients pass 4,300 digits at order 5: each request
+    exits 0 in a fresh process, and the series are the oracle's."""
+    recs = tmp_path / "recs"
+    recs.mkdir()
+    record = json.loads((Path(orbits.__file__).parent / "data" / "g2_q3.json").read_text())
+    record["q"] = ["HUGE"]
+    (recs / "g2_q3.json").write_text(json.dumps(record).replace('"HUGE"', HUGE))
+    small = f'"1/{10**1000 + 1}"'
+    systems = {
+        "a0.json": ('{"ell":1,"A":[[0,[[' + HUGE + ']]]],"f":[[1,[[1]]]],"seeds":[]}', 4),
+        "small.json": ('{"ell":1,"A":[[0,[[[' + small + ']]]],[1,[[[1]]]]],'
+                       '"f":[[0,[[1]]]],"seeds":[]}', 5),
+    }
+    requests = [(["report"], {"WRAT_DATA_DIR": str(recs)}, None)]
+    for name, (text, order) in systems.items():
+        (tmp_path / name).write_text(text)
+        argv = ["frobenius", str(tmp_path / name), "--order", str(order)]
+        requests.append((argv, {}, _series_reference(text, order)))
+    for argv, extra, coefficients in requests:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "wrat.cli", *argv],
+            env={**env, **extra}, capture_output=True, text=True, timeout=120,
+        )
+        assert (out.returncode, out.stderr) == (0, ""), argv
+        d = json.loads(out.stdout)
+        if coefficients is None:
+            assert [(row["q"], row["status"]) for row in d["rows"]] == [(int(HUGE), "pass")]
+        else:
+            assert d["coefficients"] == coefficients
+    assert len(d["coefficients"][-1][0][0]) > 4300  # small.json at order 5: "num/den"
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="this Python has no digit limit")
+def test_main_restores_the_callers_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, "check-exceptional", "--algebra", "G2", "--q", "3")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "check-exceptional", "--algebra", "G2", "--q", "9")[0] == 3
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_main_runs_without_the_digit_limit_setter(capsys, monkeypatch, tmp_path):
+    """Python 3.10.0-3.10.6 have no `sys.set_int_max_str_digits`."""
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    path = write_system(tmp_path, "rec.json", {"ell": 1, "A": [[0, [["1/2"]]]], "f": [[1, [[1]]]]})
+    rc, d, _ = run_json(capsys, "frobenius", path, "--order", "3")
+    assert (rc, d["coefficients"]) == (0, [[[]], [[2]], [[]]])

@@ -209,6 +209,6 @@ def test_dropped_root_runs_by_rank():
 @pytest.mark.parametrize("k", [0, len(RECORDS) - 1], ids=[IDS[0], IDS[-1]])
 def test_triple_of_another_grading_is_refused(k):
     table, grading, f, triple = realized(k)
-    other = grade(table, 2 * RECORDS[k].h)
+    other = grade(table, CartanElement.of([2 * x for x in RECORDS[k].h.pairings]))
     with pytest.raises(ValueError):
         exact_condition(table, other, f, RECORDS[k].v, triple)

@@ -2,11 +2,13 @@
 
 Every module of `wrat` is parsed with `ast`.  Each module-level function
 must be referenced by name (a name or an attribute) somewhere in the
-package outside its own definition, or be public, listed in
-`wrat.__all__`.  So must each method and property of a module-level
-class; a classmethod or staticmethod counts only where its own class
-names it (`Class.method`, or `cls.method` inside the class), since any
-other `x.method` may belong to another class's method of that name.  The
+package outside its own definition, or be pinned in PINNED with the reason
+it stays: being listed in `wrat.__all__` is not enough, and a pin that the
+package's own references make needless fails too.  Each method and
+property of a module-level class must be referenced likewise, with no
+pin; a classmethod or staticmethod counts only where its own class names
+it (`Class.method`, or `cls.method` inside the class), since any other
+`x.method` may belong to another class's method of that name.  The
 module hooks `__getattr__` and `__dir__`, dunder methods and the
 overrides in HOOKS are exempt, since Python or the base class calls them.
 A helper that only tests call belongs in the tests.
@@ -24,6 +26,10 @@ SOURCE = Path(wrat.__file__).parent
 EXEMPT = {"__getattr__", "__dir__"}
 # Class.method overrides that a base class outside the package calls
 HOOKS = {"_Parser.error", "_Parser.print_help"}  # argparse, on a usage error and on --help
+# public functions no module names, each with the reason it stays
+PINNED = {
+    "is_admissible_level": "ROADMAP items 2 and 6 give it a caller; the README shows it",
+}
 
 
 def _is_dunder(name: str) -> bool:
@@ -37,10 +43,10 @@ def _bound_on_class(fn: ast.FunctionDef) -> bool:
     )
 
 
-def _unreferenced(paths, public) -> list[str]:
+def _unreferenced(paths, pinned) -> list[str]:
     """module:name for each module-level function, and module:Class.name for
     each method or property, that no code outside its own definition names
-    and that public (resp. EXEMPT, HOOKS) does not list."""
+    and that pinned (resp. EXEMPT, HOOKS) does not list."""
     defs, refs = [], []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -75,7 +81,7 @@ def _unreferenced(paths, public) -> list[str]:
     out = []
     for module, cls, fn in defs:
         if cls is None:
-            if fn.name in EXEMPT or fn.name in public or used(module, cls, fn):
+            if fn.name in EXEMPT or fn.name in pinned or used(module, cls, fn):
                 continue
             out.append(f"{module}:{fn.name}")
         else:
@@ -86,10 +92,19 @@ def _unreferenced(paths, public) -> list[str]:
     return out
 
 
+def _needless_pins(paths, pinned) -> list[str]:
+    """The names in pinned that are no unreferenced module-level function."""
+    unnamed = {entry.split(":")[1] for entry in _unreferenced(paths, set())}
+    return sorted(set(pinned) - unnamed)
+
+
 def test_every_function_is_used_or_public():
+    """Used, or public and pinned with its reason."""
     modules = sorted(SOURCE.glob("*.py"))
     assert modules
-    assert _unreferenced(modules, set(wrat.__all__)) == []
+    assert set(PINNED) <= set(wrat.__all__)
+    assert _unreferenced(modules, set(PINNED)) == []
+    assert _needless_pins(modules, PINNED) == []
 
 
 def test_the_guard_sees_a_planted_dead_function(tmp_path):
@@ -103,6 +118,20 @@ def test_the_guard_sees_a_planted_dead_function(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert _unreferenced(paths, {"public"}) == ["a.py:dead"]
     assert _unreferenced(paths, set()) == ["a.py:dead", "a.py:public"]
+
+
+def test_the_guard_sees_an_unpinned_public_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['public', 'pinned', 'called']\n"
+        "def public():\n    return 0\n"
+        "def pinned():\n    return 1\n"
+        "def called():\n    return 2\n"
+    )
+    (tmp_path / "b.py").write_text("from a import called\nx = called()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    # a name in __all__ is a string, not a reference: only the pin keeps it
+    assert _unreferenced(paths, {"pinned"}) == ["a.py:public"]
+    assert _needless_pins(paths, {"pinned", "called"}) == ["called"]
 
 
 def test_the_guard_sees_a_planted_dead_method(tmp_path):

@@ -2,18 +2,20 @@
 
 Every module of `wrat` is parsed with `ast` and searched for a float or
 complex literal, a `float(...)` or `complex(...)` call, and any use of
-`cmath`.  The only sites allowed are the two numeric helpers of
-`frobenius`: `choose_truncation`, whose spectral proxy only proposes the
-truncation index N that the contraction route then checks exactly (C/N < 1),
-and `evaluate`, which returns numbers for display.  Neither feeds a verdict
-or a certified bound.
+`cmath`.  The one site allowed is the numeric helper of `frobenius`,
+`choose_truncation`, whose spectral proxy only proposes the truncation
+index N that the contraction route then checks exactly (C/N < 1); it feeds
+no verdict and no certified bound.
 
 True division (`/` or `/=`) of two ints makes a float with none of those
 sites, so it is a site too, outside its own allow-list: `frobenius.p_eval`,
-the Horner step of the two numeric helpers; `choose_truncation`;
+the Horner step of that proxy; `choose_truncation`;
 `frobenius.contraction_solve`, whose divisions take `Fraction` operands; and
 `orbits.data_dir`, which joins paths.  Exact code divides with
 `Fraction(num, den)` or `//`.
+
+Every entry of either allow-list names a module-level function of its
+file, so a stale entry cannot excuse a later function of the same name.
 """
 import ast
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 import wrat
 
 SOURCE = Path(wrat.__file__).parent
-ALLOWED = {("frobenius.py", "choose_truncation"), ("frobenius.py", "evaluate")}
+ALLOWED = {("frobenius.py", "choose_truncation")}
 DIVISION_ALLOWED = {
     ("frobenius.py", "p_eval"),
     ("frobenius.py", "choose_truncation"),
@@ -56,6 +58,21 @@ def _division(node) -> str | None:
     return None
 
 
+def _functions(path: Path) -> set[str]:
+    """The names of the module-level functions of path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _stale(allowed, source: Path) -> list[tuple[str, str]]:
+    """The (file, function) entries of allowed that name no module-level
+    function of that file under source."""
+    return sorted(
+        (name, fn) for name, fn in allowed
+        if not (source / name).is_file() or fn not in _functions(source / name)
+    )
+
+
 def _sites(path: Path):
     """(line, what) for each float site in path outside the functions allowed
     for its kind."""
@@ -86,7 +103,7 @@ def test_the_guard_sees_each_kind_of_site(tmp_path):
         "import cmath\n"
         "def f(x):\n"
         "    return float(x) + 0.5 + complex(x) + 1j + cmath.pi\n"
-        "def evaluate(x):\n"
+        "def choose_truncation(x):\n"
         "    return float(x) + 0.5\n"
     )
     assert sorted(what for _, what in _sites(src)) == [
@@ -110,3 +127,22 @@ def test_the_guard_sees_true_division_outside_its_allow_list(tmp_path):
     other = tmp_path / "slots.py"
     other.write_text("def contraction_solve(a, b):\n    return a / b\n")
     assert list(_sites(other)) == [(2, "true division")]
+
+
+def test_every_allowed_site_names_a_function():
+    assert _stale(ALLOWED | DIVISION_ALLOWED, SOURCE) == []
+
+
+def test_the_guard_sees_a_stale_allow_list_entry(tmp_path):
+    (tmp_path / "frobenius.py").write_text(
+        "def choose_truncation(x):\n    return x\n"
+        "class Series:\n    def evaluate(self):\n        return 0.5\n"
+    )
+    allowed = {
+        ("frobenius.py", "choose_truncation"),
+        ("frobenius.py", "evaluate"),  # only a method of that name is left
+        ("orbits.py", "data_dir"),  # no such file
+    }
+    assert _stale(allowed, tmp_path) == [
+        ("frobenius.py", "evaluate"), ("orbits.py", "data_dir")
+    ]

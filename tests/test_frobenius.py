@@ -1,4 +1,3 @@
-import cmath
 import math
 import struct
 from fractions import Fraction as Q
@@ -330,8 +329,8 @@ def test_recursion_z_dependent_a0():
 def test_series_steps_make_no_fraction(monkeypatch, route):
     """A solve on Form input makes no Fraction: A's terms, f, the seeds,
     A_0's expansion, the seed checks and every step are integer forms.
-    The log route makes only its exponents' and radius's Fractions, the
-    same few at every order."""
+    The log route makes only its exponents' Fractions, the same few at
+    every order."""
     made = []
     new = Q.__new__
 
@@ -348,7 +347,7 @@ def test_series_steps_make_no_fraction(monkeypatch, route):
         s = fr.system_from_json(oracle.log_system())
 
         def solve(order):
-            fr.log_system_solve(s["a"], s["exponents"], s["log_order"], s["seeds"], order, s["radius"])
+            fr.log_system_solve(s["a"], s["exponents"], s["log_order"], s["seeds"], order)
 
     monkeypatch.setattr(Q, "__new__", counted)
     counts = []
@@ -571,7 +570,7 @@ def test_log_layers_manufactured_solution():
     a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(1)], [(), ()]]})
     x0, c = Q(7), Q(3)
     seeds = {(0, 1): [[poly(c), ()]], (0, 0): [[poly(x0), poly(c)]]}
-    sol = fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=4, radius=Q(1))
+    sol = fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=4)
     top = sol.layers[(0, 1)]
     bottom = sol.layers[(0, 0)]
     assert top.coeffs[0] == [poly(c), ()]
@@ -587,56 +586,21 @@ def test_log_layer_seed_must_match_structure():
     # must equal (0 - A_0) phi_{0,0} at n = 0; a wrong second entry breaks it
     seeds = {(0, 1): [[poly(3), ()]], (0, 0): [[poly(7), poly(99)]]}
     with pytest.raises(fr.SeedInconsistent) as exc:
-        fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=3, radius=Q(1))
+        fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=3)
     assert exc.value.layer == (0, 0)
 
 
 def test_log_exponent_congruence_rejected():
     a = fr.AnalyticMatrixSeries(1, {})
     with pytest.raises(fr.InvalidSystem):
-        fr.log_system_solve(a, [Q(1, 2), Q(3, 2)], 0, {}, n_max=2, radius=Q(1))
+        fr.log_system_solve(a, [Q(1, 2), Q(3, 2)], 0, {}, n_max=2)
 
 
 def test_log_k0_reduces_to_recursion():
     a = a_scalar(Q(1, 2))
     plain = fr.recursion_solve(a, {}, [[()], [()]], 5)
-    logged = fr.log_system_solve(
-        a, [Q(0)], 0, {(0, 0): [[()], [()]]}, n_max=5, radius=Q(1)
-    )
+    logged = fr.log_system_solve(a, [Q(0)], 0, {(0, 0): [[()], [()]]}, n_max=5)
     assert logged.layers[(0, 0)].coeffs == plain.coeffs
-
-
-def test_evaluate_and_branch_guards():
-    a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(1)], [(), ()]]})
-    x0, c = Q(7), Q(3)
-    seeds = {(0, 1): [[poly(c), ()]], (0, 0): [[poly(x0), poly(c)]]}
-    sol = fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=4, radius=Q(1))
-    q = 0.25
-    L = cmath.log(q)
-    val = fr.evaluate(sol, 0, q, L)
-    assert math.isclose(val[0].real, float(x0) + float(c) * math.log(q))
-    assert math.isclose(val[1].real, float(c))
-    # a shifted branch changes the value by 2*pi*i*c in the first entry
-    val2 = fr.evaluate(sol, 0, q, L + 2j * cmath.pi)
-    assert math.isclose(val2[0].imag, 2 * math.pi * float(c), rel_tol=1e-9)
-    with pytest.raises(fr.BranchMismatch):
-        fr.evaluate(sol, 0, q, L + 0.1)
-    with pytest.raises(fr.OutOfRadius):
-        fr.evaluate(sol, 0, 1.5, cmath.log(1.5))
-    # q = 0 has no branch at all, so the branch guard fires first
-    with pytest.raises(fr.BranchMismatch):
-        fr.evaluate(sol, 0, 0.0, L)
-
-
-def test_fractional_exponent_evaluation():
-    # q u' = (1/2) u with exponent 1/2: u = q^(1/2) exactly
-    a = a_scalar(Q(1, 2))
-    sol = fr.log_system_solve(
-        a, [Q(1, 2)], 0, {(0, 0): [[poly(1)]]}, n_max=3, radius=Q(2)
-    )
-    q = 0.49
-    val = fr.evaluate(sol, 0, q, cmath.log(q))
-    assert math.isclose(val[0].real, 0.7)
 
 
 # -- JSON round trip ------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from contragredient_oracle import ad_block as bracket_block, degrees
+from good_grading import verify_good_grading
 from wrat._linalg import rank as mat_rank, solve
 from wrat.grading import (
     NoSl2Completion,
@@ -13,9 +14,7 @@ from wrat.grading import (
     ad_block,
     complete_sl2,
     grade,
-    grade_by_weights,
     is_even_grading,
-    verify_good_grading,
 )
 from wrat.liealg import F, build_chevalley, cartan_lie_element
 from wrat.orbits import load_records
@@ -37,18 +36,6 @@ def test_grade_halves_the_characteristic_values():
     assert degs["f(1,1)"] == -2
     assert degs["h1"] == 0
     assert is_even_grading(g)
-
-
-def test_grade_by_weights_does_not_halve():
-    t = table_for("A2")
-    g = grade_by_weights(t, CartanElement.of((1, 1)))
-    degs = {str(b): d for b, d in zip(t.basis, degrees(g))}
-    assert degs["e(1,0)"] == 1 and degs["e(1,1)"] == 2
-    # the grading is `grade` at 2 * x0, so that is the characteristic it keeps
-    assert g.characteristic == CartanElement.of((2, 2))
-    gh = grade(t, CartanElement.of((1, 1)))
-    degs_h = {str(b): d for b, d in zip(t.basis, degrees(gh))}
-    assert degs_h["e(1,0)"] == Fraction(1, 2)
 
 
 def block_dims(g) -> dict[Fraction, int]:
@@ -218,10 +205,9 @@ def test_grade_matches_fraction_pairing_on_records(k):
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     name=st.sampled_from(["G2", "F4", "E6"]),
-    by_weights=st.booleans(),
     data=st.data(),
 )
-def test_grade_matches_fraction_pairing_on_rational_characteristics(name, by_weights, data):
+def test_grade_matches_fraction_pairing_on_rational_characteristics(name, data):
     t = table_for(name)
     values = data.draw(
         st.lists(
@@ -231,8 +217,7 @@ def test_grade_matches_fraction_pairing_on_rational_characteristics(name, by_wei
         )
     )
     x = CartanElement.of(values)
-    g = grade_by_weights(t, x) if by_weights else grade(t, x)
-    assert_grading_matches_reference(t, g, 2 * x if by_weights else x)
+    assert_grading_matches_reference(t, grade(t, x), x)
 
 
 def test_grade_rejects_a_characteristic_of_the_wrong_rank():

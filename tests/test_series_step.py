@@ -97,7 +97,7 @@ def test_log_route_matches_linearized_oracle(data):
         for j in range(len(exponents))
         for k in range(log_order + 1)
     }
-    args = (a, exponents, log_order, seeds, data.draw(st.integers(1, 4)), Q(1))
+    args = (a, exponents, log_order, seeds, data.draw(st.integers(1, 4)))
     assert outcome(fr.log_system_solve, *args) == outcome(oracle_log_solve, *args)
 
 
@@ -167,8 +167,6 @@ def test_series_step_runs_no_linear_solve(monkeypatch):
     rec = fr.system_from_json(oracle.recursion_system())
     sol = fr.recursion_solve(rec["a"], rec["f"], rec["seeds"], 20)
     log = fr.system_from_json(oracle.log_system())
-    layers = fr.log_system_solve(
-        log["a"], log["exponents"], log["log_order"], log["seeds"], 20, log["radius"]
-    )
+    layers = fr.log_system_solve(log["a"], log["exponents"], log["log_order"], log["seeds"], 20)
     assert calls == {"solve": 0, "nullspace": 0}
     assert len(sol.coeffs) == 20 and len(layers.layers) == 4
