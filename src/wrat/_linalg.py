@@ -125,31 +125,16 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
-def _solve(a: Matrix, b: list[Fraction]) -> tuple[Pivots, list[Fraction] | None]:
-    """Pivot rows of the augmented rows a | b, and one solution of a x = b
-    with the free variables 0 (None when a pivot lands in the constant column)."""
+def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
+    """One solution of a x = b with the free variables 0, or None if
+    inconsistent (a pivot lands in the constant column of a | b)."""
     if not a:
-        return {}, (None if any(b) else [])
+        return None if any(b) else []
     n = len(a[0])
     pivots = _pivot_rows([[*row, bi] for row, bi in zip(a, b)])
     if n in pivots:
-        return pivots, None
+        return None
     x = [Fraction(0)] * n
     for c, p in _reduce(pivots).items():
         x[c] = Fraction(p.get(n, 0), p[c])
-    return pivots, x
-
-
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of a x = b, or None if inconsistent (free vars set to 0)."""
-    return _solve(a, b)[1]
-
-
-def solve_unique(a: Matrix, b: list[Fraction]) -> list[Fraction]:
-    """Solution of a square nonsingular system (raises on anything else)."""
-    pivots, x = _solve(a, b)
-    if x is None:
-        raise ArithmeticError("inconsistent linear system")
-    if len(pivots) != len(x):
-        raise ArithmeticError("singular linear system")
     return x

@@ -8,10 +8,11 @@ block, and paired blocks carry the +1/2 / -1/2 split of the Cartan element
 v.  `build_classical` builds and verifies the sl2-triple (e, h, f) from the
 Jordan blocks; `check_classical` and `verify_self_contragredient_classical`
 read the symmetrized matrix units through the kernel slot table of `slots`,
-with the diagonal v as the torus.  Nothing here touches root systems,
-Chevalley bases or gradings, so a classical request loads none of them;
-`slots` is read at call time, so a verified self-contragredience request
-does not run it.
+with the diagonal v as the torus.  `_bracket` is the one sparse matrix
+commutator: the triple check and the columns of ad(f) both read it.
+Nothing here touches root systems, Chevalley bases or gradings, so a
+classical request loads none of them; `slots` is read at call time, so a
+verified self-contragredience request does not run it.
 """
 from __future__ import annotations
 
@@ -222,23 +223,28 @@ def _verify_membership(real: ClassicalRealization) -> None:
                 raise InvalidPartition("diagonal element fell outside the algebra")
 
 
+def _bracket(x: dict, y: dict) -> dict:
+    """The commutator xy - yx of sparse matrices {(row, column): entry},
+    with no stored zeros."""
+    out: dict[tuple[int, int], int | Fraction] = {}
+    for p, q, sign in ((x, y, 1), (y, x, -1)):
+        rows: dict[int, list] = {}
+        for (k, j), b in q.items():
+            rows.setdefault(k, []).append((j, b))
+        for (i, k), a in p.items():
+            for j, b in rows.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + sign * a * b
+    return {pos: z for pos, z in out.items() if z}
+
+
 def is_sl2_triple(real: ClassicalRealization) -> bool:
     """[e, f] = h, [h, e] = 2e and [h, f] = -2f, over nonzero entries only;
     h is diagonal, so [h, X] = 2X says h_i - h_j = 2 at each nonzero X_ij."""
     hd = real.h_diag
-    e, f = real.e, real.f
-    ef = {(i, i): -x for i, x in enumerate(hd) if x}  # [e, f] - h
-    for x, y, sign in ((e, f, 1), (f, e, -1)):
-        rows: dict[int, list] = {}
-        for (k, j), b in y.items():
-            rows.setdefault(k, []).append((j, b))
-        for (i, k), a in x.items():
-            for j, b in rows.get(k, ()):
-                ef[i, j] = ef.get((i, j), 0) + sign * a * b
     return (
-        not any(ef.values())
-        and all(hd[i] - hd[j] == 2 for i, j in e)
-        and all(hd[i] - hd[j] == -2 for i, j in f)
+        _bracket(real.e, real.f) == {(i, i): x for i, x in enumerate(hd) if x}
+        and all(hd[i] - hd[j] == 2 for i, j in real.e)
+        and all(hd[i] - hd[j] == -2 for i, j in real.f)
     )
 
 
@@ -292,24 +298,11 @@ def _classical_operator(real: ClassicalRealization) -> slots._GradedOperator:
     The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j."""
     basis = classical_basis(real)
     index = {pos: k for k, (pos, _, _) in enumerate(basis)}
-    by_col: list[list] = [[] for _ in range(real.size)]
-    by_row: list[list] = [[] for _ in range(real.size)]
-    for (r, s), x in real.f.items():
-        x = _linalg.integral(x)
-        by_col[s].append((r, x))
-        by_row[r].append((s, x))
 
     def column(j: int) -> dict[int, int | Fraction]:
-        # f E_ab has f's column a in column b, and E_ab f has f's row b in
-        # row a; the coordinates of [f, B] are its entries at representatives
-        out: dict[int, int | Fraction] = {}
-        for a, b, coeff in _units(basis[j]):
-            terms = [((r, b), x) for r, x in by_col[a]] + [((a, s), -x) for s, x in by_row[b]]
-            for pos, x in terms:
-                k = index.get(pos)
-                if k is not None:
-                    out[k] = out.get(k, 0) + coeff * x
-        return {k: x for k, x in out.items() if x}
+        # the coordinates of [f, B] are its entries at representatives
+        unit = {(a, b): coeff for a, b, coeff in _units(basis[j])}
+        return {index[pos]: x for pos, x in _bracket(real.f, unit).items() if pos in index}
 
     hd, den = _linalg.over_common(real.h_diag)
     degrees, cartan = [], []

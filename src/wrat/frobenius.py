@@ -441,11 +441,11 @@ def contraction_solve(
     domain: DomainParams,
     n_max: int,
     iterations: int = 25,
-    truncation: int | None = None,
 ) -> ContractionResult:
     """Picard iteration of the clamped operator, with an a-priori tail bound.
 
-    The first N coefficients (N the truncation) stay clamped: to the seeds,
+    The first N coefficients (N the truncation, from `choose_truncation`
+    and at least the number of seeds) stay clamped: to the seeds,
     and past the seeds to the exact recursion (which raises Resonance or
     SeedInconsistent as `recursion_solve` does).  The bound
     (1 - C/N)^-1 (C/N)^iterations ||T 0|| certifies the distance from the
@@ -453,8 +453,7 @@ def contraction_solve(
     """
     ell = a.ell
     c = a.majorant_norm(domain)
-    n_cap = truncation if truncation is not None else choose_truncation(a, domain, c)
-    n_cap = max(n_cap, len(seeds))
+    n_cap = max(choose_truncation(a, domain, c), len(seeds))
     ratio = c / n_cap
     if ratio >= 1:
         raise ContractionFails(f"C/N = {ratio} >= 1")

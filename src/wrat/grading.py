@@ -29,7 +29,6 @@ class DynkinGrading(NamedTuple):
     Basis vector i sits in degree degree_nums[i] / degree_den, integers over
     one even denominator; `block` lists the indices of one degree."""
 
-    table: ChevalleyTable
     characteristic: CartanElement
     degree_nums: tuple[int, ...]
     degree_den: int
@@ -62,7 +61,6 @@ def grade(table: ChevalleyTable, characteristic: CartanElement) -> DynkinGrading
         )
     scaled, den = _linalg.over_common(pairings)
     return DynkinGrading(
-        table=table,
         characteristic=characteristic,
         degree_nums=table.weigh(scaled),
         degree_den=2 * den,

@@ -35,7 +35,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import BadInput
-from ._linalg import over_common, solve_unique
+from ._linalg import over_common, solve
 
 
 class IllegalType(BadInput):
@@ -102,9 +102,15 @@ class Root(NamedTuple):
 
 class CartanElement(NamedTuple):
     """Element v of the Cartan subalgebra, stored by its pairings a_i(v).
-    `+` and `*` are the tuple's: arithmetic on v goes through `pairings`."""
+    `+` and `*` raise TypeError from either side, rather than concatenate or
+    repeat the tuple: arithmetic on v goes through `pairings`."""
 
     pairings: tuple[Fraction, ...]
+
+    def __add__(self, other):
+        raise TypeError("a CartanElement has no arithmetic; compute on its pairings")
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
     @classmethod
     def of(cls, values) -> "CartanElement":
@@ -277,10 +283,12 @@ def pairing(rs: RootSystem, root: Root, v: CartanElement) -> Fraction:
 
 
 def cartan_solve(rs: RootSystem, diagram: CartanElement) -> list[Fraction]:
-    """Coordinates s over the simple coroots of the element with a_i(v) = diagram_i."""
+    """Coordinates s over the simple coroots of the element with a_i(v) =
+    diagram_i: the one solution `solve` gives, as the Cartan matrix of a
+    simple type is nonsingular."""
     if len(diagram.pairings) != rs.rank:
         raise DimensionMismatch("diagram has wrong rank")
-    return solve_unique(rs.cartan_matrix, list(diagram.pairings))
+    return solve(rs.cartan_matrix, list(diagram.pairings))
 
 
 def is_admissible_level(rs: RootSystem, p: int, q: int) -> bool:

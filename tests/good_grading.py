@@ -10,9 +10,9 @@ from wrat import _linalg
 from wrat.grading import ad_block
 
 
-def verify_good_grading(grading, f) -> bool:
+def verify_good_grading(table, grading, f) -> bool:
     """ad(f) injective on degrees >= 1/2 and surjective onto degrees <= -1/2."""
-    table, den = grading.table, grading.degree_den
+    den = grading.degree_den
     # degree j = n / den runs over the occupied levels and one above each
     levels = set(grading.degree_nums)
     for n in levels | {n + den for n in levels}:

@@ -300,7 +300,7 @@ def test_criterion_6():
 def test_criterion_7():
     for rec in load_records():
         table, grading, f, _ = realize_record(rec)
-        assert verify_good_grading(grading, f)
+        assert verify_good_grading(table, grading, f)
         dims = block_dims(grading)
         expect = dims.get(Q(0), 0) + dims.get(Q(1, 2), 0)
         assert len(centralizer(table, f)) == expect, rec.label

@@ -13,6 +13,12 @@ module hooks `__getattr__` and `__dir__`, dunder methods and the
 overrides in HOOKS are exempt, since Python or the base class calls them.
 A helper that only tests call belongs in the tests.
 
+A knob is dead too: each parameter with a default of a module-level
+function must be passed by some call in the package (by keyword, by
+position, or through `*` or `**`), or be pinned in PINNED_KNOBS with the
+reason it stays.  A knob that only tests turn belongs in the tests, as a
+patch of what it overrides.
+
 The match is by name, so an attribute of another class with the same
 name (a field, a method) keeps a method alive; the guard finds methods
 whose name the package never reads at all.
@@ -29,6 +35,10 @@ HOOKS = {"_Parser.error", "_Parser.print_help"}  # argparse, on a usage error an
 # public functions no module names, each with the reason it stays
 PINNED = {
     "is_admissible_level": "ROADMAP items 2 and 6 give it a caller; the README shows it",
+}
+# defaulted parameters no call in the package passes, each with the reason it stays
+PINNED_KNOBS = {
+    "main(argv=)": "in-process callers pass it, and `run` lets it read sys.argv",
 }
 
 
@@ -98,6 +108,40 @@ def _needless_pins(paths, pinned) -> list[str]:
     return sorted(set(pinned) - unnamed)
 
 
+def _unpassed_knobs(paths, pinned) -> list[str]:
+    """module:function(param=) for each parameter with a default of a
+    module-level function that no call of that name passes, by keyword, by
+    position, or through `*` or `**`, and that pinned does not list."""
+    defs, calls = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs += [(path.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+    def passes(call, arg, pos) -> bool:
+        if any(k.arg in (arg, None) for k in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return pos is not None and (len(call.args) > pos or starred)
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    out = []
+    for module, fn in defs:
+        mine = [c for c in calls if callee(c) == fn.name]
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        knobs = [(a.arg, pos) for pos, a in enumerate(positional) if pos >= first]
+        kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        knobs += [(a.arg, None) for a, d in kwonly if d is not None]
+        for arg, pos in knobs:
+            name = f"{fn.name}({arg}=)"
+            if name not in pinned and not any(passes(c, arg, pos) for c in mine):
+                out.append(f"{module}:{name}")
+    return out
+
+
 def test_every_function_is_used_or_public():
     """Used, or public and pinned with its reason."""
     modules = sorted(SOURCE.glob("*.py"))
@@ -105,6 +149,33 @@ def test_every_function_is_used_or_public():
     assert set(PINNED) <= set(wrat.__all__)
     assert _unreferenced(modules, set(PINNED)) == []
     assert _needless_pins(modules, PINNED) == []
+
+
+def test_every_knob_is_passed_or_pinned():
+    """Each defaulted parameter is passed by some call in the package, or
+    pinned with its reason; a pin the package's own calls make needless
+    fails too."""
+    modules = sorted(SOURCE.glob("*.py"))
+    assert _unpassed_knobs(modules, set(PINNED_KNOBS)) == []
+    unpassed = {entry.split(":")[1] for entry in _unpassed_knobs(modules, set())}
+    assert set(PINNED_KNOBS) <= unpassed
+
+
+def test_the_guard_sees_a_planted_unpassed_knob(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def solve(a, b=1, *, depth=2, width=3):\n    return a\n"
+        "def main(argv=None):\n    return argv\n"
+        "def spread(x=0, y=0):\n    return x\n"
+        "def scale(x, k=2):\n    return x * k\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\nfrom a import main, scale, spread\n"
+        "a.solve(1, 2, depth=3)\nmain()\nspread(*[1])\nscale(1, **{})\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    # b by position and depth by keyword are passed, x and y through *, k through **
+    assert _unpassed_knobs(paths, set()) == ["a.py:solve(width=)", "a.py:main(argv=)"]
+    assert _unpassed_knobs(paths, {"main(argv=)"}) == ["a.py:solve(width=)"]
 
 
 def test_the_guard_sees_a_planted_dead_function(tmp_path):

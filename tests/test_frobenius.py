@@ -425,19 +425,21 @@ def test_contraction_matches_recursion_where_both_apply():
     assert res.series.coeffs == exact.coeffs
 
 
-def test_contraction_clamps_to_the_recursion_past_the_seeds():
+def test_contraction_clamps_to_the_recursion_past_the_seeds(monkeypatch):
     a = a_scalar(Q(1, 2))
     f = {1: [poly(1)]}
-    res = fr.contraction_solve(a, f, [[()]], DOM, n_max=8, truncation=3, iterations=10)
+    monkeypatch.setattr(fr, "choose_truncation", lambda *args: 3)
+    res = fr.contraction_solve(a, f, [[()]], DOM, n_max=8, iterations=10)
     exact = fr.recursion_solve(a, f, [[()]], 8)
     assert res.series.coeffs == exact.coeffs
     # ||T 0|| counts the filled u_1 = 2 at weight delta: (1 - 1/6)^-1 (1/6)^10 * 1
     assert res.bound == Q(6, 5) * Q(1, 6) ** 10
 
 
-def test_contraction_fails_when_ratio_too_big():
+def test_contraction_fails_when_ratio_too_big(monkeypatch):
+    monkeypatch.setattr(fr, "choose_truncation", lambda *args: 2)
     with pytest.raises(fr.ContractionFails):
-        fr.contraction_solve(a_scalar(Q(10)), {}, [[()]], DOM, n_max=4, truncation=2)
+        fr.contraction_solve(a_scalar(Q(10)), {}, [[()]], DOM, n_max=4)
 
 
 # -- residual and contraction bound against sums taken here --------------------

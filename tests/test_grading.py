@@ -55,7 +55,7 @@ def test_record_gradings_are_good():
         t = table_for(str(rec.algebra))
         g = grade(t, rec.h)
         triple = complete_sl2(t, g, list(rec.f_roots))
-        assert verify_good_grading(g, triple.f)
+        assert verify_good_grading(t, g, triple.f)
 
 
 def test_kernel_dimension_identity():

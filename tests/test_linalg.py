@@ -6,11 +6,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import sympy
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from wrat import _linalg
+from wrat.rootsys import SimpleType, _cartan_matrix
 
 ENTRIES = st.one_of(
     st.integers(-3, 3),
@@ -107,8 +109,7 @@ def shaped_systems(draw):
 def test_solve_and_nullspace_equal_the_oracle(system):
     """The reduced integer rows give Gauss-Jordan's exact lists:
     the same solution (free variables 0), the same canonical kernel basis in
-    the same order, all Fraction; solve_unique raises exactly on a singular
-    or inconsistent system."""
+    the same order, all Fraction."""
     a, n, b = system
     x = _linalg.solve(a, b)
     assert x == oracle.solve(a, b)
@@ -117,14 +118,6 @@ def test_solve_and_nullspace_equal_the_oracle(system):
     null = _linalg.nullspace(a, n)
     assert null == oracle.nullspace(a, n)
     assert _all_fractions(null)
-    width = len(a[0]) if a else 0
-    bad = x is None or len(oracle.rref(a)[1]) != width
-    try:
-        assert _linalg.solve_unique(a, b) == x
-    except ArithmeticError:
-        assert bad
-    else:
-        assert not bad
 
 
 ARITHMETIC = (
@@ -157,17 +150,13 @@ def no_fraction_arithmetic():
 
 
 def _answers(a, n, b):
-    try:
-        unique = _linalg.solve_unique(a, b)
-    except ArithmeticError as e:
-        unique = str(e)
-    return _linalg.rank(a), _linalg.solve(a, b), _linalg.nullspace(a, n), unique
+    return _linalg.rank(a), _linalg.solve(a, b), _linalg.nullspace(a, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(shaped_systems())
 def test_elimination_runs_no_fraction_arithmetic(system):
-    """rank, solve, nullspace and solve_unique scale each row to integers,
+    """rank, solve and nullspace scale each row to integers,
     eliminate in integers and make each answer entry as one Fraction(num,
     den): with every Fraction operator raising they give the same answers."""
     a, n, b = system
@@ -181,8 +170,31 @@ def test_dense_routines_on_small_int_systems():
     assert type(_linalg.solve([[2]], [1])[0]) is Fraction
     red, pivots = oracle.rref([[3, 1], [1, 2]])
     assert red == [[1, 0], [0, 1]] and pivots == [0, 1] and _all_fractions(red)
-    assert _linalg.solve_unique([[3, 1], [1, 2]], [1, 0]) == [Fraction(2, 5), Fraction(-1, 5)]
+    assert _linalg.solve([[3, 1], [1, 2]], [1, 0]) == [Fraction(2, 5), Fraction(-1, 5)]
     assert _linalg.nullspace([[2, 4]]) == [[-2, 1]] and _all_fractions(_linalg.nullspace([[2, 4]]))
+
+
+CARTAN_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", CARTAN_TYPES)
+def test_solve_on_every_cartan_matrix_is_the_unique_solution(name):
+    """The Cartan matrix of a simple type is nonsingular, so `solve` gives
+    its one solution, as `rootsys.cartan_solve` reads it: A x = b at each
+    unit vector and at a rational b, and rank A = n."""
+    a = _cartan_matrix(SimpleType.parse(name))
+    n = len(a)
+    assert _linalg.rank(a) == n
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    for b in units + [[Fraction(k - 2, k + 3) for k in range(n)]]:
+        x = _linalg.solve(a, b)
+        assert [sum(r * y for r, y in zip(row, x)) for row in a] == b
+        assert _all_fractions([x])
 
 
 def test_block_places_sparse_columns():
@@ -218,6 +230,6 @@ def test_mat_keeps_fractions_and_copies_rows():
     m = oracle.mat(a)
     assert m == [[third, 2], [1, 4]] and _all_fractions(m)
     assert m[0][0] is third
-    assert _linalg.solve_unique(a, [1, 1]) == [-3, 1]
+    assert _linalg.solve(a, [1, 1]) == [-3, 1]
     assert _linalg.nullspace(a) == []
     assert a == [[third, 2], [True, Fraction(4)]]

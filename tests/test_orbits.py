@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contragredient_oracle import dense, dense_form
 from wrat._linalg import nullspace, rank
 from wrat.classical import (
     ClassicalPartition,
     InvalidPartition,
+    _bracket,
     _verify_membership,
     build_classical,
     classical_basis,
@@ -269,6 +272,48 @@ def test_jordan_triple_up_to_14_by_dense_products():
         assert _sub(_mul(h, e), _mul(e, h)) == [[2 * x for x in r] for r in e], p
         assert _sub(_mul(h, f), _mul(f, h)) == [[-2 * x for x in r] for r in f], p
         assert is_sl2_triple(real), p
+
+
+NONZERO = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+).filter(bool)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(n, x, y): sparse n x n matrices with no stored zeros, int and Fraction
+    entries; y is drawn freely, or is x or a multiple of it, whose terms
+    cancel to the zero commutator."""
+    n = draw(st.integers(0, 5))
+    cell = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    size = 10 if n else 0  # the 0 x 0 matrices hold no entry
+    x = draw(st.dictionaries(cell, NONZERO, max_size=size))
+    kind = draw(st.sampled_from(["free", "same", "multiple"]))
+    if kind == "free":
+        y = draw(st.dictionaries(cell, NONZERO, max_size=size))
+    else:
+        c = 1 if kind == "same" else draw(NONZERO)
+        y = {k: c * a for k, a in x.items()}
+    return n, x, y
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sparse_pairs())
+def test_bracket_is_the_dense_commutator(pair):
+    """`_bracket(x, y)` is xy - yx by dense products, with no stored zeros,
+    and int where every entry of x and y is an int."""
+    n, x, y = pair
+
+    def square(m):
+        return [[m.get((i, j), 0) for j in range(n)] for i in range(n)]
+
+    got = _bracket(x, y)
+    assert square(got) == _sub(_mul(square(x), square(y)), _mul(square(y), square(x)))
+    assert all(got.values())
+    if all(type(a) is int for a in [*x.values(), *y.values()]):
+        assert all(type(a) is int for a in got.values())
+    if x == y or not x or not y:
+        assert got == {}
 
 
 def test_triple_and_membership_checks_reject():

@@ -186,6 +186,23 @@ def test_closure_keeps_the_coroot_pairings(name):
         assert r.coroot_pairings == want, r
 
 
+def test_cartan_element_refuses_tuple_arithmetic():
+    """`+` and `*` raise TypeError from either side, where the tuple would
+    concatenate or repeat; equality, hashing and `_replace` are the
+    tuple's."""
+    h, v = CartanElement.of((2, 2)), CartanElement.of((1, 0))
+    for op in (
+        lambda: h + v, lambda: (0,) + h, lambda: h + (0,), lambda: 2 * h, lambda: h * 2
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert h == CartanElement.of([Fraction(2), 2]) and h != v
+    assert hash(h) == hash(CartanElement((Fraction(2), Fraction(2))))
+    assert {h: 1}[CartanElement.of((2, 2))] == 1
+    assert h._replace(pairings=v.pairings) == v
+    assert CartanElement.of(x + y for x, y in zip(h.pairings, v.pairings)).pairings == (3, 2)
+
+
 def test_pairing_and_cartan_solve_inverse():
     rs = build(SimpleType.parse("E6"))
     diagram = CartanElement.of((0, 0, 0, 1, 0, 0))
