@@ -35,7 +35,6 @@ _PUBLIC = {
     "NOT_FOUND": "ratcheck",
     "OrbitRecord": "orbits",
     "RootSystem": "rootsys",
-    "SearchConfig": "ratcheck",
     "SimpleType": "rootsys",
     "Sl2Triple": "grading",
     "build": "rootsys",

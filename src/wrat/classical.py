@@ -278,10 +278,10 @@ def classical_basis(real: ClassicalRealization):
 # ---------------------------------------------------------------------------
 
 
-def _units(elt) -> list[tuple[int, int, int | Fraction]]:
-    """A symmetrized unit E_ij + c * E_i'j' as (row, column, coefficient) terms."""
+def _units(elt) -> list[tuple[int, int, int]]:
+    """A symmetrized unit E_ij + c * E_i'j', c = +-1, as (row, column, coefficient) terms."""
     (i, j), partner, c = elt
-    return [(i, j, 1)] + ([(*partner, _linalg.integral(c))] if partner else [])
+    return [(i, j, 1)] + ([(*partner, c)] if partner else [])
 
 
 def _classical_sl2(real: ClassicalRealization) -> bool:

@@ -85,11 +85,9 @@ def _cmd_check_classical(args) -> int:
 def _cmd_search_v(args) -> int:
     rec = _record(args)
     table, grading, f, triple = ratcheck.realize_record(rec)
-    config = ratcheck.SearchConfig(
-        denominator_bound=args.denominator_bound,
-        coefficient_bound=args.coefficient_bound,
+    v = ratcheck.search_v(
+        table, grading, f, args.denominator_bound, args.coefficient_bound, triple
     )
-    v = ratcheck.search_v(table, grading, f, config, triple)
     base = {"algebra": str(rec.algebra), "label": rec.label, "q": list(rec.q)}
     if v is ratcheck.NOT_FOUND:
         _emit({**base, "status": "not-found"})

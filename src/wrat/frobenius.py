@@ -5,8 +5,9 @@ auxiliary parameter z; everything is exact.  Every polynomial is a `Form`,
 integer numerators over one denominator in lowest terms, from the JSON read
 by `poly_from_json` to the JSON written by `poly_to_json`: A's terms, f, the
 seeds and each series coefficient, held once.  The integer kernel `_kernel`
-does all their arithmetic and `_majorant` all their bounds.  Two
-independent routes compute the solution:
+does all their arithmetic and `_majorant` all their bounds.  Two routes
+compute the solution; both read b_n from `_rhs`, and the contraction takes
+its first N coefficients from `recursion_solve`, so they differ only past N:
 
 * `recursion_solve` peels coefficients off the defining relation
   [n I - A_0(z)] u_n = f_n + sum_{m<n} A_{n-m} u_m, validating the supplied
@@ -282,7 +283,6 @@ class ContractionResult(NamedTuple):
 class LogSeriesSolution(NamedTuple):
     """phi = sum_{j,k,n} phi_{j,k,n}(z) q^{h_j + n} (log q)^k."""
 
-    ell: int
     exponents: tuple[Fraction, ...]
     log_order: int
     layers: dict[tuple[int, int], VectorSeries]
@@ -413,12 +413,12 @@ def residual_norm(
 # -- certified contraction route ---------------------------------------------
 
 
-def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> int:
+def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c: Fraction) -> int:
     """Truncation index N beyond which the recursion divisors dominate A.
 
     Uses a crude spectral proxy (twice the max of the entry-wise l1 norm of
     A_0 over boundary samples of the z-disc) capped from below by the full
-    majorant constant C (computed here unless given as c), so that both the
+    majorant constant c = C (`a.majorant_norm(domain)`), so that both the
     resonance range and the contraction requirement C/N < 1 are cleared.
     """
     import cmath  # only here: the one float site of the package
@@ -430,7 +430,6 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c=None) -> 
         z = z0 + complex(domain.epsilon) * cmath.exp(2j * cmath.pi * k / 64)
         s = sum(abs(p_eval(e, z)) for e in a0)
         k_bound = max(k_bound, 2.0 * float(abs(s)))
-    c = a.majorant_norm(domain) if c is None else c
     return 1 + floor(max(k_bound, float(c)))
 
 
@@ -440,7 +439,7 @@ def contraction_solve(
     seeds: list[list],
     domain: DomainParams,
     n_max: int,
-    iterations: int = 25,
+    iterations: int,
 ) -> ContractionResult:
     """Picard iteration of the clamped operator, with an a-priori tail bound.
 
@@ -530,7 +529,7 @@ def log_system_solve(
             series = recursion_solve(shifted, f_terms, seeds.get((j, k), []), n_max, layer=(j, k))
             layers[(j, k)] = series
             above = series
-    return LogSeriesSolution(ell=a.ell, exponents=tuple(exps), log_order=log_order, layers=layers)
+    return LogSeriesSolution(exponents=tuple(exps), log_order=log_order, layers=layers)
 
 
 def poly_from_json(v) -> Form:
@@ -632,7 +631,6 @@ def system_from_json(obj: dict) -> dict:
     if any(len(vec) != ell for vec in list(f_terms.values()) + seed_vecs):
         raise InvalidSystem(f"a vector of f or of the seeds is not of length {ell}")
     return {
-        "ell": ell,
         "a": AnalyticMatrixSeries(ell, terms),
         "f": f_terms,
         "seeds": seeds,
@@ -648,8 +646,11 @@ def solve_json(obj: dict, route: str, order: int, iterations: int) -> dict:
     return the result as JSON.  Route "auto" picks the log layers when the
     system has exponents or keyed seeds, else the contraction when it has a
     domain, else the recursion; a forced route the system does not fit
-    raises InvalidSystem.  The recursion's residual is weighed at z0 = 0,
-    epsilon = delta = 1: the plain sum of absolute coefficient values."""
+    raises InvalidSystem, and a name that is no route ValueError.  The
+    recursion's residual is weighed at z0 = 0, epsilon = delta = 1: the
+    plain sum of absolute coefficient values."""
+    if route not in ("auto", "recursion", "contraction", "log"):
+        raise ValueError(f"unknown route {route!r}")
     system = system_from_json(obj)
     a, seeds, domain = system["a"], system["seeds"], system["domain"]
     keyed = isinstance(seeds, dict)

@@ -43,7 +43,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from . import RoutesDisagree, _linalg, grading as gr, liealg
 from .orbits import OrbitRecord
@@ -77,11 +76,6 @@ class _NotFound:
 
 
 NOT_FOUND = _NotFound()
-
-
-class SearchConfig(NamedTuple):
-    denominator_bound: int = 2
-    coefficient_bound: int = 4
 
 
 def _require_triple(
@@ -247,7 +241,8 @@ def search_v(
     table: liealg.ChevalleyTable,
     grading: gr.DynkinGrading,
     f: liealg.Element,
-    config: SearchConfig = SearchConfig(),
+    denominator_bound: int,
+    coefficient_bound: int,
     triple: gr.Sl2Triple | None = None,
 ):
     """First v in a small rational lattice of h^f that passes
@@ -274,12 +269,11 @@ def search_v(
     q = op.degree_den
     checks = [(d, mu) for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])]
 
-    B = config.coefficient_bound
     # (reduced denominator, numerators) orders exactly as (lcm, v) does
     best = None
-    for den in range(1, config.denominator_bound + 1):
+    for den in range(1, denominator_bound + 1):
         scale = den * q
-        for ks in product(range(-B, B + 1), repeat=len(basis)):
+        for ks in product(range(-coefficient_bound, coefficient_bound + 1), repeat=len(basis)):
             if not any(ks):
                 continue
             for d, mu in checks:
@@ -360,7 +354,7 @@ def check_realized(
     )
 
 
-def check_record(record: OrbitRecord, method: str = "both") -> ConditionVerdict:
+def check_record(record: OrbitRecord, method: str) -> ConditionVerdict:
     """Run the requested route(s) on a bundled record.
 
     With method="both" both routes run and must agree on the status; the

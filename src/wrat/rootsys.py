@@ -268,14 +268,13 @@ def build(simple_type: SimpleType) -> RootSystem:
     return _build(simple_type)
 
 
-def pairing(rs: RootSystem, root: Root, v: CartanElement) -> Fraction:
-    """a(v) for a root a = sum n_i a_i: the linear functional at v, summed
-    in integers over the common denominator of v's pairings."""
+def pairing(rs: RootSystem, coeffs: tuple[int, ...], v: CartanElement) -> Fraction:
+    """a(v) for the root a = sum n_i a_i, coeffs the n_i: the functional at
+    v, summed in integers over the common denominator of v's pairings."""
     if len(v.pairings) != rs.rank:
         raise DimensionMismatch(
             f"Cartan element of rank {len(v.pairings)} against {rs.simple_type}"
         )
-    coeffs = root.coeffs if isinstance(root, Root) else root
     if len(coeffs) != rs.rank:
         raise DimensionMismatch("root coefficient vector has wrong length")
     ints, den = over_common(v.pairings)

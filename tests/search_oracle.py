@@ -13,12 +13,12 @@ from itertools import product
 from math import gcd
 
 from wrat import grading as gr
-from wrat.ratcheck import NOT_FOUND, SearchConfig, _chevalley_operator, _hf_basis
+from wrat.ratcheck import NOT_FOUND, _chevalley_operator, _hf_basis
 from wrat.rootsys import CartanElement
 from wrat.slots import _group, _kernel_slots
 
 
-def search_v(table, grading, f, config: SearchConfig = SearchConfig(), triple=None):
+def search_v(table, grading, f, denominator_bound, coefficient_bound, triple):
     rank = table.rs.rank
     if gr.is_even_grading(grading):
         return CartanElement.zero(rank)
@@ -30,10 +30,9 @@ def search_v(table, grading, f, config: SearchConfig = SearchConfig(), triple=No
     for d, mu, _ in _kernel_slots(op, _group(op, basis)[0]):
         t = 1 - Fraction(d, op.degree_den)
         checks.append((mu, t.numerator, t.denominator))
-    B = config.coefficient_bound
     candidates = {}
-    for den in range(1, config.denominator_bound + 1):
-        for ks in product(range(-B, B + 1), repeat=len(basis)):
+    for den in range(1, denominator_bound + 1):
+        for ks in product(range(-coefficient_bound, coefficient_bound + 1), repeat=len(basis)):
             if not any(ks):
                 continue
             ints = [sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank)]

@@ -1627,7 +1627,7 @@ def test_both_gate_ranks_the_slots_on_a_handoff(capsys, tmp_path, monkeypatch):
     argv = ["check-exceptional", "--algebra", "G2", "--q", "2"]
     both = run(capsys, *argv)
     assert counted == [True, False]
-    assert ratcheck.check_record(orbits.load_records()[0]).slot_rule == "rank"
+    assert ratcheck.check_record(orbits.load_records()[0], "both").slot_rule == "rank"
     assert both == run(capsys, *argv, "--exact")
     assert both[0] == 2 and '"admissible": false' in both[1]
 
@@ -1940,15 +1940,38 @@ def test_closed_output_pipe_keeps_the_exit_codes(tmp_path, unbuffered):
             assert both or out.stderr.decode() == stderr, argv
 
 
-def test_cli_defaults_are_the_library_defaults():
-    """The parser spells its defaults out so that building it loads no
-    module; they are the library's own."""
-    search = build_parser("search-v").parse_args(["search-v", "--algebra", "G2"])
-    config = ratcheck.SearchConfig(search.denominator_bound, search.coefficient_bound)
-    assert config == ratcheck.SearchConfig()
-    series = build_parser("frobenius").parse_args(["frobenius", "system.json"])
-    solve = inspect.signature(fr.contraction_solve)
-    assert series.iterate == solve.parameters["iterations"].default
+def test_request_defaults_live_in_the_parser(capsys, tmp_path):
+    """The parser is the one home of each request default: the library
+    functions it calls take the value with no default of their own, and
+    leaving a flag out prints what spelling its default out prints."""
+    search = inspect.signature(ratcheck.search_v).parameters
+    solve = inspect.signature(fr.contraction_solve).parameters
+    check = inspect.signature(ratcheck.check_record).parameters
+    params = [
+        search["denominator_bound"], search["coefficient_bound"],
+        solve["iterations"], check["method"],
+    ]
+    assert all(p.default is inspect.Parameter.empty for p in params)
+    search_v = ["search-v", "--algebra", "F4", "--q", "2"]
+    spelled = run(capsys, *search_v, "--denominator-bound", "2", "--coefficient-bound", "4")
+    assert run(capsys, *search_v) == spelled and spelled[0] == 0
+    check_exceptional = ["check-exceptional", "--algebra", "G2", "--q", "3"]
+    spelled = run(capsys, *check_exceptional, "--both")
+    assert run(capsys, *check_exceptional) == spelled and spelled[0] == 0
+    path = write_system(
+        tmp_path,
+        "con.json",
+        {
+            "ell": 1,
+            "A": [[0, [["1/2"]]]],
+            "f": [[3, [[1]]]],
+            "seeds": [[[0]], [[0]]],
+            "domain": {"z0": 0, "epsilon": "1/2", "delta": "1/2"},
+        },
+    )
+    spelled = run(capsys, "frobenius", path, "--iterate", "25")
+    assert run(capsys, "frobenius", path) == spelled and spelled[0] == 0
+    assert len(json.loads(spelled[1])["distances"]) == 25
 
 
 # -- exact numbers past CPython's int-to-decimal digit limit -------------------

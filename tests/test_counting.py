@@ -183,7 +183,7 @@ def test_records_count_as_they_rank_on_sampled_v(k, data):
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)
 def test_search_v_same_with_and_without_triple(k):
     table, grading, f, triple = realized(k)
-    assert search_v(table, grading, f, triple=triple) == search_v(table, grading, f)
+    assert search_v(table, grading, f, 2, 4, triple) == search_v(table, grading, f, 2, 4)
 
 
 def test_dropped_root_runs_by_rank():

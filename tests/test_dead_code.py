@@ -17,7 +17,10 @@ A knob is dead too: each parameter with a default of a module-level
 function must be passed by some call in the package (by keyword, by
 position, or through `*` or `**`), or be pinned in PINNED_KNOBS with the
 reason it stays.  A knob that only tests turn belongs in the tests, as a
-patch of what it overrides.
+patch of what it overrides.  The mirror case is dead as well: a default
+that every call in the package overrides serves only the tests, and
+stays only pinned in PINNED_DEFAULTS with its reason (a mode that None
+selects, or a caller outside the package).
 
 The match is by name, so an attribute of another class with the same
 name (a field, a method) keeps a method alive; the guard finds methods
@@ -39,6 +42,21 @@ PINNED = {
 # defaulted parameters no call in the package passes, each with the reason it stays
 PINNED_KNOBS = {
     "main(argv=)": "in-process callers pass it, and `run` lets it read sys.argv",
+}
+_RANK_ROUTE = "None selects the rank route, which the tests use as the reference"
+# defaulted parameters every call in the package passes, each with the reason
+# the default stays
+PINNED_DEFAULTS = {
+    "exact_condition(triple=)": "bench/workloads.py calls exact_condition without it",
+    "exact_condition(parts=)": "bench/workloads.py calls exact_condition without it",
+    "fast_condition(triple=)": _RANK_ROUTE,
+    "fast_condition(parts=)": "without parts it realizes them, by rank when triple is None",
+    "search_v(triple=)": _RANK_ROUTE,
+    "check_realized(triple=)": _RANK_ROUTE,
+    "verify_self_contragredient(triple=)": _RANK_ROUTE,
+    "lookup_exceptional(q=)": "either q or label names a record",
+    "lookup_exceptional(label=)": "either q or label names a record",
+    "nullspace(ncols=)": "only a matrix with no rows needs its width",
 }
 
 
@@ -108,10 +126,11 @@ def _needless_pins(paths, pinned) -> list[str]:
     return sorted(set(pinned) - unnamed)
 
 
-def _unpassed_knobs(paths, pinned) -> list[str]:
-    """module:function(param=) for each parameter with a default of a
-    module-level function that no call of that name passes, by keyword, by
-    position, or through `*` or `**`, and that pinned does not list."""
+def _defaults(paths):
+    """(module, function, param, passed) for each parameter with a default
+    of a module-level function: passed holds, for each call of that name,
+    whether it passes the parameter, by keyword, by position, or through
+    `*` or `**`."""
     defs, calls = [], []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -127,7 +146,6 @@ def _unpassed_knobs(paths, pinned) -> list[str]:
     def callee(call):
         return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
-    out = []
     for module, fn in defs:
         mine = [c for c in calls if callee(c) == fn.name]
         positional = fn.args.posonlyargs + fn.args.args
@@ -136,10 +154,27 @@ def _unpassed_knobs(paths, pinned) -> list[str]:
         kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
         knobs += [(a.arg, None) for a, d in kwonly if d is not None]
         for arg, pos in knobs:
-            name = f"{fn.name}({arg}=)"
-            if name not in pinned and not any(passes(c, arg, pos) for c in mine):
-                out.append(f"{module}:{name}")
-    return out
+            yield module, fn.name, arg, [passes(c, arg, pos) for c in mine]
+
+
+def _unpassed_knobs(paths, pinned) -> list[str]:
+    """module:function(param=) for each parameter with a default that no
+    call of that name passes and that pinned does not list."""
+    return [
+        f"{module}:{name}({arg}=)"
+        for module, name, arg, passed in _defaults(paths)
+        if f"{name}({arg}=)" not in pinned and not any(passed)
+    ]
+
+
+def _overridden_defaults(paths, pinned) -> list[str]:
+    """module:function(param=) for each parameter with a default that every
+    call of that name passes, there being one, and that pinned does not list."""
+    return [
+        f"{module}:{name}({arg}=)"
+        for module, name, arg, passed in _defaults(paths)
+        if f"{name}({arg}=)" not in pinned and passed and all(passed)
+    ]
 
 
 def test_every_function_is_used_or_public():
@@ -161,6 +196,15 @@ def test_every_knob_is_passed_or_pinned():
     assert set(PINNED_KNOBS) <= unpassed
 
 
+def test_every_default_is_needed_or_pinned():
+    """No default that every call in the package overrides, unless pinned
+    with its reason; a pin the package's own calls make needless fails too."""
+    modules = sorted(SOURCE.glob("*.py"))
+    assert _overridden_defaults(modules, set(PINNED_DEFAULTS)) == []
+    overridden = {entry.split(":")[1] for entry in _overridden_defaults(modules, set())}
+    assert set(PINNED_DEFAULTS) <= overridden
+
+
 def test_the_guard_sees_a_planted_unpassed_knob(tmp_path):
     (tmp_path / "a.py").write_text(
         "def solve(a, b=1, *, depth=2, width=3):\n    return a\n"
@@ -176,6 +220,25 @@ def test_the_guard_sees_a_planted_unpassed_knob(tmp_path):
     # b by position and depth by keyword are passed, x and y through *, k through **
     assert _unpassed_knobs(paths, set()) == ["a.py:solve(width=)", "a.py:main(argv=)"]
     assert _unpassed_knobs(paths, {"main(argv=)"}) == ["a.py:solve(width=)"]
+
+
+def test_the_guard_sees_a_planted_overridden_default(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def solve(a, b=1, *, depth=2, width=3):\n    return a\n"
+        "def scale(x, k=2):\n    return x * k\n"
+        "def spread(x=0):\n    return x\n"
+        "def unused(x=0):\n    return x\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\nfrom a import scale, spread\n"
+        "a.solve(1, 2, depth=3)\na.solve(1, 4, width=5)\n"
+        "scale(1, 3)\nscale(2, k=4)\nspread()\nspread(*[1])\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    # every call passes b and k; depth, width and x are left to their
+    # defaults somewhere; a function no call names overrides nothing
+    assert _overridden_defaults(paths, set()) == ["a.py:solve(b=)", "a.py:scale(k=)"]
+    assert _overridden_defaults(paths, {"scale(k=)"}) == ["a.py:solve(b=)"]
 
 
 def test_the_guard_sees_a_planted_dead_function(tmp_path):

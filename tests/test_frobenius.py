@@ -50,6 +50,11 @@ def majorant(p, z0, eps):
 DOM = fr.DomainParams(z0=Q(0), epsilon=Q(1, 2), delta=Q(1, 2))
 
 
+def truncation(a, domain):
+    """`choose_truncation` given C as `contraction_solve` gives it."""
+    return fr.choose_truncation(a, domain, a.majorant_norm(domain))
+
+
 # -- polynomial layer ---------------------------------------------------------
 
 
@@ -119,7 +124,7 @@ def test_truncation_samples_evaluate_as_the_fraction_horner(entries, den, re, im
         return got
 
     with mock.patch.object(fr, "p_eval", checked):
-        fr.choose_truncation(system["a"], system["domain"])
+        truncation(system["a"], system["domain"])
     assert len(seen) == 64 * 4 and all(type(x) is complex for x in seen)
 
 
@@ -373,10 +378,10 @@ def test_residual_vanishes_on_recursion_output():
 
 
 def test_truncation_goldens():
-    assert fr.choose_truncation(a_scalar(Q(5, 2)), DOM) == 6
-    assert fr.choose_truncation(fr.AnalyticMatrixSeries(1, {}), DOM) == 1
+    assert truncation(a_scalar(Q(5, 2)), DOM) == 6
+    assert truncation(fr.AnalyticMatrixSeries(1, {}), DOM) == 1
     diag = fr.AnalyticMatrixSeries(2, {0: [[poly(1), ()], [(), poly(Q(3, 2))]]})
-    assert fr.choose_truncation(diag, DOM) == 6
+    assert truncation(diag, DOM) == 6
 
 
 def test_contraction_takes_the_majorant_norm_once():
@@ -386,9 +391,9 @@ def test_contraction_takes_the_majorant_norm_once():
         side_effect=fr.AnalyticMatrixSeries.majorant_norm,
     )
     with norm as spy:
-        res = fr.contraction_solve(a, {}, [[()]], DOM, 8)
+        res = fr.contraction_solve(a, {}, [[()]], DOM, 8, 25)
     assert spy.call_count == 1
-    assert res.truncation == fr.choose_truncation(a, DOM) == 6
+    assert res.truncation == truncation(a, DOM) == 6
     assert res.ratio == Q(5, 2) / 6
 
 
@@ -439,7 +444,7 @@ def test_contraction_clamps_to_the_recursion_past_the_seeds(monkeypatch):
 def test_contraction_fails_when_ratio_too_big(monkeypatch):
     monkeypatch.setattr(fr, "choose_truncation", lambda *args: 2)
     with pytest.raises(fr.ContractionFails):
-        fr.contraction_solve(a_scalar(Q(10)), {}, [[()]], DOM, n_max=4)
+        fr.contraction_solve(a_scalar(Q(10)), {}, [[()]], DOM, n_max=4, iterations=25)
 
 
 # -- residual and contraction bound against sums taken here --------------------
@@ -637,6 +642,19 @@ def test_system_from_json_log_and_domain():
     assert sysd["exponents"] == [Q(1, 2)]
     assert (0, 1) in sysd["seeds"] and (0, 0) in sysd["seeds"]
     assert sysd["domain"].delta == Q(1, 4)
+
+
+@pytest.mark.parametrize("obj", [
+    {"ell": 1, "A": [[0, [["1/2"]]]], "seeds": [[[0]]],
+     "domain": {"z0": 0, "epsilon": "1/2", "delta": "1/2"}},
+    "not a system",
+], ids=["with-domain", "undecodable"])
+def test_solve_json_refuses_an_unknown_route(obj):
+    """A route name it does not know is a caller's error, raised before
+    the system is decoded, and not a bad system (BadInput)."""
+    with pytest.raises(ValueError, match="unknown route 'contracton'") as exc:
+        fr.solve_json(obj, "contracton", 4, 2)
+    assert type(exc.value) is ValueError
 
 
 def test_json_rejects_floats():

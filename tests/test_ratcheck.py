@@ -18,7 +18,6 @@ from wrat.liealg import build_chevalley
 from wrat.orbits import EVEN_OR_EXTERNAL, load_records, lookup_exceptional
 from wrat.ratcheck import (
     NOT_FOUND,
-    SearchConfig,
     VNotInCentralizer,
     check_record,
     exact_condition,
@@ -30,6 +29,9 @@ from wrat.ratcheck import (
 )
 from wrat.rootsys import CartanElement, DimensionMismatch, SimpleType, build
 from wrat.slots import verdict_to_json
+
+# search-v's default --denominator-bound and --coefficient-bound
+CLI_BOUNDS = (2, 4)
 
 # the four bundled records whose fast route needs explicit injectivity
 # witnesses, with the eigenvalue sets they must report
@@ -146,7 +148,7 @@ def test_h0f_space_dimensions():
 def test_search_finds_g2_direction():
     rec = lookup_exceptional("G2", 3)
     table, grading, f, _ = realize_record(rec)
-    v = search_v(table, grading, f)
+    v = search_v(table, grading, f, *CLI_BOUNDS)
     assert v is not NOT_FOUND
     # any hit must be a rational multiple of (-3/2, 1)
     a, b = v.pairings
@@ -156,7 +158,7 @@ def test_search_finds_g2_direction():
 def test_search_needs_half_integers_on_e8_a4a3():
     rec = lookup_exceptional("E8", 5)
     table, grading, f, _ = realize_record(rec)
-    out = search_v(table, grading, f, SearchConfig(denominator_bound=1, coefficient_bound=4))
+    out = search_v(table, grading, f, 1, 4)
     assert out is NOT_FOUND
 
 
@@ -174,27 +176,24 @@ SEARCH_GOLDENS = [
 def test_search_v_goldens(alg, q, want):
     rec = lookup_exceptional(alg, q)
     table, grading, f, _ = realize_record(rec)
-    v = search_v(table, grading, f)
+    v = search_v(table, grading, f, *CLI_BOUNDS)
     assert tuple(str(p) for p in v.pairings) == want
     assert exact_condition(table, grading, f, v).status == "pass"
 
 
 @pytest.mark.parametrize(
     "case",
-    [(rec, SearchConfig()) for rec in load_records()]
-    + [
-        (lookup_exceptional("E8", 2), SearchConfig(denominator_bound=4, coefficient_bound=6)),
-        (lookup_exceptional("E8", 5), SearchConfig(denominator_bound=1, coefficient_bound=4)),
-    ],
-    ids=lambda x: f"{x[0].algebra}-{x[0].label}-{x[1].denominator_bound}/{x[1].coefficient_bound}",
+    [(rec, CLI_BOUNDS) for rec in load_records()]
+    + [(lookup_exceptional("E8", 2), (4, 6)), (lookup_exceptional("E8", 5), (1, 4))],
+    ids=lambda x: f"{x[0].algebra}-{x[0].label}-{x[1][0]}/{x[1][1]}",
 )
 def test_search_v_matches_the_sorted_oracle(case):
     """Testing each candidate before reducing it returns what sorting every
     reduced candidate and testing them in order returns."""
-    rec, config = case
+    rec, bounds = case
     table, grading, f, triple = realize_record(rec)
-    want = search_oracle.search_v(table, grading, f, config, triple)
-    assert search_v(table, grading, f, config, triple) == want
+    want = search_oracle.search_v(table, grading, f, *bounds, triple)
+    assert search_v(table, grading, f, *bounds, triple) == want
 
 
 @pytest.mark.parametrize("sentinel", [NOT_FOUND, EVEN_OR_EXTERNAL], ids=repr)
@@ -211,7 +210,7 @@ def test_search_even_grading_returns_zero():
 
     g = grade(t, CartanElement.of((2, 2)))
     triple = complete_sl2(t, g, [(1, 0), (0, 1)])
-    v = search_v(t, g, triple.f)
+    v = search_v(t, g, triple.f, *CLI_BOUNDS)
     assert v == CartanElement.zero(2)
 
 
