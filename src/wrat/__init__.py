@@ -31,8 +31,6 @@ _PUBLIC = {
     "ClassicalPartition": "classical",
     "ConditionVerdict": "slots",
     "DynkinGrading": "grading",
-    "EVEN_OR_EXTERNAL": "orbits",
-    "NOT_FOUND": "ratcheck",
     "OrbitRecord": "orbits",
     "RootSystem": "rootsys",
     "SimpleType": "rootsys",

@@ -1,9 +1,12 @@
 """Rational-number JSON conventions shared by the data files and the CLI.
 
-Integers are stored as JSON numbers; every other rational is the string
-"num/den" in lowest terms (e.g. "-3/2").  Floats are rejected on input and
-on output so that exactness is never silently lost, and so is a zero
-denominator on input, as a ValueError like every other malformed value.
+On output an integer is a JSON number and every other rational the string
+"num/den" in lowest terms (e.g. "-3/2").  On input `rat_from_json` reads a
+JSON integer or any string that `fractions.Fraction` reads, exactly:
+"2/4", "0.5", "1e-3" and " 3/2 " are 1/2, 1/2, 1/1000 and 3/2.  Floats are
+rejected on input and on output so that exactness is never silently lost,
+and so is a zero denominator on input, as a ValueError like every other
+malformed value.
 
 `json_text` writes the CLI's output: the bytes of `json.dumps(obj,
 indent=2)`, whose encoder is the pure-Python one whenever it indents.

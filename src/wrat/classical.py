@@ -124,7 +124,6 @@ class ClassicalRealization(NamedTuple):
     of h and v, and the monomial form S as sigma and c (row i of S holds its
     only nonzero c(i) = +-1 in column sigma(i))."""
 
-    partition: ClassicalPartition
     size: int
     f: dict[tuple[int, int], int | Fraction]
     e: dict[tuple[int, int], int | Fraction]
@@ -186,7 +185,6 @@ def build_classical(partition: ClassicalPartition) -> ClassicalRealization:
         off += m
 
     real = ClassicalRealization(
-        partition=partition,
         size=n,
         f=f,
         e=e,

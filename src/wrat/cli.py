@@ -59,7 +59,7 @@ def _record(args):
     if args.q is None and args.label is None:
         raise BadInput("need --q or --label to pick a record")
     rec = orbits.lookup_exceptional(st, args.q, args.label)
-    if rec is orbits.EVEN_OR_EXTERNAL:
+    if rec is None:
         _emit({"algebra": str(st), "q": args.q, "status": "even-or-external"})
         raise BadInput(f"{st} at q = {args.q} is even or external: no bundled record")
     return rec
@@ -89,7 +89,7 @@ def _cmd_search_v(args) -> int:
         table, grading, f, args.denominator_bound, args.coefficient_bound, triple
     )
     base = {"algebra": str(rec.algebra), "label": rec.label, "q": list(rec.q)}
-    if v is ratcheck.NOT_FOUND:
+    if v is None:
         _emit({**base, "status": "not-found"})
         return EXIT_FAIL
     _emit({**base, "status": "found", "v": [str(p) for p in v.pairings]})

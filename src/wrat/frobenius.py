@@ -280,14 +280,6 @@ class ContractionResult(NamedTuple):
     distances: tuple[Fraction, ...]
 
 
-class LogSeriesSolution(NamedTuple):
-    """phi = sum_{j,k,n} phi_{j,k,n}(z) q^{h_j + n} (log q)^k."""
-
-    exponents: tuple[Fraction, ...]
-    log_order: int
-    layers: dict[tuple[int, int], VectorSeries]
-
-
 # -- exact coefficient recursion ---------------------------------------------
 
 
@@ -502,8 +494,10 @@ def log_system_solve(
     log_order: int,
     seeds: Mapping[tuple[int, int], list[list]],
     n_max: int,
-) -> LogSeriesSolution:
-    """Homogeneous solutions with nilpotent log structure, layer by layer.
+) -> dict[tuple[int, int], VectorSeries]:
+    """Homogeneous solutions with nilpotent log structure, layer by layer:
+    phi = sum_{j,k,n} phi_{j,k,n}(z) q^{h_j + n} (log q)^k, returned as the
+    layers {(j, k): phi_{j,k}}.
 
     Exponents must be pairwise non-congruent mod 1 so the blocks do not
     interact.  For each exponent h_j the layers k = log_order .. 0 satisfy
@@ -529,7 +523,7 @@ def log_system_solve(
             series = recursion_solve(shifted, f_terms, seeds.get((j, k), []), n_max, layer=(j, k))
             layers[(j, k)] = series
             above = series
-    return LogSeriesSolution(exponents=tuple(exps), log_order=log_order, layers=layers)
+    return layers
 
 
 def poly_from_json(v) -> Form:
@@ -563,6 +557,17 @@ def _vector(v, name: str) -> list[Form]:
     return [poly_from_json(e) for e in _list(v, name)]
 
 
+def _by_order(pairs, name: str, decode) -> dict:
+    """{n: decode(entry)} of the [n, entry] pairs of A or f, each n once."""
+    out = {}
+    for n, entry in pairs:
+        n = _int_at_least(n, f"an {name} index", 0)
+        if n in out:
+            raise InvalidSystem(f"{name} gives order {n} twice")
+        out[n] = decode(entry)
+    return out
+
+
 def system_from_json(obj: dict) -> dict:
     """Decode a series-system description into solver-ready pieces.
 
@@ -571,25 +576,22 @@ def system_from_json(obj: dict) -> dict:
     system carries exponents), exponents, log_order, domain, radius.  A
     domain z0 given as [re, im] comes back as z0 = re with epsilon + |im|.
     Raises InvalidSystem on a non-object; an ell, K or A/f index that is not
-    a JSON integer, or ell < 1, K < 0 or an index < 0; a seed key "j:k"
-    outside 0 <= j < len(exponents), 0 <= k <= K; an A_n, a row of it, an f
-    vector, a seed vector or the exponents not given as a JSON list; an A_n
-    that is not ell x ell, an f or seed vector not of length ell, a list
-    domain z0 that is not [re, im], a domain epsilon or delta that is not
-    positive, or a bad rational.
+    a JSON integer, or ell < 1, K < 0 or an index < 0; two A or two f
+    entries of one order; a seed key "j:k" outside 0 <= j < len(exponents),
+    0 <= k <= K, or two keys of one layer ("0:1" and "00:1"); an A_n, a row
+    of it, an f vector, a seed vector or the exponents not given as a JSON
+    list; an A_n that is not ell x ell, an f or seed vector not of length
+    ell, a list domain z0 that is not [re, im], a domain epsilon or delta
+    that is not positive, or a bad rational.
     """
     if not isinstance(obj, dict):
         raise InvalidSystem("a system must be a JSON object")
     try:
         ell = _int_at_least(obj["ell"], "ell", 1)
-        terms = {
-            _int_at_least(n, "an A index", 0): [_vector(r, "a row of A") for r in _list(m, "A_n")]
-            for n, m in obj.get("A", [])
-        }
-        f_terms = {
-            _int_at_least(n, "an f index", 0): _vector(vec, "an f vector")
-            for n, vec in obj.get("f", [])
-        }
+        terms = _by_order(
+            obj.get("A", []), "A", lambda m: [_vector(r, "a row of A") for r in _list(m, "A_n")]
+        )
+        f_terms = _by_order(obj.get("f", []), "f", lambda vec: _vector(vec, "an f vector"))
         exponents = [rat_from_json(h) for h in _list(obj.get("exponents", []), "exponents")]
         log_order = _int_at_least(obj.get("K", 0), "K", 0)
         raw_seeds = obj.get("seeds", [])
@@ -599,6 +601,8 @@ def system_from_json(obj: dict) -> dict:
                 j, k = (int(x) for x in key.split(":"))
                 if not (0 <= j < len(exponents) and 0 <= k <= log_order):
                     raise InvalidSystem(f"seed key {key!r} names no layer (j, k)")
+                if (j, k) in seeds:
+                    raise InvalidSystem(f"two seed keys name layer {j}:{k}")
                 seeds[(j, k)] = [_vector(vec, "a seed vector") for vec in vecs]
             seed_vecs = [vec for vecs in seeds.values() for vec in vecs]
         else:
@@ -662,14 +666,14 @@ def solve_json(obj: dict, route: str, order: int, iterations: int) -> dict:
     if route == "log":
         if not keyed:
             raise InvalidSystem("log route needs seeds keyed as 'j:k'")
-        sol = log_system_solve(a, system["exponents"], system["log_order"], seeds, order)
+        layers = log_system_solve(a, system["exponents"], system["log_order"], seeds, order)
         return {
             "route": "log",
-            "exponents": [rat_to_json(h) for h in sol.exponents],
-            "K": sol.log_order,
+            "exponents": [rat_to_json(h) for h in system["exponents"]],
+            "K": system["log_order"],
             "radius": rat_to_json(system["radius"]),
             "layers": {
-                f"{j}:{k}": _series_json(series) for (j, k), series in sorted(sol.layers.items())
+                f"{j}:{k}": _series_json(series) for (j, k), series in sorted(layers.items())
             },
         }
     if keyed:

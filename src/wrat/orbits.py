@@ -45,19 +45,6 @@ class InvalidRecord(BadInput):
     """A data record is structurally or arithmetically inconsistent."""
 
 
-class _EvenOrExternal:
-    """Sentinel: for this (algebra, q) the grading is even or outside the table."""
-
-    def __repr__(self) -> str:
-        return "EvenOrExternal"
-
-    def __reduce__(self) -> str:
-        return "EVEN_OR_EXTERNAL"  # a copy or an unpickled one is the module's instance
-
-
-EVEN_OR_EXTERNAL = _EvenOrExternal()
-
-
 class OrbitRecord(NamedTuple):
     algebra: SimpleType
     label: str
@@ -174,7 +161,8 @@ def load_records() -> tuple[OrbitRecord, ...]:
 
 def lookup_exceptional(algebra, q: int | None = None, label: str | None = None):
     """The bundled record of algebra with level denominator q, with orbit
-    label label, or with both; EVEN_OR_EXTERNAL when q alone names none.
+    label label, or with both; None when q alone names none (its grading is
+    even or outside the table).
 
     Raises IllegalType when neither is given or the label's record does not
     belong to q, and NotExceptionalType for an unknown label or, by q, a
@@ -186,10 +174,7 @@ def lookup_exceptional(algebra, q: int | None = None, label: str | None = None):
     if label is None:
         if st.family not in ("E", "F", "G"):
             raise NotExceptionalType(f"{st} is classical; no bundled record applies")
-        return next(
-            (rec for rec in load_records() if rec.algebra == st and q in rec.q),
-            EVEN_OR_EXTERNAL,
-        )
+        return next((rec for rec in load_records() if rec.algebra == st and q in rec.q), None)
     for rec in load_records():
         if rec.algebra == st and rec.label == label:
             if q is not None and q not in rec.q:

@@ -65,19 +65,6 @@ class VNotInCentralizer(ValueError):
     """The candidate v does not commute with the nilpotent f."""
 
 
-class _NotFound:
-    """Sentinel: no passing v exists within the searched lattice."""
-
-    def __repr__(self) -> str:
-        return "NotFound"
-
-    def __reduce__(self) -> str:
-        return "NOT_FOUND"  # a copy or an unpickled one is the module's instance
-
-
-NOT_FOUND = _NotFound()
-
-
 def _require_triple(
     table: liealg.ChevalleyTable, grading: gr.DynkinGrading, f: liealg.Element, triple
 ) -> None:
@@ -244,9 +231,9 @@ def search_v(
     denominator_bound: int,
     coefficient_bound: int,
     triple: gr.Sl2Triple | None = None,
-):
+) -> CartanElement | None:
     """First v in a small rational lattice of h^f that passes
-    `exact_condition`, or NOT_FOUND; triple as there.
+    `exact_condition`, or None; triple as there.
 
     Candidates are v = sum k_i b_i / den over the primitive basis b of h^f,
     with |k_i| <= coefficient_bound and den <= denominator_bound; the one
@@ -264,7 +251,7 @@ def search_v(
         return CartanElement.zero(rank)
     basis = _hf_basis(table, f)
     if not basis:
-        return NOT_FOUND
+        return None
     op = _chevalley_operator(table, grading, f, triple)
     q = op.degree_den
     checks = [(d, mu) for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])]
@@ -286,7 +273,7 @@ def search_v(
                 if best is None or key < best:
                     best = key
     if best is None:
-        return NOT_FOUND
+        return None
     lcd, ints = best
     return CartanElement(tuple(Fraction(x, lcd) for x in ints))
 

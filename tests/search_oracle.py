@@ -3,7 +3,7 @@ and sorted first, then tested in that order.
 
 It is the search loop as it stood before `search_v` tested each (den, k)
 before reducing it, kept so that the two orders can be compared: both must
-return the same v, or both NOT_FOUND.  The slot table and the primitive
+return the same v, or both None.  The slot table and the primitive
 basis of h^f come from `ratcheck` itself; only the enumeration differs.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd
 
 from wrat import grading as gr
-from wrat.ratcheck import NOT_FOUND, _chevalley_operator, _hf_basis
+from wrat.ratcheck import _chevalley_operator, _hf_basis
 from wrat.rootsys import CartanElement
 from wrat.slots import _group, _kernel_slots
 
@@ -24,7 +24,7 @@ def search_v(table, grading, f, denominator_bound, coefficient_bound, triple):
         return CartanElement.zero(rank)
     basis = _hf_basis(table, f)
     if not basis:
-        return NOT_FOUND
+        return None
     op = _chevalley_operator(table, grading, f, triple)
     checks = []
     for d, mu, _ in _kernel_slots(op, _group(op, basis)[0]):
@@ -47,4 +47,4 @@ def search_v(table, grading, f, denominator_bound, coefficient_bound, triple):
         else:
             lcd, ints = key
             return CartanElement(tuple(Fraction(x, lcd) for x in ints))
-    return NOT_FOUND
+    return None

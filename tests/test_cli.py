@@ -587,6 +587,18 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
         ),
         ({"ell": 1, "exponents": ["1/2", "3/2"], "seeds": {}}, "congruent mod 1"),
         (
+            {"ell": 1, "A": [[0, [["1/2"]]], [0, [["1/3"]]]], "f": [[1, [[1]]]], "seeds": []},
+            "A gives order 0 twice",
+        ),
+        (
+            {"ell": 1, "A": [[0, [["1/2"]]]], "f": [[1, [[1]]], [1, [[5]]]], "seeds": []},
+            "f gives order 1 twice",
+        ),
+        (
+            {"ell": 1, "exponents": [0], "seeds": {"0:0": [[[1]]], "00:0": [[[7]]]}},
+            "two seed keys name layer 0:0",
+        ),
+        (
             {"ell": 2, "A": [[0, [["1/2", 0], [0, "1/3"]]]], "seeds": ["00", "12"]},
             "a seed vector must be a JSON list",
         ),
@@ -642,7 +654,8 @@ def test_frobenius_unreadable_input(capsys, tmp_path):
         "wide-row", "short-height", "zero-denominator", "array", "negative-ell", "long-seed",
         "float-ell", "bool-ell", "float-K", "float-A-index", "negative-A-index",
         "negative-f-index", "seed-exponent-out-of-range", "seed-k-above-K",
-        "congruent-exponents", "string-seed", "string-A-row", "string-A", "string-f",
+        "congruent-exponents", "repeated-A-order", "repeated-f-order", "repeated-seed-layer",
+        "string-seed", "string-A-row", "string-A", "string-f",
         "string-layer-seed", "string-exponents", "negative-epsilon", "negative-delta",
         "zero-delta", "one-entry-z0", "empty-z0", "three-entry-z0",
     ],
@@ -877,7 +890,7 @@ def _solve_outcome(solve, *args):
         res = solve(*args)
     except (fr.Resonance, fr.SeedInconsistent) as exc:
         return type(exc), exc.n, exc.layer
-    return res.layers if isinstance(res, fr.LogSeriesSolution) else {None: res}
+    return res if isinstance(res, dict) else {None: res}
 
 
 FRACTION_TEXT = re.compile(r"\d+(/\d+)?")

@@ -577,9 +577,9 @@ def test_log_layers_manufactured_solution():
     a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(1)], [(), ()]]})
     x0, c = Q(7), Q(3)
     seeds = {(0, 1): [[poly(c), ()]], (0, 0): [[poly(x0), poly(c)]]}
-    sol = fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=4)
-    top = sol.layers[(0, 1)]
-    bottom = sol.layers[(0, 0)]
+    layers = fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=4)
+    top = layers[(0, 1)]
+    bottom = layers[(0, 0)]
     assert top.coeffs[0] == [poly(c), ()]
     assert bottom.coeffs[0] == [poly(x0), poly(c)]
     # all higher coefficients vanish
@@ -607,7 +607,7 @@ def test_log_k0_reduces_to_recursion():
     a = a_scalar(Q(1, 2))
     plain = fr.recursion_solve(a, {}, [[()], [()]], 5)
     logged = fr.log_system_solve(a, [Q(0)], 0, {(0, 0): [[()], [()]]}, n_max=5)
-    assert logged.layers[(0, 0)].coeffs == plain.coeffs
+    assert logged[(0, 0)].coeffs == plain.coeffs
 
 
 # -- JSON round trip ------------------------------------------------------------

@@ -19,7 +19,6 @@ from wrat.classical import (
     is_sl2_triple,
 )
 from wrat.orbits import (
-    EVEN_OR_EXTERNAL,
     InvalidRecord,
     NotExceptionalType,
     UnknownRoot,
@@ -81,11 +80,11 @@ def test_records_load_and_validate():
 def test_lookup_table():
     for (alg, q), label in EXPECTED_LOOKUP.items():
         rec = lookup_exceptional(alg, q)
-        assert rec is not EVEN_OR_EXTERNAL
+        assert rec is not None
         assert rec.label == label, (alg, q)
-    assert lookup_exceptional("E8", 6) is EVEN_OR_EXTERNAL
-    assert lookup_exceptional("G2", 4) is EVEN_OR_EXTERNAL
-    assert lookup_exceptional("E6", 5) is EVEN_OR_EXTERNAL
+    assert lookup_exceptional("E8", 6) is None
+    assert lookup_exceptional("G2", 4) is None
+    assert lookup_exceptional("E6", 5) is None
     with pytest.raises(NotExceptionalType):
         lookup_exceptional("B4", 2)
     with pytest.raises(NotExceptionalType):
@@ -98,7 +97,7 @@ def test_lookup_by_label():
         assert by_label is lookup_exceptional(alg, q)
         assert lookup_exceptional(alg, q, label) is by_label
         assert lookup_exceptional(SimpleType.parse(alg), q=q, label=label) is by_label
-    assert lookup_exceptional("E8", 6) is EVEN_OR_EXTERNAL
+    assert lookup_exceptional("E8", 6) is None
 
 
 @pytest.mark.parametrize(
@@ -224,9 +223,7 @@ def test_realization_membership_equations():
             assert real.h_diag[i] == -real.h_diag[j]
             assert real.v_diag[i] == -real.v_diag[j]
         # h is the standard sl2 weight string on each Jordan block
-        assert sorted(real.h_diag, reverse=True)[0] == max(
-            list(real.partition.pairs) * 2 + list(real.partition.singles)
-        ) - 1
+        assert sorted(real.h_diag, reverse=True)[0] == max(parts) - 1
 
 
 def _dense(rows):

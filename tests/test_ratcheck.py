@@ -1,5 +1,3 @@
-import copy
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,9 +13,8 @@ from wrat.classical import (
     verify_self_contragredient_classical,
 )
 from wrat.liealg import build_chevalley
-from wrat.orbits import EVEN_OR_EXTERNAL, load_records, lookup_exceptional
+from wrat.orbits import load_records, lookup_exceptional
 from wrat.ratcheck import (
-    NOT_FOUND,
     VNotInCentralizer,
     check_record,
     exact_condition,
@@ -149,7 +146,7 @@ def test_search_finds_g2_direction():
     rec = lookup_exceptional("G2", 3)
     table, grading, f, _ = realize_record(rec)
     v = search_v(table, grading, f, *CLI_BOUNDS)
-    assert v is not NOT_FOUND
+    assert v is not None
     # any hit must be a rational multiple of (-3/2, 1)
     a, b = v.pairings
     assert a * Fraction(1) == Fraction(-3, 2) * b and b != 0
@@ -159,7 +156,7 @@ def test_search_needs_half_integers_on_e8_a4a3():
     rec = lookup_exceptional("E8", 5)
     table, grading, f, _ = realize_record(rec)
     out = search_v(table, grading, f, 1, 4)
-    assert out is NOT_FOUND
+    assert out is None
 
 
 # search-v outputs pinned at the four benchmark records and at E8 4A1
@@ -194,13 +191,6 @@ def test_search_v_matches_the_sorted_oracle(case):
     table, grading, f, triple = realize_record(rec)
     want = search_oracle.search_v(table, grading, f, *bounds, triple)
     assert search_v(table, grading, f, *bounds, triple) == want
-
-
-@pytest.mark.parametrize("sentinel", [NOT_FOUND, EVEN_OR_EXTERNAL], ids=repr)
-def test_sentinels_survive_copy_and_pickle(sentinel):
-    """Callers compare by `is`: a copied or unpickled sentinel is the same one."""
-    assert copy.deepcopy(sentinel) is sentinel
-    assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
 
 def test_search_even_grading_returns_zero():

@@ -31,6 +31,18 @@ def test_rat_to_json_rejects_anything_but_a_rational(x):
         rat_to_json(x)
 
 
+@pytest.mark.parametrize(
+    "text,want",
+    [("2/4", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("1e-3", Fraction(1, 1000)),
+     (" 3/2 ", Fraction(3, 2))],
+)
+def test_rat_from_json_reads_fraction_strings_exactly(text, want):
+    """Input is not held to output's lowest-terms "num/den": any string
+    `Fraction` reads is read, exactly, so a stricter reader would be a
+    deliberate change."""
+    assert rat_from_json(text) == want
+
+
 @given(st.fractions(max_denominator=10**6))
 def test_json_round_trip(x):
     assert rat_from_json(rat_to_json(x)) == x
