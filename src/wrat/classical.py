@@ -67,8 +67,6 @@ class ClassicalPartition(NamedTuple):
             else:
                 singles.extend([p] * c)
         self = cls(family=family, pairs=tuple(pairs), singles=tuple(singles))
-        if family == "sp" and self.size % 2:
-            raise InvalidPartition("sp needs an even total size")
         # the realization indexes about size**2 / 2 matrix units
         if self.size * self.size > sys.maxsize:
             raise InvalidPartition(f"partition size {self.size} is past the index range")

@@ -118,7 +118,7 @@ def _cmd_frobenius(args) -> int:
     with open(args.system) as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise BadInput(f"cannot parse system: {exc}") from exc
     _emit(fr.solve_json(obj, args.route, args.order, args.iterate))
     return EXIT_OK

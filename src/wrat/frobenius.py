@@ -63,6 +63,11 @@ class Form(NamedTuple):
     nums: list[int]
     den: int
 
+    @staticmethod
+    def of(coeffs) -> "Form":
+        """The Form of a sequence of ints and Fractions, constant term first."""
+        return _reduced(*_linalg.over_common(coeffs))
+
 
 class _StepFailure(BadInput):
     """The recursion fails at index n, in a log layer (exponent, log power)
@@ -114,12 +119,6 @@ def _reduced(nums: list[int], den: int) -> Form:
     if den < 0:
         g = -g
     return Form(nums, den) if g == 1 else Form([x // g for x in nums], den // g)
-
-
-def _form(p) -> Form:
-    """p as a Form: a Form as it is, or a sequence of ints and Fractions,
-    constant term first, where input enters."""
-    return p if type(p) is Form else _reduced(*_linalg.over_common(p))
 
 
 def _kernel(pairs) -> tuple[list[int], int]:
@@ -174,24 +173,11 @@ def p_eval(p: Form, x):
 # -- series containers -------------------------------------------------------
 
 
-class _Series(NamedTuple):
+class AnalyticMatrixSeries(NamedTuple):
+    """A(z, q) = sum_n A_n(z) q^n, each entry of A_n a Form in z."""
+
     ell: int
     terms: dict[int, list[list[Form]]]
-
-
-class AnalyticMatrixSeries(_Series):
-    """A(z, q) = sum_n A_n(z) q^n with polynomial-in-z entries; building one
-    makes every entry a Form and drops the zero A_n."""
-
-    __slots__ = ()
-
-    def __new__(cls, ell: int, terms: dict[int, list[list]]):
-        clean = {}
-        for n, m in terms.items():
-            forms = [[_form(e) for e in row] for row in m]
-            if any(e.nums for row in forms for e in row):
-                clean[int(n)] = forms
-        return super().__new__(cls, ell, clean)
 
     def a0(self) -> list[list[Form]]:
         return self.terms.get(0, [[_ZERO] * self.ell for _ in range(self.ell)])
@@ -319,42 +305,34 @@ def _char_expansion(a0: list[list[Form]]):
     return cs, bs[:ell]
 
 
-def _int_system(a: AnalyticMatrixSeries, f_terms: Mapping[int, list]):
-    """(ell, A's terms, f's vectors) with every polynomial a Form, made
-    once per solve for `_rhs`; f's entries may be Polys or Forms."""
-    return a.ell, a.terms, {n: [_form(p) for p in vec] for n, vec in f_terms.items()}
-
-
-def _rhs(system, u: list[list[Form]], n: int, stop: int) -> list[list]:
+def _rhs(a: AnalyticMatrixSeries, f, u: list[list[Form]], n: int, stop: int) -> list[list]:
     """b_n = f_n + sum_{m < stop} A_{n-m} u_m as one list of `_kernel` terms
-    per row, over the Forms of `_int_system` and of the u_m: the right-hand
-    side of the recursion (stop = n) and of the clamped operator (stop = n + 1)."""
-    ell, a, f = system
-    prods = [(a[n - m], u[m]) for m in range(stop) if n - m in a]
+    per row, f the {n: vector} dict: the right-hand side of the recursion
+    (stop = n) and of the clamped operator (stop = n + 1)."""
+    prods = [(a.terms[n - m], u[m]) for m in range(stop) if n - m in a.terms]
     fn = f.get(n)
     return [
         ([(_ONE, fn[i])] if fn else []) + [(e, x) for an, v in prods for e, x in zip(an[i], v)]
-        for i in range(ell)
+        for i in range(a.ell)
     ]
 
 
-def _defect(system, u: list[list[Form]], n: int) -> list[tuple[list[int], int]]:
+def _defect(a: AnalyticMatrixSeries, f, u: list[list[Form]], n: int) -> list[tuple[list[int], int]]:
     """f_n + sum_{m <= n} A_{n-m} u_m - n u_n per row as `_kernel` forms:
     all zero exactly when u_n satisfies the recursion, which is the seed
     check, and the residual's block at n otherwise."""
-    rows = zip(_rhs(system, u, n, n + 1), u[n])
+    rows = zip(_rhs(a, f, u, n, n + 1), u[n])
     return [_kernel(terms + [(([-n], 1), x)]) for terms, x in rows]
 
 
 def recursion_solve(
     a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list],
-    seeds: list[list],
+    f_terms: Mapping[int, list[Form]],
+    seeds: list[list[Form]],
     n_max: int,
     layer: tuple[int, int] | None = None,
 ) -> VectorSeries:
-    """Coefficients u_0 .. u_{n_max-1} from the exact recursion; the
-    entries of f_terms and of the seeds may be Polys or Forms.
+    """Coefficients u_0 .. u_{n_max-1} from the exact recursion.
 
     The first len(seeds) coefficients are dictated by the seeds and verified
     against the recursion by `_defect`: a violated relation raises
@@ -367,17 +345,16 @@ def recursion_solve(
     """
     ell = a.ell
     n_seeds = len(seeds)
-    system = _int_system(a, f_terms)
     cs, bs = _char_expansion(a.a0())
     u: list[list[Form]] = []
     for n in range(n_max):
         if n < n_seeds:
-            u.append([_form(c) for c in seeds[n]])
-            if not any(nums for nums, _ in _defect(system, u, n)):
+            u.append(list(seeds[n]))
+            if not any(nums for nums, _ in _defect(a, f_terms, u, n)):
                 continue
-            b = [_kernel(terms) for terms in _rhs(system, u, n, n)]
+            b = [_kernel(terms) for terms in _rhs(a, f_terms, u, n, n)]
             raise (SeedInconsistent if _poly_solvable(a.a0(), n, b) else Resonance)(n, layer)
-        rhs = [_kernel(terms) for terms in _rhs(system, u, n, n)]
+        rhs = [_kernel(terms) for terms in _rhs(a, f_terms, u, n, n)]
         chi = _kernel((([n ** (ell - k)], 1), c) for k, c in enumerate(cs))
         if not chi[0]:
             raise Resonance(n, layer)
@@ -392,14 +369,15 @@ def recursion_solve(
 
 def residual_norm(
     a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list],
+    f_terms: Mapping[int, list[Form]],
     series: VectorSeries,
     domain: DomainParams,
 ):
     """Majorant norm of q u' - A u - f over the computed coefficient range:
     the majorant of each `_defect` block weighed by delta^n."""
-    system, u = _int_system(a, f_terms), series.forms
-    return _weighted(((n, _majorant(_defect(system, u, n), domain)) for n in range(len(u))), domain)
+    u = series.forms
+    return _weighted(((n, _majorant(_defect(a, f_terms, u, n), domain)) for n in range(len(u))),
+                     domain)
 
 
 # -- certified contraction route ---------------------------------------------
@@ -412,23 +390,27 @@ def choose_truncation(a: AnalyticMatrixSeries, domain: DomainParams, c: Fraction
     A_0 over boundary samples of the z-disc) capped from below by the full
     majorant constant c = C (`a.majorant_norm(domain)`), so that both the
     resonance range and the contraction requirement C/N < 1 are cleared.
+    A proxy past the float range raises ContractionFails.
     """
     import cmath  # only here: the one float site of the package
 
     a0 = [e for row in a.a0() for e in row]
     k_bound = 0.0
-    z0 = complex(domain.z0)
-    for k in range(64):
-        z = z0 + complex(domain.epsilon) * cmath.exp(2j * cmath.pi * k / 64)
-        s = sum(abs(p_eval(e, z)) for e in a0)
-        k_bound = max(k_bound, 2.0 * float(abs(s)))
-    return 1 + floor(max(k_bound, float(c)))
+    try:
+        z0, eps = complex(domain.z0), complex(domain.epsilon)
+        for k in range(64):
+            z = z0 + eps * cmath.exp(2j * cmath.pi * k / 64)
+            s = sum(abs(p_eval(e, z)) for e in a0)
+            k_bound = max(k_bound, 2.0 * float(abs(s)))
+        return 1 + floor(max(k_bound, float(c)))
+    except OverflowError as exc:
+        raise ContractionFails(f"the truncation proxy is past the float range: {exc}") from exc
 
 
 def contraction_solve(
     a: AnalyticMatrixSeries,
-    f_terms: Mapping[int, list],
-    seeds: list[list],
+    f_terms: Mapping[int, list[Form]],
+    seeds: list[list[Form]],
     domain: DomainParams,
     n_max: int,
     iterations: int,
@@ -450,18 +432,17 @@ def contraction_solve(
         raise ContractionFails(f"C/N = {ratio} >= 1")
     n_clamped = min(n_cap, n_max)
     clamped = recursion_solve(a, f_terms, seeds[:n_clamped], n_clamped).forms
-    system = _int_system(a, f_terms)
 
     # ||T 0||: the clamped block plus the divided inhomogeneity tail
     f_norm = _weighted(
         [(n, _majorant(vec, domain)) for n, vec in enumerate(clamped)]
-        + [(n, _majorant(f, domain) / n) for n, f in system[2].items() if n_cap <= n < n_max],
+        + [(n, _majorant(f, domain) / n) for n, f in f_terms.items() if n_cap <= n < n_max],
         domain,
     )
 
     def apply_t(cur: list[list[Form]]) -> list[list[Form]]:
         return clamped + [
-            [_reduced(nums, den * n) for nums, den in map(_kernel, _rhs(system, cur, n, n + 1))]
+            [_reduced(nums, den * n) for nums, den in map(_kernel, _rhs(a, f_terms, cur, n, n + 1))]
             for n in range(n_clamped, n_max)
         ]
 
@@ -492,7 +473,7 @@ def log_system_solve(
     a: AnalyticMatrixSeries,
     exponents: list[Fraction],
     log_order: int,
-    seeds: Mapping[tuple[int, int], list[list]],
+    seeds: Mapping[tuple[int, int], list[list[Form]]],
     n_max: int,
 ) -> dict[tuple[int, int], VectorSeries]:
     """Homogeneous solutions with nilpotent log structure, layer by layer:
@@ -527,7 +508,7 @@ def log_system_solve(
 
 
 def poly_from_json(v) -> Form:
-    return _form([rat_from_json(c) for c in (v if isinstance(v, list) else [v])])
+    return Form.of([rat_from_json(c) for c in (v if isinstance(v, list) else [v])])
 
 
 def poly_to_json(p: Form) -> list:

@@ -147,7 +147,7 @@ def _load_dir(path_str: str) -> tuple[OrbitRecord, ...]:
         with open(fn) as fh:
             try:
                 obj = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise InvalidRecord(f"cannot parse record {fn.name}: {exc}") from exc
         rec = record_from_json(obj)
         validate_record(rec)

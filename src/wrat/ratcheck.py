@@ -250,8 +250,6 @@ def search_v(
     if gr.is_even_grading(grading):
         return CartanElement.zero(rank)
     basis = _hf_basis(table, f)
-    if not basis:
-        return None
     op = _chevalley_operator(table, grading, f, triple)
     q = op.degree_den
     checks = [(d, mu) for d, mu, _ in _kernel_slots(op, _group(op, basis)[0])]

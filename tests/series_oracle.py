@@ -67,6 +67,16 @@ def as_poly(p) -> Poly:
     return p_trim(p)
 
 
+def forms(x):
+    """x with each Poly in it, inside lists and dict values, made a `Form`
+    by `Form.of`: the solver's inputs from the Polys a test writes."""
+    if isinstance(x, list):
+        return [forms(e) for e in x]
+    if isinstance(x, dict):
+        return {k: forms(v) for k, v in x.items()}
+    return x if isinstance(x, Form) else Form.of(x)
+
+
 def p_add(a: Poly, b: Poly) -> Poly:
     out = [Fraction(0)] * max(len(a), len(b))
     for p in (a, b):

@@ -328,7 +328,7 @@ def test_criterion_8():
         5: [poly(1), poly(1)],
     }
     order = 51
-    a = fr.AnalyticMatrixSeries(2, a_terms)
+    a = fr.AnalyticMatrixSeries(2, oracle.forms(a_terms))
     f_terms = {}
     for n in range(order):
         phi_n = planted.get(n, [(), ()])
@@ -339,16 +339,16 @@ def test_criterion_8():
                 rhs = [oracle.p_add(x, oracle.p_scale(-1, y)) for x, y in zip(rhs, prod)]
         if any(rhs):
             f_terms[n] = rhs
-    sol = fr.recursion_solve(a, f_terms, [planted[0]], order)
+    sol = fr.recursion_solve(a, oracle.forms(f_terms), oracle.forms([planted[0]]), order)
     for n in range(order):
         assert sol.coeffs[n] == planted.get(n, [(), ()]), n
 
     # contraction rate certificate at every step up to 20
     dom = fr.DomainParams(Q(0), Q(1, 2), Q(1, 2))
     res = fr.contraction_solve(
-        fr.AnalyticMatrixSeries(1, {0: [[poly(Q(1, 2))]]}),
-        {3: [poly(1)]},
-        [[()], [()]],
+        fr.AnalyticMatrixSeries(1, oracle.forms({0: [[poly(Q(1, 2))]]})),
+        oracle.forms({3: [poly(1)]}),
+        oracle.forms([[()], [()]]),
         dom,
         n_max=24,
         iterations=20,
@@ -362,9 +362,9 @@ def test_criterion_8():
     # the scalar demo: the unique solution of the simplest inhomogeneous
     # system is 2q, with every other coefficient zero
     scalar = fr.recursion_solve(
-        fr.AnalyticMatrixSeries(1, {0: [[poly(Q(1, 2))]]}),
-        {1: [poly(1)]},
-        [[()]],
+        fr.AnalyticMatrixSeries(1, oracle.forms({0: [[poly(Q(1, 2))]]})),
+        oracle.forms({1: [poly(1)]}),
+        oracle.forms([[()]]),
         8,
     )
     assert scalar.coeffs[1] == [poly(2)]

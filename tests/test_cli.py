@@ -743,6 +743,21 @@ def test_frobenius_exit_contract_under_mutation(obj, route, order):
         assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "domain", [None, {"z0": 0, "epsilon": "1/2", "delta": "1/2"}], ids=["recursion", "contraction"]
+)
+def test_an_all_zero_a_n_prints_as_its_absence(domain):
+    """A series holds the A_n it is given; an A_3 of zeros changes no byte."""
+    plain = series_oracle.recursion_system()
+    if domain:
+        plain["domain"] = domain
+    padded = copy.deepcopy(plain)
+    padded["A"].append([3, [[[], [0]], [[0, "0/5"], []]]])
+    got = [_frobenius_run(obj, "--order", "8") for obj in (plain, padded)]
+    assert got[0][0] == 0 and got[1] == got[0]
+    assert fr.system_from_json(padded)["a"].terms[3] == [[fr.Form([], 1)] * 2] * 2
+
+
 BUNDLED = sorted(orbits.data_dir().glob("*.json"))
 
 
@@ -1143,6 +1158,18 @@ def _unparsable_record(tmp_path, monkeypatch):
     return ["report"]
 
 
+def _deep_series(tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return ["frobenius", str(path)]
+
+
+def _deep_record(tmp_path, monkeypatch):
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+    return ["report"]
+
+
 def _resonant_system(tmp_path, monkeypatch):
     system = {"ell": 1, "A": [[0, [[2]]]], "f": [[2, [[1]]]], "seeds": []}
     return ["frobenius", write_system(tmp_path, "res.json", system)]
@@ -1153,9 +1180,11 @@ def _resonant_system(tmp_path, monkeypatch):
     [
         (_not_utf8_series, "error: cannot parse system: 'utf-8' codec can't decode"),
         (_unparsable_record, "error: cannot parse record broken.json: Expecting"),
+        (_deep_series, "error: cannot parse system: maximum recursion depth exceeded"),
+        (_deep_record, "error: cannot parse record deep.json: maximum recursion depth exceeded"),
         (_resonant_system, "error: resonant index n = 2"),
     ],
-    ids=["not-utf8-series", "unparsable-record", "resonant-system"],
+    ids=["not-utf8-series", "unparsable-record", "deep-series", "deep-record", "resonant-system"],
 )
 def test_named_bad_input_exits_3_with_one_line(capsys, tmp_path, monkeypatch, make_argv, message):
     rc, out, err = run(capsys, *make_argv(tmp_path, monkeypatch))
@@ -1200,20 +1229,29 @@ def test_report_non_integer_record_field_exits_3(
 
 
 @pytest.mark.parametrize(
-    "key,value,message",
+    "name,key,value,message",
     [
-        ("v", {"top": 1, "row": [0, 0, "1/0", 0, 0]}, "malformed record: zero denominator in '1/0'"),
-        ("h", {"top": 0, "row": []}, "diagram has 1 values, expected 6"),
-        ("h", {"top": 0, "row": {}}, "diagram has 1 values, expected 6"),
+        ("e6_q2", "v", {"top": 1, "row": [0, 0, "1/0", 0, 0]},
+         "malformed record: zero denominator in '1/0'"),
+        ("e6_q2", "h", {"top": 0, "row": []}, "diagram has 1 values, expected 6"),
+        ("e6_q2", "h", {"top": 0, "row": {}}, "diagram has 1 values, expected 6"),
+        ("f4_q2", "h", {"row": ["1/2", 0, 0, 0]}, "characteristic values must be integers"),
+        ("f4_q2", "h", {"top": 0, "row": [1, 0, 0, 0]}, "type F has no branch node"),
     ],
-    ids=["zero-denominator", "empty-e-row", "empty-e-row-object"],
+    ids=[
+        "zero-denominator", "empty-e-row", "empty-e-row-object",
+        "non-integral-characteristic", "f4-top",
+    ],
 )
-def test_report_malformed_record_diagram_exits_3(capsys, tmp_path, monkeypatch, key, value, message):
-    """A zero denominator is a malformed rational, and an E-type row is
-    checked before its first value is read: both exit 3 with one line."""
-    obj = json.loads((Path(wrat.__file__).parent / "data" / "e6_q2.json").read_text())
+def test_report_malformed_record_diagram_exits_3(
+    capsys, tmp_path, monkeypatch, name, key, value, message
+):
+    """A zero denominator is a malformed rational, an E-type row is checked
+    before its first value is read, a characteristic must be integral and
+    only E has a branch node: each exits 3 with one line."""
+    obj = json.loads((Path(wrat.__file__).parent / "data" / f"{name}.json").read_text())
     obj[key] = value
-    (tmp_path / "e6_q2.json").write_text(json.dumps(obj))
+    (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
     rc, out, err = run(capsys, "report", "--all")
     assert (rc, out) == (3, "")
@@ -1346,6 +1384,26 @@ def executed_modules(*argv):
     out = fresh_python("-c", EXECUTED_PROBE, json.dumps(argv))
     assert out.stderr == ""
     return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "a,epsilon",
+    [
+        ([[0, [["1/2"]]], [1, [["1e400"]]]], "1/2"),
+        ([[0, [["1e400"]]]], "1/2"),
+        ([[0, [["1/2"]]]], "1e400"),
+    ],
+    ids=["majorant-norm", "a0-entry", "epsilon"],
+)
+def test_contraction_past_the_float_range_exits_3(tmp_path, a, epsilon):
+    """A rational the truncation proxy cannot hold as a float refuses the
+    contraction with one line, in a fresh process."""
+    system = {"ell": 1, "A": a, "domain": {"z0": 0, "epsilon": epsilon, "delta": "1/2"}}
+    path = write_system(tmp_path, "big.json", system)
+    out = fresh_python("-m", "wrat.cli", "frobenius", path, "--order", "3")
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr.startswith("error: the truncation proxy is past the float range")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
 
 def test_frobenius_request_runs_only_frobenius(tmp_path):

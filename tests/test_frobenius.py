@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import series_oracle as oracle
+from series_oracle import forms
 from wrat import frobenius as fr
 from wrat._linalg import over_common
 
 
 def poly(*cs):
     return oracle.p_trim(cs)
+
+
+def series(ell, terms):
+    """The AnalyticMatrixSeries of terms written as Polys."""
+    return fr.AnalyticMatrixSeries(ell, forms(terms))
 
 
 def view(pair):
@@ -44,7 +50,7 @@ def divide(a, b):
 
 def majorant(p, z0, eps):
     """`_majorant` of the one polynomial p (a Poly) at z0 with radius eps."""
-    return fr._majorant([fr._form(p)], fr.DomainParams(Q(z0), Q(eps), Q(1)))
+    return fr._majorant([fr.Form.of(p)], fr.DomainParams(Q(z0), Q(eps), Q(1)))
 
 
 DOM = fr.DomainParams(z0=Q(0), epsilon=Q(1, 2), delta=Q(1, 2))
@@ -64,9 +70,9 @@ def test_poly_arithmetic():
     assert kernel(((1,), a), ((1,), b)) == (Q(1), Q(2), Q(3))
     assert mul(a, a) == (Q(1), Q(4), Q(4))
     assert scale(0, a) == ()
-    assert fr._form((Q(1), Q(0), Q(0))) == fr.Form([1], 1)
-    assert fr._form((Q(2, 3), Q(0), Q(-4, 9))) == fr.Form([6, 0, -4], 9)
-    assert fr._form(()) == fr.Form([], 1)
+    assert fr.Form.of((Q(1), Q(0), Q(0))) == fr.Form([1], 1)
+    assert fr.Form.of((Q(2, 3), Q(0), Q(-4, 9))) == fr.Form([6, 0, -4], 9)
+    assert fr.Form.of(()) == fr.Form([], 1)
     assert fr.p_eval(fr.Form([1, 0, 1], 1), 2) == 5
 
 
@@ -210,7 +216,7 @@ def test_majorant_values():
     assert majorant(p, 1, Q(1, 2)) == Q(1, 4)
     # a block sums its polynomials; the zero polynomial adds nothing
     dom = fr.DomainParams(Q(0), Q(1, 2), Q(1))
-    block = [fr._form(p), fr.Form([], 1), fr.Form([3], 4)]
+    block = [fr.Form.of(p), fr.Form([], 1), fr.Form([3], 4)]
     assert fr._majorant(block, dom) == Q(9, 4) + Q(3, 4)
     assert fr._majorant([], dom) == 0
 
@@ -271,13 +277,13 @@ def test_integer_majorant_matches_the_fraction_reference(block, z0, eps):
 
 
 def a_scalar(c):
-    return fr.AnalyticMatrixSeries(1, {0: [[poly(c)]]})
+    return series(1, {0: [[poly(c)]]})
 
 
 def test_recursion_simple_inhomogeneous():
     # q u' = u/2 + q has the unique series solution u = 2q
     a = a_scalar(Q(1, 2))
-    sol = fr.recursion_solve(a, {1: [poly(1)]}, [[()], [poly(2)]], 6)
+    sol = fr.recursion_solve(a, forms({1: [poly(1)]}), forms([[()], [poly(2)]]), 6)
     assert sol.coeffs[1] == [poly(2)]
     assert all(sol.coeffs[n] == [()] for n in (0, 2, 3, 4, 5))
 
@@ -286,35 +292,35 @@ def test_recursion_forced_seed_value():
     # n = 0 equation reads -u_0/2 = 0: a nonzero seed is inconsistent
     a = a_scalar(Q(1, 2))
     with pytest.raises(fr.SeedInconsistent) as exc:
-        fr.recursion_solve(a, {}, [[poly(7)]], 4)
+        fr.recursion_solve(a, {}, forms([[poly(7)]]), 4)
     assert exc.value.n == 0
 
 
 def test_recursion_resonance_regardless_of_seed():
     # A = 3: n = 3 hits the eigenvalue; rhs q^3 makes it unsolvable
     a = a_scalar(Q(3))
-    f = {3: [poly(1)]}
+    f = forms({3: [poly(1)]})
     with pytest.raises(fr.Resonance) as exc:
-        fr.recursion_solve(a, f, [[()], [()], [()], [()]], 6)
+        fr.recursion_solve(a, f, forms([[()], [()], [()], [()]]), 6)
     assert exc.value.n == 3
     with pytest.raises(fr.Resonance):
-        fr.recursion_solve(a, f, [[()]], 6)
+        fr.recursion_solve(a, f, forms([[()]]), 6)
 
 
 def test_recursion_resonant_but_consistent_needs_seed():
     # A = 3 homogeneous: n = 3 is resonant; u_3 is free, so the seed decides
     a = a_scalar(Q(3))
-    sol = fr.recursion_solve(a, {}, [[()], [()], [()], [poly(5)]], 6)
+    sol = fr.recursion_solve(a, {}, forms([[()], [()], [()], [poly(5)]]), 6)
     assert sol.coeffs[3] == [poly(5)]
     # without a seed covering n = 3 the non-uniqueness is a resonance
     with pytest.raises(fr.Resonance):
-        fr.recursion_solve(a, {}, [[()]], 6)
+        fr.recursion_solve(a, {}, forms([[()]]), 6)
 
 
 def test_recursion_with_z_dependent_tail():
     # q u' = z q u: u_n = z^n u_0 / n!
-    a = fr.AnalyticMatrixSeries(1, {1: [[poly(0, 1)]]})
-    sol = fr.recursion_solve(a, {}, [[poly(1)]], 5)
+    a = series(1, {1: [[poly(0, 1)]]})
+    sol = fr.recursion_solve(a, {}, forms([[poly(1)]]), 5)
     for n in range(5):
         expect = tuple([Q(0)] * n + [Q(1, math.factorial(n))])
         assert sol.coeffs[n] == [oracle.p_trim(expect)]
@@ -323,9 +329,9 @@ def test_recursion_with_z_dependent_tail():
 def test_recursion_z_dependent_a0():
     # [n - z N] with N nilpotent: A_0 = [[0, z], [0, 0]], f = (q, q)
     # n = 1: u - z N u = (1,1) => u = (1 + z, 1)
-    a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(0, 1)], [(), ()]]})
-    f = {1: [poly(1), poly(1)]}
-    sol = fr.recursion_solve(a, f, [[(), ()]], 3)
+    a = series(2, {0: [[(), poly(0, 1)], [(), ()]]})
+    f = forms({1: [poly(1), poly(1)]})
+    sol = fr.recursion_solve(a, f, forms([[(), ()]]), 3)
     assert sol.coeffs[1] == [poly(1, 1), poly(1)]
     assert sol.coeffs[2] == [(), ()]
 
@@ -368,9 +374,9 @@ def test_series_steps_make_no_fraction(monkeypatch, route):
 
 
 def test_residual_vanishes_on_recursion_output():
-    a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(0, 1)], [(), ()]]})
-    f = {1: [poly(1), poly(1)]}
-    sol = fr.recursion_solve(a, f, [[(), ()]], 5)
+    a = series(2, {0: [[(), poly(0, 1)], [(), ()]]})
+    f = forms({1: [poly(1), poly(1)]})
+    sol = fr.recursion_solve(a, f, forms([[(), ()]]), 5)
     assert fr.residual_norm(a, f, sol, DOM) == 0
 
 
@@ -379,8 +385,8 @@ def test_residual_vanishes_on_recursion_output():
 
 def test_truncation_goldens():
     assert truncation(a_scalar(Q(5, 2)), DOM) == 6
-    assert truncation(fr.AnalyticMatrixSeries(1, {}), DOM) == 1
-    diag = fr.AnalyticMatrixSeries(2, {0: [[poly(1), ()], [(), poly(Q(3, 2))]]})
+    assert truncation(series(1, {}), DOM) == 1
+    diag = series(2, {0: [[poly(1), ()], [(), poly(Q(3, 2))]]})
     assert truncation(diag, DOM) == 6
 
 
@@ -391,22 +397,22 @@ def test_contraction_takes_the_majorant_norm_once():
         side_effect=fr.AnalyticMatrixSeries.majorant_norm,
     )
     with norm as spy:
-        res = fr.contraction_solve(a, {}, [[()]], DOM, 8, 25)
+        res = fr.contraction_solve(a, {}, forms([[()]]), DOM, 8, 25)
     assert spy.call_count == 1
     assert res.truncation == truncation(a, DOM) == 6
     assert res.ratio == Q(5, 2) / 6
 
 
 def test_norm_bound_weighs_by_delta_powers():
-    a = fr.AnalyticMatrixSeries(1, {0: [[poly(1)]], 2: [[poly(4)]]})
+    a = series(1, {0: [[poly(1)]], 2: [[poly(4)]]})
     # 1 * delta^0 + 4 * delta^2 at delta = 1/2
     assert a.majorant_norm(DOM) == 1 + 1
 
 
 def test_contraction_converges_with_certified_rate():
     a = a_scalar(Q(1, 2))
-    f = {3: [poly(1)]}
-    seeds = [[()], [()]]
+    f = forms({3: [poly(1)]})
+    seeds = forms([[()], [()]])
     res = fr.contraction_solve(a, f, seeds, DOM, n_max=8, iterations=12)
     assert res.truncation == 2
     assert res.ratio == Q(1, 4)
@@ -423,19 +429,19 @@ def test_contraction_converges_with_certified_rate():
 
 def test_contraction_matches_recursion_where_both_apply():
     a = a_scalar(Q(1, 2))
-    f = {1: [poly(1)]}
-    exact = fr.recursion_solve(a, f, [[()], [poly(2)]], 8)
-    res = fr.contraction_solve(a, f, [[()], [poly(2)]], DOM, n_max=8, iterations=40)
+    f = forms({1: [poly(1)]})
+    exact = fr.recursion_solve(a, f, forms([[()], [poly(2)]]), 8)
+    res = fr.contraction_solve(a, f, forms([[()], [poly(2)]]), DOM, n_max=8, iterations=40)
     # tail coefficients of the fixed point are zero; iterates match exactly
     assert res.series.coeffs == exact.coeffs
 
 
 def test_contraction_clamps_to_the_recursion_past_the_seeds(monkeypatch):
     a = a_scalar(Q(1, 2))
-    f = {1: [poly(1)]}
+    f = forms({1: [poly(1)]})
     monkeypatch.setattr(fr, "choose_truncation", lambda *args: 3)
-    res = fr.contraction_solve(a, f, [[()]], DOM, n_max=8, iterations=10)
-    exact = fr.recursion_solve(a, f, [[()]], 8)
+    res = fr.contraction_solve(a, f, forms([[()]]), DOM, n_max=8, iterations=10)
+    exact = fr.recursion_solve(a, f, forms([[()]]), 8)
     assert res.series.coeffs == exact.coeffs
     # ||T 0|| counts the filled u_1 = 2 at weight delta: (1 - 1/6)^-1 (1/6)^10 * 1
     assert res.bound == Q(6, 5) * Q(1, 6) ** 10
@@ -444,7 +450,7 @@ def test_contraction_clamps_to_the_recursion_past_the_seeds(monkeypatch):
 def test_contraction_fails_when_ratio_too_big(monkeypatch):
     monkeypatch.setattr(fr, "choose_truncation", lambda *args: 2)
     with pytest.raises(fr.ContractionFails):
-        fr.contraction_solve(a_scalar(Q(10)), {}, [[()]], DOM, n_max=4, iterations=25)
+        fr.contraction_solve(a_scalar(Q(10)), {}, forms([[()]]), DOM, n_max=4, iterations=25)
 
 
 # -- residual and contraction bound against sums taken here --------------------
@@ -517,7 +523,7 @@ def nonresonant_systems(draw):
     for n in draw(st.sets(st.integers(1, 2), max_size=2)):
         terms[n] = [[draw(small_poly) for _ in range(ell)] for _ in range(ell)]
     f = {n: [draw(small_poly) for _ in range(ell)] for n in draw(st.sets(st.integers(0, 6), max_size=3))}
-    return fr.AnalyticMatrixSeries(ell, terms), f
+    return series(ell, terms), f
 
 
 def residual_blocks(a, f, u):
@@ -537,13 +543,13 @@ def residual_blocks(a, f, u):
 @given(nonresonant_systems(), domains, st.integers(1, 6), st.data())
 def test_residual_norm_of_a_perturbed_solution(system, dom, n_max, data):
     a, f = system
-    u = [list(vec) for vec in fr.recursion_solve(a, f, [], n_max).coeffs]
-    assert fr.residual_norm(a, f, oracle.vector_series(a.ell, u), dom) == 0
+    u = [list(vec) for vec in fr.recursion_solve(a, forms(f), [], n_max).coeffs]
+    assert fr.residual_norm(a, forms(f), oracle.vector_series(a.ell, u), dom) == 0
     n = data.draw(st.integers(0, n_max - 1))
     i = data.draw(st.integers(0, a.ell - 1))
     bump = data.draw(small_poly.filter(bool))
     u[n][i] = oracle.p_add(u[n][i], bump)
-    got = fr.residual_norm(a, f, oracle.vector_series(a.ell, u), dom)
+    got = fr.residual_norm(a, forms(f), oracle.vector_series(a.ell, u), dom)
     want = weighted_majorant(residual_blocks(a, f, u), dom)
     assert got == want, (got, want)
     # nI - A_0 is invertible, so the bumped index leaves a residual
@@ -554,7 +560,7 @@ def test_residual_norm_of_a_perturbed_solution(system, dom, n_max, data):
 @given(nonresonant_systems(), domains, st.integers(1, 8), st.integers(0, 6))
 def test_contraction_bound_is_the_a_priori_estimate(system, dom, n_max, iterations):
     a, f = system
-    res = fr.contraction_solve(a, f, [], dom, n_max, iterations=iterations)
+    res = fr.contraction_solve(a, forms(f), [], dom, n_max, iterations=iterations)
     n_cap = res.truncation
     clamped = oracle.recursion_solve(a, f, [], min(n_cap, n_max)).coeffs
     assert res.series.coeffs[: len(clamped)] == clamped
@@ -574,9 +580,9 @@ def test_contraction_bound_is_the_a_priori_estimate(system, dom, n_max, iteratio
 def test_log_layers_manufactured_solution():
     """A = [[0,1],[0,0]] with exponent 0 and one log layer: the general
     solution is (x + c log q, c)."""
-    a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(1)], [(), ()]]})
+    a = series(2, {0: [[(), poly(1)], [(), ()]]})
     x0, c = Q(7), Q(3)
-    seeds = {(0, 1): [[poly(c), ()]], (0, 0): [[poly(x0), poly(c)]]}
+    seeds = forms({(0, 1): [[poly(c), ()]], (0, 0): [[poly(x0), poly(c)]]})
     layers = fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=4)
     top = layers[(0, 1)]
     bottom = layers[(0, 0)]
@@ -588,25 +594,25 @@ def test_log_layers_manufactured_solution():
 
 
 def test_log_layer_seed_must_match_structure():
-    a = fr.AnalyticMatrixSeries(2, {0: [[(), poly(1)], [(), ()]]})
+    a = series(2, {0: [[(), poly(1)], [(), ()]]})
     # bottom layer first entry is forced by the top layer: -(k+1) phi_{0,1}
     # must equal (0 - A_0) phi_{0,0} at n = 0; a wrong second entry breaks it
-    seeds = {(0, 1): [[poly(3), ()]], (0, 0): [[poly(7), poly(99)]]}
+    seeds = forms({(0, 1): [[poly(3), ()]], (0, 0): [[poly(7), poly(99)]]})
     with pytest.raises(fr.SeedInconsistent) as exc:
         fr.log_system_solve(a, [Q(0)], 1, seeds, n_max=3)
     assert exc.value.layer == (0, 0)
 
 
 def test_log_exponent_congruence_rejected():
-    a = fr.AnalyticMatrixSeries(1, {})
+    a = series(1, {})
     with pytest.raises(fr.InvalidSystem):
         fr.log_system_solve(a, [Q(1, 2), Q(3, 2)], 0, {}, n_max=2)
 
 
 def test_log_k0_reduces_to_recursion():
     a = a_scalar(Q(1, 2))
-    plain = fr.recursion_solve(a, {}, [[()], [()]], 5)
-    logged = fr.log_system_solve(a, [Q(0)], 0, {(0, 0): [[()], [()]]}, n_max=5)
+    plain = fr.recursion_solve(a, {}, forms([[()], [()]]), 5)
+    logged = fr.log_system_solve(a, [Q(0)], 0, forms({(0, 0): [[()], [()]]}), n_max=5)
     assert logged[(0, 0)].coeffs == plain.coeffs
 
 

@@ -103,6 +103,12 @@ def test_complete_sl2_unreachable_h():
         complete_sl2(t, g, [(1, 0)])
 
 
+def test_complete_sl2_refuses_a_zero_characteristic():
+    t = table_for("A2")
+    with pytest.raises(NoSl2Completion, match="^characteristic is zero; no sl2 through it$"):
+        complete_sl2(t, grade(t, CartanElement.zero(2)), [])
+
+
 def test_even_grading_detection_on_records():
     evens = set()
     for rec in load_records():

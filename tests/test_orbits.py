@@ -205,6 +205,18 @@ def test_partition_rejections(family, parts):
         ClassicalPartition.from_parts(family, parts)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=8))
+def test_every_accepted_sp_partition_has_even_size(parts):
+    """In sp the odd parts pair and the unpaired parts are even, so an
+    accepted partition always has an even total size."""
+    try:
+        p = ClassicalPartition.from_parts("sp", parts)
+    except InvalidPartition:
+        return
+    assert p.size % 2 == 0 and p.size == sum(parts)
+
+
 def _as_sympy(rows):
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
 

@@ -12,10 +12,12 @@ from wrat.classical import (
     classical_basis,
     verify_self_contragredient_classical,
 )
-from wrat.liealg import build_chevalley
+from wrat.grading import grade
+from wrat.liealg import F, build_chevalley
 from wrat.orbits import load_records, lookup_exceptional
 from wrat.ratcheck import (
     VNotInCentralizer,
+    check_realized,
     check_record,
     exact_condition,
     fast_condition,
@@ -157,6 +159,23 @@ def test_search_needs_half_integers_on_e8_a4a3():
     table, grading, f, _ = realize_record(rec)
     out = search_v(table, grading, f, 1, 4)
     assert out is None
+
+
+def test_search_v_with_an_empty_centralizer_finds_nothing():
+    """G2 at the odd characteristic (2, 1) with f = f_(1,0) + f_(0,1): h^f
+    is zero, so the only lattice point is v = 0, which the search skips."""
+    t = table_for("G2")
+    grading = grade(t, CartanElement.of((2, 1)))
+    f = {t.index[F((1, 0))]: 1, t.index[F((0, 1))]: 1}
+    assert h0f_space(t, f) == []
+    assert search_v(t, grading, f, *CLI_BOUNDS) is None
+
+
+def test_check_realized_refuses_an_unknown_method():
+    table, grading, f, triple = realize_record(lookup_exceptional("G2", 3))
+    v = lookup_exceptional("G2", 3).v
+    with pytest.raises(ValueError, match="^unknown method 'slow'$"):
+        check_realized(table, grading, f, v, "slow", triple)
 
 
 # search-v outputs pinned at the four benchmark records and at E8 4A1

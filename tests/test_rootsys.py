@@ -6,6 +6,7 @@ import euclid_model as em
 from chevalley_oracle import coroot_pairing
 from wrat.rootsys import (
     CartanElement,
+    DimensionMismatch,
     IllegalType,
     SimpleType,
     _cartan_matrix,
@@ -218,6 +219,13 @@ def test_pairing_and_cartan_solve_inverse():
         c * p for c, p in zip(theta, diagram.pairings)
     )
 
+
+def test_pairing_and_cartan_solve_refuse_the_wrong_length():
+    rs = build(SimpleType.parse("G2"))
+    with pytest.raises(DimensionMismatch, match="^root coefficient vector has wrong length$"):
+        pairing(rs, (1, 0, 0), CartanElement.of((2, 1)))
+    with pytest.raises(DimensionMismatch, match="^diagram has wrong rank$"):
+        cartan_solve(rs, CartanElement.of((2, 1, 0)))
 
 def test_build_is_cached():
     assert build(SimpleType.parse("D4")) is build(SimpleType.parse("D4"))

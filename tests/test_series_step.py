@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import series_oracle as oracle
+from series_oracle import forms
 from wrat import _linalg
 from wrat import frobenius as fr
 
@@ -27,6 +28,7 @@ def outcome(solve, *args, **kwargs):
 
 
 def assert_same_recursion(a, f, seeds, n_max):
+    f, seeds = forms(f), forms(seeds)
     new = outcome(fr.recursion_solve, a, f, seeds, n_max)
     assert new == outcome(oracle.recursion_solve, a, f, seeds, n_max)
     return new
@@ -64,7 +66,7 @@ def systems(draw):
         n: [draw(polys(1)) for _ in range(ell)]
         for n in draw(st.sets(st.integers(0, 5), max_size=3))
     }
-    return fr.AnalyticMatrixSeries(ell, terms), f
+    return fr.AnalyticMatrixSeries(ell, forms(terms)), f
 
 
 @st.composite
@@ -93,7 +95,7 @@ def test_log_route_matches_linearized_oracle(data):
     )
     log_order = data.draw(st.integers(0, 1))
     seeds = {
-        (j, k): data.draw(seed_lists(a.ell))
+        (j, k): forms(data.draw(seed_lists(a.ell)))
         for j in range(len(exponents))
         for k in range(log_order + 1)
     }
@@ -106,18 +108,18 @@ def test_log_route_matches_linearized_oracle(data):
 
 def test_chi_depends_on_z_divisible():
     # ell = 1, A_0 = z: chi(n) = n - z; f_0 = z and f_1 = 1 - z divide exactly
-    a = fr.AnalyticMatrixSeries(1, {0: [[poly(0, 1)]]})
+    a = fr.AnalyticMatrixSeries(1, forms({0: [[poly(0, 1)]]}))
     got = assert_same_recursion(a, {0: [poly(0, 1)], 1: [poly(1, -1)]}, [], 3)
     assert got == [[poly(-1)], [poly(1)], [()]]
     # ell = 2, A_0 = [[z, 1], [0, 1/2]]: chi(1) = (1 - z)(1/2)
-    a = fr.AnalyticMatrixSeries(2, {0: [[poly(0, 1), poly(1)], [(), poly(Q(1, 2))]]})
+    a = fr.AnalyticMatrixSeries(2, forms({0: [[poly(0, 1), poly(1)], [(), poly(Q(1, 2))]]}))
     got = assert_same_recursion(a, {1: [poly(0, -1), poly(Q(1, 2))]}, [[(), ()]], 2)
     assert got[1] == [poly(1), poly(1)]
 
 
 def test_chi_depends_on_z_not_divisible():
     # ell = 1, A_0 = z, f_0 = 1: -z u_0 = 1 has no polynomial solution
-    a = fr.AnalyticMatrixSeries(1, {0: [[poly(0, 1)]]})
+    a = fr.AnalyticMatrixSeries(1, forms({0: [[poly(0, 1)]]}))
     assert assert_same_recursion(a, {0: [poly(1)]}, [], 2) == (fr.Resonance, 0, None)
 
 
@@ -140,7 +142,7 @@ def test_chi_depends_on_z_not_divisible():
 )
 def test_chi_zero_at_a_seeded_index(a0, seed, solvable, unsolvable):
     # chi(0) = det(-A_0) = 0 in Q[z], and the seed misses the n = 0 relation
-    a = fr.AnalyticMatrixSeries(2, {0: a0})
+    a = fr.AnalyticMatrixSeries(2, {0: forms(a0)})
     for rhs in ([(), ()], solvable):
         got = assert_same_recursion(a, {0: rhs}, [seed], 2)
         assert got == (fr.SeedInconsistent, 0, None)
