@@ -8,6 +8,7 @@ rejected on input and on output so that exactness is never silently lost,
 and so is a zero denominator on input, as a ValueError like every other
 malformed value.
 
+Both JSON readers refuse an object that repeats a key (`unique_keys`).
 `json_text` writes the CLI's output: the bytes of `json.dumps(obj,
 indent=2)`, whose encoder is the pure-Python one whenever it indents.
 """
@@ -47,6 +48,20 @@ def rat_from_json(v) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r} (ZeroDivisionError)") from None
     raise ValueError(f"expected an int or 'num/den' string, got {v!r}")
+
+
+def unique_keys(error: type[Exception]):
+    """An `object_pairs_hook` for `json.load` that raises error, naming the
+    key, on a JSON object that repeats one, where a dict keeps the last."""
+
+    def hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise error(f"repeated key {key!r} in a JSON object")
+        return obj
+
+    return hook
 
 
 def json_text(obj, nl: str = "\n") -> str:

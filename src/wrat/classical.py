@@ -1,4 +1,4 @@
-"""The classical (matrix) route: so and sp partitions and their check.
+"""The classical route: so and sp partitions and their check.
 
 `ClassicalPartition.parse` reads a partition from its text in a family, a
 series (so, sp) or a type letter (B, D are so, C is sp); `label` and
@@ -6,21 +6,25 @@ series (so, sp) or a type letter (B, D are so, C is sp); `label` and
 Jordan blocks, the bilinear form is the alternating antidiagonal one per
 block, and paired blocks carry the +1/2 / -1/2 split of the Cartan element
 v.  `build_classical` builds and verifies the sl2-triple (e, h, f) from the
-Jordan blocks; `check_classical` and `verify_self_contragredient_classical`
-read the symmetrized matrix units through the kernel slot table of `slots`,
-with the diagonal v as the torus.  `_bracket` is the one sparse matrix
-commutator: the triple check and the columns of ad(f) both read it.
-Nothing here touches root systems, Chevalley bases or gradings, so a
-classical request loads none of them; `slots` is read at call time, so a
-verified self-contragredience request does not run it.
+Jordan blocks, with `_bracket`, the one sparse matrix commutator.
+`check_classical` counts the kernel slots in closed form from the Jordan
+data, and `verify_self_contragredient_classical` is True on the verified
+triple; both raise ValueError where the closed form has no answer.  No
+matrix basis and nothing of `_linalg`, root systems, Chevalley bases or
+gradings runs, so a classical request loads none of them; `slots` is read
+at call time, so a self-contragredience request does not run it.  The
+matrix route on symmetrized units is a test oracle,
+`tests/classical_matrix_oracle.py`.
 """
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from . import BadInput, _linalg, slots
+from . import BadInput, slots
 
 
 class InvalidPartition(BadInput):
@@ -67,7 +71,8 @@ class ClassicalPartition(NamedTuple):
             else:
                 singles.extend([p] * c)
         self = cls(family=family, pairs=tuple(pairs), singles=tuple(singles))
-        # the realization indexes about size**2 / 2 matrix units
+        # the bound dates from a check on about size**2 / 2 matrix units;
+        # it stays, so the same sizes exit 3
         if self.size * self.size > sys.maxsize:
             raise InvalidPartition(f"partition size {self.size} is past the index range")
         return self
@@ -244,88 +249,50 @@ def is_sl2_triple(real: ClassicalRealization) -> bool:
     )
 
 
-def classical_basis(real: ClassicalRealization):
-    """Basis of the algebra as sparse symmetrized matrix units.
 
-    Each entry is ((i, j), partner, c) meaning E_ij + c * E_partner, or
-    ((i, j), None, None) for a matrix unit fixed by the involution with
-    sign +1.  Representatives are chosen once per two-cycle, so supports of
-    distinct basis elements are disjoint and coordinates of any algebra
-    element can be read straight off its matrix entries at representatives.
-    """
-    sigma = real.sigma
-    out = []
-    for i in range(real.size):
-        # E_ij maps to c E_(sigma(j), sigma(i)), so it comes first in its
-        # two-cycle or is fixed when sigma(j) >= i; sigma is an involution,
-        # so those j are the values sigma[i:]
-        for j in sorted(sigma[i:]):
-            ip, jp, c = real.involution_of(i, j)
-            if (ip, jp) != (i, j):
-                out.append(((i, j), (ip, jp), c))
-            elif c == 1:
-                out.append(((i, j), None, None))
-            # a fixed unit with c == -1 lies in the -1 eigenspace; not in g
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The check on the symmetrized matrix units
-# ---------------------------------------------------------------------------
-
-
-def _units(elt) -> list[tuple[int, int, int]]:
-    """A symmetrized unit E_ij + c * E_i'j', c = +-1, as (row, column, coefficient) terms."""
-    (i, j), partner, c = elt
-    return [(i, j, 1)] + ([(*partner, c)] if partner else [])
-
-
-def _classical_sl2(real: ClassicalRealization) -> bool:
-    """Whether (e, h, f) is a verified sl2-triple and the diagonal v commutes
-    with f: v is constant across each nonzero entry of f, and then commutes
-    with e as well.  Checked on the realization itself, so an f replaced after
-    `build_classical` gets the rank rule."""
-    v = real.v_diag
-    return is_sl2_triple(real) and all(v[r] == v[s] for r, s in real.f)
-
-
-def _classical_operator(real: ClassicalRealization) -> slots._GradedOperator:
-    """The operator on the symmetrized matrix units of `classical_basis`.
-    The torus is the diagonal, so E_ij + c E_i'j' has weight e_i - e_j."""
-    basis = classical_basis(real)
-    index = {pos: k for k, (pos, _, _) in enumerate(basis)}
-
-    def column(j: int) -> dict[int, int | Fraction]:
-        # the coordinates of [f, B] are its entries at representatives
-        unit = {(a, b): coeff for a, b, coeff in _units(basis[j])}
-        return {index[pos]: x for pos, x in _bracket(real.f, unit).items() if pos in index}
-
-    hd, den = _linalg.over_common(real.h_diag)
-    degrees, cartan = [], []
-    for k, elt in enumerate(basis):
-        (i, j), _, _ = elt
-        degrees.append(hd[i] - hd[j])
-        if i == j:
-            coords = [0] * real.size
-            for a, _, c in _units(elt):
-                coords[a] = c
-            cartan.append((k, tuple(coords)))
-
-    def weigh(t) -> tuple[int, ...]:
-        return tuple([t[i] - t[j] for ((i, j), _, _) in basis])
-
-    return slots._GradedOperator(
-        tuple(degrees), 2 * den, weigh, column, tuple(cartan), _classical_sl2(real)
-    )
+def _require_triple(real: ClassicalRealization) -> None:
+    if not is_sl2_triple(real):
+        raise ValueError("f is in no verified sl2-triple with the realization's e and h")
 
 
 def check_classical(real: ClassicalRealization) -> slots.ConditionVerdict:
-    """Kernel slot table on the matrix realization, with v as the torus."""
-    op = _classical_operator(real)
-    return slots._slot_verdict(op, *slots._group(op, [real.v_diag]))
+    """The kernel slot table of `slots`, counted from the Jordan data;
+    ValueError without a verified triple or when v is not constant on f's
+    Jordan chains.  Such a v commutes with the triple, so on each of its
+    eigenspaces the chains of length m number #{h_i = m - 1} - #{h_i = m + 1}:
+    V is the sum of k copies of V_m per block type (m, n), v acting by
+    n / den.  g is S^2 V (alternating form, sp) or Lambda^2 V (symmetric,
+    so): S^2 or Lambda^2 of each type's copies plus the product of each pair
+    of types.  V_m (x) V_m' is the sum of V_d, d = m + m' - 1 - 2t for
+    0 <= t < min(m, m'), S^2 V_m holding the even t; so in S^2 (V_m (x) C^k)
+    V_d comes k(k + 1)/2 times at even t and k(k - 1)/2 at odd t, and in
+    Lambda^2 the other way round.  Each V_d holds one kernel vector of ad(f),
+    in degree -(d - 1)/2, where v is the sum of its two types' values."""
+    _require_triple(real)
+    v = real.v_diag
+    if any(v[r] != v[s] for r, s in real.f):
+        raise ValueError("v is not constant on f's Jordan chains")
+    den = lcm(*[x.denominator for x in v])
+    weights = Counter(zip(real.h_diag, [x.numerator * (den // x.denominator) for x in v]))
+    types = [  # ((m, n), k) per block type
+        ((h + 1, n), c - weights[h + 2, n])
+        for (h, n), c in weights.items()
+        if h >= 0 and c > weights[h + 2, n]
+    ]
+    form = real.form_coeff  # one parity on every row, read off row 0
+    sign = -form[0] * form[real.sigma[0]]  # +1 alternating (S^2 V), -1 symmetric (Lambda^2 V)
+    kernel: Counter = Counter()  # (degree numerator over 2, eigenvalue numerator) -> dim
+    for a, ((m, n), k) in enumerate(types):
+        for t in range(m):
+            kernel[2 - 2 * m + 2 * t, 2 * n] += k * (k + sign * (-1) ** t) // 2
+        for (m2, n2), k2 in types[a + 1:]:
+            for t in range(min(m, m2)):
+                kernel[2 - m - m2 + 2 * t, n + n2] += k * k2
+    rows = [(d, n, mult) for (d, n), mult in kernel.items() if mult]
+    return slots._verdict(rows, 2, den, (), "exact", "counting")
 
 
 def verify_self_contragredient_classical(real: ClassicalRealization) -> bool:
-    """`_self_contragredient` on the matrix realization; on a verified triple
-    it is True without building the operator."""
-    return _classical_sl2(real) or slots._self_contragredient(_classical_operator(real))
+    """True on a verified triple (`slots._self_contragredient`); ValueError without one."""
+    _require_triple(real)
+    return True

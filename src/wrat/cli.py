@@ -34,11 +34,12 @@ keeps the request's code.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import BadInput, RoutesDisagree
 from . import classical, frobenius as fr, orbits, ratcheck, rootsys, slots
-from ._serde import json_text
+from ._serde import json_text, unique_keys
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -117,7 +118,7 @@ def _cmd_frobenius(args) -> int:
 
     with open(args.system) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique_keys(fr.InvalidSystem))
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise BadInput(f"cannot parse system: {exc}") from exc
     _emit(fr.solve_json(obj, args.route, args.order, args.iterate))
@@ -191,6 +192,18 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse would drop a failed write: a closed stdout exits 4
         print(self.format_help(), end="", file=file, flush=True)
+
+
+_USAGE_PART = r"\(.*?\)+(?=\s|$)|\[.*?\]+(?=\s|$)|\S+"
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Usage wrapped as Python 3.10-3.12 wrap it, whose parts are a bracketed
+    group or else a word (`_USAGE_PART`).  Only 3.13 and later call this
+    method: they keep each argument whole, `--q Q` or `{...} ...`, as one part."""
+
+    def _get_actions_usage_parts(self, actions, groups):
+        return re.findall(_USAGE_PART, " ".join(super()._get_actions_usage_parts(actions, groups)))
 
 
 def _int_at_least(lo: int):
@@ -283,13 +296,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser.  For a known subcommand only its subparser is
     built; otherwise (--help, no or an unknown subcommand) all of them."""
     parser = _Parser(
-        prog="wrat", description="exact rationality checks and series solving"
+        prog="wrat",
+        description="exact rationality checks and series solving",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     names = [command] if command in _COMMANDS else list(_COMMANDS)
     for name in names:
         help_line, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line))
+        add_arguments(sub.add_parser(name, help=help_line, formatter_class=_Formatter))
     parser.partial = len(names) < len(_COMMANDS)
     return parser
 

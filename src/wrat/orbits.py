@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import BadInput
-from ._serde import rat_from_json
+from ._serde import rat_from_json, unique_keys
 from .rootsys import CartanElement, IllegalType, RootSystem, SimpleType, build, pairing
 
 
@@ -146,7 +146,7 @@ def _load_dir(path_str: str) -> tuple[OrbitRecord, ...]:
     for fn in sorted(path.glob("*.json")):
         with open(fn) as fh:
             try:
-                obj = json.load(fh)
+                obj = json.load(fh, object_pairs_hook=unique_keys(InvalidRecord))
             except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise InvalidRecord(f"cannot parse record {fn.name}: {exc}") from exc
         rec = record_from_json(obj)

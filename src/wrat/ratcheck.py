@@ -29,7 +29,7 @@ centralizing f.  Each v of a small rational lattice inside h^f is checked
 against that table in integer arithmetic.  A record's triple is the one
 `complete_sl2` verifies in `realize_record`.
 
-Classical partitions (matrix units) are checked in `classical`.  Its
+Classical partitions are checked in `classical`, in closed form.  Its
 `check_classical` and `verify_self_contragredient_classical` still resolve
 here, through the module `__getattr__`: views kept for the benchmark's
 files, whose tracer names the layers `ratcheck.check_classical` and

@@ -1,24 +1,23 @@
-"""The kernel slot table both realizations share, and its verdict.
+"""The kernel slot table of the Chevalley route, and the verdict every route shares.
 
 For a nilpotent f of degree -1 and a degree-0 Cartan element v with
 [v, f] = 0, the question is whether every ad(v)-eigenvalue on the piece of
 the centralizer of f in degree -j lies in -j - 1 + {0, 1, 2, ...}.
 
-Both realizations (the Chevalley basis of an exceptional record in
-`ratcheck`, the symmetrized matrix units of a classical partition in
-`classical`) are read through one graded operator, `_GradedOperator`: per
-basis vector a degree; the torus weights of all basis vectors at once, at a
-torus element given by its integer coordinate values (a(t) and -a(t) on e_a
-and f_a, resp. t_i - t_j on E_ij); the columns [f, b_j] of ad(f), built on
-demand; the Cartan basis vectors with their torus coordinates; and whether
-f sits in a verified sl2-triple (e, h, f).
+An exceptional record (its Chevalley basis, in `ratcheck`) is read through
+a graded operator, `_GradedOperator`: per basis vector a degree; the torus
+weights of all basis vectors at once, at a torus element given by its
+integer coordinate values (a(t) and -a(t) on e_a and f_a); the columns
+[f, b_j] of ad(f), built on demand; the Cartan basis vectors with their
+torus coordinates; and whether f sits in a verified sl2-triple (e, h, f).
 
 ad(f) maps the (degree d, torus weight mu) span into the (d - 1, mu) span,
-so ker ad(f) splits into slots (d, mu).  For a record and for a partition
-alike the torus is v itself, so a slot is a pair (d, eigenvalue of v) and
-gives one evidence row.  On a verified triple each slot is counted
-(Kostant), reading only degrees and weights; without one it takes one
-exact rank.  A row is decided in integers: its degree and eigenvalue are
+so ker ad(f) splits into slots (d, mu).  With v itself as the torus a slot
+is a pair (d, eigenvalue of v) and gives one evidence row.  On a verified
+triple each slot is counted (Kostant), reading only degrees and weights;
+without one it takes one exact rank.  A classical partition (`classical`)
+counts the same slots in closed form from its Jordan data and hands them
+to `_verdict`.  A row is decided in integers: its degree and eigenvalue are
 integer numerators over two positive denominators fixed per table, so the
 rows sort on those numerators, and each row's two Fractions are made once,
 for the output.  Every admissibility decision reads `_admissible` on

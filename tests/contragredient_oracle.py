@@ -13,7 +13,7 @@ code.
 from fractions import Fraction
 
 import linalg_oracle
-from wrat.classical import classical_basis
+from classical_matrix_oracle import classical_basis
 from wrat.rootsys import cartan_solve
 
 

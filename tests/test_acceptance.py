@@ -16,6 +16,7 @@ import random
 import time
 from fractions import Fraction as Q
 
+from classical_matrix_oracle import classical_basis
 from contragredient_oracle import dense
 from good_grading import verify_good_grading
 from linalg_oracle import centralizer, rref
@@ -26,7 +27,6 @@ from wrat.classical import (
     InvalidPartition,
     build_classical,
     check_classical,
-    classical_basis,
 )
 from wrat.cli import main as cli_main
 from wrat.liealg import build_chevalley

@@ -354,8 +354,9 @@ def test_check_classical_bad_partition_text(capsys):
 )
 def test_partition_past_the_index_range_exits_3(capsys, command, size):
     """A size whose square is past the index range is an invalid partition:
-    the realization indexes about size**2 / 2 matrix units, so building it
-    would end in an OverflowError or a MemoryError."""
+    the bound dates from a check on about size**2 / 2 matrix units, and a
+    realization that large, which holds tuples of its size, would end in a
+    MemoryError."""
     rc, out, err = run(capsys, command, "--family", "C", "--partition", size)
     assert (rc, out) == (3, "")
     assert err == f"error: partition size {size} is past the index range\n"
@@ -666,6 +667,33 @@ def test_frobenius_malformed_system_exits_3(capsys, tmp_path, obj, message):
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        (
+            '{"ell": 1, "A": [[0, [["1/2"]]]], "seeds": [[[0]]], "domain":'
+            ' {"z0": 0, "epsilon": "1/2", "epsilon": "1/3", "delta": "1/2"}}',
+            "epsilon",
+        ),
+        ('{"ell": 1, "ell": 2, "A": [[0, [["1/2"]]]], "seeds": [[[0]]]}', "ell"),
+        (
+            '{"ell": 1, "exponents": ["1/2"], "K": 0, "A": [[0, [["1/2"]]]],'
+            ' "seeds": {"0:0": [[1]], "0:0": [[2]]}}',
+            "0:0",
+        ),
+    ],
+    ids=["domain-epsilon", "top-level-ell", "log-seed"],
+)
+def test_frobenius_repeated_key_exits_3(capsys, tmp_path, text, key):
+    """A JSON object that names one key twice is refused, naming the key,
+    at any depth of the file: json.load alone would keep the last value."""
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "frobenius", str(path))
+    assert (rc, out) == (3, "")
+    assert err == f"error: repeated key {key!r} in a JSON object\n"
+
+
 def _paths(node, path=()):
     """Every position in a JSON tree, as a key path."""
     yield path
@@ -857,7 +885,7 @@ def _partition_size(text: str) -> int | None:
 def test_classical_argv_exit_contract(text, family, command):
     """Odd partition text and near-miss families end in a documented exit
     code with no traceback.  Legal sizes past 200 are left out: below the
-    index range they ask for about n^2/2 matrix units."""
+    index range a realization of size n still holds tuples of length n."""
     size = _partition_size(text)
     assume(size is None or size <= 200 or size * size > sys.maxsize)
     try:
@@ -1258,6 +1286,20 @@ def test_report_malformed_record_diagram_exits_3(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["label", "row"])
+def test_report_repeated_record_key_exits_3(capsys, tmp_path, monkeypatch, key):
+    """A record file whose object, at the top or in a diagram, names one
+    key twice is refused, naming the key."""
+    text = (Path(wrat.__file__).parent / "data" / "e6_q2.json").read_text()
+    # the first "row" is the diagram of h
+    text = text.replace(f'"{key}":', f'"{key}": "first", "{key}":', 1)
+    (tmp_path / "e6_q2.json").write_text(text)
+    monkeypatch.setenv("WRAT_DATA_DIR", str(tmp_path))
+    rc, out, err = run(capsys, "report", "--format", "tsv")
+    assert (rc, out) == (3, "")
+    assert err == f"error: repeated key {key!r} in a JSON object\n"
+
+
 def test_plain_value_errors_propagate(capsys, monkeypatch, tmp_path):
     def broken(*args, **kwargs):
         raise ValueError("not a data defect")
@@ -1331,6 +1373,28 @@ def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv, code, stdout
     assert (exc.value.code, *capsys.readouterr()) == (code, stdout, stderr)
 
 
+# the same at 20, 40, 103 and 200 columns, where argparse wraps the usage
+# lines otherwise; printed by Python 3.11, and by 3.10 and 3.12 alike
+CLI_USAGE_WIDTHS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "cli_usage_widths.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "columns,argv,code,stdout,stderr",
+    CLI_USAGE_WIDTHS,
+    ids=[f"{c[0]}-{' '.join(c[1]) or 'no-arguments'}" for c in CLI_USAGE_WIDTHS],
+)
+def test_usage_wraps_alike_at_any_width(capsys, monkeypatch, columns, argv, code, stdout, stderr):
+    """From 3.13 on argparse keeps `--algebra ALGEBRA` or the subcommand
+    choices with their `...` whole when it wraps a usage line; the parsers
+    cut it into parts as 3.10-3.12 do, so the bytes agree at any width."""
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, stdout, stderr)
+
+
 def _subcommands(parser):
     (action,) = [a for a in parser._actions if a.dest == "command"]
     return list(action.choices)
@@ -1363,7 +1427,7 @@ defines = {
     "rootsys": "build", "liealg": "build_chevalley", "grading": "grade",
     "orbits": "load_records", "ratcheck": "check_record",
     "frobenius": "recursion_solve", "slots": "_kernel_slots",
-    "classical": "build_classical",
+    "classical": "build_classical", "_linalg": "rank",
 }
 ran = [
     name for name, attr in defines.items()
@@ -1413,14 +1477,17 @@ def test_frobenius_request_runs_only_frobenius(tmp_path):
         {"ell": 1, "A": [[0, [["1/2"]]]], "f": [[1, [[1]]]], "seeds": [[[0]], [[2]]]},
     )
     got = executed_modules("frobenius", path, "--order", "4", "--route", "recursion")
-    assert got == {"exit": 0, "ran": ["frobenius"], "dataclasses": False}
+    # `Form.of` takes each polynomial over its common denominator in `_linalg`
+    assert got == {"exit": 0, "ran": ["frobenius", "_linalg"], "dataclasses": False}
 
 
 def test_check_classical_request_never_runs_frobenius():
-    """The matrix route needs neither the Chevalley table nor the gradings:
-    it runs `classical`, the check also the shared slot table, and none of
-    the Chevalley route's modules.  Self-contragredience on the verified
-    triple of a partition needs no slot table."""
+    """The classical route needs neither the Chevalley table nor the
+    gradings: it runs `classical`, the check also the verdict of `slots`,
+    and none of the Chevalley route's modules.  It takes no rank and no
+    common denominator in `_linalg`: the check counts its slots from the
+    Jordan data.  Self-contragredience on the verified triple of a
+    partition needs no slot table."""
     for argv, slot_table in (
         (["check-classical", "--partition", "3,3,2"], True),
         (["check-classical", "--partition", "3,3", "--v-zero"], True),
@@ -1431,7 +1498,7 @@ def test_check_classical_request_never_runs_frobenius():
         got = executed_modules(*argv, "--family", "C")
         assert got["exit"] == 0
         assert "ratcheck" not in got["ran"]
-        assert not {"frobenius", "liealg", "grading"} & set(got["ran"]), argv
+        assert not {"frobenius", "liealg", "grading", "_linalg"} & set(got["ran"]), argv
         assert not {"rootsys", "orbits"} & set(got["ran"]), argv
         assert "classical" in got["ran"], argv
         assert ("slots" in got["ran"]) == slot_table, argv
@@ -1449,7 +1516,7 @@ def test_check_classical_request_never_runs_frobenius():
     ids=["report", "check-exceptional", "search-v", "verify-contragredient"],
 )
 def test_exceptional_requests_never_run_classical(argv):
-    """The Chevalley route reads the slot table but never the matrix route."""
+    """The Chevalley route reads the slot table but never the classical route."""
     got = executed_modules(*argv)
     assert got["exit"] == 0
     assert {"ratcheck", "slots"} <= set(got["ran"])
@@ -1482,7 +1549,7 @@ def test_exceptional_requests_never_run_classical(argv):
             ["check-exceptional", "--algebra", "E8"],
             3,
             "error: need --q or --label to pick a record\n",
-            ["rootsys"],
+            ["rootsys", "_linalg"],
         ),
     ],
     ids=[
@@ -1492,9 +1559,10 @@ def test_exceptional_requests_never_run_classical(argv):
 )
 def test_error_exits_run_only_what_the_request_ran(argv, code, stderr, ran):
     """Mapping an exception to its exit code loads no module: a missing
-    series file runs none, an illegal partition only the matrix route.  The
+    series file runs none, an illegal partition only `classical`.  The
     CLI's own flag rules load nothing, and a record request without q or
-    label only parses the algebra."""
+    label only parses the algebra, in `rootsys`, which imports from
+    `_linalg`."""
     out = fresh_python("-c", EXECUTED_PROBE, json.dumps(argv))
     assert out.stderr == stderr
     got = json.loads(out.stdout.splitlines()[-1])

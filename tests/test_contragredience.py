@@ -23,14 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classical_matrix_oracle as matrix
 import contragredient_oracle as oracle
+from classical_matrix_oracle import _classical_operator
 from linalg_oracle import rref
 from wrat import _linalg, grading as gr, ratcheck, slots
 from wrat.liealg import F
 from wrat.classical import (
     ClassicalPartition,
     InvalidPartition,
-    _classical_operator,
     build_classical,
     verify_self_contragredient_classical,
 )
@@ -187,9 +188,13 @@ def test_partitions_up_to_12_match_oracle():
         assert verify_self_contragredient_classical(real), p
         assert oracle.self_contragredient_classical(real), p
         zero = _zero_f(real)
-        assert verify_self_contragredient_classical(zero) == oracle.self_contragredient_classical(
-            zero
-        ), p
+        ranked = matrix.verify_self_contragredient_classical(zero)
+        assert ranked == oracle.self_contragredient_classical(zero), p
+        if real.f:
+            with pytest.raises(ValueError, match="no verified sl2-triple"):
+                verify_self_contragredient_classical(zero)
+        else:  # the partition 1, 1, ..., 1, whose f is 0 in the trivial triple
+            assert verify_self_contragredient_classical(zero) == ranked, p
 
 
 @settings(max_examples=25, deadline=None)
@@ -205,6 +210,10 @@ def test_sampled_partitions_up_to_14_match_oracle(p):
     [("sp", (3, 3, 2)), ("so", (5, 5, 4, 4)), ("sp", (13, 13, 10, 10, 6, 4, 2, 2))],
 )
 def test_classical_zero_f_is_not_self_contragredient(family, parts):
+    """f = 0 is in no triple: the package refuses it, and the matrix
+    oracle's rank test and the kernel walk both say False."""
     zero = _zero_f(build_classical(ClassicalPartition.from_parts(family, parts)))
-    assert not verify_self_contragredient_classical(zero)
+    with pytest.raises(ValueError, match="no verified sl2-triple"):
+        verify_self_contragredient_classical(zero)
+    assert not matrix.verify_self_contragredient_classical(zero)
     assert not oracle.self_contragredient_classical(zero)

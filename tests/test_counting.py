@@ -7,9 +7,11 @@ counts that way whenever the operator carries a verified triple and takes
 one rank per slot otherwise.  Both rules must give the same evidence rows and
 status on every legal so/sp partition of size <= 14 (with its own v and with
 v = 0) and on the 15 records for sampled v in h^f; past size 14 the counted
-multiplicities must add up to dim g^f.  `ConditionVerdict.slot_rule`
-says which rule ran; an f with a root dropped is in no triple and must run by
-rank, and counting there would be wrong.
+multiplicities must add up to dim g^f.  On a partition the counted side is
+`classical.check_classical`, which counts in closed form from the Jordan
+data, and the ranked side the operator of `classical_matrix_oracle`.
+`ConditionVerdict.slot_rule` says which rule ran; an f with a root dropped
+is in no triple and must run by rank, and counting there would be wrong.
 """
 import functools
 from fractions import Fraction
@@ -18,12 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classical_matrix_oracle as matrix
+from classical_matrix_oracle import _classical_operator
 from test_contragredience import legal_partitions
 from wrat.grading import grade
 from wrat.liealg import F
 from wrat.classical import (
     ClassicalPartition,
-    _classical_operator,
     build_classical,
     check_classical,
     is_sl2_triple,
@@ -133,10 +136,14 @@ def test_bench_partitions_run_by_counting(family, parts):
 
 
 def test_replaced_f_runs_by_rank():
+    """An f in no triple has no closed form: the package refuses it, and
+    the matrix oracle ranks its slots."""
     real = build_classical(ClassicalPartition.from_parts("sp", (3, 3, 2)))
     zero = real._replace(f={})
     assert not is_sl2_triple(zero)
-    assert check_classical(zero).slot_rule == "rank"
+    with pytest.raises(ValueError, match="no verified sl2-triple"):
+        check_classical(zero)
+    assert matrix.check_classical(zero).slot_rule == "rank"
 
 
 @pytest.mark.parametrize("k", range(len(RECORDS)), ids=IDS)

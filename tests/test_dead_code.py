@@ -33,8 +33,9 @@ import wrat
 
 SOURCE = Path(wrat.__file__).parent
 EXEMPT = {"__getattr__", "__dir__"}
-# Class.method overrides that a base class outside the package calls
-HOOKS = {"_Parser.error", "_Parser.print_help"}  # argparse, on a usage error and on --help
+# Class.method overrides that a base class outside the package calls: argparse,
+# on a usage error, on --help and, from Python 3.13 on, on each usage line
+HOOKS = {"_Parser.error", "_Parser.print_help", "_Formatter._get_actions_usage_parts"}
 # public functions no module names, each with the reason it stays
 PINNED = {
     "is_admissible_level": "ROADMAP items 2 and 6 give it a caller; the README shows it",

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classical_matrix_oracle import classical_basis
 from contragredient_oracle import dense, dense_form
 from wrat._linalg import nullspace, rank
 from wrat.classical import (
@@ -15,7 +16,6 @@ from wrat.classical import (
     _bracket,
     _verify_membership,
     build_classical,
-    classical_basis,
     is_sl2_triple,
 )
 from wrat.orbits import (

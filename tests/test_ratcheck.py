@@ -4,12 +4,12 @@ import pytest
 import sympy
 
 import search_oracle
+from classical_matrix_oracle import classical_basis
 from contragredient_oracle import dense
 from wrat.classical import (
     ClassicalPartition,
     build_classical,
     check_classical,
-    classical_basis,
     verify_self_contragredient_classical,
 )
 from wrat.grading import grade

@@ -28,10 +28,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from classical_matrix_oracle import _classical_operator, classical_basis
 from contragredient_oracle import _ad_f, ad_block, degrees, dense
 from linalg_oracle import rref
 from test_contragredience import legal_partitions
-from wrat.classical import _classical_operator, build_classical, check_classical, classical_basis
+from wrat.classical import build_classical, check_classical
 from wrat import slots
 from wrat.orbits import load_records
 from wrat.ratcheck import (
